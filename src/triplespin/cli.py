@@ -246,7 +246,7 @@ def _cmd_probe(args) -> int:
                 f"{relation.value} is not applicable at twice_s = {spin.twice_s} "
                 "(relation proved for spin-1/2 only)"
             )
-        result = min_gap(relation, spin, cfg, mixed=args.mixed, threads=args.threads)
+        result = min_gap(relation, spin, cfg, mixed=args.mixed)
         out = result.to_dict()
         if relation is RelationId.R7_SUM_GENERAL_S:
             out["variance_sum_min"] = result.min_gap + spin.s
@@ -335,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--max-iters", type=int, default=2000)
     p_probe.add_argument("--tol", type=float, default=1e-10)
     p_probe.add_argument("--seed", type=int, default=None)
-    p_probe.add_argument("--threads", type=int, default=1)
     add_common(p_probe)
     p_probe.set_defaults(func=_cmd_probe)
 

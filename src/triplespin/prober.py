@@ -15,9 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import entr
 
-from .errors import SpinRestrictionError
-from .relations import RelationId, applicable_to, evaluate
+from .errors import SpinRestrictionError, TripleSpinError
+from .moments import batch_expectation, batch_variance
+from .relations import ENTROPIC, RelationId, _ops, applicable_to, evaluate, relation_sides
 from .rng import stream
 from .spin_ops import Spin, build_spin_operators
 from .states import QuantumState, density_from_bloch, from_statevector, random_pure_vectors
@@ -36,8 +38,8 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be >= 1")
 
@@ -51,6 +53,10 @@ class ProbeResult:
     converged: bool
     evaluations: int
     best_restart: int
+    #: Final objective value of each restart (each refinement, for a
+    #: conjecture scan) in run order; how many agree on min_gap shows how
+    #: reliably the search finds the minimum.
+    restart_gaps: tuple[float, ...]
 
     def to_dict(self) -> dict:
         from .states import state_to_json_dict
@@ -63,10 +69,11 @@ class ProbeResult:
             "converged": self.converged,
             "evaluations": self.evaluations,
             "best_restart": self.best_restart,
+            "restart_gaps": list(self.restart_gaps),
         }
 
 
-def _state_from_params(x: np.ndarray, dim: int) -> QuantumState:
+def _psi_from_params(x: np.ndarray, dim: int) -> np.ndarray:
     psi = np.empty(dim, dtype=complex)
     psi[0] = abs(x[0])
     psi[1:] = x[1::2] + 1j * x[2::2]
@@ -74,7 +81,11 @@ def _state_from_params(x: np.ndarray, dim: int) -> QuantumState:
     if norm == 0.0:
         psi[0] = 1.0
         norm = 1.0
-    return from_statevector(psi / norm)
+    return psi / norm
+
+
+def _state_from_params(x: np.ndarray, dim: int) -> QuantumState:
+    return from_statevector(_psi_from_params(x, dim))
 
 
 def _params_from_vector(psi: np.ndarray) -> np.ndarray:
@@ -105,6 +116,76 @@ def _random_start(dim: int, seed: int, restart: int, mixed: bool) -> np.ndarray:
     return _params_from_vector(z / np.linalg.norm(z))
 
 
+def _pure_moments(psi: np.ndarray, ops: np.ndarray):
+    """Means and centred variances ||(O - <O>) psi||^2 of a (k, d, d) operator stack."""
+    opsi = ops @ psi
+    e = (opsi @ psi.conj()).real
+    r = opsi - e[:, None] * psi
+    return e, (r.real**2 + r.imag**2).sum(axis=1)
+
+
+def _pure_probabilities(psi: np.ndarray, eigvecs_h: np.ndarray) -> np.ndarray:
+    a = eigvecs_h @ psi
+    return a.real**2 + a.imag**2
+
+
+def _mixed_moments(rho: np.ndarray, ops: np.ndarray):
+    """Means and centred variances tr(rho (O - <O>)^2) of a (k, d, d) operator stack."""
+    e = np.einsum("ij,kji->k", rho, ops).real
+    c = ops - e[:, None, None] * np.eye(len(rho))
+    return e, np.maximum(np.einsum("ij,kjl,kli->k", rho, c, c).real, 0.0)
+
+
+def _mixed_probabilities(rho: np.ndarray, eigvecs_h: np.ndarray) -> np.ndarray:
+    return np.maximum(np.einsum("kai,ij,kaj->ka", eigvecs_h, rho, eigvecs_h.conj()).real, 0.0)
+
+
+def gap_objective(relation: RelationId, spin: Spin | int, mixed: bool = False):
+    """The search objective: x -> gap of `relation` at the state x parametrizes.
+
+    Equals evaluate(relation, state, spin).gap, but works on the state vector
+    (or the Bloch-ball density matrix when mixed=True) without building a
+    validated QuantumState: the operator stack, its eigenbases and the R8
+    pair sums are prepared once here, and each call takes the moments and
+    passes them through relations.relation_sides. Spin-component spectra are
+    nondegenerate, so outcome probabilities are the squared amplitudes in the
+    eigenbasis with no eigenvalue merging.
+    """
+    spin = spin if isinstance(spin, Spin) else Spin(spin)
+    if mixed and spin.twice_s != 1:
+        raise ValueError("mixed-state probing uses the Bloch ball and needs spin 1/2")
+    dim, s = spin.dim, spin.s
+    ops = np.array(_ops(spin.twice_s).as_tuple(), dtype=complex)
+    eigvecs_h = np.linalg.eigh(ops)[1].conj().transpose(0, 2, 1) if relation in ENTROPIC else None
+    pairs = ops + ops[[1, 2, 0]] if relation is RelationId.R8_VARIANCE_OF_SUMS else None
+    if mixed:
+        half_eye = 0.5 * np.eye(2, dtype=complex)
+        # rho = (1 + r.sigma) / 2 = 1/2 + r.S for the spin-1/2 operators S = sigma / 2
+        to_state = lambda x: half_eye + np.tensordot(_bloch_from_params(x), ops, axes=1)
+        moments, probabilities = _mixed_moments, _mixed_probabilities
+    else:
+        to_state = lambda x: _psi_from_params(x, dim)
+        moments, probabilities = _pure_moments, _pure_probabilities
+
+    def objective(x):
+        state = to_state(x)
+        e, v = moments(state, ops)
+        h = entr(probabilities(state, eigvecs_h)).sum(axis=1) if eigvecs_h is not None else None
+        w = moments(state, pairs)[1] if pairs is not None else None
+        lhs, rhs = relation_sides(relation, np.sqrt(v), v, e, h, w, s)
+        return float(lhs - rhs)
+
+    return objective
+
+
+def _validated_gap(relation: RelationId, state: QuantumState, spin: Spin) -> float:
+    """Gap of the search result, re-evaluated on the validated argmin state."""
+    gap = evaluate(relation, state, spin).gap
+    if not math.isfinite(gap):
+        raise TripleSpinError(f"{relation.value} gap at the search minimum is {gap}, not finite")
+    return gap
+
+
 def _refine(objective, x0: np.ndarray, cfg: ProbeConfig):
     return minimize(
         objective,
@@ -123,56 +204,38 @@ def min_gap(
     spin: Spin | int,
     cfg: ProbeConfig = ProbeConfig(),
     mixed: bool = False,
-    threads: int = 1,
 ) -> ProbeResult:
     """Minimize the gap of one relation over states of the given spin.
 
     Runs cfg.restarts independent Nelder-Mead searches from Haar-random pure
     starts (or Bloch-ball points when mixed=True, qubit only) and keeps the
-    best result, ties broken by lowest restart index. Restarts may run on a
-    thread pool; each has its own RNG stream, so the result is identical for
-    any schedule and deterministic for a fixed config.
+    best result, ties broken by lowest restart index. Each restart has its
+    own RNG stream, so the result is deterministic for a fixed config. The
+    reported min_gap is evaluated on the validated argmin state.
     """
     spin = spin if isinstance(spin, Spin) else Spin(spin)
     if not applicable_to(relation, spin):
         raise SpinRestrictionError(f"{relation.value} is not applicable at twice_s = {spin.twice_s}")
-    if mixed and spin.twice_s != 1:
-        raise ValueError("mixed-state probing uses the Bloch ball and needs spin 1/2")
     dim = spin.dim
 
+    objective = gap_objective(relation, spin, mixed)
+    runs = [_refine(objective, _random_start(dim, cfg.seed, r, mixed), cfg) for r in range(cfg.restarts)]
+    gaps = tuple(float(res.fun) for res in runs)
+    best_restart = min(range(cfg.restarts), key=gaps.__getitem__)
+    best = runs[best_restart]
     if mixed:
-        to_state = lambda x: density_from_bloch(_bloch_from_params(x))
+        argmin = density_from_bloch(_bloch_from_params(best.x))
     else:
-        to_state = lambda x: _state_from_params(x, dim)
-
-    def objective(x):
-        return evaluate(relation, to_state(x), spin).gap
-
-    def run_restart(r: int):
-        res = _refine(objective, _random_start(dim, cfg.seed, r, mixed), cfg)
-        return (float(res.fun), r, res.x.copy(), bool(res.success), int(res.nfev))
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_restart, range(cfg.restarts)))
-    else:
-        outcomes = [run_restart(r) for r in range(cfg.restarts)]
-
-    evaluations = sum(o[4] for o in outcomes)
-    best = min(outcomes, key=lambda o: (o[0], o[1]))
-    _, best_restart, best_x, success, _ = best
-    argmin = to_state(best_x)
-    final_gap = evaluate(relation, argmin, spin).gap
+        argmin = _state_from_params(best.x, dim)
     return ProbeResult(
         relation=relation,
         spin=spin,
-        min_gap=final_gap,
+        min_gap=_validated_gap(relation, argmin, spin),
         argmin_state=argmin,
-        converged=success,
-        evaluations=evaluations,
+        converged=bool(best.success),
+        evaluations=sum(int(res.nfev) for res in runs),
         best_restart=best_restart,
+        restart_gaps=gaps,
     )
 
 
@@ -210,32 +273,32 @@ def scan_conjecture(
     psis = random_pure_vectors(dim, samples, cfg.seed)
     gaps = conjecture_gaps_batch(psis, ops)
     order = np.argsort(gaps)
-
-    def objective(x):
-        return evaluate(relation, _state_from_params(x, dim), spin).gap
+    objective = gap_objective(relation, spin)
 
     best_gap = float(gaps[order[0]])
-    best_state = from_statevector(psis[order[0]])
+    best_psi = psis[order[0]]
     converged = True
     evaluations = samples
+    refined = []
     for rank in range(min(10, samples)):
-        x0 = _params_from_vector(psis[order[rank]])
-        res = _refine(objective, x0, cfg)
+        res = _refine(objective, _params_from_vector(psis[order[rank]]), cfg)
         evaluations += int(res.nfev)
+        refined.append(float(res.fun))
         if res.fun < best_gap:
             best_gap = float(res.fun)
-            best_state = _state_from_params(res.x, dim)
+            best_psi = _psi_from_params(res.x, dim)
             converged = bool(res.success)
 
-    final_gap = evaluate(relation, best_state, spin).gap
+    best_state = from_statevector(best_psi)
     return ProbeResult(
         relation=relation,
         spin=spin,
-        min_gap=final_gap,
+        min_gap=_validated_gap(relation, best_state, spin),
         argmin_state=best_state,
         converged=converged,
         evaluations=evaluations,
         best_restart=0,
+        restart_gaps=tuple(refined),
     )
 
 
@@ -245,22 +308,14 @@ def is_counterexample(result: ProbeResult) -> bool:
 
 def conjecture_gaps_batch(psis: np.ndarray, ops) -> np.ndarray:
     """Vectorized conjectured-bound gaps for a batch of pure state vectors."""
-    from .moments import batch_expectation, batch_variance
-    from .relations import TAU
-
-    sx, sy, sz = ops.as_tuple()
-    dx = np.sqrt(batch_variance(psis, sx))
-    dy = np.sqrt(batch_variance(psis, sy))
-    dz = np.sqrt(batch_variance(psis, sz))
-    ex = batch_expectation(psis, sx)
-    ey = batch_expectation(psis, sy)
-    ez = batch_expectation(psis, sz)
-    return dx * dy * dz - np.sqrt(np.abs(TAU**3 / 8.0 * ex * ey * ez))
+    axes = ops.as_tuple()
+    e = [batch_expectation(psis, op) for op in axes]
+    v = [batch_variance(psis, op) for op in axes]
+    lhs, rhs = relation_sides(RelationId.R11_CONJECTURE_TRIPLE_PRODUCT, np.sqrt(v), v, e)
+    return lhs - rhs
 
 
 def variance_sum_batch(psis: np.ndarray, ops) -> np.ndarray:
     """Vectorized Var(Sx)+Var(Sy)+Var(Sz) for a batch of pure state vectors."""
-    from .moments import batch_variance
-
     sx, sy, sz = ops.as_tuple()
     return batch_variance(psis, sx) + batch_variance(psis, sy) + batch_variance(psis, sz)

@@ -105,14 +105,26 @@ SPIN_HALF_ONLY = frozenset(
 )
 
 
+#: Relations whose sides are Shannon entropies of the three components.
+ENTROPIC = frozenset(
+    {
+        RelationId.R9_ENTROPIC_PAIR_XY,
+        RelationId.R9_ENTROPIC_PAIR_YZ,
+        RelationId.R9_ENTROPIC_PAIR_ZX,
+        RelationId.R10_ENTROPIC_TRIPLE,
+    }
+)
+
+
 @lru_cache(maxsize=32)
 def _ops(twice_s: int) -> SpinOperatorSet:
     return build_spin_operators(Spin(twice_s))
 
 
 def _report(relation, lhs, rhs, tol) -> RelationReport:
+    lhs, rhs = float(lhs), float(rhs)
     gap = lhs - rhs
-    return RelationReport(relation, float(lhs), float(rhs), float(gap), abs(gap) <= tol, tol)
+    return RelationReport(relation, lhs, rhs, gap, abs(gap) <= tol, tol)
 
 
 def evaluate_robertson(
@@ -134,11 +146,61 @@ def evaluate_robertson(
     return _report(RelationId.R_ROBERTSON_GENERIC, lhs, rhs, saturation_tol)
 
 
-def _stds_and_means(state, ops):
-    sx, sy, sz = ops.as_tuple()
-    means = (expectation(state, sx), expectation(state, sy), expectation(state, sz))
-    stds = (std_dev(state, sx), std_dev(state, sy), std_dev(state, sz))
-    return stds, means
+def _product3(x):
+    return x[0] * x[1] * x[2]
+
+
+def _sum3(x):
+    return x[0] + x[1] + x[2]
+
+
+def _abs_sum3(x):
+    return np.abs(x[0]) + np.abs(x[1]) + np.abs(x[2])
+
+
+# (d, v, e, h, w, s) -> (lhs, rhs) per relation; see relation_sides.
+_SIDES = {
+    RelationId.R2_PAIR_PRODUCT_X: lambda d, v, e, h, w, s: (d[1] * d[2], np.abs(e[0]) / 2.0),
+    RelationId.R2_PAIR_PRODUCT_Y: lambda d, v, e, h, w, s: (d[2] * d[0], np.abs(e[1]) / 2.0),
+    RelationId.R2_PAIR_PRODUCT_Z: lambda d, v, e, h, w, s: (d[0] * d[1], np.abs(e[2]) / 2.0),
+    RelationId.R3_TRIPLE_PRODUCT: lambda d, v, e, h, w, s: (
+        _product3(d),
+        np.sqrt(np.abs(TAU**3 / 8.0 * e[0] * e[1] * e[2])),
+    ),
+    RelationId.R4_PAIR_SUM_X: lambda d, v, e, h, w, s: (v[1] + v[2], np.abs(e[0])),
+    RelationId.R4_PAIR_SUM_Y: lambda d, v, e, h, w, s: (v[2] + v[0], np.abs(e[1])),
+    RelationId.R4_PAIR_SUM_Z: lambda d, v, e, h, w, s: (v[0] + v[1], np.abs(e[2])),
+    RelationId.R5_TRIPLE_SUM: lambda d, v, e, h, w, s: (_sum3(v), TAU / 2.0 * _abs_sum3(e)),
+    RelationId.R6_SUM_HALF: lambda d, v, e, h, w, s: (_sum3(v), 0.5),
+    RelationId.R7_SUM_GENERAL_S: lambda d, v, e, h, w, s: (_sum3(v), s),
+    RelationId.R8_VARIANCE_OF_SUMS: lambda d, v, e, h, w, s: (_sum3(v), 0.4 * _sum3(w)),
+    RelationId.R9_ENTROPIC_PAIR_XY: lambda d, v, e, h, w, s: (h[0] + h[1], _LN2),
+    RelationId.R9_ENTROPIC_PAIR_YZ: lambda d, v, e, h, w, s: (h[1] + h[2], _LN2),
+    RelationId.R9_ENTROPIC_PAIR_ZX: lambda d, v, e, h, w, s: (h[2] + h[0], _LN2),
+    RelationId.R10_ENTROPIC_TRIPLE: lambda d, v, e, h, w, s: (_sum3(h), 2.0 * _LN2),
+    RelationId.NAIVE_PRO2: lambda d, v, e, h, w, s: (
+        _product3(d),
+        np.sqrt(np.abs(e[0] * e[1] * e[2] / 8.0)),
+    ),
+    RelationId.NAIVE_SUM2: lambda d, v, e, h, w, s: (_sum3(v), _abs_sum3(e) / 2.0),
+}
+_SIDES[RelationId.R11_CONJECTURE_TRIPLE_PRODUCT] = _SIDES[RelationId.R3_TRIPLE_PRODUCT]
+
+
+def relation_sides(relation: RelationId, d, v, e, h=None, w=None, s=None):
+    """(lhs, rhs) of a catalog relation from per-axis moments.
+
+    d, v, e are the (x, y, z) standard deviations, variances and means; h the
+    (x, y, z) Shannon entropies in nats, read only by the ENTROPIC relations;
+    w the pair-sum variances Var(Sx+Sy), Var(Sy+Sz), Var(Sz+Sx), read only by
+    R8; s the spin, read only by R7. Each entry may be a float or an array of
+    a batch of states. The gap is lhs - rhs.
+    """
+    try:
+        sides = _SIDES[relation]
+    except KeyError:
+        raise ValueError(f"no moment formula for relation {relation!r}") from None
+    return sides(d, v, e, h, w, s)
 
 
 def evaluate(
@@ -149,8 +211,9 @@ def evaluate(
 ) -> RelationReport:
     """Evaluate one catalog relation on a state of the given spin.
 
-    Uses the matrix/spectral route throughout; the closed-form Bloch route
-    lives in kernels.qubit_relation_gaps and is cross-checked in tests.
+    Takes the moments by the validated matrix/spectral route and applies
+    relation_sides to them; the closed-form Bloch route lives in
+    kernels.qubit_relation_gaps and is cross-checked in tests.
     """
     spin = spin if isinstance(spin, Spin) else Spin(spin)
     if relation is RelationId.R_ROBERTSON_GENERIC:
@@ -166,63 +229,17 @@ def evaluate(
             "(use R11_CONJECTURE_TRIPLE_PRODUCT to explore the product bound at higher spin)."
         )
 
-    ops = _ops(spin.twice_s)
-    tol = saturation_tol
-    (dx, dy, dz), (ex, ey, ez) = _stds_and_means(state, ops)
-
-    if relation is RelationId.R2_PAIR_PRODUCT_X:
-        return _report(relation, dy * dz, abs(ex) / 2.0, tol)
-    if relation is RelationId.R2_PAIR_PRODUCT_Y:
-        return _report(relation, dz * dx, abs(ey) / 2.0, tol)
-    if relation is RelationId.R2_PAIR_PRODUCT_Z:
-        return _report(relation, dx * dy, abs(ez) / 2.0, tol)
-    if relation in (RelationId.R3_TRIPLE_PRODUCT, RelationId.R11_CONJECTURE_TRIPLE_PRODUCT):
-        rhs = math.sqrt(abs(TAU**3 / 8.0 * ex * ey * ez))
-        return _report(relation, dx * dy * dz, rhs, tol)
-    if relation is RelationId.R4_PAIR_SUM_X:
-        return _report(relation, dy * dy + dz * dz, abs(ex), tol)
-    if relation is RelationId.R4_PAIR_SUM_Y:
-        return _report(relation, dz * dz + dx * dx, abs(ey), tol)
-    if relation is RelationId.R4_PAIR_SUM_Z:
-        return _report(relation, dx * dx + dy * dy, abs(ez), tol)
-    if relation is RelationId.R5_TRIPLE_SUM:
-        lhs = dx * dx + dy * dy + dz * dz
-        return _report(relation, lhs, TAU / 2.0 * (abs(ex) + abs(ey) + abs(ez)), tol)
-    if relation is RelationId.R6_SUM_HALF:
-        return _report(relation, dx * dx + dy * dy + dz * dz, 0.5, tol)
-    if relation is RelationId.R7_SUM_GENERAL_S:
-        return _report(relation, dx * dx + dy * dy + dz * dz, spin.s, tol)
+    axes = _ops(spin.twice_s).as_tuple()
+    e = [expectation(state, op) for op in axes]
+    v = [variance(state, op) for op in axes]
+    d = [math.sqrt(x) for x in v]
+    h = w = None
+    if relation in ENTROPIC:
+        h = [shannon_entropy(state, op, EntropyBase.NATURAL) for op in axes]
     if relation is RelationId.R8_VARIANCE_OF_SUMS:
-        sx, sy, sz = ops.as_tuple()
-        lhs = dx * dx + dy * dy + dz * dz
-        pair_vars = (
-            variance(state, sx + sy) + variance(state, sy + sz) + variance(state, sz + sx)
-        )
-        return _report(relation, lhs, 0.4 * pair_vars, tol)
-    if relation in (
-        RelationId.R9_ENTROPIC_PAIR_XY,
-        RelationId.R9_ENTROPIC_PAIR_YZ,
-        RelationId.R9_ENTROPIC_PAIR_ZX,
-        RelationId.R10_ENTROPIC_TRIPLE,
-    ):
-        sx, sy, sz = ops.as_tuple()
-        hx = shannon_entropy(state, sx, EntropyBase.NATURAL)
-        hy = shannon_entropy(state, sy, EntropyBase.NATURAL)
-        hz = shannon_entropy(state, sz, EntropyBase.NATURAL)
-        if relation is RelationId.R9_ENTROPIC_PAIR_XY:
-            return _report(relation, hx + hy, _LN2, tol)
-        if relation is RelationId.R9_ENTROPIC_PAIR_YZ:
-            return _report(relation, hy + hz, _LN2, tol)
-        if relation is RelationId.R9_ENTROPIC_PAIR_ZX:
-            return _report(relation, hz + hx, _LN2, tol)
-        return _report(relation, hx + hy + hz, 2.0 * _LN2, tol)
-    if relation is RelationId.NAIVE_PRO2:
-        rhs = math.sqrt(abs(ex * ey * ez / 8.0))
-        return _report(relation, dx * dy * dz, rhs, tol)
-    if relation is RelationId.NAIVE_SUM2:
-        lhs = dx * dx + dy * dy + dz * dz
-        return _report(relation, lhs, (abs(ex) + abs(ey) + abs(ez)) / 2.0, tol)
-    raise ValueError(f"unhandled relation {relation!r}")
+        w = [variance(state, axes[i] + axes[(i + 1) % 3]) for i in range(3)]
+    lhs, rhs = relation_sides(relation, d, v, e, h, w, spin.s)
+    return _report(relation, lhs, rhs, saturation_tol)
 
 
 def equality_condition(relation: RelationId, bloch, tol: float = 1e-9) -> bool:

@@ -171,6 +171,23 @@ def test_probe_conjecture_cli(capsys):
     assert data["counterexample"] is False
 
 
+def test_probe_json_lists_restart_gaps(capsys):
+    code, out, _ = run(
+        capsys, "probe", "--relation", "R6", "--spin", "1", "--mixed", "--restarts", "3", "--seed", "5"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["restart_gaps"]) == 3
+    assert min(data["restart_gaps"]) == data["restart_gaps"][data["best_restart"]]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_probe_rejects_non_finite_tol(capsys, tol):
+    code, _, err = run(capsys, "probe", "--relation", "R5", "--restarts", "1", "--tol", tol)
+    assert code == 2
+    assert "tol" in err
+
+
 def test_probe_requires_relation_or_conjecture(capsys):
     code, _, err = run(capsys, "probe", "--spin", "1")
     assert code == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,20 +6,29 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from triplespin.errors import SpinRestrictionError
+from triplespin import prober
+from triplespin.errors import SpinRestrictionError, TripleSpinError
 from triplespin.moments import batch_expectation, expectation, variance
 from triplespin.prober import (
     ProbeConfig,
+    _bloch_from_params,
     _params_from_vector,
     _state_from_params,
+    conjecture_gaps_batch,
+    gap_objective,
     is_counterexample,
     min_gap,
     min_variance_sum,
     scan_conjecture,
 )
-from triplespin.relations import RelationId, evaluate
+from triplespin.relations import RelationId, applicable_to, evaluate
 from triplespin.spin_ops import build_spin_operators
-from triplespin.states import bloch_from_density, density_from_bloch
+from triplespin.states import (
+    bloch_from_density,
+    density_from_bloch,
+    from_statevector,
+    random_pure_vectors,
+)
 
 SQ3 = math.sqrt(3.0)
 FAST = ProbeConfig(restarts=8, seed=1)
@@ -82,11 +92,75 @@ def test_probe_determinism():
     assert np.array_equal(a.argmin_state.rho, b.argmin_state.rho)
 
 
-def test_threaded_probe_matches_serial():
-    a = min_gap(RelationId.R5_TRIPLE_SUM, 1, FAST)
-    b = min_gap(RelationId.R5_TRIPLE_SUM, 1, FAST, threads=4)
-    assert a.min_gap == b.min_gap
-    assert a.best_restart == b.best_restart
+def test_restart_gaps_record_every_restart():
+    result = min_gap(RelationId.R5_TRIPLE_SUM, 1, FAST)
+    gaps = result.restart_gaps
+    assert len(gaps) == FAST.restarts
+    assert gaps[result.best_restart] == min(gaps)
+    assert gaps.index(min(gaps)) == result.best_restart
+    assert abs(min(gaps) - result.min_gap) <= 1e-12
+    assert result.to_dict()["restart_gaps"] == list(gaps)
+
+    scan = scan_conjecture(2, 500, ProbeConfig(seed=5))
+    assert len(scan.restart_gaps) == 10
+    assert min(scan.restart_gaps) >= scan.min_gap - 1e-12
+
+
+@pytest.mark.parametrize("twice_s", [1, 2, 3, 4])
+def test_objective_matches_evaluate(twice_s):
+    rng = np.random.default_rng(twice_s)
+    dim = twice_s + 1
+    modes = (False, True) if twice_s == 1 else (False,)
+    for relation in RelationId:
+        if not applicable_to(relation, twice_s):
+            continue
+        for mixed in modes:
+            objective = gap_objective(relation, twice_s, mixed)
+            for _ in range(10):
+                if mixed:
+                    x = rng.standard_normal(3) * rng.uniform(0.2, 1.5)
+                    state = density_from_bloch(_bloch_from_params(x))
+                else:
+                    x = rng.standard_normal(2 * dim - 1)
+                    state = _state_from_params(x, dim)
+                expected = evaluate(relation, state, twice_s).gap
+                assert abs(objective(x) - expected) <= 1e-12, (relation, mixed)
+
+
+def test_conjecture_batch_matches_evaluate():
+    for twice_s in (2, 3):
+        psis = random_pure_vectors(twice_s + 1, 200, seed=twice_s)
+        gaps = conjecture_gaps_batch(psis, build_spin_operators(twice_s))
+        for psi, gap in zip(psis, gaps):
+            expected = evaluate(RelationId.R11_CONJECTURE_TRIPLE_PRODUCT, from_statevector(psi), twice_s)
+            assert abs(gap - expected.gap) <= 1e-12
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
+def test_probe_config_rejects_bad_tol(tol):
+    with pytest.raises(ValueError):
+        ProbeConfig(tol=tol)
+
+
+def _nan_gaps(monkeypatch):
+    real = prober.evaluate
+
+    def evaluate_nan(relation, state, spin):
+        return dataclasses.replace(real(relation, state, spin), gap=math.nan)
+
+    monkeypatch.setattr(prober, "evaluate", evaluate_nan)
+
+
+def test_min_gap_raises_on_non_finite_final_gap(monkeypatch):
+    _nan_gaps(monkeypatch)
+    with pytest.raises(TripleSpinError, match="not finite"):
+        min_gap(RelationId.R5_TRIPLE_SUM, 1, ProbeConfig(restarts=2, seed=1))
+
+
+def test_scan_conjecture_raises_on_non_finite_final_gap(monkeypatch):
+    _nan_gaps(monkeypatch)
+    with pytest.raises(TripleSpinError, match="not finite"):
+        scan_conjecture(2, 200, ProbeConfig(seed=1, max_iters=50))
 
 
 def test_more_restarts_never_hurt():

@@ -24,6 +24,8 @@ from .errors import TripleSpinError
 from .measure_sim import ShotConfig, rows_to_csv, run_sweep
 from .prober import ProbeConfig, is_counterexample, min_gap, scan_conjecture
 from .relations import (
+    ALIASES,
+    GROUPS,
     SATURATION_TOL,
     RelationId,
     applicable_to,
@@ -47,52 +49,29 @@ from .triangle import scan as triangle_scan
 #: still register as saturating.
 VERIFY_CLI_TOL = 1e-6
 
-_ALIASES = {
-    "R2X": "R2_PAIR_PRODUCT_X",
-    "R2Y": "R2_PAIR_PRODUCT_Y",
-    "R2Z": "R2_PAIR_PRODUCT_Z",
-    "R3": "R3_TRIPLE_PRODUCT",
-    "R4X": "R4_PAIR_SUM_X",
-    "R4Y": "R4_PAIR_SUM_Y",
-    "R4Z": "R4_PAIR_SUM_Z",
-    "R5": "R5_TRIPLE_SUM",
-    "R6": "R6_SUM_HALF",
-    "R7": "R7_SUM_GENERAL_S",
-    "R8": "R8_VARIANCE_OF_SUMS",
-    "R9XY": "R9_ENTROPIC_PAIR_XY",
-    "R9YZ": "R9_ENTROPIC_PAIR_YZ",
-    "R9ZX": "R9_ENTROPIC_PAIR_ZX",
-    "R10": "R10_ENTROPIC_TRIPLE",
-    "R11": "R11_CONJECTURE_TRIPLE_PRODUCT",
-    "PRO2": "NAIVE_PRO2",
-    "SUM2": "NAIVE_SUM2",
-}
-_GROUPS = {
-    "R2": ("R2_PAIR_PRODUCT_X", "R2_PAIR_PRODUCT_Y", "R2_PAIR_PRODUCT_Z"),
-    "R4": ("R4_PAIR_SUM_X", "R4_PAIR_SUM_Y", "R4_PAIR_SUM_Z"),
-    "R9": ("R9_ENTROPIC_PAIR_XY", "R9_ENTROPIC_PAIR_YZ", "R9_ENTROPIC_PAIR_ZX"),
-}
-
-
 class CliError(Exception):
     """Argument-level error; maps to exit code 2."""
 
 
 def parse_relation(token: str) -> RelationId:
     t = token.strip().upper()
-    name = _ALIASES.get(t, t)
+    if t in ALIASES:
+        return ALIASES[t]
     try:
-        return RelationId[name]
+        return RelationId[t]
     except KeyError:
-        raise CliError(f"unknown relation {token!r}; see `triplespin verify --list`") from None
+        raise CliError(
+            f"unknown relation {token!r}; give a relation id or an alias "
+            f"({', '.join(ALIASES)}); verify also takes a group ({', '.join(GROUPS)}) or 'all'"
+        ) from None
 
 
 def parse_relations(token: str, spin: Spin) -> list[RelationId]:
     t = token.strip().upper()
     if t == "ALL":
         return [e.relation for e in catalog() if applicable_to(e.relation, spin)]
-    if t in _GROUPS:
-        return [RelationId[n] for n in _GROUPS[t]]
+    if t in GROUPS:
+        return list(GROUPS[t])
     return [parse_relation(t)]
 
 
@@ -151,14 +130,14 @@ def _write_output(text: str, args, command: str, seed) -> None:
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
         with open(args.emit + ".manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+            json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     else:
         sys.stdout.write(text)
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _cmd_ops(args) -> int:
@@ -184,13 +163,16 @@ def _cmd_verify(args) -> int:
                 f"{rel.value} is proved for spin-1/2 only and cannot be verified at "
                 f"twice_s = {spin.twice_s}"
             )
-    state = _build_state(args, spin)
     tol = args.tolerance
+    if not math.isfinite(tol):
+        raise CliError(f"--tolerance must be finite, got {tol}")
+    state = _build_state(args, spin)
     reports = []
     for rel in relations:
         reports.append(evaluate(rel, state, spin, saturation_tol=tol))
     _write_output(_json_text([r.to_dict() for r in reports]), args, "verify", None)
-    violated = any(r.gap < -tol for r in reports)
+    # a NaN gap is not >= -tol, so it counts as a violation
+    violated = any(not r.gap >= -tol for r in reports)
     return 1 if violated else 0
 
 
@@ -200,7 +182,6 @@ def _cmd_sweep(args) -> int:
         args.points,
         ShotConfig(shots=1, seed=0),
         analytic_only=True,
-        threads=args.threads,
     )
     _write_output(rows_to_csv(rows), args, "sweep", None)
     return 0
@@ -215,7 +196,6 @@ def _cmd_simulate(args) -> int:
         cfg,
         analytic_only=args.analytic,
         per_draw=args.per_draw,
-        threads=args.threads,
     )
     _write_output(rows_to_csv(rows), args, "simulate", seed)
     return 0
@@ -234,8 +214,7 @@ def _cmd_probe(args) -> int:
                 f"conjecture_counterexample_twice_s{spin.twice_s}.json"
             )
             with open(artifact, "w", encoding="utf-8") as fh:
-                json.dump(out, fh, indent=2)
-                fh.write("\n")
+                fh.write(_json_text(out))
             print(f"conjecture counterexample candidate written to {artifact}", file=sys.stderr)
     else:
         if args.relation is None:
@@ -310,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--family", choices=[f.value for f in Family], required=True)
     p_sweep.add_argument("--points", type=int, required=True)
     p_sweep.add_argument("--analytic", action="store_true", help="accepted for symmetry; sweep is always analytic")
-    p_sweep.add_argument("--threads", type=int, default=1)
     add_common(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -321,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--analytic", action="store_true", help="emit exact values with zero errors")
     p_sim.add_argument("--per-draw", action="store_true", help="sample individual shots instead of one binomial")
-    p_sim.add_argument("--threads", type=int, default=1)
     add_common(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 

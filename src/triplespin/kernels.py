@@ -1,13 +1,10 @@
-"""Batch closed-form gap kernels for soak tests, sweeps, and sampling.
+"""Batch gap kernels for the random-state soak and the triangle scan.
 
-The hot loops of the package live here: evaluating every qubit relation on
-10^5-scale batches of Bloch vectors and checking the triangle analogs on
-10^5-scale point clouds. Each kernel has a numba ``@njit`` implementation and
-a pure-numpy vectorized fallback computing the same formulas. The numpy path
-is selected when numba is unavailable or when the environment variable
-``TRIPLESPIN_NO_NUMBA`` is set to ``1`` (checked at import time).
+Each kernel computes a batch's per-axis moments as (3, n) arrays and applies
+the relation table (relations.relation_sides) to them, one output row per
+relation; the result is the (n, k) transposed view.
 
-Closed forms used for a qubit with Bloch vector r (all exact, both routes):
+Closed forms used for a qubit with Bloch vector r:
     <S_i>        = r_i / 2
     (Delta S_i)^2 = (1 - r_i^2) / 4
     Var(S_i+S_j) = 1/2 - (r_i + r_j)^2 / 4
@@ -17,233 +14,37 @@ Closed forms used for a qubit with Bloch vector r (all exact, both routes):
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
+from scipy.special import entr
 
-try:
-    from numba import njit
+from .relations import QUBIT_SOAK_RELATIONS, TRIANGLE_ANALOG_RELATIONS, relation_sides
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
+#: Array library the kernels run on; recorded with benchmark results.
+BACKEND = "numpy"
 
-USE_NUMBA = HAVE_NUMBA and os.environ.get("TRIPLESPIN_NO_NUMBA", "0") != "1"
-BACKEND = "numba" if USE_NUMBA else "numpy"
-
-_TAU = 2.0 / math.sqrt(3.0)
-_TAU3_8 = _TAU**3 / 8.0  # = 1/(3 sqrt 3)
-_LN2 = math.log(2.0)
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
-#: Column order of qubit_relation_gaps output; resolved to RelationId in relations.py.
-QUBIT_GAP_COLUMNS = (
-    "R2_PAIR_PRODUCT_X",
-    "R2_PAIR_PRODUCT_Y",
-    "R2_PAIR_PRODUCT_Z",
-    "R3_TRIPLE_PRODUCT",
-    "R4_PAIR_SUM_X",
-    "R4_PAIR_SUM_Y",
-    "R4_PAIR_SUM_Z",
-    "R5_TRIPLE_SUM",
-    "R6_SUM_HALF",
-    "R8_VARIANCE_OF_SUMS",
-    "R9_ENTROPIC_PAIR_XY",
-    "R9_ENTROPIC_PAIR_YZ",
-    "R9_ENTROPIC_PAIR_ZX",
-    "R10_ENTROPIC_TRIPLE",
-    "NAIVE_PRO2",
-    "NAIVE_SUM2",
-)
+#: Column order of qubit_relation_gaps output.
+QUBIT_GAP_COLUMNS = tuple(relation.name for relation in QUBIT_SOAK_RELATIONS)
 
 #: Column order of triangle_analog_gaps output (analog of the like-named relation).
-TRIANGLE_GAP_COLUMNS = (
-    "R2_PAIR_PRODUCT_X",
-    "R2_PAIR_PRODUCT_Y",
-    "R2_PAIR_PRODUCT_Z",
-    "R3_TRIPLE_PRODUCT",
-    "R4_PAIR_SUM_X",
-    "R4_PAIR_SUM_Y",
-    "R4_PAIR_SUM_Z",
-    "R5_TRIPLE_SUM",
-)
+TRIANGLE_GAP_COLUMNS = tuple(relation.name for relation in TRIANGLE_ANALOG_RELATIONS)
 
 
-def _qubit_gaps_numpy(bloch: np.ndarray) -> np.ndarray:
-    r = np.asarray(bloch, dtype=np.float64)
-    rx, ry, rz = r[:, 0], r[:, 1], r[:, 2]
-    ax, ay, az = np.abs(rx), np.abs(ry), np.abs(rz)
-    vx = np.maximum(1.0 - rx * rx, 0.0) / 4.0
-    vy = np.maximum(1.0 - ry * ry, 0.0) / 4.0
-    vz = np.maximum(1.0 - rz * rz, 0.0) / 4.0
-    dx, dy, dz = np.sqrt(vx), np.sqrt(vy), np.sqrt(vz)
-    vsum = vx + vy + vz
-    esum = (ax + ay + az) / 2.0
-    eprod = ax * ay * az / 8.0
-
-    def h(rc):
-        p = np.clip((1.0 + rc) / 2.0, 0.0, 1.0)
-        q = 1.0 - p
-        out = np.zeros_like(p)
-        m = p > 0.0
-        out[m] -= p[m] * np.log(p[m])
-        m = q > 0.0
-        out[m] -= q[m] * np.log(q[m])
-        return out
-
-    hx, hy, hz = h(rx), h(ry), h(rz)
-    wxy = 0.5 - (rx + ry) ** 2 / 4.0
-    wyz = 0.5 - (ry + rz) ** 2 / 4.0
-    wzx = 0.5 - (rz + rx) ** 2 / 4.0
-
-    out = np.empty((r.shape[0], 16))
-    out[:, 0] = dy * dz - ax / 4.0
-    out[:, 1] = dz * dx - ay / 4.0
-    out[:, 2] = dx * dy - az / 4.0
-    out[:, 3] = dx * dy * dz - np.sqrt(_TAU3_8 * eprod)
-    out[:, 4] = vy + vz - ax / 2.0
-    out[:, 5] = vz + vx - ay / 2.0
-    out[:, 6] = vx + vy - az / 2.0
-    out[:, 7] = vsum - _TAU / 2.0 * esum
-    out[:, 8] = vsum - 0.5
-    out[:, 9] = vsum - 0.4 * (wxy + wyz + wzx)
-    out[:, 10] = hx + hy - _LN2
-    out[:, 11] = hy + hz - _LN2
-    out[:, 12] = hz + hx - _LN2
-    out[:, 13] = hx + hy + hz - 2.0 * _LN2
-    out[:, 14] = dx * dy * dz - np.sqrt(eprod / 8.0)
-    out[:, 15] = vsum - esum / 2.0
-    return out
+def _batch(points: np.ndarray, what: str) -> np.ndarray:
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"expected (n, 3) {what} array, got {points.shape}")
+    return points
 
 
-def _triangle_gaps_numpy(bary: np.ndarray, side: float) -> np.ndarray:
-    b = np.asarray(bary, dtype=np.float64)
-    v, w = b[:, 1], b[:, 2]
-    px = side * (v + 0.5 * w)
-    py = side * _SQRT3_2 * w
-    # vertices A=(0,0), B=(side,0), C=(cx,cy)
-    cx = 0.5 * side
-    cy = _SQRT3_2 * side
-    a = np.sqrt(px * px + py * py)
-    bb = np.sqrt((px - side) ** 2 + py * py)
-    c = np.sqrt((px - cx) ** 2 + (py - cy) ** 2)
-    # shoelace areas; quadrupled they stand in for the |<S_i>| of the relation
-    area_pab = 0.5 * np.abs(side * py)
-    area_pbc = 0.5 * np.abs(px * (0.0 - cy) + side * (cy - py) + cx * py)
-    area_pca = 0.5 * np.abs(px * cy - cx * py)
-    qz = 4.0 * area_pab
-    qx = 4.0 * area_pbc
-    qy = 4.0 * area_pca
-
-    out = np.empty((b.shape[0], 8))
-    out[:, 0] = bb * c - qx / 2.0
-    out[:, 1] = c * a - qy / 2.0
-    out[:, 2] = a * bb - qz / 2.0
-    out[:, 3] = a * bb * c - np.sqrt(_TAU3_8 * qx * qy * qz)
-    out[:, 4] = bb * bb + c * c - qx
-    out[:, 5] = c * c + a * a - qy
-    out[:, 6] = a * a + bb * bb - qz
-    out[:, 7] = a * a + bb * bb + c * c - _TAU / 2.0 * (qx + qy + qz)
-    return out
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _qubit_gaps_numba(bloch):
-        n = bloch.shape[0]
-        out = np.empty((n, 16))
-        for i in range(n):
-            rx = bloch[i, 0]
-            ry = bloch[i, 1]
-            rz = bloch[i, 2]
-            ax = abs(rx)
-            ay = abs(ry)
-            az = abs(rz)
-            vx = max(1.0 - rx * rx, 0.0) / 4.0
-            vy = max(1.0 - ry * ry, 0.0) / 4.0
-            vz = max(1.0 - rz * rz, 0.0) / 4.0
-            dx = math.sqrt(vx)
-            dy = math.sqrt(vy)
-            dz = math.sqrt(vz)
-            vsum = vx + vy + vz
-            esum = (ax + ay + az) / 2.0
-            eprod = ax * ay * az / 8.0
-
-            hx = 0.0
-            hy = 0.0
-            hz = 0.0
-            for k in range(3):
-                rc = bloch[i, k]
-                p = (1.0 + rc) / 2.0
-                if p < 0.0:
-                    p = 0.0
-                elif p > 1.0:
-                    p = 1.0
-                q = 1.0 - p
-                hval = 0.0
-                if p > 0.0:
-                    hval -= p * math.log(p)
-                if q > 0.0:
-                    hval -= q * math.log(q)
-                if k == 0:
-                    hx = hval
-                elif k == 1:
-                    hy = hval
-                else:
-                    hz = hval
-
-            wxy = 0.5 - (rx + ry) * (rx + ry) / 4.0
-            wyz = 0.5 - (ry + rz) * (ry + rz) / 4.0
-            wzx = 0.5 - (rz + rx) * (rz + rx) / 4.0
-
-            out[i, 0] = dy * dz - ax / 4.0
-            out[i, 1] = dz * dx - ay / 4.0
-            out[i, 2] = dx * dy - az / 4.0
-            out[i, 3] = dx * dy * dz - math.sqrt(_TAU3_8 * eprod)
-            out[i, 4] = vy + vz - ax / 2.0
-            out[i, 5] = vz + vx - ay / 2.0
-            out[i, 6] = vx + vy - az / 2.0
-            out[i, 7] = vsum - _TAU / 2.0 * esum
-            out[i, 8] = vsum - 0.5
-            out[i, 9] = vsum - 0.4 * (wxy + wyz + wzx)
-            out[i, 10] = hx + hy - _LN2
-            out[i, 11] = hy + hz - _LN2
-            out[i, 12] = hz + hx - _LN2
-            out[i, 13] = hx + hy + hz - 2.0 * _LN2
-            out[i, 14] = dx * dy * dz - math.sqrt(eprod / 8.0)
-            out[i, 15] = vsum - esum / 2.0
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _triangle_gaps_numba(bary, side):
-        n = bary.shape[0]
-        out = np.empty((n, 8))
-        cx = 0.5 * side
-        cy = _SQRT3_2 * side
-        for i in range(n):
-            v = bary[i, 1]
-            w = bary[i, 2]
-            px = side * (v + 0.5 * w)
-            py = side * _SQRT3_2 * w
-            a = math.sqrt(px * px + py * py)
-            bb = math.sqrt((px - side) * (px - side) + py * py)
-            c = math.sqrt((px - cx) * (px - cx) + (py - cy) * (py - cy))
-            area_pab = 0.5 * abs(side * py)
-            area_pbc = 0.5 * abs(px * (0.0 - cy) + side * (cy - py) + cx * py)
-            area_pca = 0.5 * abs(px * cy - cx * py)
-            qz = 4.0 * area_pab
-            qx = 4.0 * area_pbc
-            qy = 4.0 * area_pca
-            out[i, 0] = bb * c - qx / 2.0
-            out[i, 1] = c * a - qy / 2.0
-            out[i, 2] = a * bb - qz / 2.0
-            out[i, 3] = a * bb * c - math.sqrt(_TAU3_8 * qx * qy * qz)
-            out[i, 4] = bb * bb + c * c - qx
-            out[i, 5] = c * c + a * a - qy
-            out[i, 6] = a * a + bb * bb - qz
-            out[i, 7] = a * a + bb * bb + c * c - _TAU / 2.0 * (qx + qy + qz)
-        return out
+def _apply_table(relations, d, v, e, h=None, w=None, s=None) -> np.ndarray:
+    out = np.empty((len(relations), d.shape[1]))
+    for row, relation in zip(out, relations):
+        lhs, rhs = relation_sides(relation, d, v, e, h, w, s)
+        np.subtract(lhs, rhs, out=row)
+    return out.T
 
 
 def qubit_relation_gaps(bloch: np.ndarray) -> np.ndarray:
@@ -251,24 +52,38 @@ def qubit_relation_gaps(bloch: np.ndarray) -> np.ndarray:
 
     Columns follow QUBIT_GAP_COLUMNS.
     """
-    bloch = np.ascontiguousarray(bloch, dtype=np.float64)
-    if bloch.ndim != 2 or bloch.shape[1] != 3:
-        raise ValueError(f"expected (n, 3) Bloch array, got {bloch.shape}")
-    if USE_NUMBA:
-        return _qubit_gaps_numba(bloch)
-    return _qubit_gaps_numpy(bloch)
+    r = np.ascontiguousarray(_batch(bloch, "Bloch").T)
+    e = r / 2.0
+    v = np.maximum(1.0 - r * r, 0.0) / 4.0
+    d = np.sqrt(v)
+    p = np.clip((1.0 + r) / 2.0, 0.0, 1.0)
+    h = entr(p) + entr(1.0 - p)
+    w = 0.5 - (r + r[[1, 2, 0]]) ** 2 / 4.0
+    # drop temporaries before the table allocates its output, to bound peak memory
+    del p, r
+    return _apply_table(QUBIT_SOAK_RELATIONS, d, v, e, h, w, 0.5)
 
 
 def triangle_analog_gaps(bary: np.ndarray, side: float) -> np.ndarray:
     """Gaps of the 8 equilateral-triangle analogs for an (n, 3) barycentric batch.
 
+    The vertex distances |PA|, |PB|, |PC| stand in for the standard
+    deviations and the quadrupled areas 4|PBC|, 4|PCA|, 4|PAB| for |<S_i>|.
     Columns follow TRIANGLE_GAP_COLUMNS.
     """
-    bary = np.ascontiguousarray(bary, dtype=np.float64)
-    if bary.ndim != 2 or bary.shape[1] != 3:
-        raise ValueError(f"expected (n, 3) barycentric array, got {bary.shape}")
-    if side <= 0:
-        raise ValueError("side must be positive")
-    if USE_NUMBA:
-        return _triangle_gaps_numba(bary, float(side))
-    return _triangle_gaps_numpy(bary, float(side))
+    b = _batch(bary, "barycentric")
+    if not (math.isfinite(side) and side > 0):
+        raise ValueError(f"side must be positive and finite, got {side}")
+    v_bary, w_bary = b[:, 1], b[:, 2]
+    # P with vertices A=(0,0), B=(side,0), C=(side/2, side sqrt(3)/2)
+    px = side * (v_bary + 0.5 * w_bary)
+    py = side * _SQRT3_2 * w_bary
+    d = np.stack(
+        [np.hypot(px, py), np.hypot(px - side, py), np.hypot(px - 0.5 * side, py - _SQRT3_2 * side)]
+    )
+    # drop temporaries before the table allocates its output, to bound peak memory
+    del px, py
+    v = d * d
+    # each sub-triangle area is a barycentric weight times the full area sqrt(3) side^2 / 4
+    e = math.sqrt(3.0) * side * side * np.stack([1.0 - v_bary - w_bary, v_bary, w_bary])
+    return _apply_table(TRIANGLE_ANALOG_RELATIONS, d, v, e)

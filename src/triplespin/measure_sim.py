@@ -6,13 +6,12 @@ default the full shot count collapses to a single binomial draw per (state,
 axis), which is statistically identical to four million individual repeats;
 a per-draw mode is kept behind a flag for audits.
 
-Derived quantities follow the sweep-figure conventions:
-    pro0 = Dx Dy Dz             pro1 = |tau^3 ex ey ez / 8|^(1/2)
-    pro2 = |ex ey ez / 8|^(1/2)
-    sum0 = Dx^2 + Dy^2 + Dz^2   sum1 = tau (|ex|+|ey|+|ez|) / 2
-    sum2 = (|ex|+|ey|+|ez|) / 2
-with ex = <Sx> etc. and D = sqrt(1/4 - e^2). Standard errors propagate to
-first order treating the three per-axis estimates as independent.
+Derived quantities follow the sweep-figure conventions and are the sides of
+catalog relations (relations.relation_sides):
+    pro0, pro1 = lhs, rhs of R3   pro2 = rhs of NAIVE_PRO2
+    sum0, sum1 = lhs, rhs of R5   sum2 = rhs of NAIVE_SUM2
+with <S_i> the estimates and variances 1/4 - <S_i>^2. Standard errors
+propagate to first order treating the three per-axis estimates as independent.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .moments import outcome_distribution
-from .relations import TAU
+from .relations import TAU, RelationId, relation_sides
 from .rng import stream
 from .spin_ops import build_spin_operators
 from .states import Family, QuantumState, family_point
@@ -178,10 +177,14 @@ def propagate_derived(
     sig = np.array([sx.stderr, sy.stderr, sz.stderr])
     exact_inputs = bool(np.all(sig == 0.0))
 
-    d = np.sqrt(np.maximum(0.25 - e * e, 0.0))
+    v = np.maximum(0.25 - e * e, 0.0)
+    d = np.sqrt(v)
+    pro0_val, pro1_val = map(float, relation_sides(RelationId.R3_TRIPLE_PRODUCT, d, v, e))
+    pro2_val = float(relation_sides(RelationId.NAIVE_PRO2, d, v, e)[1])
+    sum0_val, sum1_val = map(float, relation_sides(RelationId.R5_TRIPLE_SUM, d, v, e))
+    sum2_val = float(relation_sides(RelationId.NAIVE_SUM2, d, v, e)[1])
     flags: list[str] = []
 
-    pro0_val = float(d[0] * d[1] * d[2])
     pro0_singular = bool(np.any(d < PRO0_SINGULAR_TOL))
     if pro0_singular:
         flags.append("singular_pro0")
@@ -189,10 +192,6 @@ def propagate_derived(
     else:
         # d(pro0)/de_i = -e_i * pro0 / d_i^2
         pro0_err = float(pro0_val * math.sqrt(np.sum((e * sig / d**2) ** 2)))
-
-    eprod = abs(float(e[0] * e[1] * e[2])) / 8.0
-    pro1_val = math.sqrt(TAU**3 * eprod)
-    pro2_val = math.sqrt(eprod)
 
     def _prod_bound_err(val: float, tol: float, tag: str) -> float:
         if val < tol:
@@ -204,13 +203,9 @@ def propagate_derived(
     pro1_err = _prod_bound_err(pro1_val, PRO12_SINGULAR_TOL, "singular_pro1")
     pro2_err = _prod_bound_err(pro2_val, PRO12_SINGULAR_TOL, "singular_pro2")
 
-    sum0_val = float(np.sum(0.25 - e * e))
     sum0_err = float(math.sqrt(np.sum((2.0 * e * sig) ** 2)))
-    abs_sum = float(np.sum(np.abs(e)))
     sig_quad = float(math.sqrt(np.sum(sig**2)))
-    sum1_val = TAU / 2.0 * abs_sum
     sum1_err = TAU / 2.0 * sig_quad
-    sum2_val = abs_sum / 2.0
     sum2_err = sig_quad / 2.0
 
     return SweepRow(
@@ -269,22 +264,12 @@ def run_sweep(
     cfg: ShotConfig,
     analytic_only: bool = False,
     per_draw: bool = False,
-    threads: int = 1,
 ) -> list[SweepRow]:
     """Sweep one state family, either analytically or with shot noise."""
     params = sweep_parameters(family, n_points)
-
-    def one(k: int) -> SweepRow:
-        if analytic_only:
-            return analytic_row(family, params[k])
-        return simulated_row(family, params[k], k, cfg, per_draw)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(n_points)))
-    return [one(k) for k in range(n_points)]
+    if analytic_only:
+        return [analytic_row(family, p) for p in params]
+    return [simulated_row(family, p, k, cfg, per_draw) for k, p in enumerate(params)]
 
 
 CSV_HEADER = (

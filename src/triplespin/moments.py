@@ -1,8 +1,9 @@
 """Expectations, variances, outcome distributions, and Shannon entropies.
 
-Two independent routes exist for qubit moments: the spectral route here
-(matrix traces and eigendecompositions) and the closed-form Bloch route in
-``kernels``. Tests hold them to each other at 1e-12.
+The scalar functions take moments of one validated state by the matrix and
+spectral route (traces and eigendecompositions); relations.evaluate uses them,
+and tests hold the closed-form Bloch moments of ``kernels`` to them at 1e-12.
+The batch_* functions take moments of a batch of pure state vectors.
 """
 
 from __future__ import annotations

@@ -313,9 +313,3 @@ def conjecture_gaps_batch(psis: np.ndarray, ops) -> np.ndarray:
     v = [batch_variance(psis, op) for op in axes]
     lhs, rhs = relation_sides(RelationId.R11_CONJECTURE_TRIPLE_PRODUCT, np.sqrt(v), v, e)
     return lhs - rhs
-
-
-def variance_sum_batch(psis: np.ndarray, ops) -> np.ndarray:
-    """Vectorized Var(Sx)+Var(Sy)+Var(Sz) for a batch of pure state vectors."""
-    sx, sy, sz = ops.as_tuple()
-    return batch_variance(psis, sx) + batch_variance(psis, sy) + batch_variance(psis, sz)

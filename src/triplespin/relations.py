@@ -9,18 +9,25 @@ R2_PAIR_PRODUCT_Z is Delta(Sx) Delta(Sy) >= |<Sz>| / 2.
 Relations proved only for spin-1/2 raise SpinRestrictionError for s >= 1;
 the conjectured all-spin version of the triple product bound is available
 separately as R11_CONJECTURE_TRIPLE_PRODUCT.
+
+RELATIONS is the one table of relations: alias, axis group, description, spin
+rule and moments-to-sides formula per id. The catalog, the spin rules, the CLI
+spellings and the kernel column orders are derived from it, and every gap in
+the package (evaluate, the prober, the kernels, the triangle check and the
+sweep's derived columns) comes from its formulas through relation_sides.
 """
 
 from __future__ import annotations
 
 import enum
+import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
-from . import kernels
 from .errors import DimensionMismatchError, SpinRestrictionError
 from .moments import EntropyBase, expectation, shannon_entropy, std_dev, variance
 from .spin_ops import Spin, SpinOperatorSet, build_spin_operators
@@ -81,39 +88,27 @@ class RelationReport:
 
 
 @dataclass(frozen=True)
-class CatalogEntry:
+class RelationSpec:
+    """One catalog relation: its CLI spelling, spin rule and moment formula.
+
+    `sides` maps per-axis moments to (lhs, rhs). Its parameter names, a subset
+    of relation_sides' (d, v, e, h, w, s), are the moments it reads, listed in
+    `reads`; callers compute only those. Only R_ROBERTSON_GENERIC has no
+    formula, as it needs an explicit observable pair.
+    """
+
     relation: RelationId
+    alias: str | None
+    group: str | None
     description: str
     applicability: str
+    spin_half_only: bool
+    sides: Callable | None
+    reads: tuple[str, ...] = field(init=False)
 
-
-#: Relations the qubit soak kernel evaluates, in kernel column order.
-QUBIT_SOAK_RELATIONS = tuple(RelationId[name] for name in kernels.QUBIT_GAP_COLUMNS)
-
-#: Relations whose proofs hold only in the spin-1/2 representation.
-SPIN_HALF_ONLY = frozenset(
-    {
-        RelationId.R3_TRIPLE_PRODUCT,
-        RelationId.R5_TRIPLE_SUM,
-        RelationId.R6_SUM_HALF,
-        RelationId.R8_VARIANCE_OF_SUMS,
-        RelationId.R9_ENTROPIC_PAIR_XY,
-        RelationId.R9_ENTROPIC_PAIR_YZ,
-        RelationId.R9_ENTROPIC_PAIR_ZX,
-        RelationId.R10_ENTROPIC_TRIPLE,
-    }
-)
-
-
-#: Relations whose sides are Shannon entropies of the three components.
-ENTROPIC = frozenset(
-    {
-        RelationId.R9_ENTROPIC_PAIR_XY,
-        RelationId.R9_ENTROPIC_PAIR_YZ,
-        RelationId.R9_ENTROPIC_PAIR_ZX,
-        RelationId.R10_ENTROPIC_TRIPLE,
-    }
-)
+    def __post_init__(self):
+        reads = tuple(inspect.signature(self.sides).parameters) if self.sides else ()
+        object.__setattr__(self, "reads", reads)
 
 
 @lru_cache(maxsize=32)
@@ -158,33 +153,146 @@ def _abs_sum3(x):
     return np.abs(x[0]) + np.abs(x[1]) + np.abs(x[2])
 
 
-# (d, v, e, h, w, s) -> (lhs, rhs) per relation; see relation_sides.
-_SIDES = {
-    RelationId.R2_PAIR_PRODUCT_X: lambda d, v, e, h, w, s: (d[1] * d[2], np.abs(e[0]) / 2.0),
-    RelationId.R2_PAIR_PRODUCT_Y: lambda d, v, e, h, w, s: (d[2] * d[0], np.abs(e[1]) / 2.0),
-    RelationId.R2_PAIR_PRODUCT_Z: lambda d, v, e, h, w, s: (d[0] * d[1], np.abs(e[2]) / 2.0),
-    RelationId.R3_TRIPLE_PRODUCT: lambda d, v, e, h, w, s: (
-        _product3(d),
-        np.sqrt(np.abs(TAU**3 / 8.0 * e[0] * e[1] * e[2])),
+def _triple_product(d, e):
+    return _product3(d), np.sqrt(np.abs(TAU**3 / 8.0 * e[0] * e[1] * e[2]))
+
+
+#: The catalog, one entry per RelationId in declaration order. Fields: id,
+#: CLI alias, axis group, description, applicability, spin-1/2-only rule and
+#: the (lhs, rhs) formula over the moments its parameters name.
+RELATIONS = (
+    RelationSpec(
+        RelationId.R_ROBERTSON_GENERIC, None, None,
+        "Delta(A) Delta(B) >= |<[A,B]>|/2 for an explicit observable pair",
+        "any dimension (explicit observables)", False,
+        None,
     ),
-    RelationId.R4_PAIR_SUM_X: lambda d, v, e, h, w, s: (v[1] + v[2], np.abs(e[0])),
-    RelationId.R4_PAIR_SUM_Y: lambda d, v, e, h, w, s: (v[2] + v[0], np.abs(e[1])),
-    RelationId.R4_PAIR_SUM_Z: lambda d, v, e, h, w, s: (v[0] + v[1], np.abs(e[2])),
-    RelationId.R5_TRIPLE_SUM: lambda d, v, e, h, w, s: (_sum3(v), TAU / 2.0 * _abs_sum3(e)),
-    RelationId.R6_SUM_HALF: lambda d, v, e, h, w, s: (_sum3(v), 0.5),
-    RelationId.R7_SUM_GENERAL_S: lambda d, v, e, h, w, s: (_sum3(v), s),
-    RelationId.R8_VARIANCE_OF_SUMS: lambda d, v, e, h, w, s: (_sum3(v), 0.4 * _sum3(w)),
-    RelationId.R9_ENTROPIC_PAIR_XY: lambda d, v, e, h, w, s: (h[0] + h[1], _LN2),
-    RelationId.R9_ENTROPIC_PAIR_YZ: lambda d, v, e, h, w, s: (h[1] + h[2], _LN2),
-    RelationId.R9_ENTROPIC_PAIR_ZX: lambda d, v, e, h, w, s: (h[2] + h[0], _LN2),
-    RelationId.R10_ENTROPIC_TRIPLE: lambda d, v, e, h, w, s: (_sum3(h), 2.0 * _LN2),
-    RelationId.NAIVE_PRO2: lambda d, v, e, h, w, s: (
-        _product3(d),
-        np.sqrt(np.abs(e[0] * e[1] * e[2] / 8.0)),
+    RelationSpec(
+        RelationId.R2_PAIR_PRODUCT_X, "R2X", "R2",
+        "Delta(Sy) Delta(Sz) >= |<Sx>|/2", "all s", False,
+        lambda d, e: (d[1] * d[2], np.abs(e[0]) / 2.0),
     ),
-    RelationId.NAIVE_SUM2: lambda d, v, e, h, w, s: (_sum3(v), _abs_sum3(e) / 2.0),
+    RelationSpec(
+        RelationId.R2_PAIR_PRODUCT_Y, "R2Y", "R2",
+        "Delta(Sz) Delta(Sx) >= |<Sy>|/2", "all s", False,
+        lambda d, e: (d[2] * d[0], np.abs(e[1]) / 2.0),
+    ),
+    RelationSpec(
+        RelationId.R2_PAIR_PRODUCT_Z, "R2Z", "R2",
+        "Delta(Sx) Delta(Sy) >= |<Sz>|/2", "all s", False,
+        lambda d, e: (d[0] * d[1], np.abs(e[2]) / 2.0),
+    ),
+    RelationSpec(
+        RelationId.R3_TRIPLE_PRODUCT, "R3", None,
+        "Delta(Sx) Delta(Sy) Delta(Sz) >= |tau^3 <Sx><Sy><Sz> / 8|^(1/2)",
+        "s = 1/2 (conjectured all s via R11)", True,
+        _triple_product,
+    ),
+    RelationSpec(
+        RelationId.R4_PAIR_SUM_X, "R4X", "R4",
+        "Var(Sy) + Var(Sz) >= |<Sx>|", "all s", False,
+        lambda v, e: (v[1] + v[2], np.abs(e[0])),
+    ),
+    RelationSpec(
+        RelationId.R4_PAIR_SUM_Y, "R4Y", "R4",
+        "Var(Sz) + Var(Sx) >= |<Sy>|", "all s", False,
+        lambda v, e: (v[2] + v[0], np.abs(e[1])),
+    ),
+    RelationSpec(
+        RelationId.R4_PAIR_SUM_Z, "R4Z", "R4",
+        "Var(Sx) + Var(Sy) >= |<Sz>|", "all s", False,
+        lambda v, e: (v[0] + v[1], np.abs(e[2])),
+    ),
+    RelationSpec(
+        RelationId.R5_TRIPLE_SUM, "R5", None,
+        "Var(Sx) + Var(Sy) + Var(Sz) >= tau (|<Sx>| + |<Sy>| + |<Sz>|) / 2", "s = 1/2", True,
+        lambda v, e: (_sum3(v), TAU / 2.0 * _abs_sum3(e)),
+    ),
+    RelationSpec(
+        RelationId.R6_SUM_HALF, "R6", None,
+        "Var(Sx) + Var(Sy) + Var(Sz) >= 1/2 = 3 tau^2 / 8", "s = 1/2", True,
+        lambda v: (_sum3(v), 0.5),
+    ),
+    RelationSpec(
+        RelationId.R7_SUM_GENERAL_S, "R7", None,
+        "Var(Sx) + Var(Sy) + Var(Sz) >= s", "all s", False,
+        lambda v, s: (_sum3(v), s),
+    ),
+    RelationSpec(
+        RelationId.R8_VARIANCE_OF_SUMS, "R8", None,
+        "Var(Sx) + Var(Sy) + Var(Sz) >= (2/5) [Var(Sx+Sy) + Var(Sy+Sz) + Var(Sz+Sx)]",
+        "s = 1/2", True,
+        lambda v, w: (_sum3(v), 0.4 * _sum3(w)),
+    ),
+    RelationSpec(
+        RelationId.R9_ENTROPIC_PAIR_XY, "R9XY", "R9",
+        "H(Sx) + H(Sy) >= log 2", "s = 1/2", True,
+        lambda h: (h[0] + h[1], _LN2),
+    ),
+    RelationSpec(
+        RelationId.R9_ENTROPIC_PAIR_YZ, "R9YZ", "R9",
+        "H(Sy) + H(Sz) >= log 2", "s = 1/2", True,
+        lambda h: (h[1] + h[2], _LN2),
+    ),
+    RelationSpec(
+        RelationId.R9_ENTROPIC_PAIR_ZX, "R9ZX", "R9",
+        "H(Sz) + H(Sx) >= log 2", "s = 1/2", True,
+        lambda h: (h[2] + h[0], _LN2),
+    ),
+    RelationSpec(
+        RelationId.R10_ENTROPIC_TRIPLE, "R10", None,
+        "H(Sx) + H(Sy) + H(Sz) >= log 4 = (3 tau^2 / 2) log 2", "s = 1/2", True,
+        lambda h: (_sum3(h), 2.0 * _LN2),
+    ),
+    RelationSpec(
+        RelationId.R11_CONJECTURE_TRIPLE_PRODUCT, "R11", None,
+        "conjectured all-spin version of the tightened triple product bound",
+        "all s (conjecture)", False,
+        _triple_product,
+    ),
+    RelationSpec(
+        RelationId.NAIVE_PRO2, "PRO2", None,
+        "Delta(Sx) Delta(Sy) Delta(Sz) >= |<Sx><Sy><Sz> / 8|^(1/2), no tau tightening", "all s", False,
+        lambda d, e: (_product3(d), np.sqrt(np.abs(e[0] * e[1] * e[2] / 8.0))),
+    ),
+    RelationSpec(
+        RelationId.NAIVE_SUM2, "SUM2", None,
+        "Var(Sx) + Var(Sy) + Var(Sz) >= (|<Sx>| + |<Sy>| + |<Sz>|) / 2, no tau tightening", "all s", False,
+        lambda v, e: (_sum3(v), _abs_sum3(e) / 2.0),
+    ),
+)
+
+_SPECS = {spec.relation: spec for spec in RELATIONS}
+
+#: Relations whose proofs hold only in the spin-1/2 representation.
+SPIN_HALF_ONLY = frozenset(spec.relation for spec in RELATIONS if spec.spin_half_only)
+
+#: Relations whose sides are Shannon entropies of the three components.
+ENTROPIC = frozenset(spec.relation for spec in RELATIONS if "h" in spec.reads)
+
+#: CLI spellings: alias -> relation, and axis group -> its three instances.
+ALIASES = {spec.alias: spec.relation for spec in RELATIONS if spec.alias}
+GROUPS = {
+    group: tuple(spec.relation for spec in RELATIONS if spec.group == group)
+    for group in dict.fromkeys(spec.group for spec in RELATIONS if spec.group)
 }
-_SIDES[RelationId.R11_CONJECTURE_TRIPLE_PRODUCT] = _SIDES[RelationId.R3_TRIPLE_PRODUCT]
+
+#: Relations the qubit soak evaluates, in kernel column order: every formula
+#: that applies at s = 1/2 except R7 and R11, which there coincide with R6 and R3.
+QUBIT_SOAK_RELATIONS = tuple(
+    spec.relation
+    for spec in RELATIONS
+    if spec.sides is not None
+    and spec.relation not in (RelationId.R7_SUM_GENERAL_S, RelationId.R11_CONJECTURE_TRIPLE_PRODUCT)
+)
+
+#: Relations with an equilateral-triangle analog, in kernel column order.
+TRIANGLE_ANALOG_RELATIONS = (
+    *GROUPS["R2"],
+    RelationId.R3_TRIPLE_PRODUCT,
+    *GROUPS["R4"],
+    RelationId.R5_TRIPLE_SUM,
+)
 
 
 def relation_sides(relation: RelationId, d, v, e, h=None, w=None, s=None):
@@ -196,11 +304,11 @@ def relation_sides(relation: RelationId, d, v, e, h=None, w=None, s=None):
     R8; s the spin, read only by R7. Each entry may be a float or an array of
     a batch of states. The gap is lhs - rhs.
     """
-    try:
-        sides = _SIDES[relation]
-    except KeyError:
-        raise ValueError(f"no moment formula for relation {relation!r}") from None
-    return sides(d, v, e, h, w, s)
+    spec = _SPECS[relation]
+    if spec.sides is None:
+        raise ValueError(f"no moment formula for relation {relation!r}")
+    moments = {"d": d, "v": v, "e": e, "h": h, "w": w, "s": s}
+    return spec.sides(*[moments[name] for name in spec.reads])
 
 
 def evaluate(
@@ -233,10 +341,11 @@ def evaluate(
     e = [expectation(state, op) for op in axes]
     v = [variance(state, op) for op in axes]
     d = [math.sqrt(x) for x in v]
+    reads = _SPECS[relation].reads
     h = w = None
-    if relation in ENTROPIC:
+    if "h" in reads:
         h = [shannon_entropy(state, op, EntropyBase.NATURAL) for op in axes]
-    if relation is RelationId.R8_VARIANCE_OF_SUMS:
+    if "w" in reads:
         w = [variance(state, axes[i] + axes[(i + 1) % 3]) for i in range(3)]
     lhs, rhs = relation_sides(relation, d, v, e, h, w, spin.s)
     return _report(relation, lhs, rhs, saturation_tol)
@@ -265,106 +374,9 @@ def equality_condition(relation: RelationId, bloch, tol: float = 1e-9) -> bool:
     raise ValueError(f"no analytic equality condition implemented for {relation.value}")
 
 
-def catalog() -> tuple[CatalogEntry, ...]:
+def catalog() -> tuple[RelationSpec, ...]:
     """Stable enumeration of every relation with its spin applicability."""
-    entries = [
-        CatalogEntry(
-            RelationId.R_ROBERTSON_GENERIC,
-            "Delta(A) Delta(B) >= |<[A,B]>|/2 for an explicit observable pair",
-            "any dimension (explicit observables)",
-        ),
-        CatalogEntry(
-            RelationId.R2_PAIR_PRODUCT_X,
-            "Delta(Sy) Delta(Sz) >= |<Sx>|/2",
-            "all s",
-        ),
-        CatalogEntry(
-            RelationId.R2_PAIR_PRODUCT_Y,
-            "Delta(Sz) Delta(Sx) >= |<Sy>|/2",
-            "all s",
-        ),
-        CatalogEntry(
-            RelationId.R2_PAIR_PRODUCT_Z,
-            "Delta(Sx) Delta(Sy) >= |<Sz>|/2",
-            "all s",
-        ),
-        CatalogEntry(
-            RelationId.R3_TRIPLE_PRODUCT,
-            "Delta(Sx) Delta(Sy) Delta(Sz) >= |tau^3 <Sx><Sy><Sz> / 8|^(1/2)",
-            "s = 1/2 (conjectured all s via R11)",
-        ),
-        CatalogEntry(
-            RelationId.R4_PAIR_SUM_X,
-            "Var(Sy) + Var(Sz) >= |<Sx>|",
-            "all s",
-        ),
-        CatalogEntry(
-            RelationId.R4_PAIR_SUM_Y,
-            "Var(Sz) + Var(Sx) >= |<Sy>|",
-            "all s",
-        ),
-        CatalogEntry(
-            RelationId.R4_PAIR_SUM_Z,
-            "Var(Sx) + Var(Sy) >= |<Sz>|",
-            "all s",
-        ),
-        CatalogEntry(
-            RelationId.R5_TRIPLE_SUM,
-            "Var(Sx) + Var(Sy) + Var(Sz) >= tau (|<Sx>| + |<Sy>| + |<Sz>|) / 2",
-            "s = 1/2",
-        ),
-        CatalogEntry(
-            RelationId.R6_SUM_HALF,
-            "Var(Sx) + Var(Sy) + Var(Sz) >= 1/2 = 3 tau^2 / 8",
-            "s = 1/2",
-        ),
-        CatalogEntry(
-            RelationId.R7_SUM_GENERAL_S,
-            "Var(Sx) + Var(Sy) + Var(Sz) >= s",
-            "all s",
-        ),
-        CatalogEntry(
-            RelationId.R8_VARIANCE_OF_SUMS,
-            "Var(Sx) + Var(Sy) + Var(Sz) >= (2/5) [Var(Sx+Sy) + Var(Sy+Sz) + Var(Sz+Sx)]",
-            "s = 1/2",
-        ),
-        CatalogEntry(
-            RelationId.R9_ENTROPIC_PAIR_XY,
-            "H(Sx) + H(Sy) >= log 2",
-            "s = 1/2",
-        ),
-        CatalogEntry(
-            RelationId.R9_ENTROPIC_PAIR_YZ,
-            "H(Sy) + H(Sz) >= log 2",
-            "s = 1/2",
-        ),
-        CatalogEntry(
-            RelationId.R9_ENTROPIC_PAIR_ZX,
-            "H(Sz) + H(Sx) >= log 2",
-            "s = 1/2",
-        ),
-        CatalogEntry(
-            RelationId.R10_ENTROPIC_TRIPLE,
-            "H(Sx) + H(Sy) + H(Sz) >= log 4 = (3 tau^2 / 2) log 2",
-            "s = 1/2",
-        ),
-        CatalogEntry(
-            RelationId.R11_CONJECTURE_TRIPLE_PRODUCT,
-            "conjectured all-spin version of the tightened triple product bound",
-            "all s (conjecture)",
-        ),
-        CatalogEntry(
-            RelationId.NAIVE_PRO2,
-            "Delta(Sx) Delta(Sy) Delta(Sz) >= |<Sx><Sy><Sz> / 8|^(1/2), no tau tightening",
-            "all s",
-        ),
-        CatalogEntry(
-            RelationId.NAIVE_SUM2,
-            "Var(Sx) + Var(Sy) + Var(Sz) >= (|<Sx>| + |<Sy>| + |<Sz>|) / 2, no tau tightening",
-            "all s",
-        ),
-    ]
-    return tuple(entries)
+    return RELATIONS
 
 
 def applicable_to(relation: RelationId, spin: Spin | int) -> bool:
@@ -390,7 +402,10 @@ class SoakSummary:
 
     @property
     def ok(self) -> bool:
-        return all(v == 0 for v in self.violations.values())
+        """No gap below -tolerance and every minimum finite: a NaN gap fails."""
+        return all(v == 0 for v in self.violations.values()) and all(
+            math.isfinite(g) for g in self.min_gap.values()
+        )
 
 
 def soak_qubit(
@@ -402,14 +417,19 @@ def soak_qubit(
 ) -> SoakSummary:
     """Evaluate every qubit relation on random pure and mixed state batches.
 
-    Pure states are Haar-distributed, mixed ones Hilbert-Schmidt. Returns the
-    minimum gap and the count of gaps below -tolerance per relation.
+    Pure states are Haar-distributed, mixed ones Hilbert-Schmidt, drawn from
+    the independent streams (seed, 0) and (seed, 1). Returns the minimum gap
+    and the count of gaps not at or above -tolerance (NaN counts) per relation.
     """
+    from . import kernels  # kernels reads this module's table at import
+
+    if not math.isfinite(tolerance):
+        raise ValueError(f"tolerance must be finite, got {tolerance}")
     blochs = []
     if n_pure > 0:
-        blochs.append(random_pure_bloch(n_pure, seed))
+        blochs.append(random_pure_bloch(n_pure, seed, 0))
     if n_mixed > 0:
-        blochs.append(random_mixed_bloch(n_mixed, seed))
+        blochs.append(random_mixed_bloch(n_mixed, seed, 1))
     if not blochs:
         raise ValueError("need at least one sample")
     bloch = np.vstack(blochs)
@@ -424,7 +444,7 @@ def soak_qubit(
         gaps = kernels.qubit_relation_gaps(bloch)
 
     mins = gaps.min(axis=0)
-    viol = (gaps < -tolerance).sum(axis=0)
+    viol = np.count_nonzero(~(gaps >= -tolerance), axis=0)
     return SoakSummary(
         n_pure=n_pure,
         n_mixed=n_mixed,

@@ -37,6 +37,8 @@ class QuantumState:
         rho = np.ascontiguousarray(self.rho, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise InvalidStateError(f"density matrix must be square, got shape {rho.shape}")
+        if not np.isfinite(rho).all():
+            raise InvalidStateError("density matrix has non-finite entries")
         herm = np.max(np.abs(rho - rho.conj().T))
         if herm > HERMITICITY_TOL:
             raise InvalidStateError(f"density matrix not Hermitian: residual {herm:.3e}")
@@ -148,9 +150,9 @@ def random_mixed(dim: int, seed: int) -> QuantumState:
     return QuantumState(m / np.trace(m).real)
 
 
-def random_pure_bloch(n: int, seed: int) -> np.ndarray:
-    """(n, 3) Bloch vectors of Haar-random qubit pure states, one RNG stream."""
-    rng = stream(seed)
+def random_pure_bloch(n: int, seed: int, *key: int) -> np.ndarray:
+    """(n, 3) Bloch vectors of Haar-random qubit pure states from stream (seed, *key)."""
+    rng = stream(seed, *key)
     z = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     cross = np.conj(z[:, 0]) * z[:, 1]
@@ -159,9 +161,9 @@ def random_pure_bloch(n: int, seed: int) -> np.ndarray:
     )
 
 
-def random_mixed_bloch(n: int, seed: int) -> np.ndarray:
-    """(n, 3) Bloch vectors of Hilbert-Schmidt random qubit mixed states."""
-    rng = stream(seed)
+def random_mixed_bloch(n: int, seed: int, *key: int) -> np.ndarray:
+    """(n, 3) Bloch vectors of Hilbert-Schmidt random qubit mixed states from stream (seed, *key)."""
+    rng = stream(seed, *key)
     g = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
     m = g @ np.conj(np.swapaxes(g, 1, 2))
     t = np.trace(m, axis1=1, axis2=2).real

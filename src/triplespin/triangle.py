@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .relations import SATURATION_TOL, TAU, RelationId, RelationReport
+from .relations import (
+    SATURATION_TOL,
+    TRIANGLE_ANALOG_RELATIONS,
+    RelationId,
+    RelationReport,
+    _report,
+    relation_sides,
+)
 from .rng import stream
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -31,9 +38,11 @@ class TrianglePoint:
     bary: tuple[float, float, float]
 
     def __post_init__(self):
-        if self.side <= 0:
-            raise ValueError("side must be positive")
+        if not (math.isfinite(self.side) and self.side > 0):
+            raise ValueError(f"side must be positive and finite, got {self.side}")
         u, v, w = self.bary
+        if not all(math.isfinite(x) for x in self.bary):
+            raise ValueError(f"barycentric coordinates {self.bary} are not finite")
         if min(u, v, w) < -BARYCENTRIC_TOL or abs(u + v + w - 1.0) > BARYCENTRIC_TOL:
             raise ValueError(f"barycentric coordinates {self.bary} outside the closed triangle")
 
@@ -77,24 +86,13 @@ def check_analogs(p: TrianglePoint, saturation_tol: float = SATURATION_TOL) -> l
     it mirrors (three pair products, triple product, three pair sums, triple
     sum).
     """
-    a, b, c = vertex_distances(p)
+    d = vertex_distances(p)
     area_pab, area_pbc, area_pca = subtriangle_areas(p)
-    qz, qx, qy = 4.0 * area_pab, 4.0 * area_pbc, 4.0 * area_pca
-    tau = TAU
-
-    def rep(rel, lhs, rhs):
-        gap = lhs - rhs
-        return RelationReport(rel, lhs, rhs, gap, abs(gap) <= saturation_tol, saturation_tol)
-
+    v = tuple(x * x for x in d)
+    e = (4.0 * area_pbc, 4.0 * area_pca, 4.0 * area_pab)
     return [
-        rep(RelationId.R2_PAIR_PRODUCT_X, b * c, qx / 2.0),
-        rep(RelationId.R2_PAIR_PRODUCT_Y, c * a, qy / 2.0),
-        rep(RelationId.R2_PAIR_PRODUCT_Z, a * b, qz / 2.0),
-        rep(RelationId.R3_TRIPLE_PRODUCT, a * b * c, math.sqrt(tau**3 / 8.0 * qx * qy * qz)),
-        rep(RelationId.R4_PAIR_SUM_X, b * b + c * c, qx),
-        rep(RelationId.R4_PAIR_SUM_Y, c * c + a * a, qy),
-        rep(RelationId.R4_PAIR_SUM_Z, a * a + b * b, qz),
-        rep(RelationId.R5_TRIPLE_SUM, a * a + b * b + c * c, tau / 2.0 * (qx + qy + qz)),
+        _report(rel, *relation_sides(rel, d, v, e), saturation_tol)
+        for rel in TRIANGLE_ANALOG_RELATIONS
     ]
 
 
@@ -134,7 +132,7 @@ def scan(n: int, seed: int, side: float = 1.0) -> TriangleScan:
     """Sample n interior points and record the minimum gap per analog."""
     bary = sample_barycentric(n, seed)
     gaps = kernels.triangle_analog_gaps(bary, side)
-    rel_ids = tuple(RelationId[name] for name in kernels.TRIANGLE_GAP_COLUMNS)
+    rel_ids = TRIANGLE_ANALOG_RELATIONS
     idx = gaps.argmin(axis=0)
     return TriangleScan(
         side=side,

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from triplespin import cli
 from triplespin.cli import dispatch, parse_relation, parse_relations, replay
 from triplespin.measure_sim import CSV_HEADER
-from triplespin.relations import RelationId
+from triplespin.relations import RelationId, RelationReport
 from triplespin.spin_ops import Spin
 from triplespin.states import random_mixed, state_from_json_dict, state_to_json_dict
 
@@ -225,3 +226,43 @@ def test_verify_relation_groups(capsys):
     code, out, _ = run(capsys, "verify", "--relation", "R9", "--bloch", "0,0,0.5")
     assert code == 0
     assert len(json.loads(out)) == 3
+
+
+def test_unknown_relation_lists_valid_spellings(capsys):
+    code, _, err = run(capsys, "verify", "--relation", "R99", "--bloch", "0,0,0")
+    assert code == 2
+    assert "--list" not in err
+    for spelling in ("R2X", "R9ZX", "PRO2", "SUM2", "R4", "R9", "'all'"):
+        assert spelling in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--relation", "R5", "--bloch", "nan,0,0"),
+        ("verify", "--relation", "R5", "--bloch", "0,0,0.5", "--tolerance", "nan"),
+        ("soak", "--pure", "100", "--mixed-n", "100", "--tolerance", "nan"),
+        ("triangle", "--samples", "100", "--side", "nan"),
+        ("triangle", "--samples", "100", "--side", "inf"),
+    ],
+)
+def test_non_finite_input_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+def test_verify_fails_on_non_finite_gap(monkeypatch, capsys):
+    def nan_gap(relation, state, spin, saturation_tol):
+        return RelationReport(relation, math.nan, 0.0, math.nan, False, saturation_tol)
+
+    monkeypatch.setattr(cli, "evaluate", nan_gap)
+    code, out, _ = run(capsys, "verify", "--relation", "R5", "--bloch", "0,0,0.5")
+    assert code != 0
+    assert "NaN" not in out
+
+
+def test_json_output_refuses_non_finite_numbers():
+    with pytest.raises(ValueError):
+        cli._json_text({"gap": math.nan})

@@ -255,13 +255,6 @@ def test_monte_carlo_rows_recompute_bit_exactly():
         assert rows_to_csv([again]) == rows_to_csv([row])
 
 
-def test_threaded_sweep_matches_serial():
-    cfg = ShotConfig(shots=5_000, seed=3)
-    serial = run_sweep(Family.R2_MERIDIAN, 9, cfg)
-    threaded = run_sweep(Family.R2_MERIDIAN, 9, cfg, threads=4)
-    assert rows_to_csv(serial) == rows_to_csv(threaded)
-
-
 def test_csv_schema():
     rows = run_sweep(Family.R1_LATITUDE, 3, ShotConfig(shots=1, seed=0), analytic_only=True)
     text = rows_to_csv(rows)

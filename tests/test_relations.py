@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from triplespin import kernels, states
 from triplespin.errors import DimensionMismatchError, SpinRestrictionError
-from triplespin.prober import conjecture_gaps_batch, variance_sum_batch
+from triplespin.moments import batch_variance
+from triplespin.prober import conjecture_gaps_batch
 from triplespin.relations import (
+    ENTROPIC,
     QUBIT_SOAK_RELATIONS,
     SPIN_HALF_ONLY,
     TAU,
@@ -221,6 +224,20 @@ def test_catalog_contents():
     assert set(by_id) == set(RelationId)
 
 
+def test_table_derived_spin_rules():
+    R = RelationId
+    entropic = {R.R9_ENTROPIC_PAIR_XY, R.R9_ENTROPIC_PAIR_YZ, R.R9_ENTROPIC_PAIR_ZX, R.R10_ENTROPIC_TRIPLE}
+    assert ENTROPIC == entropic
+    sums_and_products = {R.R3_TRIPLE_PRODUCT, R.R5_TRIPLE_SUM, R.R6_SUM_HALF, R.R8_VARIANCE_OF_SUMS}
+    assert SPIN_HALF_ONLY == entropic | sums_and_products
+    assert len(QUBIT_SOAK_RELATIONS) == 16
+    assert set(RelationId) - set(QUBIT_SOAK_RELATIONS) == {
+        R.R_ROBERTSON_GENERIC,
+        R.R7_SUM_GENERAL_S,
+        R.R11_CONJECTURE_TRIPLE_PRODUCT,
+    }
+
+
 def test_applicability_table():
     assert applicable_to(RelationId.R2_PAIR_PRODUCT_X, 4)
     assert applicable_to(RelationId.R11_CONJECTURE_TRIPLE_PRODUCT, 3)
@@ -240,6 +257,40 @@ def test_soak_threaded_matches_serial():
     threaded = soak_qubit(4000, 4000, seed=5, threads=3)
     assert serial.min_gap == threaded.min_gap
     assert serial.violations == threaded.violations
+
+
+def test_soak_counts_non_finite_gap_as_violation(monkeypatch):
+    real = kernels.qubit_relation_gaps
+
+    def with_nan(bloch):
+        gaps = np.array(real(bloch))
+        gaps[0, QUBIT_SOAK_RELATIONS.index(RelationId.R3_TRIPLE_PRODUCT)] = np.nan
+        return gaps
+
+    monkeypatch.setattr(kernels, "qubit_relation_gaps", with_nan)
+    summary = soak_qubit(100, 100, seed=1)
+    assert summary.violations[RelationId.R3_TRIPLE_PRODUCT] == 1
+    assert not summary.ok
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+def test_soak_rejects_non_finite_tolerance(tolerance):
+    with pytest.raises(ValueError):
+        soak_qubit(10, 10, seed=1, tolerance=tolerance)
+
+
+def test_soak_batches_draw_from_independent_streams(monkeypatch):
+    keys = []
+    real = states.stream
+
+    def recording(seed, *key):
+        keys.append((seed, *key))
+        return real(seed, *key)
+
+    monkeypatch.setattr(states, "stream", recording)
+    soak_qubit(50, 50, seed=9)
+    assert len(keys) == 2
+    assert keys[0] != keys[1]
 
 
 def test_dominance_of_tightened_bounds():
@@ -270,7 +321,7 @@ def test_chained_pair_products_give_naive_triple_bound():
 def test_variance_sum_bound_random_states(twice_s):
     ops = build_spin_operators(twice_s)
     psis = random_pure_vectors(twice_s + 1, 10_000, seed=twice_s)
-    sums = variance_sum_batch(psis, ops)
+    sums = sum(batch_variance(psis, op) for op in ops.as_tuple())
     assert np.min(sums) - twice_s / 2.0 >= -1e-10
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -155,3 +156,11 @@ def test_quantum_state_validation():
         QuantumState(np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(InvalidStateError):
         QuantumState(np.ones((2, 3)))  # not square
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_quantum_state_rejects_non_finite_entries(bad):
+    with pytest.raises(InvalidStateError):
+        QuantumState(np.array([[bad, 0.0], [0.0, 1.0]]))
+    with pytest.raises(InvalidStateError):
+        density_from_bloch([bad, 0.0, 0.0])

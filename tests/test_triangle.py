@@ -72,6 +72,12 @@ def test_barycentric_validation():
         TrianglePoint(1.0, (0.5, 0.4, 0.2))
     with pytest.raises(ValueError):
         TrianglePoint(0.0, (0.4, 0.3, 0.3))
+    with pytest.raises(ValueError):
+        TrianglePoint(math.nan, (0.4, 0.3, 0.3))
+    with pytest.raises(ValueError):
+        TrianglePoint(math.inf, (0.4, 0.3, 0.3))
+    with pytest.raises(ValueError):
+        TrianglePoint(1.0, (math.nan, 0.5, 0.5))
 
 
 def test_vertices_layout():

@@ -20,13 +20,11 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import TripleSpinError
 from .measure_sim import ShotConfig, rows_to_csv, run_sweep
 from .prober import ProbeConfig, is_counterexample, min_gap, scan_conjecture
 from .relations import (
     ALIASES,
     GROUPS,
-    SATURATION_TOL,
     RelationId,
     applicable_to,
     catalog,
@@ -40,7 +38,6 @@ from .states import (
     density_from_bloch,
     family_point,
     state_from_json_dict,
-    state_to_json_dict,
 )
 from .triangle import scan as triangle_scan
 
@@ -242,7 +239,7 @@ def _cmd_triangle(args) -> int:
 
 def _cmd_soak(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    summary = soak_qubit(args.pure, args.mixed_n, seed, tolerance=args.tolerance, threads=args.threads)
+    summary = soak_qubit(args.pure, args.mixed_n, seed, tolerance=args.tolerance)
     lines = [
         f"qubit relation soak: {summary.n_pure} pure + {summary.n_mixed} mixed states, "
         f"seed {seed}, tolerance {summary.tolerance:g}",
@@ -288,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="analytic sweep curves as CSV")
     p_sweep.add_argument("--family", choices=[f.value for f in Family], required=True)
     p_sweep.add_argument("--points", type=int, required=True)
-    p_sweep.add_argument("--analytic", action="store_true", help="accepted for symmetry; sweep is always analytic")
     add_common(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -327,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_soak.add_argument("--mixed-n", type=int, default=100_000, help="number of Hilbert-Schmidt mixed states")
     p_soak.add_argument("--seed", type=int, default=None)
     p_soak.add_argument("--tolerance", type=float, default=1e-10)
-    p_soak.add_argument("--threads", type=int, default=1)
     add_common(p_soak)
     p_soak.set_defaults(func=_cmd_soak)
 

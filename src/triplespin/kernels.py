@@ -1,14 +1,9 @@
 """Batch gap kernels for the random-state soak and the triangle scan.
 
-Each kernel computes a batch's per-axis moments as (3, n) arrays and applies
-the relation table (relations.relation_sides) to them, one output row per
-relation; the result is the (n, k) transposed view.
-
-Closed forms used for a qubit with Bloch vector r:
-    <S_i>        = r_i / 2
-    (Delta S_i)^2 = (1 - r_i^2) / 4
-    Var(S_i+S_j) = 1/2 - (r_i + r_j)^2 / 4
-    H(S_i)       = binary entropy of (1 + r_i)/2 in nats
+Each kernel computes a batch's per-axis moments as (3, n) arrays (for qubits
+the closed forms of moments.bloch_moments) and applies the relation table
+(relations.relation_sides) to them, one output row per relation; the result
+is the (n, k) transposed view.
 """
 
 from __future__ import annotations
@@ -16,8 +11,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import entr
 
+from .moments import bloch_moments
 from .relations import QUBIT_SOAK_RELATIONS, TRIANGLE_ANALOG_RELATIONS, relation_sides
 
 #: Array library the kernels run on; recorded with benchmark results.
@@ -52,16 +47,8 @@ def qubit_relation_gaps(bloch: np.ndarray) -> np.ndarray:
 
     Columns follow QUBIT_GAP_COLUMNS.
     """
-    r = np.ascontiguousarray(_batch(bloch, "Bloch").T)
-    e = r / 2.0
-    v = np.maximum(1.0 - r * r, 0.0) / 4.0
-    d = np.sqrt(v)
-    p = np.clip((1.0 + r) / 2.0, 0.0, 1.0)
-    h = entr(p) + entr(1.0 - p)
-    w = 0.5 - (r + r[[1, 2, 0]]) ** 2 / 4.0
-    # drop temporaries before the table allocates its output, to bound peak memory
-    del p, r
-    return _apply_table(QUBIT_SOAK_RELATIONS, d, v, e, h, w, 0.5)
+    moments = bloch_moments(np.ascontiguousarray(_batch(bloch, "Bloch").T))
+    return _apply_table(QUBIT_SOAK_RELATIONS, *moments, 0.5)
 
 
 def triangle_analog_gaps(bary: np.ndarray, side: float) -> np.ndarray:

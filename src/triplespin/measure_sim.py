@@ -10,7 +10,8 @@ Derived quantities follow the sweep-figure conventions and are the sides of
 catalog relations (relations.relation_sides):
     pro0, pro1 = lhs, rhs of R3   pro2 = rhs of NAIVE_PRO2
     sum0, sum1 = lhs, rhs of R5   sum2 = rhs of NAIVE_SUM2
-with <S_i> the estimates and variances 1/4 - <S_i>^2. Standard errors
+with <S_i> the estimates and the qubit moments of the Bloch vector 2 <S_i>
+(moments.bloch_moments), so variances are 1/4 - <S_i>^2. Standard errors
 propagate to first order treating the three per-axis estimates as independent.
 """
 
@@ -22,12 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .moments import outcome_distribution
+from .moments import bloch_moments
 from .relations import TAU, RelationId, relation_sides
 from .rng import stream
-from .spin_ops import build_spin_operators
-from .states import Family, QuantumState, family_point
+from .states import Family, QuantumState, bloch_from_density, family_point
 
 #: A sweep point is singular for pro0 error propagation when any standard
 #: deviation factor is this close to zero, and for pro1/pro2 when the bound is.
@@ -86,16 +85,6 @@ class SweepRow:
     flags: tuple[str, ...]
 
 
-_QUBIT_OPS = None
-
-
-def _qubit_ops():
-    global _QUBIT_OPS
-    if _QUBIT_OPS is None:
-        _QUBIT_OPS = build_spin_operators(1)
-    return _QUBIT_OPS
-
-
 def simulate_expectation(
     state: QuantumState,
     axis: Axis,
@@ -105,19 +94,13 @@ def simulate_expectation(
 ) -> EstimationResult:
     """Sample `shots` outcomes of one spin component and average them.
 
-    Outcomes are +-1/2 with probabilities from the projective outcome
-    distribution. The stream is keyed by (seed, index, axis) so sweep points
-    can run in any order or in parallel without changing results.
+    Outcomes are +-1/2, the + outcome with probability (1 + r_i)/2 for the
+    Bloch component r_i; a state that is not a qubit raises
+    DimensionMismatchError. The stream is keyed by (seed, index, axis) so
+    sweep points can run in any order or in parallel without changing results.
     """
-    if state.dim != 2:
-        raise DimensionMismatchError("measurement simulation models the qubit experiment only")
-    op = _qubit_ops().as_tuple()[axis.value]
-    dist = outcome_distribution(state, op)
-    p_plus = 0.0
-    for eig, prob in dist.entries:
-        if eig > 0:
-            p_plus = prob
-    p_plus = min(max(p_plus, 0.0), 1.0)
+    r_i = float(bloch_from_density(state)[axis.value])
+    p_plus = min(max((1.0 + r_i) / 2.0, 0.0), 1.0)
 
     rng = stream(cfg.seed, index, axis.value)
     if per_draw:
@@ -133,27 +116,9 @@ def simulate_expectation(
 
 def exact_expectation(state: QuantumState, axis: Axis) -> EstimationResult:
     """Analytic counterpart of simulate_expectation (zero standard error)."""
-    if state.dim != 2:
-        raise DimensionMismatchError("analytic sweep rows model the qubit experiment only")
-    op = _qubit_ops().as_tuple()[axis.value]
-    val = float(np.einsum("ij,ji->", state.rho, op).real)
+    # + 0.0 turns a -0.0 component into 0.0
+    val = float(bloch_from_density(state)[axis.value]) / 2.0 + 0.0
     return EstimationResult(axis, val, 0.0, 0)
-
-
-def estimated_std_dev(est: EstimationResult) -> tuple[float, float]:
-    """Standard deviation sqrt(1/4 - e^2) from an estimated expectation e.
-
-    The standard error follows from the first-order derivative |e|/value and
-    is NaN at value = 0 where that derivative blows up.
-    """
-    e = est.estimate
-    if abs(e) > 0.5 + 1e-12:
-        raise ValueError(f"estimate {e} outside the +-1/2 eigenvalue range")
-    rad = max(0.25 - e * e, 0.0)
-    value = math.sqrt(rad)
-    if value == 0.0:
-        return value, math.nan
-    return value, abs(e) / value * est.stderr
 
 
 def propagate_derived(
@@ -177,8 +142,7 @@ def propagate_derived(
     sig = np.array([sx.stderr, sy.stderr, sz.stderr])
     exact_inputs = bool(np.all(sig == 0.0))
 
-    v = np.maximum(0.25 - e * e, 0.0)
-    d = np.sqrt(v)
+    d, v, _, _, _ = bloch_moments(2.0 * e)
     pro0_val, pro1_val = map(float, relation_sides(RelationId.R3_TRIPLE_PRODUCT, d, v, e))
     pro2_val = float(relation_sides(RelationId.NAIVE_PRO2, d, v, e)[1])
     sum0_val, sum1_val = map(float, relation_sides(RelationId.R5_TRIPLE_SUM, d, v, e))

@@ -2,8 +2,9 @@
 
 The scalar functions take moments of one validated state by the matrix and
 spectral route (traces and eigendecompositions); relations.evaluate uses them,
-and tests hold the closed-form Bloch moments of ``kernels`` to them at 1e-12.
-The batch_* functions take moments of a batch of pure state vectors.
+and tests hold the two fast routes to them at 1e-12: pure_moments takes
+means and variances of pure state vectors, bloch_moments the closed-form
+moments of qubits from their Bloch vectors.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import entr
 
 from .errors import DimensionMismatchError, NotHermitianError, TripleSpinError
 from .states import QuantumState
@@ -131,18 +133,34 @@ def shannon_entropy(
     return float(h)
 
 
-def batch_expectation(psis: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """<psi|O|psi> for a (n, dim) batch of normalized state vectors."""
-    return np.einsum("ni,ij,nj->n", psis.conj(), op, psis).real
+def pure_moments(psis: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means <psi|O|psi> and centred variances ||(O - <O>) psi||^2.
 
-
-def batch_variance(psis: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """Variances of O over a (n, dim) batch of state vectors.
-
-    Computed as ||(O - <O>)psi||^2, nonnegative by construction and accurate
-    near eigenstates.
+    psis is one (d,) normalized state vector or an (n, d) batch, ops one
+    (d, d) observable or a (k, d, d) stack; both results have shape (k, n)
+    with the axes of single arguments dropped. The centred form is
+    nonnegative by construction and accurate near eigenstates.
     """
-    op = np.asarray(op)
-    e1 = batch_expectation(psis, op)
-    w = psis @ op.T - e1[:, None] * psis
-    return np.sum(np.abs(w) ** 2, axis=1)
+    psis = np.asarray(psis)
+    opsi = psis @ np.swapaxes(ops, -1, -2)  # rows (O psi)^T, state axis last
+    e = np.vecdot(psis, opsi).real  # vecdot conjugates its first argument
+    r = opsi - e[..., None] * psis
+    return e, np.vecdot(r, r).real
+
+
+def bloch_moments(r: np.ndarray):
+    """Closed-form qubit moments (d, v, e, h, w) of Bloch rows r, shape (3, ...).
+
+    Row i holds, for the component S_i:
+        e = <S_i>            = r_i / 2
+        v = (Delta S_i)^2    = (1 - r_i^2) / 4, d = Delta S_i
+        h = H(S_i)           = binary entropy of (1 + r_i)/2 in nats
+        w = Var(S_i + S_j)   = 1/2 - (r_i + r_j)^2 / 4, j = i + 1 mod 3
+    in the argument order of relations.relation_sides.
+    """
+    e = r / 2.0
+    v = np.maximum(1.0 - r * r, 0.0) / 4.0
+    p = np.clip((1.0 + r) / 2.0, 0.0, 1.0)
+    h = entr(p) + entr(1.0 - p)
+    w = 0.5 - (r + r[[1, 2, 0]]) ** 2 / 4.0
+    return np.sqrt(v), v, e, h, w

@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 from scipy.special import entr
 
 from .errors import SpinRestrictionError, TripleSpinError
-from .moments import batch_expectation, batch_variance
+from .moments import bloch_moments, pure_moments
 from .relations import ENTROPIC, RelationId, _ops, applicable_to, evaluate, relation_sides
 from .rng import stream
 from .spin_ops import Spin, build_spin_operators
@@ -116,62 +116,44 @@ def _random_start(dim: int, seed: int, restart: int, mixed: bool) -> np.ndarray:
     return _params_from_vector(z / np.linalg.norm(z))
 
 
-def _pure_moments(psi: np.ndarray, ops: np.ndarray):
-    """Means and centred variances ||(O - <O>) psi||^2 of a (k, d, d) operator stack."""
-    opsi = ops @ psi
-    e = (opsi @ psi.conj()).real
-    r = opsi - e[:, None] * psi
-    return e, (r.real**2 + r.imag**2).sum(axis=1)
-
-
-def _pure_probabilities(psi: np.ndarray, eigvecs_h: np.ndarray) -> np.ndarray:
-    a = eigvecs_h @ psi
-    return a.real**2 + a.imag**2
-
-
-def _mixed_moments(rho: np.ndarray, ops: np.ndarray):
-    """Means and centred variances tr(rho (O - <O>)^2) of a (k, d, d) operator stack."""
-    e = np.einsum("ij,kji->k", rho, ops).real
-    c = ops - e[:, None, None] * np.eye(len(rho))
-    return e, np.maximum(np.einsum("ij,kjl,kli->k", rho, c, c).real, 0.0)
-
-
-def _mixed_probabilities(rho: np.ndarray, eigvecs_h: np.ndarray) -> np.ndarray:
-    return np.maximum(np.einsum("kai,ij,kaj->ka", eigvecs_h, rho, eigvecs_h.conj()).real, 0.0)
-
-
 def gap_objective(relation: RelationId, spin: Spin | int, mixed: bool = False):
     """The search objective: x -> gap of `relation` at the state x parametrizes.
 
-    Equals evaluate(relation, state, spin).gap, but works on the state vector
-    (or the Bloch-ball density matrix when mixed=True) without building a
-    validated QuantumState: the operator stack, its eigenbases and the R8
-    pair sums are prepared once here, and each call takes the moments and
-    passes them through relations.relation_sides. Spin-component spectra are
+    Equals evaluate(relation, state, spin).gap, but passes moments straight
+    to relations.relation_sides without building a validated QuantumState.
+    With mixed=True they are the closed-form moments of the Bloch vector x
+    (moments.bloch_moments). Otherwise they are the moments of the state
+    vector (moments.pure_moments) over the operator stack, its eigenbases and
+    the R8 pair sums, all prepared once here. Spin-component spectra are
     nondegenerate, so outcome probabilities are the squared amplitudes in the
     eigenbasis with no eigenvalue merging.
     """
     spin = spin if isinstance(spin, Spin) else Spin(spin)
     if mixed and spin.twice_s != 1:
         raise ValueError("mixed-state probing uses the Bloch ball and needs spin 1/2")
-    dim, s = spin.dim, spin.s
+    s = spin.s
+    if mixed:
+
+        def bloch_objective(x):
+            lhs, rhs = relation_sides(relation, *bloch_moments(_bloch_from_params(x)), s)
+            return float(lhs - rhs)
+
+        return bloch_objective
+
+    dim = spin.dim
     ops = np.array(_ops(spin.twice_s).as_tuple(), dtype=complex)
     eigvecs_h = np.linalg.eigh(ops)[1].conj().transpose(0, 2, 1) if relation in ENTROPIC else None
     pairs = ops + ops[[1, 2, 0]] if relation is RelationId.R8_VARIANCE_OF_SUMS else None
-    if mixed:
-        half_eye = 0.5 * np.eye(2, dtype=complex)
-        # rho = (1 + r.sigma) / 2 = 1/2 + r.S for the spin-1/2 operators S = sigma / 2
-        to_state = lambda x: half_eye + np.tensordot(_bloch_from_params(x), ops, axes=1)
-        moments, probabilities = _mixed_moments, _mixed_probabilities
-    else:
-        to_state = lambda x: _psi_from_params(x, dim)
-        moments, probabilities = _pure_moments, _pure_probabilities
 
     def objective(x):
-        state = to_state(x)
-        e, v = moments(state, ops)
-        h = entr(probabilities(state, eigvecs_h)).sum(axis=1) if eigvecs_h is not None else None
-        w = moments(state, pairs)[1] if pairs is not None else None
+        psi = _psi_from_params(x, dim)
+        e, v = pure_moments(psi, ops)
+        h = w = None
+        if eigvecs_h is not None:
+            a = eigvecs_h @ psi
+            h = entr(a.real**2 + a.imag**2).sum(axis=1)
+        if pairs is not None:
+            w = pure_moments(psi, pairs)[1]
         lhs, rhs = relation_sides(relation, np.sqrt(v), v, e, h, w, s)
         return float(lhs - rhs)
 
@@ -308,8 +290,6 @@ def is_counterexample(result: ProbeResult) -> bool:
 
 def conjecture_gaps_batch(psis: np.ndarray, ops) -> np.ndarray:
     """Vectorized conjectured-bound gaps for a batch of pure state vectors."""
-    axes = ops.as_tuple()
-    e = [batch_expectation(psis, op) for op in axes]
-    v = [batch_variance(psis, op) for op in axes]
+    e, v = pure_moments(psis, np.array(ops.as_tuple()))
     lhs, rhs = relation_sides(RelationId.R11_CONJECTURE_TRIPLE_PRODUCT, np.sqrt(v), v, e)
     return lhs - rhs

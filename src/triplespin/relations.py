@@ -413,7 +413,6 @@ def soak_qubit(
     n_mixed: int,
     seed: int,
     tolerance: float = 1e-10,
-    threads: int = 1,
 ) -> SoakSummary:
     """Evaluate every qubit relation on random pure and mixed state batches.
 
@@ -425,6 +424,8 @@ def soak_qubit(
 
     if not math.isfinite(tolerance):
         raise ValueError(f"tolerance must be finite, got {tolerance}")
+    if n_pure < 0 or n_mixed < 0:
+        raise ValueError(f"state counts must be nonnegative, got {n_pure} pure and {n_mixed} mixed")
     blochs = []
     if n_pure > 0:
         blochs.append(random_pure_bloch(n_pure, seed, 0))
@@ -432,17 +433,7 @@ def soak_qubit(
         blochs.append(random_mixed_bloch(n_mixed, seed, 1))
     if not blochs:
         raise ValueError("need at least one sample")
-    bloch = np.vstack(blochs)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(bloch, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            gaps = np.vstack(list(pool.map(kernels.qubit_relation_gaps, chunks)))
-    else:
-        gaps = kernels.qubit_relation_gaps(bloch)
-
+    gaps = kernels.qubit_relation_gaps(np.vstack(blochs))
     mins = gaps.min(axis=0)
     viol = np.count_nonzero(~(gaps >= -tolerance), axis=0)
     return SoakSummary(

@@ -97,9 +97,13 @@ def check_analogs(p: TrianglePoint, saturation_tol: float = SATURATION_TOL) -> l
 
 
 def sample_barycentric(n: int, seed: int) -> np.ndarray:
-    """(n, 3) interior points: uniform triples normalized to sum 1."""
+    """(n, 3) points uniform over the triangle, as barycentric weights.
+
+    Normalized standard exponential triples are Dirichlet(1, 1, 1), the
+    uniform distribution on the simplex.
+    """
     rng = stream(seed)
-    x = rng.random((n, 3))
+    x = rng.standard_exponential((n, 3))
     return x / x.sum(axis=1, keepdims=True)
 
 

@@ -73,7 +73,7 @@ def test_verify_rejects_conflicting_state_inputs(capsys):
 
 
 def test_sweep_csv_schema(capsys):
-    code, out, _ = run(capsys, "sweep", "--family", "r1", "--points", "8", "--analytic")
+    code, out, _ = run(capsys, "sweep", "--family", "r1", "--points", "8")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == CSV_HEADER
@@ -207,6 +207,14 @@ def test_soak_cli_passes(capsys):
     code, out, _ = run(capsys, "soak", "--pure", "3000", "--mixed-n", "3000", "--seed", "1")
     assert code == 0
     assert "status: OK" in out
+
+
+@pytest.mark.parametrize("counts", [("-5", "100"), ("100", "-5")])
+def test_soak_cli_rejects_negative_counts(capsys, counts):
+    code, out, err = run(capsys, "soak", "--pure", counts[0], "--mixed-n", counts[1])
+    assert code == 2
+    assert out == ""
+    assert "nonnegative" in err
 
 
 def test_relation_token_parsing():

@@ -9,7 +9,6 @@ from triplespin.measure_sim import (
     EstimationResult,
     ShotConfig,
     analytic_row,
-    estimated_std_dev,
     exact_expectation,
     propagate_derived,
     rows_to_csv,
@@ -63,31 +62,6 @@ def test_per_draw_mode_matches_distribution():
     b = simulate_expectation(st, Axis.SZ, cfg, per_draw=True)
     assert a == b
     assert abs(a.estimate - 0.3) <= 5 * a.stderr
-
-
-def test_estimated_std_dev_flat_point():
-    est = EstimationResult(Axis.SZ, 0.0, 1e-3, 1000)
-    value, err = estimated_std_dev(est)
-    assert value == 0.5
-    assert err == 0.0
-
-
-def test_estimated_std_dev_boundary_singularity():
-    value, err = estimated_std_dev(EstimationResult(Axis.SZ, 0.5, 1e-3, 1000))
-    assert value == 0.0
-    assert math.isnan(err)
-
-
-def test_estimated_std_dev_propagates_derivative():
-    # analytic derivative: |e| / sqrt(1/4 - e^2) = 1/sqrt(2) at e = 1/(2 sqrt 3)
-    value, err = estimated_std_dev(EstimationResult(Axis.SZ, 1 / (2 * SQ3), 1e-3, 1000))
-    assert value == pytest.approx(1 / math.sqrt(6.0), abs=1e-12)
-    assert err == pytest.approx(1e-3 / math.sqrt(2.0), rel=0.01)
-
-
-def test_estimated_std_dev_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        estimated_std_dev(EstimationResult(Axis.SZ, 0.6, 0.0, 10))
 
 
 def _exact_row(state):
@@ -272,3 +246,10 @@ def test_csv_significant_digits():
     fields = body.split(",")
     assert fields[1] == format(row.sx.estimate, ".12g")
     assert len(fields[1].replace("0.", "").replace("-", "")) <= 12
+
+
+def test_analytic_sweep_prints_no_negative_zero():
+    # the latitude family at phi = 0 has r_y = 0, which must print as 0, not -0
+    csv = rows_to_csv(run_sweep(Family.R1_LATITUDE, 4, ShotConfig(shots=1, seed=0), analytic_only=True))
+    assert csv.split("\n")[1].split(",")[3] == "0"
+    assert ",-0," not in csv

@@ -4,10 +4,10 @@ import pytest
 from triplespin.errors import DimensionMismatchError, NotHermitianError
 from triplespin.moments import (
     EntropyBase,
-    batch_expectation,
-    batch_variance,
+    bloch_moments,
     expectation,
     outcome_distribution,
+    pure_moments,
     shannon_entropy,
     std_dev,
     variance,
@@ -164,9 +164,42 @@ def test_batch_moments_match_scalar_path():
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
     from triplespin.states import from_statevector
 
-    e_batch = batch_expectation(psis, ops.sx)
-    v_batch = batch_variance(psis, ops.sx)
+    e_batch, v_batch = pure_moments(psis, ops.sx)
     for i in range(0, 50, 7):
         st = from_statevector(psis[i])
         assert abs(e_batch[i] - expectation(st, ops.sx)) <= 1e-12
         assert abs(v_batch[i] - variance(st, ops.sx)) <= 1e-12
+
+
+def test_pure_moments_shapes_follow_arguments():
+    ops = build_spin_operators(2)
+    stack = np.array(ops.as_tuple())
+    rng = stream(7)
+    psis = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    e, v = pure_moments(psis, stack)
+    assert e.shape == v.shape == (3, 5)
+    e1, v1 = pure_moments(psis[2], stack)
+    assert e1.shape == v1.shape == (3,)
+    np.testing.assert_allclose(e1, e[:, 2], atol=1e-15)
+    np.testing.assert_allclose(v1, v[:, 2], atol=1e-15)
+    e0, v0 = pure_moments(psis[2], ops.sy)
+    assert np.ndim(e0) == np.ndim(v0) == 0
+    assert abs(e0 - e[1, 2]) <= 1e-15 and abs(v0 - v[1, 2]) <= 1e-15
+
+
+def test_bloch_moments_match_scalar_path():
+    """Closed-form qubit moments vs the matrix and spectral route."""
+    blochs = np.vstack([random_pure_bloch(500, 23), random_mixed_bloch(500, 24)])
+    d, v, e, h, w = bloch_moments(blochs.T)
+    assert d.shape == v.shape == e.shape == h.shape == w.shape == (3, 1000)
+    axes = QUBIT.as_tuple()
+    for n in range(0, 1000, 37):
+        st = density_from_bloch(blochs[n])
+        for i, op in enumerate(axes):
+            pair = np.asarray(op) + np.asarray(axes[(i + 1) % 3])
+            assert abs(e[i, n] - expectation(st, op)) <= 1e-12
+            assert abs(v[i, n] - variance(st, op)) <= 1e-12
+            assert abs(d[i, n] - std_dev(st, op)) <= 1e-12
+            assert abs(h[i, n] - shannon_entropy(st, op)) <= 1e-12
+            assert abs(w[i, n] - variance(st, pair)) <= 1e-12

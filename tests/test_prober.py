@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 
 from triplespin import prober
 from triplespin.errors import SpinRestrictionError, TripleSpinError
-from triplespin.moments import batch_expectation, expectation, variance
+from triplespin.moments import expectation, variance
 from triplespin.prober import (
     ProbeConfig,
     _bloch_from_params,

@@ -5,7 +5,7 @@ import pytest
 
 from triplespin import kernels, states
 from triplespin.errors import DimensionMismatchError, SpinRestrictionError
-from triplespin.moments import batch_variance
+from triplespin.moments import pure_moments
 from triplespin.prober import conjecture_gaps_batch
 from triplespin.relations import (
     ENTROPIC,
@@ -252,13 +252,6 @@ def test_soak_small_sample_is_sound():
     assert all(g >= -1e-10 for g in summary.min_gap.values())
 
 
-def test_soak_threaded_matches_serial():
-    serial = soak_qubit(4000, 4000, seed=5)
-    threaded = soak_qubit(4000, 4000, seed=5, threads=3)
-    assert serial.min_gap == threaded.min_gap
-    assert serial.violations == threaded.violations
-
-
 def test_soak_counts_non_finite_gap_as_violation(monkeypatch):
     real = kernels.qubit_relation_gaps
 
@@ -321,7 +314,7 @@ def test_chained_pair_products_give_naive_triple_bound():
 def test_variance_sum_bound_random_states(twice_s):
     ops = build_spin_operators(twice_s)
     psis = random_pure_vectors(twice_s + 1, 10_000, seed=twice_s)
-    sums = sum(batch_variance(psis, op) for op in ops.as_tuple())
+    sums = pure_moments(psis, np.array(ops.as_tuple()))[1].sum(axis=0)
     assert np.min(sums) - twice_s / 2.0 >= -1e-10
 
 

@@ -158,3 +158,10 @@ def test_sample_barycentric_properties():
     np.testing.assert_allclose(b.sum(axis=1), 1.0, atol=1e-12)
     assert b.min() >= 0.0
     assert np.array_equal(b, sample_barycentric(1000, seed=1))
+
+
+def test_sample_barycentric_is_uniform_over_the_triangle():
+    # Dirichlet(1, 1, 1): P(min weight < t) = 1 - (1 - 3t)^2, which is 0.51 at t = 0.1
+    b = sample_barycentric(400_000, seed=1)
+    share = np.mean(b.min(axis=1) < 0.1)
+    assert abs(share - 0.51) <= 0.01

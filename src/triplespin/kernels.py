@@ -20,6 +20,10 @@ BACKEND = "numpy"
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
+#: Rows per kind that the soak and the triangle scan draw and pass to one
+#: kernel call; they reduce chunk by chunk, so memory does not grow with n.
+CHUNK_ROWS = 1 << 15
+
 #: Column order of qubit_relation_gaps output.
 QUBIT_GAP_COLUMNS = tuple(relation.name for relation in QUBIT_SOAK_RELATIONS)
 

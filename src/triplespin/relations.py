@@ -416,9 +416,12 @@ def soak_qubit(
 ) -> SoakSummary:
     """Evaluate every qubit relation on random pure and mixed state batches.
 
-    Pure states are Haar-distributed, mixed ones Hilbert-Schmidt, drawn from
-    the independent streams (seed, 0) and (seed, 1). Returns the minimum gap
-    and the count of gaps not at or above -tolerance (NaN counts) per relation.
+    Pure states are Haar-distributed, mixed ones Hilbert-Schmidt. Chunk k
+    stacks up to kernels.CHUNK_ROWS states of each kind, drawn from the
+    independent streams (seed, 0, k) and (seed, 1, k), and folds the chunk's
+    gaps into the running result, so memory stays constant in the counts.
+    Returns the minimum gap (NaN if any gap is NaN) and the count of gaps not
+    at or above -tolerance (NaN counts) per relation.
     """
     from . import kernels  # kernels reads this module's table at import
 
@@ -426,16 +429,21 @@ def soak_qubit(
         raise ValueError(f"tolerance must be finite, got {tolerance}")
     if n_pure < 0 or n_mixed < 0:
         raise ValueError(f"state counts must be nonnegative, got {n_pure} pure and {n_mixed} mixed")
-    blochs = []
-    if n_pure > 0:
-        blochs.append(random_pure_bloch(n_pure, seed, 0))
-    if n_mixed > 0:
-        blochs.append(random_mixed_bloch(n_mixed, seed, 1))
-    if not blochs:
+    if n_pure + n_mixed == 0:
         raise ValueError("need at least one sample")
-    gaps = kernels.qubit_relation_gaps(np.vstack(blochs))
-    mins = gaps.min(axis=0)
-    viol = np.count_nonzero(~(gaps >= -tolerance), axis=0)
+    chunk = kernels.CHUNK_ROWS
+    mins = np.full(len(QUBIT_SOAK_RELATIONS), np.inf)
+    viol = np.zeros(len(QUBIT_SOAK_RELATIONS), dtype=np.int64)
+    kinds = ((n_pure, random_pure_bloch), (n_mixed, random_mixed_bloch))
+    for k in range(-(-max(n_pure, n_mixed) // chunk)):
+        blochs = [
+            draw(min(chunk, n - k * chunk), seed, kind, k)
+            for kind, (n, draw) in enumerate(kinds)
+            if n > k * chunk
+        ]
+        gaps = kernels.qubit_relation_gaps(np.vstack(blochs)).T
+        np.minimum(mins, gaps.min(axis=1), out=mins)
+        viol += np.count_nonzero(~(gaps >= -tolerance), axis=1)
     return SoakSummary(
         n_pure=n_pure,
         n_mixed=n_mixed,

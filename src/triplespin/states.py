@@ -162,15 +162,25 @@ def random_pure_bloch(n: int, seed: int, *key: int) -> np.ndarray:
 
 
 def random_mixed_bloch(n: int, seed: int, *key: int) -> np.ndarray:
-    """(n, 3) Bloch vectors of Hilbert-Schmidt random qubit mixed states from stream (seed, *key)."""
+    """(n, 3) Bloch vectors of Hilbert-Schmidt random qubit mixed states from stream (seed, *key).
+
+    rho = G G^dag / tr(G G^dag) for G = [[a, b], [c, d]] of standard complex
+    normals, in closed form: with x = a conj(c) + b conj(d) and
+    t = |a|^2 + |b|^2 + |c|^2 + |d|^2, r = (2 Re x, -2 Im x, |a|^2 + |b|^2 - |c|^2 - |d|^2) / t.
+    """
     rng = stream(seed, *key)
-    g = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
-    m = g @ np.conj(np.swapaxes(g, 1, 2))
-    t = np.trace(m, axis1=1, axis2=2).real
-    rx = 2.0 * m[:, 0, 1].real / t
-    ry = -2.0 * m[:, 0, 1].imag / t
-    rz = (m[:, 0, 0] - m[:, 1, 1]).real / t
-    return np.column_stack([rx, ry, rz])
+    re = rng.standard_normal((n, 2, 2))
+    im = rng.standard_normal((n, 2, 2))
+    ar, br, cr, dr = re.reshape(n, 4).T
+    ai, bi, ci, di = im.reshape(n, 4).T
+    top = ar * ar + ai * ai + br * br + bi * bi
+    bottom = cr * cr + ci * ci + dr * dr + di * di
+    bloch = np.empty((n, 3))
+    bloch[:, 0] = 2.0 * (ar * cr + ai * ci + br * dr + bi * di)
+    bloch[:, 1] = 2.0 * (ar * ci - ai * cr + br * di - bi * dr)
+    bloch[:, 2] = top - bottom
+    bloch /= (top + bottom)[:, None]
+    return bloch
 
 
 def random_pure_vectors(dim: int, n: int, seed: int) -> np.ndarray:

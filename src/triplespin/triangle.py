@@ -96,13 +96,13 @@ def check_analogs(p: TrianglePoint, saturation_tol: float = SATURATION_TOL) -> l
     ]
 
 
-def sample_barycentric(n: int, seed: int) -> np.ndarray:
-    """(n, 3) points uniform over the triangle, as barycentric weights.
+def sample_barycentric(n: int, seed: int, *key: int) -> np.ndarray:
+    """(n, 3) points uniform over the triangle, as barycentric weights, from stream (seed, *key).
 
     Normalized standard exponential triples are Dirichlet(1, 1, 1), the
     uniform distribution on the simplex.
     """
-    rng = stream(seed)
+    rng = stream(seed, *key)
     x = rng.standard_exponential((n, 3))
     return x / x.sum(axis=1, keepdims=True)
 
@@ -133,17 +133,34 @@ class TriangleScan:
 
 
 def scan(n: int, seed: int, side: float = 1.0) -> TriangleScan:
-    """Sample n interior points and record the minimum gap per analog."""
-    bary = sample_barycentric(n, seed)
-    gaps = kernels.triangle_analog_gaps(bary, side)
+    """Sample n interior points and record the minimum gap per analog.
+
+    Chunk k draws up to kernels.CHUNK_ROWS points from stream (seed, k) and
+    folds its gaps into a running minimum and argmin per analog, so memory
+    stays constant in n. The first occurrence of a tied minimum wins, and a
+    NaN gap becomes the minimum.
+    """
+    if n < 1:
+        raise ValueError(f"triangle scan needs at least one sample, got {n} samples")
     rel_ids = TRIANGLE_ANALOG_RELATIONS
-    idx = gaps.argmin(axis=0)
+    chunk = kernels.CHUNK_ROWS
+    cols = np.arange(len(rel_ids))
+    mins = np.full(len(rel_ids), np.inf)
+    argmin_bary = np.zeros((len(rel_ids), 3))
+    for k in range(-(-n // chunk)):
+        bary = sample_barycentric(min(chunk, n - k * chunk), seed, k)
+        gaps = kernels.triangle_analog_gaps(bary, side)
+        idx = gaps.argmin(axis=0)
+        chunk_mins = gaps[idx, cols]
+        better = (chunk_mins < mins) | (np.isnan(chunk_mins) & ~np.isnan(mins))
+        mins[better] = chunk_mins[better]
+        argmin_bary[better] = bary[idx[better]]
     return TriangleScan(
         side=side,
         samples=n,
         seed=seed,
-        min_gap={rel: float(gaps[idx[i], i]) for i, rel in enumerate(rel_ids)},
-        argmin_bary={rel: tuple(float(x) for x in bary[idx[i]]) for i, rel in enumerate(rel_ids)},
+        min_gap={rel: float(mins[i]) for i, rel in enumerate(rel_ids)},
+        argmin_bary={rel: tuple(float(x) for x in argmin_bary[i]) for i, rel in enumerate(rel_ids)},
     )
 
 

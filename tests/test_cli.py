@@ -203,6 +203,14 @@ def test_triangle_cli(capsys):
     assert all(v["min_gap"] >= -1e-12 for v in data["analogs"].values())
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_triangle_cli_rejects_non_positive_samples(capsys, samples):
+    code, out, err = run(capsys, "triangle", "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert f"got {samples} samples" in err
+
+
 def test_soak_cli_passes(capsys):
     code, out, _ = run(capsys, "soak", "--pure", "3000", "--mixed-n", "3000", "--seed", "1")
     assert code == 0

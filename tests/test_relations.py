@@ -286,6 +286,57 @@ def test_soak_batches_draw_from_independent_streams(monkeypatch):
     assert keys[0] != keys[1]
 
 
+def _keyed_soak_draws(n_pure, n_mixed, seed, chunk):
+    """Every chunk's pure and mixed draws, stacked in the order the soak visits them."""
+    blochs = []
+    for k in range(-(-max(n_pure, n_mixed) // chunk)):
+        for kind, (n, draw) in enumerate(((n_pure, random_pure_bloch), (n_mixed, random_mixed_bloch))):
+            if n - k * chunk > 0:
+                blochs.append(draw(min(chunk, n - k * chunk), seed, kind, k))
+    return np.vstack(blochs)
+
+
+@pytest.mark.parametrize("n_pure, n_mixed", [(2500, 1200), (700, 2300), (3000, 3000), (0, 1001)])
+def test_soak_chunked_reduction_matches_direct(monkeypatch, n_pure, n_mixed):
+    real = kernels.qubit_relation_gaps
+
+    def shifted(bloch):
+        return real(bloch) - 0.05  # near-saturating states now count as violations
+
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 1000)
+    monkeypatch.setattr(kernels, "qubit_relation_gaps", shifted)
+    summary = soak_qubit(n_pure, n_mixed, seed=5)
+    gaps = shifted(_keyed_soak_draws(n_pure, n_mixed, 5, 1000))
+    assert len(gaps) == n_pure + n_mixed
+    mins = gaps.min(axis=0)
+    viol = np.count_nonzero(gaps < -summary.tolerance, axis=0)
+    assert viol.any()
+    for i, rel in enumerate(QUBIT_SOAK_RELATIONS):
+        assert summary.min_gap[rel] == mins[i]
+        assert summary.violations[rel] == viol[i]
+
+
+def test_soak_nan_in_a_later_chunk_fails(monkeypatch):
+    real = kernels.qubit_relation_gaps
+    column = QUBIT_SOAK_RELATIONS.index(RelationId.R3_TRIPLE_PRODUCT)
+    calls = []
+
+    def nan_after_first_chunk(bloch):
+        gaps = np.array(real(bloch))
+        if calls:
+            gaps[len(bloch) // 2, column] = np.nan
+        calls.append(len(bloch))
+        return gaps
+
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 1000)
+    monkeypatch.setattr(kernels, "qubit_relation_gaps", nan_after_first_chunk)
+    summary = soak_qubit(1000, 1500, seed=3)
+    assert calls == [2000, 500]
+    assert math.isnan(summary.min_gap[RelationId.R3_TRIPLE_PRODUCT])
+    assert summary.violations[RelationId.R3_TRIPLE_PRODUCT] == 1
+    assert not summary.ok
+
+
 def test_dominance_of_tightened_bounds():
     blochs = np.vstack([random_pure_bloch(200, 31), random_mixed_bloch(200, 32)])
     for r in blochs:

@@ -20,6 +20,7 @@ from triplespin.states import (
     state_from_json_dict,
     state_to_json_dict,
 )
+from triplespin.rng import stream
 
 SQ3 = np.sqrt(3.0)
 
@@ -133,6 +134,19 @@ def test_batch_bloch_generators_match_state_invariants():
     mixed = random_mixed_bloch(2000, 12)
     np.testing.assert_allclose(np.linalg.norm(pure, axis=1), 1.0, atol=1e-12)
     assert np.all(np.linalg.norm(mixed, axis=1) < 1.0)
+
+
+@pytest.mark.parametrize("key", [(), (1,), (1, 4)])
+def test_random_mixed_bloch_matches_matrix_route(key):
+    n = 20_000
+    rng = stream(29, *key)
+    g = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    m = g @ np.conj(np.swapaxes(g, 1, 2))
+    m /= np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    reference = np.column_stack([2.0 * m[:, 0, 1].real, -2.0 * m[:, 0, 1].imag, (m[:, 0, 0] - m[:, 1, 1]).real])
+    bloch = random_mixed_bloch(n, 29, *key)
+    assert np.abs(bloch - reference).max() <= 1e-15
+    assert np.linalg.norm(bloch, axis=1).max() <= 1.0 + 1e-12
 
 
 def test_state_json_roundtrip():

@@ -152,6 +152,73 @@ def test_scan_summary_structure():
     assert "R5_TRIPLE_SUM" in d["analogs"]
 
 
+def test_scan_rejects_empty_or_negative_sample_counts():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"{n} samples"):
+            scan(n, seed=1)
+
+
+def _keyed_scan_draws(n, seed, chunk):
+    """Every chunk's barycentric draws, stacked in the order the scan visits them."""
+    return np.vstack(
+        [sample_barycentric(min(chunk, n - k * chunk), seed, k) for k in range(-(-n // chunk))]
+    )
+
+
+def _assert_scan_matches_direct(result, bary, gaps):
+    idx = gaps.argmin(axis=0)
+    for i, name in enumerate(kernels.TRIANGLE_GAP_COLUMNS):
+        rel = RelationId[name]
+        assert result.min_gap[rel] == gaps[idx[i], i]
+        assert result.argmin_bary[rel] == tuple(bary[idx[i]])
+
+
+@pytest.mark.parametrize("n", [1000, 3500])
+def test_scan_chunked_reduction_matches_direct(monkeypatch, n):
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 1000)
+    result = scan(n, seed=4, side=2.0)
+    bary = _keyed_scan_draws(n, 4, 1000)
+    assert len(bary) == n
+    _assert_scan_matches_direct(result, bary, kernels.triangle_analog_gaps(bary, 2.0))
+
+
+def test_scan_tied_minima_keep_the_first_occurrence(monkeypatch):
+    real = kernels.triangle_analog_gaps
+
+    def coarse(bary, side):
+        return np.round(real(bary, side), 1)
+
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 1000)
+    monkeypatch.setattr(kernels, "triangle_analog_gaps", coarse)
+    result = scan(3500, seed=6)
+    bary = _keyed_scan_draws(3500, 6, 1000)
+    gaps = coarse(bary, 1.0)
+    # every chunk attains each rounded minimum, so later chunks tie with the first
+    for chunk in np.split(gaps, [1000, 2000, 3000]):
+        assert np.array_equal(chunk.min(axis=0), gaps.min(axis=0))
+    _assert_scan_matches_direct(result, bary, gaps)
+
+
+def test_scan_nan_in_a_later_chunk_becomes_the_minimum(monkeypatch):
+    real = kernels.triangle_analog_gaps
+    calls = []
+
+    def nan_in_second_chunk(bary, side):
+        gaps = real(bary, side)
+        if len(calls) == 1:
+            gaps[7, 0] = np.nan
+        calls.append(len(bary))
+        return gaps
+
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 1000)
+    monkeypatch.setattr(kernels, "triangle_analog_gaps", nan_in_second_chunk)
+    result = scan(3500, seed=8)
+    assert calls == [1000, 1000, 1000, 500]
+    rel = RelationId[kernels.TRIANGLE_GAP_COLUMNS[0]]
+    assert math.isnan(result.min_gap[rel])
+    assert result.argmin_bary[rel] == tuple(sample_barycentric(1000, 8, 1)[7])
+
+
 def test_sample_barycentric_properties():
     b = sample_barycentric(1000, seed=1)
     assert b.shape == (1000, 3)

@@ -2,8 +2,9 @@
 
 Subcommands write CSV for sweep data and JSON for structured reports. When
 ``--emit PATH`` is given the output goes to PATH and a run manifest is
-written next to it (PATH.manifest.json) recording the exact argv, seed, and
-tool version; re-dispatching the recorded argv reproduces the output file
+written next to it (PATH.manifest.json) recording the exact argv, seed, tool
+version and environment (Python and numpy versions, kernel backend and chunk
+size); re-dispatching the recorded argv reproduces the output file
 byte for byte. The default seed can be overridden with the TRIPLESPIN_SEED
 environment variable.
 """
@@ -14,12 +15,13 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
 from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__
+from . import __version__, kernels
 from .measure_sim import ShotConfig, rows_to_csv, run_sweep
 from .prober import ProbeConfig, is_counterexample, min_gap, scan_conjecture
 from .relations import (
@@ -124,6 +126,12 @@ def _write_output(text: str, args, command: str, seed) -> None:
             },
             "seed": seed,
             "version": __version__,
+            "env": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "backend": kernels.BACKEND,
+                "chunk_rows": kernels.CHUNK_ROWS,
+            },
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
         with open(args.emit + ".manifest.json", "w", encoding="utf-8") as fh:
@@ -161,8 +169,8 @@ def _cmd_verify(args) -> int:
                 f"twice_s = {spin.twice_s}"
             )
     tol = args.tolerance
-    if not math.isfinite(tol):
-        raise CliError(f"--tolerance must be finite, got {tol}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise CliError(f"--tolerance must be finite and nonnegative, got {tol}")
     state = _build_state(args, spin)
     reports = []
     for rel in relations:

@@ -5,7 +5,9 @@ Pure states in dimension d are parametrized by 2d-1 unconstrained reals
 evaluation), so a simplex search never leaves the state manifold. For the
 qubit, an optional mixed-state mode searches the closed Bloch ball instead.
 Gaps involve absolute values and square roots with kinks at saturation, so
-local refinement uses the Nelder-Mead simplex rather than gradients.
+local refinement uses the Nelder-Mead simplex rather than gradients. All
+restarts of a search advance together, one batched objective call per
+simplex stage.
 """
 
 from __future__ import annotations
@@ -14,11 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import entr
 
 from .errors import SpinRestrictionError, TripleSpinError
-from .moments import bloch_moments, pure_moments
+from .moments import bloch_moments, entr, pure_moments
 from .relations import ENTROPIC, RelationId, _ops, applicable_to, evaluate, relation_sides
 from .rng import stream
 from .spin_ops import Spin, build_spin_operators
@@ -28,6 +28,11 @@ from .states import QuantumState, density_from_bloch, from_statevector, random_p
 COUNTEREXAMPLE_TOL = 1e-8
 
 _XATOL = 1e-8
+# scipy's non-adaptive Nelder-Mead coefficients and initial-simplex steps
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+#: Weights (a, b) of the second point a xbar - b worst: expansion, outside and inside contraction.
+_SECOND_POINT = np.array([[1 + _RHO * _CHI, _RHO * _CHI], [1 + _PSI * _RHO, _PSI * _RHO], [1 - _PSI, -_PSI]])
 
 
 @dataclass(frozen=True)
@@ -74,14 +79,17 @@ class ProbeResult:
 
 
 def _psi_from_params(x: np.ndarray, dim: int) -> np.ndarray:
-    psi = np.empty(dim, dtype=complex)
-    psi[0] = abs(x[0])
-    psi[1:] = x[1::2] + 1j * x[2::2]
-    norm = np.linalg.norm(psi)
-    if norm == 0.0:
-        psi[0] = 1.0
-        norm = 1.0
-    return psi / norm
+    """Normalized state vectors, shape (..., dim), from parameter rows (..., 2 dim - 1)."""
+    x = np.asarray(x, dtype=float)
+    # interleaved (re, im) pairs; the first amplitude is |x_0| with zero imaginary part
+    pairs = np.zeros(x.shape[:-1] + (2 * dim,))
+    pairs[..., 0] = np.abs(x[..., 0])
+    pairs[..., 2:] = x[..., 1:]
+    norm = np.sqrt(np.sum(pairs * pairs, axis=-1, keepdims=True))
+    zero = norm == 0.0
+    pairs[..., :1][zero] = 1.0
+    norm[zero] = 1.0
+    return pairs.view(complex) / norm
 
 
 def _state_from_params(x: np.ndarray, dim: int) -> QuantumState:
@@ -100,9 +108,9 @@ def _params_from_vector(psi: np.ndarray) -> np.ndarray:
 
 
 def _bloch_from_params(x: np.ndarray) -> np.ndarray:
+    """Bloch vectors (..., 3): rows of x outside the unit ball projected onto its surface."""
     r = np.asarray(x, dtype=float)
-    norm = np.linalg.norm(r)
-    return r / norm if norm > 1.0 else r
+    return r / np.maximum(np.linalg.norm(r, axis=-1, keepdims=True), 1.0)
 
 
 def _random_start(dim: int, seed: int, restart: int, mixed: bool) -> np.ndarray:
@@ -117,14 +125,15 @@ def _random_start(dim: int, seed: int, restart: int, mixed: bool) -> np.ndarray:
 
 
 def gap_objective(relation: RelationId, spin: Spin | int, mixed: bool = False):
-    """The search objective: x -> gap of `relation` at the state x parametrizes.
+    """The search objective: (m, p) parameter rows -> (m,) gaps of `relation`.
 
-    Equals evaluate(relation, state, spin).gap, but passes moments straight
-    to relations.relation_sides without building a validated QuantumState.
-    With mixed=True they are the closed-form moments of the Bloch vector x
-    (moments.bloch_moments). Otherwise they are the moments of the state
-    vector (moments.pure_moments) over the operator stack, its eigenbases and
-    the R8 pair sums, all prepared once here. Spin-component spectra are
+    Row k's gap equals evaluate(relation, state, spin).gap at the state row k
+    parametrizes, but moments go straight to relations.relation_sides without
+    building validated QuantumStates. With mixed=True they are the closed-form
+    moments of the Bloch vectors (moments.bloch_moments on (3, m) rows).
+    Otherwise they are the moments of the (m, d) state vectors
+    (moments.pure_moments) over the operator stack, its eigenbases and the R8
+    pair sums, all prepared once here. Spin-component spectra are
     nondegenerate, so outcome probabilities are the squared amplitudes in the
     eigenbasis with no eigenvalue merging.
     """
@@ -135,27 +144,28 @@ def gap_objective(relation: RelationId, spin: Spin | int, mixed: bool = False):
     if mixed:
 
         def bloch_objective(x):
-            lhs, rhs = relation_sides(relation, *bloch_moments(_bloch_from_params(x)), s)
-            return float(lhs - rhs)
+            lhs, rhs = relation_sides(relation, *bloch_moments(_bloch_from_params(x).T), s)
+            return lhs - rhs
 
         return bloch_objective
 
     dim = spin.dim
     ops = np.array(_ops(spin.twice_s).as_tuple(), dtype=complex)
-    eigvecs_h = np.linalg.eigh(ops)[1].conj().transpose(0, 2, 1) if relation in ENTROPIC else None
+    # (3, d, d) with eigenvectors as columns: psis @ basis[i] are the amplitudes in S_i's eigenbasis
+    basis = np.linalg.eigh(ops)[1].conj() if relation in ENTROPIC else None
     pairs = ops + ops[[1, 2, 0]] if relation is RelationId.R8_VARIANCE_OF_SUMS else None
 
     def objective(x):
-        psi = _psi_from_params(x, dim)
-        e, v = pure_moments(psi, ops)
+        psis = _psi_from_params(x, dim)
+        e, v = pure_moments(psis, ops)
         h = w = None
-        if eigvecs_h is not None:
-            a = eigvecs_h @ psi
-            h = entr(a.real**2 + a.imag**2).sum(axis=1)
+        if basis is not None:
+            a = psis @ basis
+            h = entr(a.real**2 + a.imag**2).sum(axis=-1)
         if pairs is not None:
-            w = pure_moments(psi, pairs)[1]
+            w = pure_moments(psis, pairs)[1]
         lhs, rhs = relation_sides(relation, np.sqrt(v), v, e, h, w, s)
-        return float(lhs - rhs)
+        return lhs - rhs
 
     return objective
 
@@ -168,17 +178,114 @@ def _validated_gap(relation: RelationId, state: QuantumState, spin: Spin) -> flo
     return gap
 
 
-def _refine(objective, x0: np.ndarray, cfg: ProbeConfig):
-    return minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": cfg.max_iters,
-            "xatol": _XATOL,
-            "fatol": cfg.tol,
-        },
-    )
+@dataclass(frozen=True)
+class SimplexRuns:
+    """Outcome of lockstep_nelder_mead, one row per start.
+
+    x is the best vertex, fun the lowest simplex value (NaN if any vertex
+    is NaN), nit the iterations, nfev the objective evaluations, and
+    success whether the run met the xatol/fatol test before max_iters.
+    """
+
+    x: np.ndarray
+    fun: np.ndarray
+    nit: np.ndarray
+    nfev: np.ndarray
+    success: np.ndarray
+
+
+def _batch_values(objective, points: np.ndarray) -> np.ndarray:
+    values = np.asarray(objective(points), dtype=float)
+    if values.shape != (len(points),):
+        raise ValueError(f"objective returned shape {values.shape} for {len(points)} points")
+    return values
+
+
+def _sort_simplices(sim: np.ndarray, fsim: np.ndarray):
+    rows = np.arange(len(fsim))[:, None]
+    order = np.argsort(fsim, axis=1)
+    return sim[rows, order], fsim[rows, order]
+
+
+def lockstep_nelder_mead(objective, x0: np.ndarray, max_iters: int, fatol: float) -> SimplexRuns:
+    """Nelder-Mead from each row of x0 (m, n), all runs advancing together.
+
+    objective maps (k, n) points to (k,) values. Each run follows the
+    sequence of scipy.optimize.minimize(method="Nelder-Mead") with
+    maxiter=max_iters, xatol=1e-8 and fatol=fatol (Nelder & Mead, Comput.
+    J. 7, 308, 1965): coefficients 1, 2, 1/2, 1/2, the initial simplex x0
+    with one coordinate at a time raised 5% (or set to 0.00025 when it is
+    0), the xatol/fatol test, and the argsort re-ordering of every simplex
+    after each step. An iteration makes at most three batched calls: all
+    reflections, then each run's one expansion or contraction point, then
+    all shrink points. A run whose values equal the scalar function's
+    reproduces scipy's result exactly.
+    """
+    sim0 = np.array(x0, dtype=float)
+    m, n = sim0.shape
+    sim = np.repeat(sim0[:, None, :], n + 1, axis=1)
+    axes = np.arange(n)
+    sim[:, axes + 1, axes] = np.where(sim0 != 0, (1 + _NONZDELT) * sim0, _ZDELT)
+    fsim = _batch_values(objective, sim.reshape(-1, n)).reshape(m, n + 1)
+    # scipy sorts the initial simplex twice; an unstable sort may move ties again
+    sim, fsim = _sort_simplices(*_sort_simplices(sim, fsim))
+
+    x, fun = np.empty((m, n)), np.empty(m)
+    nit, nfev = np.ones(m, dtype=np.int64), np.full(m, n + 1, dtype=np.int64)
+    success = np.zeros(m, dtype=bool)
+    live = np.arange(m)
+
+    def finish(rows, iterations, converged):
+        done = live[rows]
+        x[done], fun[done] = sim[rows, 0], fsim[rows].min(axis=1)
+        nit[done], success[done] = iterations, converged
+
+    iterations = 1
+    while iterations < max_iters:
+        converged = (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _XATOL) & (
+            np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol
+        )
+        if converged.any():
+            finish(converged, iterations, True)
+            live, sim, fsim = live[~converged], sim[~converged], fsim[~converged]
+            if not live.size:
+                break
+
+        xbar = np.add.reduce(sim[:, :-1], 1) / n
+        worst = sim[:, -1]
+        xr = (1 + _RHO) * xbar - _RHO * worst
+        fxr = _batch_values(objective, xr)
+        nfev[live] += 1
+
+        # scipy's branch on the reflected value: -1 accepts it, otherwise the row of
+        # _SECOND_POINT to try (0 expand, 1 contract outside, 2 contract inside)
+        step = np.where(fxr < fsim[:, 0], 0, np.where(fxr < fsim[:, -2], -1, np.where(fxr < fsim[:, -1], 1, 2)))
+        second = np.flatnonzero(step >= 0)
+        shrink = second[:0]
+        if second.size:
+            kind = step[second]
+            weights = _SECOND_POINT[kind]
+            x2 = weights[:, :1] * xbar[second] - weights[:, 1:] * worst[second]
+            f2 = _batch_values(objective, x2)
+            nfev[live[second]] += 1
+            fr = fxr[second]
+            better = np.where(kind == 0, f2 < fr, np.where(kind == 1, f2 <= fr, f2 < fsim[second, -1]))
+            # from here xr, fxr hold each run's replacement for its worst vertex
+            xr[second[better]], fxr[second[better]] = x2[better], f2[better]
+            shrink = second[~better & (kind > 0)]
+        if shrink.size:
+            best = sim[shrink, :1]
+            points = best + _SIGMA * (sim[shrink, 1:] - best)
+            sim[shrink, 1:] = points
+            fsim[shrink, 1:] = _batch_values(objective, points.reshape(-1, n)).reshape(-1, n)
+            nfev[live[shrink]] += n
+            xr[shrink], fxr[shrink] = sim[shrink, -1], fsim[shrink, -1]
+        sim[:, -1], fsim[:, -1] = xr, fxr
+
+        iterations += 1
+        sim, fsim = _sort_simplices(sim, fsim)
+    finish(slice(None), iterations, False)
+    return SimplexRuns(x=x, fun=fun, nit=nit, nfev=nfev, success=success)
 
 
 def min_gap(
@@ -200,22 +307,22 @@ def min_gap(
         raise SpinRestrictionError(f"{relation.value} is not applicable at twice_s = {spin.twice_s}")
     dim = spin.dim
 
-    objective = gap_objective(relation, spin, mixed)
-    runs = [_refine(objective, _random_start(dim, cfg.seed, r, mixed), cfg) for r in range(cfg.restarts)]
-    gaps = tuple(float(res.fun) for res in runs)
+    starts = np.array([_random_start(dim, cfg.seed, r, mixed) for r in range(cfg.restarts)])
+    runs = lockstep_nelder_mead(gap_objective(relation, spin, mixed), starts, cfg.max_iters, cfg.tol)
+    gaps = tuple(runs.fun.tolist())
     best_restart = min(range(cfg.restarts), key=gaps.__getitem__)
-    best = runs[best_restart]
+    best_x = runs.x[best_restart]
     if mixed:
-        argmin = density_from_bloch(_bloch_from_params(best.x))
+        argmin = density_from_bloch(_bloch_from_params(best_x))
     else:
-        argmin = _state_from_params(best.x, dim)
+        argmin = _state_from_params(best_x, dim)
     return ProbeResult(
         relation=relation,
         spin=spin,
         min_gap=_validated_gap(relation, argmin, spin),
         argmin_state=argmin,
-        converged=bool(best.success),
-        evaluations=sum(int(res.nfev) for res in runs),
+        converged=bool(runs.success[best_restart]),
+        evaluations=int(runs.nfev.sum()),
         best_restart=best_restart,
         restart_gaps=gaps,
     )
@@ -239,7 +346,7 @@ def scan_conjecture(
     """Scan the all-spin triple-product conjecture on random pure states.
 
     Evaluates the conjectured bound on `samples` Haar-random states, then
-    refines from the 10 smallest-gap samples with Nelder-Mead. A minimum
+    refines the 10 smallest-gap samples together with Nelder-Mead. A minimum
     below -COUNTEREXAMPLE_TOL marks a counterexample candidate; callers
     report it rather than fail.
     """
@@ -255,21 +362,17 @@ def scan_conjecture(
     psis = random_pure_vectors(dim, samples, cfg.seed)
     gaps = conjecture_gaps_batch(psis, ops)
     order = np.argsort(gaps)
-    objective = gap_objective(relation, spin)
+    starts = np.array([_params_from_vector(psis[i]) for i in order[:10]])
+    runs = lockstep_nelder_mead(gap_objective(relation, spin), starts, cfg.max_iters, cfg.tol)
 
     best_gap = float(gaps[order[0]])
     best_psi = psis[order[0]]
     converged = True
-    evaluations = samples
-    refined = []
-    for rank in range(min(10, samples)):
-        res = _refine(objective, _params_from_vector(psis[order[rank]]), cfg)
-        evaluations += int(res.nfev)
-        refined.append(float(res.fun))
-        if res.fun < best_gap:
-            best_gap = float(res.fun)
-            best_psi = _psi_from_params(res.x, dim)
-            converged = bool(res.success)
+    for fun, x, success in zip(runs.fun.tolist(), runs.x, runs.success):
+        if fun < best_gap:
+            best_gap = fun
+            best_psi = _psi_from_params(x, dim)
+            converged = bool(success)
 
     best_state = from_statevector(best_psi)
     return ProbeResult(
@@ -278,9 +381,9 @@ def scan_conjecture(
         min_gap=_validated_gap(relation, best_state, spin),
         argmin_state=best_state,
         converged=converged,
-        evaluations=evaluations,
+        evaluations=samples + int(runs.nfev.sum()),
         best_restart=0,
-        restart_gaps=tuple(refined),
+        restart_gaps=tuple(runs.fun.tolist()),
     )
 
 

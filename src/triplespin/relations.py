@@ -425,8 +425,8 @@ def soak_qubit(
     """
     from . import kernels  # kernels reads this module's table at import
 
-    if not math.isfinite(tolerance):
-        raise ValueError(f"tolerance must be finite, got {tolerance}")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     if n_pure < 0 or n_mixed < 0:
         raise ValueError(f"state counts must be nonnegative, got {n_pure} pure and {n_mixed} mixed")
     if n_pure + n_mixed == 0:

@@ -1,10 +1,11 @@
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
 
-from triplespin import cli
+from triplespin import cli, kernels
 from triplespin.cli import dispatch, parse_relation, parse_relations, replay
 from triplespin.measure_sim import CSV_HEADER
 from triplespin.relations import RelationId, RelationReport
@@ -109,6 +110,18 @@ def test_ops_emits_manifest(tmp_path, capsys):
     assert manifest["argv"][0] == "ops"
     assert manifest["version"]
     assert json.loads(target.read_text())["dim"] == 4
+
+
+def test_manifest_records_environment(tmp_path, capsys):
+    target = tmp_path / "ops.json"
+    assert run(capsys, "ops", "--spin", "1", "--emit", str(target))[0] == 0
+    env = json.loads((tmp_path / "ops.json.manifest.json").read_text())["env"]
+    assert env == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "backend": "numpy",
+        "chunk_rows": kernels.CHUNK_ROWS,
+    }
 
 
 def test_simulate_deterministic_and_replayable(tmp_path, capsys):
@@ -267,6 +280,20 @@ def test_non_finite_input_exits_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--relation", "R5", "--bloch", "0.57735,0.57735,0.57735", "--tolerance", "-0.5"),
+        ("soak", "--pure", "1000", "--mixed-n", "1000", "--seed", "1", "--tolerance", "-0.5"),
+    ],
+)
+def test_negative_tolerance_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "nonnegative" in err
 
 
 def test_verify_fails_on_non_finite_gap(monkeypatch, capsys):

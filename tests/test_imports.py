@@ -1,6 +1,9 @@
-"""Static check: every name a library module imports is used in that module."""
+"""Import checks: every name a library module imports is used in that module,
+and the runtime imports no scipy."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,16 @@ def test_checker_flags_unused_names():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: importing the CLI must not load it
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import triplespin.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(PACKAGE.parent)], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ from triplespin.errors import DimensionMismatchError, NotHermitianError
 from triplespin.moments import (
     EntropyBase,
     bloch_moments,
+    entr,
     expectation,
     outcome_distribution,
     pure_moments,
@@ -203,3 +204,22 @@ def test_bloch_moments_match_scalar_path():
             assert abs(d[i, n] - std_dev(st, op)) <= 1e-12
             assert abs(h[i, n] - shannon_entropy(st, op)) <= 1e-12
             assert abs(w[i, n] - variance(st, pair)) <= 1e-12
+
+
+def test_entr_matches_scipy_entr():
+    from scipy.special import entr as scipy_entr
+
+    p = np.concatenate([np.linspace(0.0, 1.0, 10_001), stream(3).random(10_000) ** 20, [5e-324, 1e-300]])
+    # numpy's and the C library's log may differ by one ulp
+    assert np.max(np.abs(entr(p) - scipy_entr(p))) <= 2.3e-16
+    assert entr(0.0) == 0.0 and entr(1.0) == 0.0
+    assert entr(0.5) == pytest.approx(0.5 * np.log(2.0), abs=1e-16)
+
+
+def test_entr_keeps_nan():
+    assert np.isnan(entr(np.nan))
+    out = entr(np.array([0.0, np.nan, 0.25]))
+    assert out[0] == 0.0 and np.isnan(out[1]) and np.isfinite(out[2])
+    # a NaN Bloch component reaches its entropy, so the gaps that read it fail loudly
+    h = bloch_moments(np.array([[np.nan], [0.0], [0.5]]))[3]
+    assert np.isnan(h[0, 0]) and np.isfinite(h[1:, 0]).all()

@@ -17,6 +17,7 @@ from triplespin.prober import (
     conjecture_gaps_batch,
     gap_objective,
     is_counterexample,
+    lockstep_nelder_mead,
     min_gap,
     min_variance_sum,
     scan_conjecture,
@@ -116,15 +117,105 @@ def test_objective_matches_evaluate(twice_s):
             continue
         for mixed in modes:
             objective = gap_objective(relation, twice_s, mixed)
-            for _ in range(10):
+            if mixed:
+                xs = rng.standard_normal((10, 3)) * rng.uniform(0.2, 1.5, (10, 1))
+            else:
+                xs = rng.standard_normal((10, 2 * dim - 1))
+            gaps = objective(xs)
+            assert gaps.shape == (10,)
+            for x, gap in zip(xs, gaps):
                 if mixed:
-                    x = rng.standard_normal(3) * rng.uniform(0.2, 1.5)
                     state = density_from_bloch(_bloch_from_params(x))
                 else:
-                    x = rng.standard_normal(2 * dim - 1)
                     state = _state_from_params(x, dim)
                 expected = evaluate(relation, state, twice_s).gap
-                assert abs(objective(x) - expected) <= 1e-12, (relation, mixed)
+                assert abs(gap - expected) <= 1e-12, (relation, mixed)
+
+
+def _one_by_one(objective, calls=None):
+    """The objective evaluated one point per call, as a batch map."""
+
+    def batch(points):
+        if calls is not None:
+            calls.append(len(points))
+        return [float(objective(x[None])[0]) for x in points]
+
+    return batch
+
+
+#: (relation, twice_s, mixed, max_iters) cases for the scipy oracle
+ORACLE_CASES = [
+    (RelationId.R5_TRIPLE_SUM, 1, False, 2000),
+    (RelationId.R6_SUM_HALF, 1, True, 2000),
+    (RelationId.R7_SUM_GENERAL_S, 4, False, 700),
+    (RelationId.R10_ENTROPIC_TRIPLE, 1, False, 2000),
+    (RelationId.R11_CONJECTURE_TRIPLE_PRODUCT, 3, False, 2000),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("relation, twice_s, mixed, max_iters", ORACLE_CASES, ids=lambda v: getattr(v, "name", None))
+def test_lockstep_single_run_reproduces_scipy(relation, twice_s, mixed, max_iters, seed):
+    objective = gap_objective(relation, twice_s, mixed)
+    x0 = prober._random_start(twice_s + 1, seed, 0, mixed)
+    scalar = _one_by_one(objective)
+    ref = minimize(
+        lambda x: scalar(x[None])[0],
+        x0,
+        method="Nelder-Mead",
+        options={"maxiter": max_iters, "xatol": prober._XATOL, "fatol": 1e-10},
+    )
+    got = lockstep_nelder_mead(scalar, x0[None], max_iters, 1e-10)
+    assert got.nfev[0] == ref.nfev and got.nit[0] == ref.nit
+    assert np.array_equal(got.x[0], ref.x)
+    assert got.fun[0] == ref.fun
+    assert got.success[0] == ref.success
+
+
+def test_lockstep_stops_at_max_iters_like_scipy():
+    objective = _one_by_one(gap_objective(RelationId.R7_SUM_GENERAL_S, 4))
+    x0 = prober._random_start(5, 0, 0, False)
+    ref = minimize(
+        lambda x: objective(x[None])[0],
+        x0,
+        method="Nelder-Mead",
+        options={"maxiter": 30, "xatol": prober._XATOL, "fatol": 1e-10},
+    )
+    got = lockstep_nelder_mead(objective, x0[None], 30, 1e-10)
+    assert not ref.success and not got.success[0]
+    assert got.nit[0] == ref.nit == 30
+    assert got.nfev[0] == ref.nfev and got.fun[0] == ref.fun and np.array_equal(got.x[0], ref.x)
+
+
+def test_lockstep_shrink_step_reproduces_scipy():
+    objective = gap_objective(RelationId.R6_SUM_HALF, 1, mixed=True)
+    x0 = prober._random_start(2, 0, 0, True)
+    calls = []
+    got = lockstep_nelder_mead(_one_by_one(objective, calls), x0[None], 2000, 1e-10)
+    assert 3 in calls[1:]  # a shrink evaluates the n = 3 non-best vertices in one call
+    ref = minimize(
+        lambda x: _one_by_one(objective)(x[None])[0],
+        x0,
+        method="Nelder-Mead",
+        options={"maxiter": 2000, "xatol": prober._XATOL, "fatol": 1e-10},
+    )
+    assert got.nfev[0] == ref.nfev and got.nit[0] == ref.nit
+    assert np.array_equal(got.x[0], ref.x) and got.fun[0] == ref.fun
+
+
+def test_lockstep_restarts_match_their_single_runs():
+    objective = gap_objective(RelationId.R3_TRIPLE_PRODUCT, 1, mixed=True)
+    starts = np.array([prober._random_start(2, 4, r, True) for r in range(6)])
+    calls = []
+    runs = lockstep_nelder_mead(_one_by_one(objective, calls), starts, 2000, 1e-10)
+    # at most three batched calls an iteration, after the initial simplex
+    assert len(calls) <= 1 + 3 * (runs.nit.max() - 1)
+    assert len(set(runs.nit.tolist())) > 1  # the runs stop at different iterations
+    for r, x0 in enumerate(starts):
+        one = lockstep_nelder_mead(_one_by_one(objective), x0[None], 2000, 1e-10)
+        assert one.fun[0] == runs.fun[r] and np.array_equal(one.x[0], runs.x[r])
+        assert one.nfev[0] == runs.nfev[r] and one.nit[0] == runs.nit[r]
+        assert one.success[0] == runs.success[r]
 
 
 def test_conjecture_batch_matches_evaluate():

@@ -272,6 +272,13 @@ def test_soak_rejects_non_finite_tolerance(tolerance):
         soak_qubit(10, 10, seed=1, tolerance=tolerance)
 
 
+def test_soak_rejects_negative_tolerance():
+    # a negative tolerance would count sound states as violations
+    with pytest.raises(ValueError, match="nonnegative"):
+        soak_qubit(10, 10, seed=1, tolerance=-0.5)
+    assert soak_qubit(10, 10, seed=1, tolerance=0.0).tolerance == 0.0
+
+
 def test_soak_batches_draw_from_independent_streams(monkeypatch):
     keys = []
     real = states.stream

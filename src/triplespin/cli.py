@@ -33,6 +33,7 @@ from .relations import (
     evaluate,
     soak_qubit,
 )
+from .rng import check_seed
 from .spin_ops import Spin, build_spin_operators, identity_residuals
 from .states import (
     Family,
@@ -74,8 +75,9 @@ def parse_relations(token: str, spin: Spin) -> list[RelationId]:
     return [parse_relation(t)]
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("TRIPLESPIN_SEED", "0"))
+def _seed(args) -> int:
+    """--seed, else TRIPLESPIN_SEED, else 0; ValueError outside [0, 2**64)."""
+    return check_seed(args.seed if args.seed is not None else os.environ.get("TRIPLESPIN_SEED", "0"))
 
 
 def _angle(value: float, degrees: bool) -> float:
@@ -193,7 +195,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     cfg = ShotConfig(shots=args.shots, seed=seed)
     rows = run_sweep(
         Family(args.family),
@@ -207,7 +209,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     spin = Spin(args.spin)
     cfg = ProbeConfig(restarts=args.restarts, max_iters=args.max_iters, tol=args.tol, seed=seed)
     if args.conjecture:
@@ -239,14 +241,14 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     result = triangle_scan(args.samples, seed, side=args.side)
     _write_output(_json_text(result.to_dict()), args, "triangle", seed)
     return 0
 
 
 def _cmd_soak(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     summary = soak_qubit(args.pure, args.mixed_n, seed, tolerance=args.tolerance)
     lines = [
         f"qubit relation soak: {summary.n_pure} pure + {summary.n_mixed} mixed states, "

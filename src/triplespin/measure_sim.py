@@ -18,7 +18,6 @@ propagate to first order treating the three per-axis estimates as independent.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 from .moments import bloch_moments
 from .relations import TAU, RelationId, relation_sides
 from .rng import stream
-from .states import Family, QuantumState, bloch_from_density, family_point
+from .states import Family, QuantumState, bloch_from_density, family_bloch
 
 #: A sweep point is singular for pro0 error propagation when any standard
 #: deviation factor is this close to zero, and for pro1/pro2 when the bound is.
@@ -85,6 +84,27 @@ class SweepRow:
     flags: tuple[str, ...]
 
 
+def _count_plus(r_i: float, cfg: ShotConfig, index: int, axis: int, per_draw: bool) -> int:
+    """Number of + outcomes among cfg.shots draws from the stream keyed (seed, index, axis)."""
+    p_plus = min(max((1.0 + r_i) / 2.0, 0.0), 1.0)
+    rng = stream(cfg.seed, index, axis)
+    if per_draw:
+        return int(np.count_nonzero(rng.random(cfg.shots) < p_plus))
+    return int(rng.binomial(cfg.shots, p_plus))
+
+
+def _shot_estimate(k, shots: int):
+    """Mean outcome and its standard error from k + outcomes in `shots` (scalars or arrays)."""
+    estimate = k / shots - 0.5
+    # outcomes are +-1/2, so the sample variance is exactly 1/4 - mean^2
+    return estimate, np.sqrt(np.maximum(0.25 - estimate * estimate, 0.0) / shots)
+
+
+def _exact_estimate(r):
+    # + 0.0 turns a -0.0 component into 0.0
+    return r / 2.0 + 0.0
+
+
 def simulate_expectation(
     state: QuantumState,
     axis: Axis,
@@ -100,25 +120,57 @@ def simulate_expectation(
     sweep points can run in any order or in parallel without changing results.
     """
     r_i = float(bloch_from_density(state)[axis.value])
-    p_plus = min(max((1.0 + r_i) / 2.0, 0.0), 1.0)
-
-    rng = stream(cfg.seed, index, axis.value)
-    if per_draw:
-        k = int(np.count_nonzero(rng.random(cfg.shots) < p_plus))
-    else:
-        k = int(rng.binomial(cfg.shots, p_plus))
-    estimate = k / cfg.shots - 0.5
-    # outcomes are +-1/2, so the sample variance is exactly 1/4 - mean^2
-    sample_var = max(0.25 - estimate * estimate, 0.0)
-    stderr = math.sqrt(sample_var / cfg.shots)
-    return EstimationResult(axis, estimate, stderr, cfg.shots)
+    estimate, stderr = _shot_estimate(_count_plus(r_i, cfg, index, axis.value, per_draw), cfg.shots)
+    return EstimationResult(axis, estimate, float(stderr), cfg.shots)
 
 
 def exact_expectation(state: QuantumState, axis: Axis) -> EstimationResult:
     """Analytic counterpart of simulate_expectation (zero standard error)."""
-    # + 0.0 turns a -0.0 component into 0.0
-    val = float(bloch_from_density(state)[axis.value]) / 2.0 + 0.0
-    return EstimationResult(axis, val, 0.0, 0)
+    r_i = float(bloch_from_density(state)[axis.value])
+    return EstimationResult(axis, _exact_estimate(r_i), 0.0, 0)
+
+
+def _derive(params, ests, e: np.ndarray, sig: np.ndarray) -> list[SweepRow]:
+    """Sweep rows with the six derived quantities of (3, n) estimate and stderr columns.
+
+    ests holds each row's (sx, sy, sz) EstimationResults. Near-singular
+    derivatives are flagged instead of extrapolated: when any
+    standard-deviation factor of pro0 is below PRO0_SINGULAR_TOL, or pro1 or
+    pro2 is below PRO12_SINGULAR_TOL, the row gets a `singular_*` flag and
+    the affected standard error is NaN (0 when all input errors are 0, since
+    then nothing propagates).
+    """
+    d, v, _, _, _ = bloch_moments(2.0 * e)
+    pro0, pro1 = relation_sides(RelationId.R3_TRIPLE_PRODUCT, d, v, e)
+    pro2 = relation_sides(RelationId.NAIVE_PRO2, d, v, e)[1]
+    sum0, sum1 = relation_sides(RelationId.R5_TRIPLE_SUM, d, v, e)
+    sum2 = relation_sides(RelationId.NAIVE_SUM2, d, v, e)[1]
+
+    unknown = np.where((sig == 0.0).all(axis=0), 0.0, np.nan)
+    singular = (
+        (d < PRO0_SINGULAR_TOL).any(axis=0), pro1 < PRO12_SINGULAR_TOL, pro2 < PRO12_SINGULAR_TOL
+    )
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # masked where singular
+        # d(pro0)/de_i = -e_i * pro0 / d_i^2
+        x = (e * sig / d**2) ** 2
+        pro0_err = np.where(singular[0], unknown, pro0 * np.sqrt(x[0] + x[1] + x[2]))
+        # d(pro)/de_i = pro / (2 e_i) for pro1 and pro2
+        x = (sig / e) ** 2
+        rel = np.sqrt(x[0] + x[1] + x[2])
+        pro1_err = np.where(singular[1], unknown, pro1 / 2.0 * rel)
+        pro2_err = np.where(singular[2], unknown, pro2 / 2.0 * rel)
+    x = (2.0 * e * sig) ** 2
+    sum0_err = np.sqrt(x[0] + x[1] + x[2])
+    x = sig**2
+    sig_quad = np.sqrt(x[0] + x[1] + x[2])
+
+    tags = ("singular_pro0", "singular_pro1", "singular_pro2")
+    hits = zip(*(m.tolist() for m in singular))
+    flags = [tuple(t for t, hit in zip(tags, row) if hit) for row in hits]
+    pairs = ((pro0, pro0_err), (pro1, pro1_err), (pro2, pro2_err),
+             (sum0, sum0_err), (sum1, TAU / 2.0 * sig_quad), (sum2, sig_quad / 2.0))
+    derived = zip(*(map(Derived, val.tolist(), err.tolist()) for val, err in pairs))
+    return [SweepRow(float(p), *est, *der, f) for p, est, der, f in zip(params, ests, derived, flags)]
 
 
 def propagate_derived(
@@ -127,64 +179,13 @@ def propagate_derived(
     sy: EstimationResult,
     sz: EstimationResult,
 ) -> SweepRow:
-    """Compute the six derived sweep quantities with delta-method errors.
-
-    Near-singular derivatives are flagged instead of extrapolated: when any
-    standard-deviation factor of pro0 is below PRO0_SINGULAR_TOL, or pro1 or
-    pro2 is below PRO12_SINGULAR_TOL, the row gets a `singular_*` flag and
-    the affected standard error is NaN (0 when all input errors are 0, since
-    then nothing propagates).
-    """
+    """The six derived sweep quantities of one point with delta-method errors (see _derive)."""
     ests = (sx, sy, sz)
-    if tuple(e.axis for e in ests) != (Axis.SX, Axis.SY, Axis.SZ):
+    if tuple(x.axis for x in ests) != (Axis.SX, Axis.SY, Axis.SZ):
         raise ValueError("expected one estimate per axis in (SX, SY, SZ) order")
-    e = np.array([sx.estimate, sy.estimate, sz.estimate])
-    sig = np.array([sx.stderr, sy.stderr, sz.stderr])
-    exact_inputs = bool(np.all(sig == 0.0))
-
-    d, v, _, _, _ = bloch_moments(2.0 * e)
-    pro0_val, pro1_val = map(float, relation_sides(RelationId.R3_TRIPLE_PRODUCT, d, v, e))
-    pro2_val = float(relation_sides(RelationId.NAIVE_PRO2, d, v, e)[1])
-    sum0_val, sum1_val = map(float, relation_sides(RelationId.R5_TRIPLE_SUM, d, v, e))
-    sum2_val = float(relation_sides(RelationId.NAIVE_SUM2, d, v, e)[1])
-    flags: list[str] = []
-
-    pro0_singular = bool(np.any(d < PRO0_SINGULAR_TOL))
-    if pro0_singular:
-        flags.append("singular_pro0")
-        pro0_err = 0.0 if exact_inputs else math.nan
-    else:
-        # d(pro0)/de_i = -e_i * pro0 / d_i^2
-        pro0_err = float(pro0_val * math.sqrt(np.sum((e * sig / d**2) ** 2)))
-
-    def _prod_bound_err(val: float, tol: float, tag: str) -> float:
-        if val < tol:
-            flags.append(tag)
-            return 0.0 if exact_inputs else math.nan
-        # d(val)/de_i = val / (2 e_i)
-        return float(val / 2.0 * math.sqrt(np.sum((sig / e) ** 2)))
-
-    pro1_err = _prod_bound_err(pro1_val, PRO12_SINGULAR_TOL, "singular_pro1")
-    pro2_err = _prod_bound_err(pro2_val, PRO12_SINGULAR_TOL, "singular_pro2")
-
-    sum0_err = float(math.sqrt(np.sum((2.0 * e * sig) ** 2)))
-    sig_quad = float(math.sqrt(np.sum(sig**2)))
-    sum1_err = TAU / 2.0 * sig_quad
-    sum2_err = sig_quad / 2.0
-
-    return SweepRow(
-        parameter=float(parameter),
-        sx=sx,
-        sy=sy,
-        sz=sz,
-        pro0=Derived(pro0_val, pro0_err),
-        pro1=Derived(pro1_val, pro1_err),
-        pro2=Derived(pro2_val, pro2_err),
-        sum0=Derived(sum0_val, sum0_err),
-        sum1=Derived(sum1_val, sum1_err),
-        sum2=Derived(sum2_val, sum2_err),
-        flags=tuple(flags),
-    )
+    e = np.array([[x.estimate] for x in ests])
+    sig = np.array([[x.stderr] for x in ests])
+    return _derive([parameter], [ests], e, sig)[0]
 
 
 def sweep_parameters(family: Family, n_points: int) -> np.ndarray:
@@ -198,28 +199,33 @@ def sweep_parameters(family: Family, n_points: int) -> np.ndarray:
     raise ValueError(f"unknown family {family!r}")
 
 
+def _family_rows(
+    family: Family, params, cfg: ShotConfig | None, per_draw: bool = False
+) -> list[SweepRow]:
+    """Rows at the family's parameters, exact (cfg None) or from cfg.shots outcomes per axis.
+
+    Point k's axis i draws from stream (seed, k, i), one (point, axis) at a
+    time, so the per-draw mode holds O(shots) memory.
+    """
+    r = family_bloch(family, params)
+    if cfg is None:
+        e, sig, shots = _exact_estimate(r), np.zeros_like(r), 0
+    else:
+        k = np.array([
+            [_count_plus(r_i, cfg, index, axis, per_draw) for index, r_i in enumerate(row)]
+            for axis, row in enumerate(r.tolist())
+        ])
+        (e, sig), shots = _shot_estimate(k, cfg.shots), cfg.shots
+    ests = zip(*(
+        [EstimationResult(ax, x, s, shots) for x, s in zip(e[ax.value].tolist(), sig[ax.value].tolist())]
+        for ax in Axis
+    ))
+    return _derive(params, ests, e, sig)
+
+
 def analytic_row(family: Family, parameter: float) -> SweepRow:
     """Exact sweep row (the solid/dashed theory curves) at one parameter."""
-    state = family_point(family, parameter).state()
-    return propagate_derived(
-        parameter,
-        exact_expectation(state, Axis.SX),
-        exact_expectation(state, Axis.SY),
-        exact_expectation(state, Axis.SZ),
-    )
-
-
-def simulated_row(
-    family: Family, parameter: float, index: int, cfg: ShotConfig, per_draw: bool = False
-) -> SweepRow:
-    """Monte Carlo sweep row (the scattered experimental points) at one parameter."""
-    state = family_point(family, parameter).state()
-    return propagate_derived(
-        parameter,
-        simulate_expectation(state, Axis.SX, cfg, index, per_draw),
-        simulate_expectation(state, Axis.SY, cfg, index, per_draw),
-        simulate_expectation(state, Axis.SZ, cfg, index, per_draw),
-    )
+    return _family_rows(family, [parameter], None)[0]
 
 
 def run_sweep(
@@ -229,11 +235,9 @@ def run_sweep(
     analytic_only: bool = False,
     per_draw: bool = False,
 ) -> list[SweepRow]:
-    """Sweep one state family, either analytically or with shot noise."""
+    """Sweep one state family, either analytically or with shot noise, as one batch."""
     params = sweep_parameters(family, n_points)
-    if analytic_only:
-        return [analytic_row(family, p) for p in params]
-    return [simulated_row(family, p, k, cfg, per_draw) for k, p in enumerate(params)]
+    return _family_rows(family, params, None if analytic_only else cfg, per_draw)
 
 
 CSV_HEADER = (
@@ -242,33 +246,15 @@ CSV_HEADER = (
 )
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
-
-
 def rows_to_csv(rows: list[SweepRow]) -> str:
     """Render sweep rows in the fixed CSV schema (12 significant digits)."""
     lines = [CSV_HEADER]
     for r in rows:
-        fields = [
-            _fmt(r.parameter),
-            _fmt(r.sx.estimate),
-            _fmt(r.sx.stderr),
-            _fmt(r.sy.estimate),
-            _fmt(r.sy.stderr),
-            _fmt(r.sz.estimate),
-            _fmt(r.sz.stderr),
-            _fmt(r.pro0.value),
-            _fmt(r.pro0.stderr),
-            _fmt(r.pro1.value),
-            _fmt(r.pro1.stderr),
-            _fmt(r.pro2.value),
-            _fmt(r.sum0.value),
-            _fmt(r.sum0.stderr),
-            _fmt(r.sum1.value),
-            _fmt(r.sum1.stderr),
-            _fmt(r.sum2.value),
-            ";".join(r.flags),
-        ]
-        lines.append(",".join(fields))
+        values = (
+            r.parameter,
+            r.sx.estimate, r.sx.stderr, r.sy.estimate, r.sy.stderr, r.sz.estimate, r.sz.stderr,
+            r.pro0.value, r.pro0.stderr, r.pro1.value, r.pro1.stderr, r.pro2.value,
+            r.sum0.value, r.sum0.stderr, r.sum1.value, r.sum1.stderr, r.sum2.value,
+        )
+        lines.append(",".join([*(format(x, ".12g") for x in values), ";".join(r.flags)]))
     return "\n".join(lines) + "\n"

@@ -365,13 +365,16 @@ def scan_conjecture(
     starts = np.array([_params_from_vector(psis[i]) for i in order[:10]])
     runs = lockstep_nelder_mead(gap_objective(relation, spin), starts, cfg.max_iters, cfg.tol)
 
+    # refinement 0 starts from the best raw sample, so it stands for it when no refinement beats it
     best_gap = float(gaps[order[0]])
     best_psi = psis[order[0]]
+    best_restart = 0
     converged = True
-    for fun, x, success in zip(runs.fun.tolist(), runs.x, runs.success):
+    for k, (fun, x, success) in enumerate(zip(runs.fun.tolist(), runs.x, runs.success)):
         if fun < best_gap:
             best_gap = fun
             best_psi = _psi_from_params(x, dim)
+            best_restart = k
             converged = bool(success)
 
     best_state = from_statevector(best_psi)
@@ -382,7 +385,7 @@ def scan_conjecture(
         argmin_state=best_state,
         converged=converged,
         evaluations=samples + int(runs.nfev.sum()),
-        best_restart=0,
+        best_restart=best_restart,
         restart_gaps=tuple(runs.fun.tolist()),
     )
 

@@ -109,26 +109,59 @@ def bloch_from_density(state: QuantumState) -> np.ndarray:
     return np.array([rx, ry, rz])
 
 
+def _latitude(phi):
+    a = np.sqrt(2.0 / 3.0)
+    return np.stack(np.broadcast_arrays(a * np.cos(phi), a * np.sin(phi), 1.0 / np.sqrt(3.0)))
+
+
+def _meridian(theta):
+    b = np.sin(theta) / np.sqrt(2.0)
+    return np.stack([b, b, np.cos(theta)])
+
+
+def _closed_form(family: Family):
+    """The family's Bloch vector as a function of its parameter, scalar or (n,) -> (3,) or (3, n)."""
+    if family is Family.R1_LATITUDE:
+        return _latitude
+    if family is Family.R2_MERIDIAN:
+        return _meridian
+    raise ValueError(f"unknown family {family!r}")
+
+
 def family_r1(phi: float) -> StateFamilyPoint:
     """Latitude family: (sqrt(2/3) cos phi, sqrt(2/3) sin phi, 1/sqrt(3))."""
-    a = np.sqrt(2.0 / 3.0)
-    bloch = np.array([a * np.cos(phi), a * np.sin(phi), 1.0 / np.sqrt(3.0)])
-    return StateFamilyPoint(Family.R1_LATITUDE, float(phi), bloch)
+    return family_point(Family.R1_LATITUDE, phi)
 
 
 def family_r2(theta: float) -> StateFamilyPoint:
     """Meridian family: (sin theta / sqrt 2, sin theta / sqrt 2, cos theta)."""
-    b = np.sin(theta) / np.sqrt(2.0)
-    bloch = np.array([b, b, np.cos(theta)])
-    return StateFamilyPoint(Family.R2_MERIDIAN, float(theta), bloch)
+    return family_point(Family.R2_MERIDIAN, theta)
 
 
 def family_point(family: Family, parameter: float) -> StateFamilyPoint:
-    if family is Family.R1_LATITUDE:
-        return family_r1(parameter)
-    if family is Family.R2_MERIDIAN:
-        return family_r2(parameter)
-    raise ValueError(f"unknown family {family!r}")
+    return StateFamilyPoint(family, float(parameter), _closed_form(family)(parameter))
+
+
+def family_bloch(family: Family, params) -> np.ndarray:
+    """(3, n) Bloch columns of a family's states at n parameters, for batch sweeps.
+
+    The columns are checked once, as density_from_bloch checks one vector: a
+    non-finite entry or a norm above 1 + BLOCH_NORM_TOL raises
+    InvalidStateError. Each column equals bloch_from_density of the point's
+    validated state, without building it.
+    """
+    with np.errstate(invalid="ignore"):  # sin(inf) is NaN, refused just below
+        r = _closed_form(family)(np.asarray(params, dtype=float))
+    if not np.isfinite(r).all():
+        raise InvalidStateError("Bloch columns have non-finite entries")
+    norm = float(np.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2]).max(initial=0.0))
+    if norm > 1.0 + BLOCH_NORM_TOL:
+        raise InvalidStateError(f"Bloch vector norm {norm} exceeds 1")
+    # r_z as bloch_from_density reads it back from rho = (1 + r.sigma)/2, as
+    # rho_00 - rho_11 (r_x and r_y come back exactly): sweep outputs stay
+    # those of the per-state route to the last bit (cos(pi/2) reads 5.55e-17, not 6.12e-17)
+    r[2] = 0.5 * (1.0 + r[2]) - 0.5 * (1.0 - r[2])
+    return r
 
 
 def random_pure(dim: int, seed: int) -> QuantumState:

@@ -156,6 +156,18 @@ def test_seed_env_var_changes_default(tmp_path, monkeypatch, capsys):
     assert simulate(None) == base
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_exits_two(monkeypatch, capsys, seed):
+    code, out, err = run(capsys, "simulate", "--family", "r1", "--points", "2", "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert "seed" in err
+    monkeypatch.setenv("TRIPLESPIN_SEED", seed)
+    code, _, err = run(capsys, "probe", "--relation", "R5", "--restarts", "1")
+    assert code == 2
+    assert "seed" in err
+
+
 def test_sweep_is_seed_independent(monkeypatch, capsys):
     _, a, _ = run(capsys, "sweep", "--family", "r2", "--points", "5")
     monkeypatch.setenv("TRIPLESPIN_SEED", "999")
@@ -183,6 +195,17 @@ def test_probe_conjecture_cli(capsys):
     data = json.loads(out)
     assert data["relation"] == "R11_CONJECTURE_TRIPLE_PRODUCT"
     assert data["counterexample"] is False
+
+
+def test_conjecture_scan_reports_the_restart_that_attained_the_minimum(capsys):
+    code, out, _ = run(
+        capsys, "probe", "--conjecture", "--spin", "3", "--samples", "2000",
+        "--max-iters", "200", "--seed", "3",
+    )
+    assert code == 0
+    data = json.loads(out)
+    gaps = data["restart_gaps"]
+    assert data["best_restart"] == gaps.index(min(gaps)) == 6
 
 
 def test_probe_json_lists_restart_gaps(capsys):

@@ -1,8 +1,10 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from triplespin.errors import InvalidStateError
 from triplespin.measure_sim import (
     CSV_HEADER,
     Axis,
@@ -17,7 +19,7 @@ from triplespin.measure_sim import (
     sweep_parameters,
 )
 from triplespin.relations import TAU
-from triplespin.states import Family, density_from_bloch
+from triplespin.states import Family, density_from_bloch, family_point
 
 SQ3 = math.sqrt(3.0)
 BALANCED = density_from_bloch([1 / SQ3, 1 / SQ3, 1 / SQ3])
@@ -253,3 +255,69 @@ def test_analytic_sweep_prints_no_negative_zero():
     csv = rows_to_csv(run_sweep(Family.R1_LATITUDE, 4, ShotConfig(shots=1, seed=0), analytic_only=True))
     assert csv.split("\n")[1].split(",")[3] == "0"
     assert ",-0," not in csv
+
+
+# CSV text of three small sweeps as the per-state route printed them (one
+# validated density matrix per point, Bloch vector read back from it); the
+# batch must reproduce it byte for byte. The meridian's
+# theta = 0 and pi rows carry singular_* flags, and theta = pi/2 has
+# r_z = cos(pi/2) read back through rho (exp_sz 2.77555756156e-17).
+SWEEP_R2_5 = (
+    'param,exp_sx,err_sx,exp_sy,err_sy,exp_sz,err_sz,pro0,err_pro0,pro1,err_pro1,pro2,sum0,err_sum0,sum1,err_sum1,sum2,flags\n'
+    '0,0,0,0,0,0.5,0,0,0,0,0,0,0.5,0,0.288675134595,0,0.25,singular_pro0;singular_pro1;singular_pro2\n'
+    '0.785398163397,0.25,0,0.25,0,0.353553390593,0,0.0662912607362,0,0.0652118575031,0,0.0525560259534,0.5,0,0.492799279827,0,0.426776695297,\n'
+    '1.57079632679,0.353553390593,0,0.353553390593,0,2.77555756156e-17,0,0.0625,0,8.17126292085e-10,0,6.58544507983e-10,0.5,0,0.408248290464,0,0.353553390593,\n'
+    '2.35619449019,0.25,0,0.25,0,-0.353553390593,0,0.0662912607362,0,0.0652118575031,0,0.0525560259534,0.5,0,0.492799279827,0,0.426776695297,\n'
+    '3.14159265359,4.32978028118e-17,0,4.32978028118e-17,0,-0.5,0,0,0,1.34310485617e-17,0,1.08244507029e-17,0.5,0,0.288675134595,0,0.25,singular_pro0;singular_pro1;singular_pro2\n'
+)
+
+SIMULATE_R2_5 = (
+    'param,exp_sx,err_sx,exp_sy,err_sy,exp_sz,err_sz,pro0,err_pro0,pro1,err_pro1,pro2,sum0,err_sum0,sum1,err_sum1,sum2,flags\n'
+    '0,-0.005,0.0158105977117,-0.016,0.0158032907965,0.5,0,0,nan,0.00277452763353,0.00459571054122,0.0022360679775,0.499719,0.000529844652705,0.300799490248,0.0129063162831,0.2605,singular_pro0\n'
+    '0.785398163397,0.244,0.0138008695378,0.25,0.0136930639376,0.357,0.011070275516,0.0661554329742,0.00271631047655,0.0647378220521,0.00273908872416,0.0521739877717,0.500515,0.0124382019767,0.49132507908,0.0129165913976,0.4255,\n'
+    '1.57079632679,0.358,0.0110379345894,0.333,0.0117945326317,0.001,0.015811356678,0.0650935096632,0.00279907291999,0.0047898585571,0.037867248046,0.00386027848736,0.510946,0.0111429114296,0.399526386279,0.0130504916893,0.346,\n'
+    '2.35619449019,0.245,0.0137831418769,0.261,0.0134862522592,-0.372,0.0105648473723,0.0621015918717,0.00272846232029,0.0676602853043,0.00275698825175,0.0545292811249,0.48347,0.0125281917734,0.506913536348,0.0126947495709,0.439,\n'
+    '3.14159265359,0.009,0.0158088266484,0.011,0.0158075614818,-0.5,0,0,nan,0.00308646714572,0.00350233636391,0.00248746859277,0.499798,0.000449349743518,0.300222139979,0.0129073364151,0.26,singular_pro0\n'
+)
+
+SIMULATE_R2_5_PER_DRAW = (
+    'param,exp_sx,err_sx,exp_sy,err_sy,exp_sz,err_sz,pro0,err_pro0,pro1,err_pro1,pro2,sum0,err_sum0,sum1,err_sum1,sum2,flags\n'
+    '0,-0.011,0.0158075614818,-0.016,0.0158032907965,0.5,0,0,nan,0.00411528952763,0.00358802639956,0.00331662479036,0.499623,0.000613742040274,0.304263591863,0.0129050765205,0.2635,singular_pro0\n'
+    '0.785398163397,0.248,0.0137293845456,0.246,0.0137653187395,0.358,0.0110379345894,0.0659667605369,0.00271795812124,0.0648326787706,0.00274038708815,0.0522504354049,0.499816,0.0124378552543,0.49190242935,0.012907568839,0.426,\n'
+    '1.57079632679,0.363,0.0108734079294,0.364,0.010839926199,-0.03,0.0157829021412,0.0588272938534,0.00278775886236,0.0276200010443,0.00728877497763,0.0222597169793,0.484835,0.0112021749001,0.437054153777,0.0127126577342,0.3785,\n'
+    '2.35619449019,0.231,0.0140228028582,0.237,0.0139223202089,-0.354,0.0111661989952,0.0689369095273,0.00272821029005,0.0610718186409,0.00275346546769,0.049219454995,0.515154,0.0121663547971,0.474581921274,0.0131041214891,0.411,\n'
+    '3.14159265359,0.015,0.0158042715745,0.018,0.0158011391994,-0.5,0,0,nan,0.00509713273454,0.00349508355702,0.00410791918129,0.499451,0.000740525216316,0.307727693478,0.0129028549812,0.2665,singular_pro0\n'
+)
+
+
+@pytest.mark.parametrize(
+    "analytic, per_draw, expected",
+    [(True, False, SWEEP_R2_5), (False, False, SIMULATE_R2_5), (False, True, SIMULATE_R2_5_PER_DRAW)],
+    ids=["sweep", "simulate", "simulate-per-draw"],
+)
+def test_small_sweeps_reproduce_recorded_csv(analytic, per_draw, expected):
+    cfg = ShotConfig(shots=1000, seed=7)
+    rows = run_sweep(Family.R2_MERIDIAN, 5, cfg, analytic_only=analytic, per_draw=per_draw)
+    assert rows_to_csv(rows) == expected
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_sweep_rows_equal_the_per_state_route(family):
+    # reference: one validated density matrix per point, estimates read from it
+    cfg = ShotConfig(shots=5000, seed=3)
+    params = sweep_parameters(family, 13)
+    exact = run_sweep(family, 13, cfg, analytic_only=True)
+    noisy = run_sweep(family, 13, cfg)
+    for k, p in enumerate(params):
+        state = family_point(family, p).state()
+        reference = propagate_derived(p, *(exact_expectation(state, ax) for ax in Axis))
+        np.testing.assert_equal(astuple(exact[k]), astuple(reference))  # NaN equals NaN here
+        np.testing.assert_equal(astuple(exact[k]), astuple(analytic_row(family, p)))
+        ests = [simulate_expectation(state, ax, cfg, index=k) for ax in Axis]
+        np.testing.assert_equal(astuple(noisy[k]), astuple(propagate_derived(p, *ests)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_analytic_row_rejects_non_finite_parameter(bad):
+    with pytest.raises(InvalidStateError):
+        analytic_row(Family.R2_MERIDIAN, bad)

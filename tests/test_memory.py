@@ -1,8 +1,11 @@
-"""The soak and the triangle scan reduce chunk by chunk in constant memory."""
+"""The soak and the triangle scan reduce chunk by chunk in constant memory;
+the per-draw sweep holds one (point, axis) of outcomes at a time."""
 
 import tracemalloc
 
+from triplespin.measure_sim import ShotConfig, run_sweep
 from triplespin.relations import soak_qubit
+from triplespin.states import Family
 from triplespin.triangle import scan
 
 MIB = 1 << 20
@@ -27,3 +30,9 @@ def test_soak_peak_memory_is_bounded():
 def test_triangle_scan_peak_memory_is_bounded():
     # holding the gaps of all 1e6 points at once takes ~191 MiB
     assert traced_peak(scan, 1_000_000, seed=1) < 64 * MIB
+
+
+def test_per_draw_sweep_peak_memory_is_bounded():
+    # drawing all 200 x 3 x 1e5 outcomes at once takes ~480 MB
+    cfg = ShotConfig(shots=100_000, seed=1)
+    assert traced_peak(run_sweep, Family.R1_LATITUDE, 200, cfg, per_draw=True) < 16 * MIB

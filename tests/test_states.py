@@ -10,6 +10,7 @@ from triplespin.states import (
     QuantumState,
     bloch_from_density,
     density_from_bloch,
+    family_bloch,
     family_point,
     family_r1,
     family_r2,
@@ -85,6 +86,21 @@ def test_families_are_unit_vectors(family):
     for p in np.linspace(0, 2 * np.pi, 97):
         norm = np.linalg.norm(family_point(family, p).bloch)
         assert abs(norm - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_family_bloch_columns_equal_the_validated_state_route(family):
+    params = np.linspace(0, 2 * np.pi, 181)
+    columns = family_bloch(family, params)
+    assert columns.shape == (3, 181)
+    for k, p in enumerate(params):
+        assert np.array_equal(columns[:, k], bloch_from_density(family_point(family, p).state()))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_family_bloch_rejects_non_finite_parameters(bad):
+    with pytest.raises(InvalidStateError):
+        family_bloch(Family.R2_MERIDIAN, [0.0, bad])
 
 
 def test_families_intersect():
@@ -178,3 +194,14 @@ def test_quantum_state_rejects_non_finite_entries(bad):
         QuantumState(np.array([[bad, 0.0], [0.0, 1.0]]))
     with pytest.raises(InvalidStateError):
         density_from_bloch([bad, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7, -(2**64)])
+def test_stream_rejects_seeds_outside_64_bits(seed):
+    # masking them to 64 bits would give seeds 0 and 2**64 the same stream
+    with pytest.raises(ValueError):
+        stream(seed)
+
+
+def test_stream_accepts_the_64_bit_range():
+    assert stream(0).random() != stream(2**64 - 1).random()

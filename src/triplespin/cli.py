@@ -213,6 +213,8 @@ def _cmd_probe(args) -> int:
     spin = Spin(args.spin)
     cfg = ProbeConfig(restarts=args.restarts, max_iters=args.max_iters, tol=args.tol, seed=seed)
     if args.conjecture:
+        if args.relation is not None or args.mixed:
+            raise CliError("--conjecture scans R11 over pure states; it takes no --relation or --mixed")
         result = scan_conjecture(spin, args.samples, cfg)
         out = result.to_dict()
         out["counterexample"] = is_counterexample(result)

@@ -1,4 +1,4 @@
-"""Batch gap kernels for the random-state soak and the triangle scan.
+"""Batch gap kernels and the chunk fold of the random-state soak and the triangle scan.
 
 Each kernel computes a batch's per-axis moments as (3, n) arrays (for qubits
 the closed forms of moments.bloch_moments) and applies the relation table
@@ -29,6 +29,26 @@ QUBIT_GAP_COLUMNS = tuple(relation.name for relation in QUBIT_SOAK_RELATIONS)
 
 #: Column order of triangle_analog_gaps output (analog of the like-named relation).
 TRIANGLE_GAP_COLUMNS = tuple(relation.name for relation in TRIANGLE_ANALOG_RELATIONS)
+
+
+class MinFold:
+    """Running per-column minimum of (m, k) gap chunks and the row that attained it.
+
+    min holds the k minima and argmin the (k, w) rows of the chunks' (m, w)
+    points that attained them. The first occurrence of a tied minimum wins,
+    and a NaN gap becomes the minimum.
+    """
+
+    def __init__(self, columns: int, width: int):
+        self.min = np.full(columns, np.inf)
+        self.argmin = np.zeros((columns, width))
+
+    def add(self, points: np.ndarray, gaps: np.ndarray) -> None:
+        idx = gaps.argmin(axis=0)
+        chunk_min = gaps[idx, np.arange(len(idx))]
+        better = (chunk_min < self.min) | (np.isnan(chunk_min) & ~np.isnan(self.min))
+        self.min[better] = chunk_min[better]
+        self.argmin[better] = points[idx[better]]
 
 
 def _batch(points: np.ndarray, what: str) -> np.ndarray:

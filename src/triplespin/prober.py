@@ -17,15 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import SpinRestrictionError, TripleSpinError
 from .moments import bloch_moments, entr, pure_moments
 from .relations import ENTROPIC, RelationId, _ops, applicable_to, evaluate, relation_sides
 from .rng import stream
-from .spin_ops import Spin, build_spin_operators
-from .states import QuantumState, density_from_bloch, from_statevector, random_pure_vectors
+from .spin_ops import Spin
+from .states import QuantumState, density_from_bloch, from_statevector, random_pure_vectors, state_to_json_dict
 
 #: A scan minimum below -this is reported as a conjecture counterexample candidate.
 COUNTEREXAMPLE_TOL = 1e-8
+#: Number of smallest-gap conjecture-scan samples refined with Nelder-Mead.
+_REFINEMENTS = 10
 
 _XATOL = 1e-8
 # scipy's non-adaptive Nelder-Mead coefficients and initial-simplex steps
@@ -64,8 +67,6 @@ class ProbeResult:
     restart_gaps: tuple[float, ...]
 
     def to_dict(self) -> dict:
-        from .states import state_to_json_dict
-
         return {
             "relation": self.relation.value,
             "twice_s": self.spin.twice_s,
@@ -92,18 +93,15 @@ def _psi_from_params(x: np.ndarray, dim: int) -> np.ndarray:
     return pairs.view(complex) / norm
 
 
-def _state_from_params(x: np.ndarray, dim: int) -> QuantumState:
-    return from_statevector(_psi_from_params(x, dim))
-
-
 def _params_from_vector(psi: np.ndarray) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex).ravel()
-    if abs(psi[0]) > 0:
-        psi = psi * np.exp(-1j * np.angle(psi[0]))
-    x = np.empty(2 * len(psi) - 1)
-    x[0] = psi[0].real
-    x[1::2] = psi[1:].real
-    x[2::2] = psi[1:].imag
+    """Parameter rows (..., 2 dim - 1) of state vectors (..., dim); inverse of _psi_from_params."""
+    # rotate each vector's global phase so that its first amplitude is real nonnegative
+    psi = np.asarray(psi, dtype=complex)
+    psi = psi * np.exp(-1j * np.angle(psi[..., :1]))
+    x = np.empty(psi.shape[:-1] + (2 * psi.shape[-1] - 1,))
+    x[..., 0] = psi[..., 0].real
+    x[..., 1::2] = psi[..., 1:].real
+    x[..., 2::2] = psi[..., 1:].imag
     return x
 
 
@@ -168,14 +166,6 @@ def gap_objective(relation: RelationId, spin: Spin | int, mixed: bool = False):
         return lhs - rhs
 
     return objective
-
-
-def _validated_gap(relation: RelationId, state: QuantumState, spin: Spin) -> float:
-    """Gap of the search result, re-evaluated on the validated argmin state."""
-    gap = evaluate(relation, state, spin).gap
-    if not math.isfinite(gap):
-        raise TripleSpinError(f"{relation.value} gap at the search minimum is {gap}, not finite")
-    return gap
 
 
 @dataclass(frozen=True)
@@ -305,25 +295,43 @@ def min_gap(
     spin = spin if isinstance(spin, Spin) else Spin(spin)
     if not applicable_to(relation, spin):
         raise SpinRestrictionError(f"{relation.value} is not applicable at twice_s = {spin.twice_s}")
-    dim = spin.dim
 
-    starts = np.array([_random_start(dim, cfg.seed, r, mixed) for r in range(cfg.restarts)])
+    starts = np.array([_random_start(spin.dim, cfg.seed, r, mixed) for r in range(cfg.restarts)])
+    return _search(relation, spin, starts, cfg, mixed)
+
+
+def _search(
+    relation: RelationId,
+    spin: Spin,
+    starts: np.ndarray,
+    cfg: ProbeConfig,
+    mixed: bool = False,
+    drawn: int = 0,
+) -> ProbeResult:
+    """Nelder-Mead from each start row in lockstep; the best run is the result.
+
+    Ties go to the lowest start index. min_gap is evaluate on the validated
+    argmin state, and evaluations adds the `drawn` samples that chose the
+    starts to the objective calls.
+    """
     runs = lockstep_nelder_mead(gap_objective(relation, spin, mixed), starts, cfg.max_iters, cfg.tol)
     gaps = tuple(runs.fun.tolist())
-    best_restart = min(range(cfg.restarts), key=gaps.__getitem__)
-    best_x = runs.x[best_restart]
+    best = min(range(len(gaps)), key=gaps.__getitem__)
     if mixed:
-        argmin = density_from_bloch(_bloch_from_params(best_x))
+        argmin = density_from_bloch(_bloch_from_params(runs.x[best]))
     else:
-        argmin = _state_from_params(best_x, dim)
+        argmin = from_statevector(_psi_from_params(runs.x[best], spin.dim))
+    gap = evaluate(relation, argmin, spin).gap
+    if not math.isfinite(gap):
+        raise TripleSpinError(f"{relation.value} gap at the search minimum is {gap}, not finite")
     return ProbeResult(
         relation=relation,
         spin=spin,
-        min_gap=_validated_gap(relation, argmin, spin),
+        min_gap=gap,
         argmin_state=argmin,
-        converged=bool(runs.success[best_restart]),
-        evaluations=int(runs.nfev.sum()),
-        best_restart=best_restart,
+        converged=bool(runs.success[best]),
+        evaluations=drawn + int(runs.nfev.sum()),
+        best_restart=best,
         restart_gaps=gaps,
     )
 
@@ -345,57 +353,33 @@ def scan_conjecture(
 ) -> ProbeResult:
     """Scan the all-spin triple-product conjecture on random pure states.
 
-    Evaluates the conjectured bound on `samples` Haar-random states, then
-    refines the 10 smallest-gap samples together with Nelder-Mead. A minimum
-    below -COUNTEREXAMPLE_TOL marks a counterexample candidate; callers
-    report it rather than fail.
+    Chunk k draws up to kernels.CHUNK_ROWS Haar-random states from stream
+    (seed, k) and scores them with the R11 search objective, keeping a
+    running set of the 10 smallest gaps (ties in draw order), so memory stays
+    constant in `samples`. Those 10 states are then refined together with
+    Nelder-Mead. A minimum below -COUNTEREXAMPLE_TOL marks a counterexample
+    candidate; callers report it rather than fail.
     """
     spin = spin if isinstance(spin, Spin) else Spin(spin)
     if spin.twice_s < 2:
         raise ValueError("the spin-1/2 case is the proved product bound; scan needs twice_s >= 2")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    dim = spin.dim
-    ops = build_spin_operators(spin)
     relation = RelationId.R11_CONJECTURE_TRIPLE_PRODUCT
-
-    psis = random_pure_vectors(dim, samples, cfg.seed)
-    gaps = conjecture_gaps_batch(psis, ops)
-    order = np.argsort(gaps)
-    starts = np.array([_params_from_vector(psis[i]) for i in order[:10]])
-    runs = lockstep_nelder_mead(gap_objective(relation, spin), starts, cfg.max_iters, cfg.tol)
-
-    # refinement 0 starts from the best raw sample, so it stands for it when no refinement beats it
-    best_gap = float(gaps[order[0]])
-    best_psi = psis[order[0]]
-    best_restart = 0
-    converged = True
-    for k, (fun, x, success) in enumerate(zip(runs.fun.tolist(), runs.x, runs.success)):
-        if fun < best_gap:
-            best_gap = fun
-            best_psi = _psi_from_params(x, dim)
-            best_restart = k
-            converged = bool(success)
-
-    best_state = from_statevector(best_psi)
-    return ProbeResult(
-        relation=relation,
-        spin=spin,
-        min_gap=_validated_gap(relation, best_state, spin),
-        argmin_state=best_state,
-        converged=converged,
-        evaluations=samples + int(runs.nfev.sum()),
-        best_restart=best_restart,
-        restart_gaps=tuple(runs.fun.tolist()),
-    )
+    objective = gap_objective(relation, spin)
+    chunk = kernels.CHUNK_ROWS
+    top_gaps, top_x = np.empty(0), np.empty((0, 2 * spin.dim - 1))
+    for k in range(-(-samples // chunk)):
+        x = _params_from_vector(random_pure_vectors(spin.dim, min(chunk, samples - k * chunk), cfg.seed, k))
+        gaps = np.concatenate([top_gaps, objective(x)])
+        # rows at or below the 10th smallest gap, or NaN; the kept rows come
+        # first, so a stable sort of them breaks ties in draw order
+        last = min(_REFINEMENTS, len(gaps)) - 1
+        rows = np.flatnonzero(~(gaps > np.partition(gaps, last)[last]))
+        keep = rows[np.argsort(gaps[rows], kind="stable")[:_REFINEMENTS]]
+        top_gaps, top_x = gaps[keep], np.vstack([top_x, x])[keep]
+    return _search(relation, spin, top_x, cfg, drawn=samples)
 
 
 def is_counterexample(result: ProbeResult) -> bool:
     return result.min_gap < -COUNTEREXAMPLE_TOL
-
-
-def conjecture_gaps_batch(psis: np.ndarray, ops) -> np.ndarray:
-    """Vectorized conjectured-bound gaps for a batch of pure state vectors."""
-    e, v = pure_moments(psis, np.array(ops.as_tuple()))
-    lhs, rhs = relation_sides(RelationId.R11_CONJECTURE_TRIPLE_PRODUCT, np.sqrt(v), v, e)
-    return lhs - rhs

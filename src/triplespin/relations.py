@@ -399,6 +399,8 @@ class SoakSummary:
     min_gap: dict[RelationId, float]
     violations: dict[RelationId, int]
     tolerance: float
+    #: Bloch vector of the first state that attained min_gap, per relation.
+    argmin_bloch: dict[RelationId, tuple[float, float, float]]
 
     @property
     def ok(self) -> bool:
@@ -419,9 +421,10 @@ def soak_qubit(
     Pure states are Haar-distributed, mixed ones Hilbert-Schmidt. Chunk k
     stacks up to kernels.CHUNK_ROWS states of each kind, drawn from the
     independent streams (seed, 0, k) and (seed, 1, k), and folds the chunk's
-    gaps into the running result, so memory stays constant in the counts.
-    Returns the minimum gap (NaN if any gap is NaN) and the count of gaps not
-    at or above -tolerance (NaN counts) per relation.
+    gaps into the running result (kernels.MinFold), so memory stays constant
+    in the counts. Returns per relation the minimum gap (NaN if any gap is
+    NaN), the state that attained it and the count of gaps not at or above
+    -tolerance (NaN counts).
     """
     from . import kernels  # kernels reads this module's table at import
 
@@ -432,23 +435,24 @@ def soak_qubit(
     if n_pure + n_mixed == 0:
         raise ValueError("need at least one sample")
     chunk = kernels.CHUNK_ROWS
-    mins = np.full(len(QUBIT_SOAK_RELATIONS), np.inf)
+    fold = kernels.MinFold(len(QUBIT_SOAK_RELATIONS), 3)
     viol = np.zeros(len(QUBIT_SOAK_RELATIONS), dtype=np.int64)
     kinds = ((n_pure, random_pure_bloch), (n_mixed, random_mixed_bloch))
     for k in range(-(-max(n_pure, n_mixed) // chunk)):
-        blochs = [
+        bloch = np.vstack([
             draw(min(chunk, n - k * chunk), seed, kind, k)
             for kind, (n, draw) in enumerate(kinds)
             if n > k * chunk
-        ]
-        gaps = kernels.qubit_relation_gaps(np.vstack(blochs)).T
-        np.minimum(mins, gaps.min(axis=1), out=mins)
-        viol += np.count_nonzero(~(gaps >= -tolerance), axis=1)
+        ])
+        gaps = kernels.qubit_relation_gaps(bloch)
+        fold.add(bloch, gaps)
+        viol += np.count_nonzero(~(gaps >= -tolerance), axis=0)
     return SoakSummary(
         n_pure=n_pure,
         n_mixed=n_mixed,
         seed=seed,
-        min_gap={rel: float(mins[i]) for i, rel in enumerate(QUBIT_SOAK_RELATIONS)},
-        violations={rel: int(viol[i]) for i, rel in enumerate(QUBIT_SOAK_RELATIONS)},
+        min_gap={rel: float(m) for rel, m in zip(QUBIT_SOAK_RELATIONS, fold.min)},
+        violations={rel: int(c) for rel, c in zip(QUBIT_SOAK_RELATIONS, viol)},
         tolerance=tolerance,
+        argmin_bloch={rel: tuple(map(float, r)) for rel, r in zip(QUBIT_SOAK_RELATIONS, fold.argmin)},
     )

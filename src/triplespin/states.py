@@ -168,9 +168,7 @@ def random_pure(dim: int, seed: int) -> QuantumState:
     """Haar-random pure state: normalized vector of standard complex normals."""
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    rng = stream(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return from_statevector(v)
+    return from_statevector(random_pure_vectors(dim, 1, seed)[0])
 
 
 def random_mixed(dim: int, seed: int) -> QuantumState:
@@ -185,9 +183,7 @@ def random_mixed(dim: int, seed: int) -> QuantumState:
 
 def random_pure_bloch(n: int, seed: int, *key: int) -> np.ndarray:
     """(n, 3) Bloch vectors of Haar-random qubit pure states from stream (seed, *key)."""
-    rng = stream(seed, *key)
-    z = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    z = random_pure_vectors(2, n, seed, *key)
     cross = np.conj(z[:, 0]) * z[:, 1]
     return np.column_stack(
         [2.0 * cross.real, 2.0 * cross.imag, np.abs(z[:, 0]) ** 2 - np.abs(z[:, 1]) ** 2]
@@ -216,11 +212,12 @@ def random_mixed_bloch(n: int, seed: int, *key: int) -> np.ndarray:
     return bloch
 
 
-def random_pure_vectors(dim: int, n: int, seed: int) -> np.ndarray:
-    """(n, dim) Haar-random normalized state vectors from one RNG stream."""
-    rng = stream(seed)
+def random_pure_vectors(dim: int, n: int, seed: int, *key: int) -> np.ndarray:
+    """(n, dim) Haar-random normalized state vectors from stream (seed, *key)."""
+    rng = stream(seed, *key)
     z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return z
 
 
 def state_to_json_dict(state: QuantumState) -> dict:

@@ -136,31 +136,23 @@ def scan(n: int, seed: int, side: float = 1.0) -> TriangleScan:
     """Sample n interior points and record the minimum gap per analog.
 
     Chunk k draws up to kernels.CHUNK_ROWS points from stream (seed, k) and
-    folds its gaps into a running minimum and argmin per analog, so memory
-    stays constant in n. The first occurrence of a tied minimum wins, and a
-    NaN gap becomes the minimum.
+    folds its gaps into a running minimum and argmin per analog
+    (kernels.MinFold), so memory stays constant in n.
     """
     if n < 1:
         raise ValueError(f"triangle scan needs at least one sample, got {n} samples")
     rel_ids = TRIANGLE_ANALOG_RELATIONS
     chunk = kernels.CHUNK_ROWS
-    cols = np.arange(len(rel_ids))
-    mins = np.full(len(rel_ids), np.inf)
-    argmin_bary = np.zeros((len(rel_ids), 3))
+    fold = kernels.MinFold(len(rel_ids), 3)
     for k in range(-(-n // chunk)):
         bary = sample_barycentric(min(chunk, n - k * chunk), seed, k)
-        gaps = kernels.triangle_analog_gaps(bary, side)
-        idx = gaps.argmin(axis=0)
-        chunk_mins = gaps[idx, cols]
-        better = (chunk_mins < mins) | (np.isnan(chunk_mins) & ~np.isnan(mins))
-        mins[better] = chunk_mins[better]
-        argmin_bary[better] = bary[idx[better]]
+        fold.add(bary, kernels.triangle_analog_gaps(bary, side))
     return TriangleScan(
         side=side,
         samples=n,
         seed=seed,
-        min_gap={rel: float(mins[i]) for i, rel in enumerate(rel_ids)},
-        argmin_bary={rel: tuple(float(x) for x in argmin_bary[i]) for i, rel in enumerate(rel_ids)},
+        min_gap={rel: float(fold.min[i]) for i, rel in enumerate(rel_ids)},
+        argmin_bary={rel: tuple(float(x) for x in fold.argmin[i]) for i, rel in enumerate(rel_ids)},
     )
 
 

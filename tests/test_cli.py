@@ -198,6 +198,7 @@ def test_probe_conjecture_cli(capsys):
 
 
 def test_conjecture_scan_reports_the_restart_that_attained_the_minimum(capsys):
+    # pinned from the scan's (seed, chunk) sample streams
     code, out, _ = run(
         capsys, "probe", "--conjecture", "--spin", "3", "--samples", "2000",
         "--max-iters", "200", "--seed", "3",
@@ -223,6 +224,20 @@ def test_probe_rejects_non_finite_tol(capsys, tol):
     code, _, err = run(capsys, "probe", "--relation", "R5", "--restarts", "1", "--tol", tol)
     assert code == 2
     assert "tol" in err
+
+
+def test_probe_conjecture_rejects_relation(capsys):
+    code, out, err = run(
+        capsys, "probe", "--conjecture", "--relation", "R5", "--spin", "2", "--samples", "10"
+    )
+    assert code == 2 and out == ""
+    assert "--relation" in err
+
+
+def test_probe_conjecture_rejects_mixed(capsys):
+    code, out, err = run(capsys, "probe", "--conjecture", "--mixed", "--spin", "2", "--samples", "10")
+    assert code == 2 and out == ""
+    assert "--mixed" in err
 
 
 def test_probe_requires_relation_or_conjecture(capsys):

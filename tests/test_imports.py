@@ -1,4 +1,5 @@
 """Import checks: every name a library module imports is used in that module,
+every private module-level function is referenced somewhere in the package,
 and the runtime imports no scipy."""
 
 import ast
@@ -28,6 +29,29 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for line, name in unused]
 
 
+def dead_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions named `_name` that no module in `sources` references."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return [
+        f"{module} line {node.lineno}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+
+
 def test_checker_flags_unused_names():
     source = "from os import path, sep\nimport numpy as np\nimport json\nprint(sep, json.dumps)\n"
     assert unused_imports(source) == ["line 1: path", "line 2: np"]
@@ -36,6 +60,20 @@ def test_checker_flags_unused_names():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_dead_private_functions():
+    sources = {
+        "a.py": "def _dead():\n    pass\ndef _called():\n    pass\ndef _imported():\n    pass\n"
+        "def public():\n    return _called()\ndef __getattr__(name):\n    pass\n",
+        "b.py": "from a import _imported\nimport a\nclass C:\n    def _method(self):\n        a._attr()\n",
+    }
+    assert dead_private_functions(sources) == ["a.py line 1: _dead"]
+
+
+def test_no_dead_private_functions():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_functions(sources) == []
 
 
 def test_cli_import_loads_no_scipy():

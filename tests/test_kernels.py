@@ -14,7 +14,15 @@ def _bloch_batch(n=400):
 def test_column_layouts():
     assert len(kernels.QUBIT_GAP_COLUMNS) == 16
     assert len(kernels.TRIANGLE_GAP_COLUMNS) == 8
-    assert kernels.BACKEND in ("numba", "numpy")
+    assert kernels.BACKEND == "numpy"
+
+
+def test_min_fold_keeps_first_tied_row_and_nan():
+    fold = kernels.MinFold(3, 1)
+    fold.add(np.array([[0.0], [1.0]]), np.array([[2.0, 5.0, 1.0], [2.0, 4.0, np.nan]]))
+    fold.add(np.array([[2.0], [3.0]]), np.array([[2.0, 4.0, 0.0], [1.5, 6.0, 0.0]]))
+    assert fold.min[:2].tolist() == [1.5, 4.0] and np.isnan(fold.min[2])
+    assert fold.argmin[:, 0].tolist() == [3.0, 1.0, 1.0]
 
 
 def test_qubit_gaps_shape_and_validation():

@@ -1,9 +1,11 @@
-"""The soak and the triangle scan reduce chunk by chunk in constant memory;
-the per-draw sweep holds one (point, axis) of outcomes at a time."""
+"""The soak, the triangle scan and the conjecture scan reduce chunk by chunk
+in constant memory; the per-draw sweep holds one (point, axis) of outcomes
+at a time."""
 
 import tracemalloc
 
 from triplespin.measure_sim import ShotConfig, run_sweep
+from triplespin.prober import ProbeConfig, scan_conjecture
 from triplespin.relations import soak_qubit
 from triplespin.states import Family
 from triplespin.triangle import scan
@@ -30,6 +32,12 @@ def test_soak_peak_memory_is_bounded():
 def test_triangle_scan_peak_memory_is_bounded():
     # holding the gaps of all 1e6 points at once takes ~191 MiB
     assert traced_peak(scan, 1_000_000, seed=1) < 64 * MIB
+
+
+def test_conjecture_scan_peak_memory_is_bounded():
+    # holding all 4e5 spin-3/2 samples and their gaps at once takes ~262 MiB
+    cfg = ProbeConfig(seed=1, max_iters=50)
+    assert traced_peak(scan_conjecture, 3, 400_000, cfg) < 64 * MIB
 
 
 def test_per_draw_sweep_peak_memory_is_bounded():

@@ -6,15 +6,14 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from triplespin import prober
+from triplespin import kernels, prober
 from triplespin.errors import SpinRestrictionError, TripleSpinError
 from triplespin.moments import expectation, variance
 from triplespin.prober import (
     ProbeConfig,
     _bloch_from_params,
     _params_from_vector,
-    _state_from_params,
-    conjecture_gaps_batch,
+    _psi_from_params,
     gap_objective,
     is_counterexample,
     lockstep_nelder_mead,
@@ -24,12 +23,7 @@ from triplespin.prober import (
 )
 from triplespin.relations import RelationId, applicable_to, evaluate
 from triplespin.spin_ops import build_spin_operators
-from triplespin.states import (
-    bloch_from_density,
-    density_from_bloch,
-    from_statevector,
-    random_pure_vectors,
-)
+from triplespin.states import bloch_from_density, density_from_bloch, from_statevector, random_pure_vectors
 
 SQ3 = math.sqrt(3.0)
 FAST = ProbeConfig(restarts=8, seed=1)
@@ -127,7 +121,7 @@ def test_objective_matches_evaluate(twice_s):
                 if mixed:
                     state = density_from_bloch(_bloch_from_params(x))
                 else:
-                    state = _state_from_params(x, dim)
+                    state = from_statevector(_psi_from_params(x, dim))
                 expected = evaluate(relation, state, twice_s).gap
                 assert abs(gap - expected) <= 1e-12, (relation, mixed)
 
@@ -218,15 +212,6 @@ def test_lockstep_restarts_match_their_single_runs():
         assert one.success[0] == runs.success[r]
 
 
-def test_conjecture_batch_matches_evaluate():
-    for twice_s in (2, 3):
-        psis = random_pure_vectors(twice_s + 1, 200, seed=twice_s)
-        gaps = conjecture_gaps_batch(psis, build_spin_operators(twice_s))
-        for psi, gap in zip(psis, gaps):
-            expected = evaluate(RelationId.R11_CONJECTURE_TRIPLE_PRODUCT, from_statevector(psi), twice_s)
-            assert abs(gap - expected.gap) <= 1e-12
-
-
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
 def test_probe_config_rejects_bad_tol(tol):
     with pytest.raises(ValueError):
@@ -297,6 +282,23 @@ def test_scan_conjecture_deterministic():
     assert np.array_equal(a.argmin_state.rho, b.argmin_state.rho)
 
 
+def test_scan_conjecture_refines_the_ten_smallest_draws(monkeypatch):
+    starts = []
+    real = prober.lockstep_nelder_mead
+
+    def recording(objective, x0, max_iters, fatol):
+        starts.append(x0)
+        return real(objective, x0, max_iters, fatol)
+
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 1000)
+    monkeypatch.setattr(prober, "lockstep_nelder_mead", recording)
+    scan_conjecture(2, 3500, ProbeConfig(seed=6, max_iters=5))
+    draws = [random_pure_vectors(3, m, 6, k) for k, m in enumerate((1000, 1000, 1000, 500))]
+    x = prober._params_from_vector(np.vstack(draws))
+    gaps = gap_objective(RelationId.R11_CONJECTURE_TRIPLE_PRODUCT, 2)(x)
+    assert np.array_equal(starts[0], x[np.argsort(gaps, kind="stable")[:10]])
+
+
 def test_scan_conjecture_rejects_spin_half():
     with pytest.raises(ValueError):
         scan_conjecture(1, 100, FAST)
@@ -321,7 +323,7 @@ def test_conjectured_moment_conditions_give_equality_if_reachable():
     target_mean = s / SQ3
 
     def residual(x):
-        st = _state_from_params(x, 3)
+        st = from_statevector(_psi_from_params(x, 3))
         res = 0.0
         for op in ops.as_tuple():
             res += (expectation(st, np.asarray(op) @ np.asarray(op)) - target_sq) ** 2
@@ -341,7 +343,7 @@ def test_conjectured_moment_conditions_give_equality_if_reachable():
         if best is None or res.fun < best.fun:
             best = res
     if best.fun < 1e-8:
-        st = _state_from_params(best.x, 3)
+        st = from_statevector(_psi_from_params(best.x, 3))
         gap = evaluate(RelationId.R11_CONJECTURE_TRIPLE_PRODUCT, st, 2).gap
         assert abs(gap) <= 1e-6
 
@@ -351,7 +353,7 @@ def test_parametrization_round_trip():
     for dim in (2, 3, 4):
         z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         z /= np.linalg.norm(z)
-        st = _state_from_params(_params_from_vector(z), dim)
+        st = from_statevector(_psi_from_params(_params_from_vector(z), dim))
         # equality up to the fixed global phase
         assert st.purity() == pytest.approx(1.0, abs=1e-12)
         overlap = float(np.real(z.conj() @ st.rho @ z))

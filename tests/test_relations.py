@@ -6,7 +6,7 @@ import pytest
 from triplespin import kernels, states
 from triplespin.errors import DimensionMismatchError, SpinRestrictionError
 from triplespin.moments import pure_moments
-from triplespin.prober import conjecture_gaps_batch
+from triplespin.prober import _params_from_vector, gap_objective
 from triplespin.relations import (
     ENTROPIC,
     QUBIT_SOAK_RELATIONS,
@@ -316,11 +316,20 @@ def test_soak_chunked_reduction_matches_direct(monkeypatch, n_pure, n_mixed):
     gaps = shifted(_keyed_soak_draws(n_pure, n_mixed, 5, 1000))
     assert len(gaps) == n_pure + n_mixed
     mins = gaps.min(axis=0)
+    argmins = _keyed_soak_draws(n_pure, n_mixed, 5, 1000)[gaps.argmin(axis=0)]
     viol = np.count_nonzero(gaps < -summary.tolerance, axis=0)
     assert viol.any()
     for i, rel in enumerate(QUBIT_SOAK_RELATIONS):
         assert summary.min_gap[rel] == mins[i]
+        assert summary.argmin_bloch[rel] == tuple(argmins[i])
         assert summary.violations[rel] == viol[i]
+
+
+def test_soak_argmin_reproduces_min_gap():
+    summary = soak_qubit(40_000, 40_000, seed=17)  # two chunks of each kind
+    for i, rel in enumerate(QUBIT_SOAK_RELATIONS):
+        gaps = kernels.qubit_relation_gaps(np.array([summary.argmin_bloch[rel]]))
+        assert gaps[0, i] == summary.min_gap[rel]
 
 
 def test_soak_nan_in_a_later_chunk_fails(monkeypatch):
@@ -378,9 +387,8 @@ def test_variance_sum_bound_random_states(twice_s):
 
 @pytest.mark.parametrize("twice_s", [2, 3])
 def test_conjectured_triple_product_random_states(twice_s):
-    ops = build_spin_operators(twice_s)
     psis = random_pure_vectors(twice_s + 1, 100_000, seed=twice_s + 10)
-    gaps = conjecture_gaps_batch(psis, ops)
+    gaps = gap_objective(RelationId.R11_CONJECTURE_TRIPLE_PRODUCT, twice_s)(_params_from_vector(psis))
     worst = float(np.min(gaps))
     # conjecture status: a violation would be reported, not asserted away
     assert worst >= -1e-10, f"conjecture counterexample candidate at gap {worst}"

@@ -48,6 +48,9 @@ from .triangle import scan as triangle_scan
 #: library default so that Bloch components given to a few decimal places
 #: still register as saturating.
 VERIFY_CLI_TOL = 1e-6
+#: States a `probe --conjecture` scan draws unless --samples says otherwise.
+CONJECTURE_SAMPLES = 100_000
+
 
 class CliError(Exception):
     """Argument-level error; maps to exit code 2."""
@@ -211,10 +214,15 @@ def _cmd_simulate(args) -> int:
 def _cmd_probe(args) -> int:
     seed = _seed(args)
     spin = Spin(args.spin)
+    if args.conjecture and (args.relation is not None or args.mixed or args.restarts is not None):
+        raise CliError("--conjecture scans R11 over pure states; it takes no --relation, --mixed or --restarts")
+    if not args.conjecture and args.samples is not None:
+        raise CliError("--samples sizes a --conjecture scan; a --relation search takes --restarts")
+    # effective values, so that the manifest's config records what ran
+    args.restarts = ProbeConfig.restarts if args.restarts is None else args.restarts
+    args.samples = CONJECTURE_SAMPLES if args.samples is None else args.samples
     cfg = ProbeConfig(restarts=args.restarts, max_iters=args.max_iters, tol=args.tol, seed=seed)
     if args.conjecture:
-        if args.relation is not None or args.mixed:
-            raise CliError("--conjecture scans R11 over pure states; it takes no --relation or --mixed")
         result = scan_conjecture(spin, args.samples, cfg)
         out = result.to_dict()
         out["counterexample"] = is_counterexample(result)
@@ -315,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--spin", type=int, default=1, metavar="TWICE_S")
     p_probe.add_argument("--mixed", action="store_true", help="search the qubit Bloch ball instead of pure states")
     p_probe.add_argument("--conjecture", action="store_true", help="scan the all-spin triple product conjecture")
-    p_probe.add_argument("--samples", type=int, default=100_000)
-    p_probe.add_argument("--restarts", type=int, default=64)
+    p_probe.add_argument("--samples", type=int, help=f"--conjecture scan draws (default {CONJECTURE_SAMPLES})")
+    p_probe.add_argument("--restarts", type=int, help=f"--relation search restarts (default {ProbeConfig.restarts})")
     p_probe.add_argument("--max-iters", type=int, default=2000)
     p_probe.add_argument("--tol", type=float, default=1e-10)
     p_probe.add_argument("--seed", type=int, default=None)

@@ -21,9 +21,15 @@ from . import kernels
 from .errors import SpinRestrictionError, TripleSpinError
 from .moments import bloch_moments, entr, pure_moments
 from .relations import ENTROPIC, RelationId, _ops, applicable_to, evaluate, relation_sides
-from .rng import stream
-from .spin_ops import Spin
-from .states import QuantumState, density_from_bloch, from_statevector, random_pure_vectors, state_to_json_dict
+from .spin_ops import Spin, _as_spin
+from .states import (
+    QuantumState,
+    density_from_bloch,
+    from_statevector,
+    random_mixed_bloch,
+    random_pure_vectors,
+    state_to_json_dict,
+)
 
 #: A scan minimum below -this is reported as a conjecture counterexample candidate.
 COUNTEREXAMPLE_TOL = 1e-8
@@ -111,17 +117,6 @@ def _bloch_from_params(x: np.ndarray) -> np.ndarray:
     return r / np.maximum(np.linalg.norm(r, axis=-1, keepdims=True), 1.0)
 
 
-def _random_start(dim: int, seed: int, restart: int, mixed: bool) -> np.ndarray:
-    rng = stream(seed, restart)
-    if mixed:
-        # uniform over the ball by rejection-free radial scaling
-        v = rng.standard_normal(3)
-        v /= np.linalg.norm(v)
-        return v * rng.random() ** (1.0 / 3.0)
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return _params_from_vector(z / np.linalg.norm(z))
-
-
 def gap_objective(relation: RelationId, spin: Spin | int, mixed: bool = False):
     """The search objective: (m, p) parameter rows -> (m,) gaps of `relation`.
 
@@ -135,7 +130,7 @@ def gap_objective(relation: RelationId, spin: Spin | int, mixed: bool = False):
     nondegenerate, so outcome probabilities are the squared amplitudes in the
     eigenbasis with no eigenvalue merging.
     """
-    spin = spin if isinstance(spin, Spin) else Spin(spin)
+    spin = _as_spin(spin)
     if mixed and spin.twice_s != 1:
         raise ValueError("mixed-state probing uses the Bloch ball and needs spin 1/2")
     s = spin.s
@@ -287,16 +282,20 @@ def min_gap(
     """Minimize the gap of one relation over states of the given spin.
 
     Runs cfg.restarts independent Nelder-Mead searches from Haar-random pure
-    starts (or Bloch-ball points when mixed=True, qubit only) and keeps the
-    best result, ties broken by lowest restart index. Each restart has its
-    own RNG stream, so the result is deterministic for a fixed config. The
-    reported min_gap is evaluated on the validated argmin state.
+    starts (or Hilbert-Schmidt Bloch-ball points when mixed=True, qubit only)
+    and keeps the best result, ties broken by lowest restart index. Restart r
+    starts from the states samplers' draw on stream (seed, r), so the result
+    is deterministic for a fixed config; min_gap is evaluated on the argmin.
     """
-    spin = spin if isinstance(spin, Spin) else Spin(spin)
+    spin = _as_spin(spin)
     if not applicable_to(relation, spin):
         raise SpinRestrictionError(f"{relation.value} is not applicable at twice_s = {spin.twice_s}")
 
-    starts = np.array([_random_start(spin.dim, cfg.seed, r, mixed) for r in range(cfg.restarts)])
+    if mixed:
+        starts = np.vstack([random_mixed_bloch(1, cfg.seed, r) for r in range(cfg.restarts)])
+    else:
+        psis = np.vstack([random_pure_vectors(spin.dim, 1, cfg.seed, r) for r in range(cfg.restarts)])
+        starts = _params_from_vector(psis)
     return _search(relation, spin, starts, cfg, mixed)
 
 
@@ -360,7 +359,7 @@ def scan_conjecture(
     Nelder-Mead. A minimum below -COUNTEREXAMPLE_TOL marks a counterexample
     candidate; callers report it rather than fail.
     """
-    spin = spin if isinstance(spin, Spin) else Spin(spin)
+    spin = _as_spin(spin)
     if spin.twice_s < 2:
         raise ValueError("the spin-1/2 case is the proved product bound; scan needs twice_s >= 2")
     if samples < 1:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SpinRestrictionError
 from .moments import EntropyBase, expectation, shannon_entropy, std_dev, variance
-from .spin_ops import Spin, SpinOperatorSet, build_spin_operators
+from .spin_ops import Spin, SpinOperatorSet, _as_spin, build_spin_operators
 from .states import QuantumState, random_mixed_bloch, random_pure_bloch
 
 #: The triple constant tightening the naive three-component bounds.
@@ -323,7 +323,7 @@ def evaluate(
     relation_sides to them; the closed-form Bloch route lives in
     kernels.qubit_relation_gaps and is cross-checked in tests.
     """
-    spin = spin if isinstance(spin, Spin) else Spin(spin)
+    spin = _as_spin(spin)
     if relation is RelationId.R_ROBERTSON_GENERIC:
         raise ValueError(
             "R_ROBERTSON_GENERIC needs an explicit observable pair; call evaluate_robertson"
@@ -381,7 +381,7 @@ def catalog() -> tuple[RelationSpec, ...]:
 
 def applicable_to(relation: RelationId, spin: Spin | int) -> bool:
     """Whether evaluate() accepts this relation at the given spin."""
-    spin = spin if isinstance(spin, Spin) else Spin(spin)
+    spin = _as_spin(spin)
     if relation is RelationId.R_ROBERTSON_GENERIC:
         return False
     if relation in SPIN_HALF_ONLY:

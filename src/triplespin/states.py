@@ -181,35 +181,27 @@ def random_mixed(dim: int, seed: int) -> QuantumState:
     return QuantumState(m / np.trace(m).real)
 
 
+def _directions(n: int, rng) -> np.ndarray:
+    """(3, n) unit vectors uniform on the sphere from stream rng (Muller, Comm. ACM 2, 19, 1959)."""
+    v = rng.standard_normal((3, n))
+    v /= np.sqrt(np.einsum("ij,ij->j", v, v))  # in place: a second (3, n) array raises peak memory
+    return v
+
+
 def random_pure_bloch(n: int, seed: int, *key: int) -> np.ndarray:
-    """(n, 3) Bloch vectors of Haar-random qubit pure states from stream (seed, *key)."""
-    z = random_pure_vectors(2, n, seed, *key)
-    cross = np.conj(z[:, 0]) * z[:, 1]
-    return np.column_stack(
-        [2.0 * cross.real, 2.0 * cross.imag, np.abs(z[:, 0]) ** 2 - np.abs(z[:, 1]) ** 2]
-    )
+    """(n, 3) Bloch vectors of Haar-random qubit pure states from stream (seed, *key), uniform on the sphere."""
+    return _directions(n, stream(seed, *key)).T
 
 
 def random_mixed_bloch(n: int, seed: int, *key: int) -> np.ndarray:
     """(n, 3) Bloch vectors of Hilbert-Schmidt random qubit mixed states from stream (seed, *key).
 
-    rho = G G^dag / tr(G G^dag) for G = [[a, b], [c, d]] of standard complex
-    normals, in closed form: with x = a conj(c) + b conj(d) and
-    t = |a|^2 + |b|^2 + |c|^2 + |d|^2, r = (2 Re x, -2 Im x, |a|^2 + |b|^2 - |c|^2 - |d|^2) / t.
+    Uniform in the ball (Zyczkowski & Sommers, J. Phys. A 34, 7111, 2001): a direction times U^(1/3).
     """
     rng = stream(seed, *key)
-    re = rng.standard_normal((n, 2, 2))
-    im = rng.standard_normal((n, 2, 2))
-    ar, br, cr, dr = re.reshape(n, 4).T
-    ai, bi, ci, di = im.reshape(n, 4).T
-    top = ar * ar + ai * ai + br * br + bi * bi
-    bottom = cr * cr + ci * ci + dr * dr + di * di
-    bloch = np.empty((n, 3))
-    bloch[:, 0] = 2.0 * (ar * cr + ai * ci + br * dr + bi * di)
-    bloch[:, 1] = 2.0 * (ar * ci - ai * cr + br * di - bi * dr)
-    bloch[:, 2] = top - bottom
-    bloch /= (top + bottom)[:, None]
-    return bloch
+    r = _directions(n, rng)
+    r *= rng.random(n) ** (1.0 / 3.0)
+    return r.T
 
 
 def random_pure_vectors(dim: int, n: int, seed: int, *key: int) -> np.ndarray:

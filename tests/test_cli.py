@@ -240,6 +240,23 @@ def test_probe_conjecture_rejects_mixed(capsys):
     assert "--mixed" in err
 
 
+def test_probe_conjecture_rejects_restarts(capsys):
+    # the scan refines a fixed number of its best samples; --restarts would be ignored
+    code, out, err = run(
+        capsys, "probe", "--conjecture", "--spin", "2", "--samples", "50", "--restarts", "3",
+        "--max-iters", "20", "--seed", "1",
+    )
+    assert code == 2 and out == ""
+    assert "--restarts" in err
+
+
+def test_probe_relation_rejects_samples(capsys):
+    # a --relation search draws one start per restart; --samples would be ignored
+    code, out, err = run(capsys, "probe", "--relation", "R5", "--samples", "7", "--restarts", "2")
+    assert code == 2 and out == ""
+    assert "--samples" in err
+
+
 def test_probe_requires_relation_or_conjecture(capsys):
     code, _, err = run(capsys, "probe", "--spin", "1")
     assert code == 2

@@ -1,6 +1,6 @@
 """Import checks: every name a library module imports is used in that module,
 every private module-level function is referenced somewhere in the package,
-and the runtime imports no scipy."""
+only rng.py reaches numpy.random, and the runtime imports no scipy."""
 
 import ast
 import subprocess
@@ -52,6 +52,26 @@ def dead_private_functions(sources: dict[str, str]) -> list[str]:
     ]
 
 
+def numpy_random_uses(source: str) -> list[str]:
+    """Lines that reach numpy.random: an np.random or numpy.random attribute, or an import of it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr == "random" and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = module.split(".")[:2] == ["numpy", "random"] or (
+                module == "numpy" and any(alias.name == "random" for alias in node.names)
+            )
+        elif isinstance(node, ast.Import):
+            hit = any(alias.name.split(".")[:2] == ["numpy", "random"] for alias in node.names)
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
 def test_checker_flags_unused_names():
     source = "from os import path, sep\nimport numpy as np\nimport json\nprint(sep, json.dumps)\n"
     assert unused_imports(source) == ["line 1: path", "line 2: np"]
@@ -74,6 +94,20 @@ def test_checker_flags_dead_private_functions():
 def test_no_dead_private_functions():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert dead_private_functions(sources) == []
+
+
+def test_checker_flags_numpy_random():
+    source = (
+        "import numpy as np\nfrom numpy import random\nimport numpy.random\nfrom numpy.random import Philox\n"
+        "x = np.random.default_rng(0)\ny = numpy.random\nz = np.linalg.norm(x.random(3))\n"
+    )
+    assert numpy_random_uses(source) == [f"line {n}" for n in (2, 3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("module", sorted(p for p in PACKAGE.glob("*.py") if p.name != "rng.py"), ids=lambda p: p.name)
+def test_only_rng_draws_from_numpy_random(module):
+    # every draw comes from an rng.stream keyed by the work item, so runs stay reproducible
+    assert numpy_random_uses(module.read_text(encoding="utf-8")) == []
 
 
 def test_cli_import_loads_no_scipy():

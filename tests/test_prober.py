@@ -23,7 +23,13 @@ from triplespin.prober import (
 )
 from triplespin.relations import RelationId, applicable_to, evaluate
 from triplespin.spin_ops import build_spin_operators
-from triplespin.states import bloch_from_density, density_from_bloch, from_statevector, random_pure_vectors
+from triplespin.states import (
+    bloch_from_density,
+    density_from_bloch,
+    from_statevector,
+    random_mixed_bloch,
+    random_pure_vectors,
+)
 
 SQ3 = math.sqrt(3.0)
 FAST = ProbeConfig(restarts=8, seed=1)
@@ -137,6 +143,20 @@ def _one_by_one(objective, calls=None):
     return batch
 
 
+def _start(dim, seed, restart, mixed):
+    """min_gap's start for `restart`: the shared samplers' draw on stream (seed, restart)."""
+    if mixed:
+        return random_mixed_bloch(1, seed, restart)[0]
+    return _params_from_vector(random_pure_vectors(dim, 1, seed, restart))[0]
+
+
+@pytest.mark.parametrize("twice_s, mixed", [(1, True), (1, False), (3, False)])
+def test_min_gap_starts_from_the_shared_samplers(monkeypatch, twice_s, mixed):
+    monkeypatch.setattr(prober, "_search", lambda relation, spin, starts, cfg, mixed=False: starts)
+    starts = min_gap(RelationId.R7_SUM_GENERAL_S, twice_s, ProbeConfig(restarts=5, seed=7), mixed=mixed)
+    assert np.array_equal(starts, [_start(twice_s + 1, 7, r, mixed) for r in range(5)])
+
+
 #: (relation, twice_s, mixed, max_iters) cases for the scipy oracle
 ORACLE_CASES = [
     (RelationId.R5_TRIPLE_SUM, 1, False, 2000),
@@ -151,7 +171,7 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("relation, twice_s, mixed, max_iters", ORACLE_CASES, ids=lambda v: getattr(v, "name", None))
 def test_lockstep_single_run_reproduces_scipy(relation, twice_s, mixed, max_iters, seed):
     objective = gap_objective(relation, twice_s, mixed)
-    x0 = prober._random_start(twice_s + 1, seed, 0, mixed)
+    x0 = _start(twice_s + 1, seed, 0, mixed)
     scalar = _one_by_one(objective)
     ref = minimize(
         lambda x: scalar(x[None])[0],
@@ -168,7 +188,7 @@ def test_lockstep_single_run_reproduces_scipy(relation, twice_s, mixed, max_iter
 
 def test_lockstep_stops_at_max_iters_like_scipy():
     objective = _one_by_one(gap_objective(RelationId.R7_SUM_GENERAL_S, 4))
-    x0 = prober._random_start(5, 0, 0, False)
+    x0 = _start(5, 0, 0, False)
     ref = minimize(
         lambda x: objective(x[None])[0],
         x0,
@@ -183,7 +203,7 @@ def test_lockstep_stops_at_max_iters_like_scipy():
 
 def test_lockstep_shrink_step_reproduces_scipy():
     objective = gap_objective(RelationId.R6_SUM_HALF, 1, mixed=True)
-    x0 = prober._random_start(2, 0, 0, True)
+    x0 = _start(2, 0, 0, True)
     calls = []
     got = lockstep_nelder_mead(_one_by_one(objective, calls), x0[None], 2000, 1e-10)
     assert 3 in calls[1:]  # a shrink evaluates the n = 3 non-best vertices in one call
@@ -199,7 +219,7 @@ def test_lockstep_shrink_step_reproduces_scipy():
 
 def test_lockstep_restarts_match_their_single_runs():
     objective = gap_objective(RelationId.R3_TRIPLE_PRODUCT, 1, mixed=True)
-    starts = np.array([prober._random_start(2, 4, r, True) for r in range(6)])
+    starts = np.array([_start(2, 4, r, True) for r in range(6)])
     calls = []
     runs = lockstep_nelder_mead(_one_by_one(objective, calls), starts, 2000, 1e-10)
     # at most three batched calls an iteration, after the initial simplex

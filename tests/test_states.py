@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp, kstest
 
 from triplespin.errors import DimensionMismatchError, InvalidStateError
 from triplespin.states import (
@@ -152,17 +153,44 @@ def test_batch_bloch_generators_match_state_invariants():
     assert np.all(np.linalg.norm(mixed, axis=1) < 1.0)
 
 
-@pytest.mark.parametrize("key", [(), (1,), (1, 4)])
-def test_random_mixed_bloch_matches_matrix_route(key):
-    n = 20_000
-    rng = stream(29, *key)
+# Distribution checks: each Kolmogorov-Smirnov p-value must exceed KS_ALPHA,
+# a bound fixed before any draw was looked at.
+KS_ALPHA = 1e-4
+KS_N = 20_000
+
+
+def _matrix_route_bloch(n, seed, *key):
+    """Bloch vectors of rho = G G^dag / tr(G G^dag) for G of standard complex normals."""
+    rng = stream(seed, *key)
     g = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
     m = g @ np.conj(np.swapaxes(g, 1, 2))
     m /= np.trace(m, axis1=1, axis2=2).real[:, None, None]
-    reference = np.column_stack([2.0 * m[:, 0, 1].real, -2.0 * m[:, 0, 1].imag, (m[:, 0, 0] - m[:, 1, 1]).real])
-    bloch = random_mixed_bloch(n, 29, *key)
-    assert np.abs(bloch - reference).max() <= 1e-15
-    assert np.linalg.norm(bloch, axis=1).max() <= 1.0 + 1e-12
+    return np.column_stack([2.0 * m[:, 0, 1].real, -2.0 * m[:, 0, 1].imag, (m[:, 0, 0] - m[:, 1, 1]).real])
+
+
+@pytest.mark.parametrize("key", [(), (1,), (1, 4)])
+def test_random_mixed_bloch_fills_the_ball_uniformly(key):
+    # uniform in the unit ball: r^3 ~ U(0, 1)
+    r = np.linalg.norm(random_mixed_bloch(KS_N, 29, *key), axis=1)
+    assert r.max() <= 1.0 + 1e-12
+    assert kstest(r**3, "uniform").pvalue > KS_ALPHA
+
+
+@pytest.mark.parametrize("key", [(), (1,), (1, 4)])
+def test_random_mixed_bloch_matches_matrix_route(key):
+    # the G G^dag / tr route on an independent stream: radius and r_z agree in distribution
+    bloch = random_mixed_bloch(KS_N, 29, *key)
+    reference = _matrix_route_bloch(KS_N, 30, *key)
+    assert ks_2samp(np.linalg.norm(bloch, axis=1), np.linalg.norm(reference, axis=1)).pvalue > KS_ALPHA
+    assert ks_2samp(bloch[:, 2], reference[:, 2]).pvalue > KS_ALPHA
+
+
+@pytest.mark.parametrize("key", [(), (1,), (1, 4)])
+def test_random_pure_bloch_is_uniform_on_the_sphere(key):
+    # on the unit sphere, and by Archimedes' hat-box theorem r_z ~ U(-1, 1)
+    bloch = random_pure_bloch(KS_N, 29, *key)
+    assert np.abs(np.linalg.norm(bloch, axis=1) - 1.0).max() <= 1e-12
+    assert kstest(bloch[:, 2], "uniform", args=(-1.0, 2.0)).pvalue > KS_ALPHA
 
 
 def test_state_json_roundtrip():

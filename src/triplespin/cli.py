@@ -30,6 +30,7 @@ from .relations import (
     RelationId,
     applicable_to,
     catalog,
+    check_applicable,
     evaluate,
     soak_qubit,
 )
@@ -168,11 +169,7 @@ def _cmd_verify(args) -> int:
     spin = Spin(args.spin)
     relations = parse_relations(args.relation, spin)
     for rel in relations:
-        if not applicable_to(rel, spin):
-            raise CliError(
-                f"{rel.value} is proved for spin-1/2 only and cannot be verified at "
-                f"twice_s = {spin.twice_s}"
-            )
+        check_applicable(rel, spin)
     tol = args.tolerance
     if not (math.isfinite(tol) and tol >= 0):
         raise CliError(f"--tolerance must be finite and nonnegative, got {tol}")
@@ -200,13 +197,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_simulate(args) -> int:
     seed = _seed(args)
     cfg = ShotConfig(shots=args.shots, seed=seed)
-    rows = run_sweep(
-        Family(args.family),
-        args.points,
-        cfg,
-        analytic_only=args.analytic,
-        per_draw=args.per_draw,
-    )
+    rows = run_sweep(Family(args.family), args.points, cfg, per_draw=args.per_draw)
     _write_output(rows_to_csv(rows), args, "simulate", seed)
     return 0
 
@@ -237,11 +228,6 @@ def _cmd_probe(args) -> int:
         if args.relation is None:
             raise CliError("probe needs --relation or --conjecture")
         relation = parse_relation(args.relation)
-        if not applicable_to(relation, spin):
-            raise CliError(
-                f"{relation.value} is not applicable at twice_s = {spin.twice_s} "
-                "(relation proved for spin-1/2 only)"
-            )
         result = min_gap(relation, spin, cfg, mixed=args.mixed)
         out = result.to_dict()
         if relation is RelationId.R7_SUM_GENERAL_S:
@@ -313,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--points", type=int, required=True)
     p_sim.add_argument("--shots", type=int, default=4_000_000)
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--analytic", action="store_true", help="emit exact values with zero errors")
     p_sim.add_argument("--per-draw", action="store_true", help="sample individual shots instead of one binomial")
     add_common(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)

@@ -24,12 +24,6 @@ _SQRT3_2 = math.sqrt(3.0) / 2.0
 #: kernel call; they reduce chunk by chunk, so memory does not grow with n.
 CHUNK_ROWS = 1 << 15
 
-#: Column order of qubit_relation_gaps output.
-QUBIT_GAP_COLUMNS = tuple(relation.name for relation in QUBIT_SOAK_RELATIONS)
-
-#: Column order of triangle_analog_gaps output (analog of the like-named relation).
-TRIANGLE_GAP_COLUMNS = tuple(relation.name for relation in TRIANGLE_ANALOG_RELATIONS)
-
 
 class MinFold:
     """Running per-column minimum of (m, k) gap chunks and the row that attained it.
@@ -69,7 +63,7 @@ def _apply_table(relations, d, v, e, h=None, w=None, s=None) -> np.ndarray:
 def qubit_relation_gaps(bloch: np.ndarray) -> np.ndarray:
     """Gaps (lhs - rhs) of all 16 qubit relations for an (n, 3) Bloch batch.
 
-    Columns follow QUBIT_GAP_COLUMNS.
+    Columns follow relations.QUBIT_SOAK_RELATIONS.
     """
     moments = bloch_moments(np.ascontiguousarray(_batch(bloch, "Bloch").T))
     return _apply_table(QUBIT_SOAK_RELATIONS, *moments, 0.5)
@@ -80,7 +74,7 @@ def triangle_analog_gaps(bary: np.ndarray, side: float) -> np.ndarray:
 
     The vertex distances |PA|, |PB|, |PC| stand in for the standard
     deviations and the quadrupled areas 4|PBC|, 4|PCA|, 4|PAB| for |<S_i>|.
-    Columns follow TRIANGLE_GAP_COLUMNS.
+    Columns follow relations.TRIANGLE_ANALOG_RELATIONS (the analog of each relation).
     """
     b = _batch(bary, "barycentric")
     if not (math.isfinite(side) and side > 0):

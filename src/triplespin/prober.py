@@ -1,11 +1,12 @@
 """Derivative-free search for minimum-gap and saturating states.
 
-Pure states in dimension d are parametrized by 2d-1 unconstrained reals
-(first amplitude taken real nonnegative, explicit renormalization at every
-evaluation), so a simplex search never leaves the state manifold. For the
-qubit, an optional mixed-state mode searches the closed Bloch ball instead.
-Gaps involve absolute values and square roots with kinks at saturation, so
-local refinement uses the Nelder-Mead simplex rather than gradients. All
+The gap objective scores batches of states; only the simplex search
+parametrizes them. Pure states in dimension d become 2d-1 unconstrained
+reals (first amplitude real nonnegative, renormalized at every evaluation),
+so the search never leaves the state manifold. For the qubit, an optional
+mixed-state mode searches the closed Bloch ball instead. Gaps involve
+absolute values and square roots with kinks at saturation, so local
+refinement uses the Nelder-Mead simplex rather than gradients. All
 restarts of a search advance together, one batched objective call per
 simplex stage.
 """
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import SpinRestrictionError, TripleSpinError
+from .errors import TripleSpinError
 from .moments import bloch_moments, entr, pure_moments
-from .relations import ENTROPIC, RelationId, _ops, applicable_to, evaluate, relation_sides
+from .relations import ENTROPIC, RelationId, _ops, check_applicable, evaluate, relation_sides
 from .spin_ops import Spin, _as_spin
 from .states import (
     QuantumState,
@@ -118,14 +119,14 @@ def _bloch_from_params(x: np.ndarray) -> np.ndarray:
 
 
 def gap_objective(relation: RelationId, spin: Spin | int, mixed: bool = False):
-    """The search objective: (m, p) parameter rows -> (m,) gaps of `relation`.
+    """The search objective: a batch of m states -> (m,) gaps of `relation`.
 
-    Row k's gap equals evaluate(relation, state, spin).gap at the state row k
-    parametrizes, but moments go straight to relations.relation_sides without
-    building validated QuantumStates. With mixed=True they are the closed-form
-    moments of the Bloch vectors (moments.bloch_moments on (3, m) rows).
-    Otherwise they are the moments of the (m, d) state vectors
-    (moments.pure_moments) over the operator stack, its eigenbases and the R8
+    The states are (m, d) normalized state vectors or, with mixed=True, (m, 3)
+    qubit Bloch rows in the closed unit ball. Row k's gap equals
+    evaluate(relation, state, spin).gap at state k, but moments go straight to
+    relations.relation_sides without building validated QuantumStates. Bloch
+    rows take the closed-form moments.bloch_moments; state vectors take
+    moments.pure_moments over the operator stack, its eigenbases and the R8
     pair sums, all prepared once here. Spin-component spectra are
     nondegenerate, so outcome probabilities are the squared amplitudes in the
     eigenbasis with no eigenvalue merging.
@@ -136,20 +137,18 @@ def gap_objective(relation: RelationId, spin: Spin | int, mixed: bool = False):
     s = spin.s
     if mixed:
 
-        def bloch_objective(x):
-            lhs, rhs = relation_sides(relation, *bloch_moments(_bloch_from_params(x).T), s)
+        def bloch_objective(bloch):
+            lhs, rhs = relation_sides(relation, *bloch_moments(bloch.T), s)
             return lhs - rhs
 
         return bloch_objective
 
-    dim = spin.dim
     ops = np.array(_ops(spin.twice_s).as_tuple(), dtype=complex)
     # (3, d, d) with eigenvectors as columns: psis @ basis[i] are the amplitudes in S_i's eigenbasis
     basis = np.linalg.eigh(ops)[1].conj() if relation in ENTROPIC else None
     pairs = ops + ops[[1, 2, 0]] if relation is RelationId.R8_VARIANCE_OF_SUMS else None
 
-    def objective(x):
-        psis = _psi_from_params(x, dim)
+    def objective(psis):
         e, v = pure_moments(psis, ops)
         h = w = None
         if basis is not None:
@@ -161,6 +160,19 @@ def gap_objective(relation: RelationId, spin: Spin | int, mixed: bool = False):
         return lhs - rhs
 
     return objective
+
+
+def _param_objective(relation: RelationId, spin: Spin | int, mixed: bool = False):
+    """_search's simplex objective: gap_objective composed with the parametrization.
+
+    Maps (m, 2d-1) parameter rows (with mixed=True, (m, 3) points of R^3
+    projected onto the Bloch ball) to (m,) gaps.
+    """
+    objective = gap_objective(relation, spin, mixed)
+    if mixed:
+        return lambda x: objective(_bloch_from_params(x))
+    dim = _as_spin(spin).dim
+    return lambda x: objective(_psi_from_params(x, dim))
 
 
 @dataclass(frozen=True)
@@ -288,14 +300,12 @@ def min_gap(
     is deterministic for a fixed config; min_gap is evaluated on the argmin.
     """
     spin = _as_spin(spin)
-    if not applicable_to(relation, spin):
-        raise SpinRestrictionError(f"{relation.value} is not applicable at twice_s = {spin.twice_s}")
+    check_applicable(relation, spin)
 
     if mixed:
         starts = np.vstack([random_mixed_bloch(1, cfg.seed, r) for r in range(cfg.restarts)])
     else:
-        psis = np.vstack([random_pure_vectors(spin.dim, 1, cfg.seed, r) for r in range(cfg.restarts)])
-        starts = _params_from_vector(psis)
+        starts = np.vstack([random_pure_vectors(spin.dim, 1, cfg.seed, r) for r in range(cfg.restarts)])
     return _search(relation, spin, starts, cfg, mixed)
 
 
@@ -307,13 +317,16 @@ def _search(
     mixed: bool = False,
     drawn: int = 0,
 ) -> ProbeResult:
-    """Nelder-Mead from each start row in lockstep; the best run is the result.
+    """Nelder-Mead from each start state in lockstep; the best run is the result.
 
+    starts are (m, d) state vectors (with mixed=True, (m, 3) Bloch rows, their
+    own parameters); they are searched as parameter rows of _param_objective.
     Ties go to the lowest start index. min_gap is evaluate on the validated
     argmin state, and evaluations adds the `drawn` samples that chose the
     starts to the objective calls.
     """
-    runs = lockstep_nelder_mead(gap_objective(relation, spin, mixed), starts, cfg.max_iters, cfg.tol)
+    x0 = starts if mixed else _params_from_vector(starts)
+    runs = lockstep_nelder_mead(_param_objective(relation, spin, mixed), x0, cfg.max_iters, cfg.tol)
     gaps = tuple(runs.fun.tolist())
     best = min(range(len(gaps)), key=gaps.__getitem__)
     if mixed:
@@ -353,11 +366,11 @@ def scan_conjecture(
     """Scan the all-spin triple-product conjecture on random pure states.
 
     Chunk k draws up to kernels.CHUNK_ROWS Haar-random states from stream
-    (seed, k) and scores them with the R11 search objective, keeping a
-    running set of the 10 smallest gaps (ties in draw order), so memory stays
-    constant in `samples`. Those 10 states are then refined together with
-    Nelder-Mead. A minimum below -COUNTEREXAMPLE_TOL marks a counterexample
-    candidate; callers report it rather than fail.
+    (seed, k) and scores them with gap_objective(R11), keeping a running set
+    of the 10 smallest gaps (ties in draw order), so memory stays constant in
+    `samples`. Those 10 states are then refined together with Nelder-Mead. A
+    minimum below -COUNTEREXAMPLE_TOL marks a counterexample candidate;
+    callers report it rather than fail.
     """
     spin = _as_spin(spin)
     if spin.twice_s < 2:
@@ -367,17 +380,17 @@ def scan_conjecture(
     relation = RelationId.R11_CONJECTURE_TRIPLE_PRODUCT
     objective = gap_objective(relation, spin)
     chunk = kernels.CHUNK_ROWS
-    top_gaps, top_x = np.empty(0), np.empty((0, 2 * spin.dim - 1))
+    top_gaps, top_psis = np.empty(0), np.empty((0, spin.dim), dtype=complex)
     for k in range(-(-samples // chunk)):
-        x = _params_from_vector(random_pure_vectors(spin.dim, min(chunk, samples - k * chunk), cfg.seed, k))
-        gaps = np.concatenate([top_gaps, objective(x)])
+        psis = random_pure_vectors(spin.dim, min(chunk, samples - k * chunk), cfg.seed, k)
+        gaps = np.concatenate([top_gaps, objective(psis)])
         # rows at or below the 10th smallest gap, or NaN; the kept rows come
         # first, so a stable sort of them breaks ties in draw order
         last = min(_REFINEMENTS, len(gaps)) - 1
         rows = np.flatnonzero(~(gaps > np.partition(gaps, last)[last]))
         keep = rows[np.argsort(gaps[rows], kind="stable")[:_REFINEMENTS]]
-        top_gaps, top_x = gaps[keep], np.vstack([top_x, x])[keep]
-    return _search(relation, spin, top_x, cfg, drawn=samples)
+        top_gaps, top_psis = gaps[keep], np.vstack([top_psis, psis])[keep]
+    return _search(relation, spin, top_psis, cfg, drawn=samples)
 
 
 def is_counterexample(result: ProbeResult) -> bool:

@@ -324,18 +324,9 @@ def evaluate(
     kernels.qubit_relation_gaps and is cross-checked in tests.
     """
     spin = _as_spin(spin)
-    if relation is RelationId.R_ROBERTSON_GENERIC:
-        raise ValueError(
-            "R_ROBERTSON_GENERIC needs an explicit observable pair; call evaluate_robertson"
-        )
+    check_applicable(relation, spin)
     if state.dim != spin.dim:
         raise DimensionMismatchError(f"state dim {state.dim} does not match spin dim {spin.dim}")
-    if relation in SPIN_HALF_ONLY and spin.twice_s != 1:
-        raise SpinRestrictionError(
-            f"{relation.value} is proved for spin-1/2 only; "
-            f"got twice_s = {spin.twice_s}. The tightened constants do not carry over to s >= 1 "
-            "(use R11_CONJECTURE_TRIPLE_PRODUCT to explore the product bound at higher spin)."
-        )
 
     axes = _ops(spin.twice_s).as_tuple()
     e = [expectation(state, op) for op in axes]
@@ -379,13 +370,25 @@ def catalog() -> tuple[RelationSpec, ...]:
     return RELATIONS
 
 
+def check_applicable(relation: RelationId, spin: Spin | int) -> None:
+    """Raise the reason evaluate() refuses this relation at the given spin, if it does."""
+    if relation is RelationId.R_ROBERTSON_GENERIC:
+        raise ValueError("R_ROBERTSON_GENERIC needs an explicit observable pair; call evaluate_robertson")
+    twice_s = _as_spin(spin).twice_s
+    if relation in SPIN_HALF_ONLY and twice_s != 1:
+        raise SpinRestrictionError(
+            f"{relation.value} is proved for spin-1/2 only; "
+            f"got twice_s = {twice_s}. The tightened constants do not carry over to s >= 1 "
+            "(use R11_CONJECTURE_TRIPLE_PRODUCT to explore the product bound at higher spin)."
+        )
+
+
 def applicable_to(relation: RelationId, spin: Spin | int) -> bool:
     """Whether evaluate() accepts this relation at the given spin."""
-    spin = _as_spin(spin)
-    if relation is RelationId.R_ROBERTSON_GENERIC:
+    try:
+        check_applicable(relation, spin)
+    except ValueError:
         return False
-    if relation in SPIN_HALF_ONLY:
-        return spin.twice_s == 1
     return True
 
 

@@ -1,6 +1,8 @@
 import json
 import math
 import platform
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +46,31 @@ def test_verify_spin_restriction_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--relation", "R6", "--spin", "2")
     assert code == 2
     assert "spin-1/2" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--relation", "R_ROBERTSON_GENERIC", "--bloch", "0,0,1"),
+        ("probe", "--relation", "R_ROBERTSON_GENERIC", "--restarts", "2"),
+    ],
+    ids=["verify", "probe"],
+)
+def test_robertson_relation_asks_for_an_observable_pair(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "observable pair" in err and "evaluate_robertson" in err
+    assert "spin-1/2" not in err
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("triplespin ")]
+    assert commands
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 def test_verify_family_input_with_degrees(capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from triplespin import kernels
-from triplespin.relations import QUBIT_SOAK_RELATIONS, evaluate
+from triplespin.relations import QUBIT_SOAK_RELATIONS, TRIANGLE_ANALOG_RELATIONS, evaluate
 from triplespin.states import density_from_bloch, random_mixed_bloch, random_pure_bloch
 from triplespin.triangle import TrianglePoint, check_analogs
 
@@ -12,8 +12,8 @@ def _bloch_batch(n=400):
 
 
 def test_column_layouts():
-    assert len(kernels.QUBIT_GAP_COLUMNS) == 16
-    assert len(kernels.TRIANGLE_GAP_COLUMNS) == 8
+    assert len(QUBIT_SOAK_RELATIONS) == 16
+    assert len(TRIANGLE_ANALOG_RELATIONS) == 8
     assert kernels.BACKEND == "numpy"
 
 

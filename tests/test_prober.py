@@ -12,6 +12,7 @@ from triplespin.moments import expectation, variance
 from triplespin.prober import (
     ProbeConfig,
     _bloch_from_params,
+    _param_objective,
     _params_from_vector,
     _psi_from_params,
     gap_objective,
@@ -118,16 +119,15 @@ def test_objective_matches_evaluate(twice_s):
         for mixed in modes:
             objective = gap_objective(relation, twice_s, mixed)
             if mixed:
-                xs = rng.standard_normal((10, 3)) * rng.uniform(0.2, 1.5, (10, 1))
+                # Bloch rows inside the ball and on its surface
+                states = _bloch_from_params(rng.standard_normal((10, 3)) * rng.uniform(0.2, 1.5, (10, 1)))
             else:
-                xs = rng.standard_normal((10, 2 * dim - 1))
-            gaps = objective(xs)
+                states = rng.standard_normal((10, dim)) + 1j * rng.standard_normal((10, dim))
+                states /= np.linalg.norm(states, axis=1, keepdims=True)
+            gaps = objective(states)
             assert gaps.shape == (10,)
-            for x, gap in zip(xs, gaps):
-                if mixed:
-                    state = density_from_bloch(_bloch_from_params(x))
-                else:
-                    state = from_statevector(_psi_from_params(x, dim))
+            for row, gap in zip(states, gaps):
+                state = density_from_bloch(row) if mixed else from_statevector(row)
                 expected = evaluate(relation, state, twice_s).gap
                 assert abs(gap - expected) <= 1e-12, (relation, mixed)
 
@@ -144,10 +144,16 @@ def _one_by_one(objective, calls=None):
 
 
 def _start(dim, seed, restart, mixed):
-    """min_gap's start for `restart`: the shared samplers' draw on stream (seed, restart)."""
+    """min_gap's start state for `restart`: the shared samplers' draw on stream (seed, restart)."""
     if mixed:
         return random_mixed_bloch(1, seed, restart)[0]
-    return _params_from_vector(random_pure_vectors(dim, 1, seed, restart))[0]
+    return random_pure_vectors(dim, 1, seed, restart)[0]
+
+
+def _start_params(dim, seed, restart, mixed):
+    """The parameter row _search starts `restart` from (a Bloch row is its own)."""
+    start = _start(dim, seed, restart, mixed)
+    return start if mixed else _params_from_vector(start)
 
 
 @pytest.mark.parametrize("twice_s, mixed", [(1, True), (1, False), (3, False)])
@@ -170,8 +176,8 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("relation, twice_s, mixed, max_iters", ORACLE_CASES, ids=lambda v: getattr(v, "name", None))
 def test_lockstep_single_run_reproduces_scipy(relation, twice_s, mixed, max_iters, seed):
-    objective = gap_objective(relation, twice_s, mixed)
-    x0 = _start(twice_s + 1, seed, 0, mixed)
+    objective = _param_objective(relation, twice_s, mixed)
+    x0 = _start_params(twice_s + 1, seed, 0, mixed)
     scalar = _one_by_one(objective)
     ref = minimize(
         lambda x: scalar(x[None])[0],
@@ -187,8 +193,8 @@ def test_lockstep_single_run_reproduces_scipy(relation, twice_s, mixed, max_iter
 
 
 def test_lockstep_stops_at_max_iters_like_scipy():
-    objective = _one_by_one(gap_objective(RelationId.R7_SUM_GENERAL_S, 4))
-    x0 = _start(5, 0, 0, False)
+    objective = _one_by_one(_param_objective(RelationId.R7_SUM_GENERAL_S, 4))
+    x0 = _start_params(5, 0, 0, False)
     ref = minimize(
         lambda x: objective(x[None])[0],
         x0,
@@ -202,8 +208,8 @@ def test_lockstep_stops_at_max_iters_like_scipy():
 
 
 def test_lockstep_shrink_step_reproduces_scipy():
-    objective = gap_objective(RelationId.R6_SUM_HALF, 1, mixed=True)
-    x0 = _start(2, 0, 0, True)
+    objective = _param_objective(RelationId.R6_SUM_HALF, 1, mixed=True)
+    x0 = _start_params(2, 0, 0, True)
     calls = []
     got = lockstep_nelder_mead(_one_by_one(objective, calls), x0[None], 2000, 1e-10)
     assert 3 in calls[1:]  # a shrink evaluates the n = 3 non-best vertices in one call
@@ -218,8 +224,8 @@ def test_lockstep_shrink_step_reproduces_scipy():
 
 
 def test_lockstep_restarts_match_their_single_runs():
-    objective = gap_objective(RelationId.R3_TRIPLE_PRODUCT, 1, mixed=True)
-    starts = np.array([_start(2, 4, r, True) for r in range(6)])
+    objective = _param_objective(RelationId.R3_TRIPLE_PRODUCT, 1, mixed=True)
+    starts = np.array([_start_params(2, 4, r, True) for r in range(6)])
     calls = []
     runs = lockstep_nelder_mead(_one_by_one(objective, calls), starts, 2000, 1e-10)
     # at most three batched calls an iteration, after the initial simplex
@@ -313,10 +319,22 @@ def test_scan_conjecture_refines_the_ten_smallest_draws(monkeypatch):
     monkeypatch.setattr(kernels, "CHUNK_ROWS", 1000)
     monkeypatch.setattr(prober, "lockstep_nelder_mead", recording)
     scan_conjecture(2, 3500, ProbeConfig(seed=6, max_iters=5))
-    draws = [random_pure_vectors(3, m, 6, k) for k, m in enumerate((1000, 1000, 1000, 500))]
-    x = prober._params_from_vector(np.vstack(draws))
-    gaps = gap_objective(RelationId.R11_CONJECTURE_TRIPLE_PRODUCT, 2)(x)
-    assert np.array_equal(starts[0], x[np.argsort(gaps, kind="stable")[:10]])
+    psis = np.vstack([random_pure_vectors(3, m, 6, k) for k, m in enumerate((1000, 1000, 1000, 500))])
+    gaps = gap_objective(RelationId.R11_CONJECTURE_TRIPLE_PRODUCT, 2)(psis)
+    assert np.array_equal(starts[0], _params_from_vector(psis[np.argsort(gaps, kind="stable")[:10]]))
+
+
+def test_scan_conjecture_parametrizes_only_its_refinement_starts(monkeypatch):
+    rows = []
+
+    def counting(psi):
+        rows.append(len(psi))
+        return _params_from_vector(psi)
+
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 1000)
+    monkeypatch.setattr(prober, "_params_from_vector", counting)
+    scan_conjecture(2, 3500, ProbeConfig(seed=6, max_iters=5))
+    assert 0 < sum(rows) <= 10
 
 
 def test_scan_conjecture_rejects_spin_half():

@@ -6,7 +6,7 @@ import pytest
 from triplespin import kernels, states
 from triplespin.errors import DimensionMismatchError, SpinRestrictionError
 from triplespin.moments import pure_moments
-from triplespin.prober import _params_from_vector, gap_objective
+from triplespin.prober import gap_objective
 from triplespin.relations import (
     ENTROPIC,
     QUBIT_SOAK_RELATIONS,
@@ -388,7 +388,7 @@ def test_variance_sum_bound_random_states(twice_s):
 @pytest.mark.parametrize("twice_s", [2, 3])
 def test_conjectured_triple_product_random_states(twice_s):
     psis = random_pure_vectors(twice_s + 1, 100_000, seed=twice_s + 10)
-    gaps = gap_objective(RelationId.R11_CONJECTURE_TRIPLE_PRODUCT, twice_s)(_params_from_vector(psis))
+    gaps = gap_objective(RelationId.R11_CONJECTURE_TRIPLE_PRODUCT, twice_s)(psis)
     worst = float(np.min(gaps))
     # conjecture status: a violation would be reported, not asserted away
     assert worst >= -1e-10, f"conjecture counterexample candidate at gap {worst}"

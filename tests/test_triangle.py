@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from triplespin.relations import RelationId
+from triplespin.relations import TRIANGLE_ANALOG_RELATIONS, RelationId
 from triplespin.triangle import (
     TrianglePoint,
     centroid,
@@ -145,7 +145,7 @@ def test_equidistant_point_is_only_the_centroid():
 
 def test_scan_summary_structure():
     result = scan(5000, seed=2, side=1.0)
-    assert set(result.min_gap) == {RelationId[n] for n in kernels.TRIANGLE_GAP_COLUMNS}
+    assert set(result.min_gap) == set(TRIANGLE_ANALOG_RELATIONS)
     assert all(g >= -1e-12 for g in result.min_gap.values())
     d = result.to_dict()
     assert d["samples"] == 5000
@@ -167,8 +167,7 @@ def _keyed_scan_draws(n, seed, chunk):
 
 def _assert_scan_matches_direct(result, bary, gaps):
     idx = gaps.argmin(axis=0)
-    for i, name in enumerate(kernels.TRIANGLE_GAP_COLUMNS):
-        rel = RelationId[name]
+    for i, rel in enumerate(TRIANGLE_ANALOG_RELATIONS):
         assert result.min_gap[rel] == gaps[idx[i], i]
         assert result.argmin_bary[rel] == tuple(bary[idx[i]])
 
@@ -214,7 +213,7 @@ def test_scan_nan_in_a_later_chunk_becomes_the_minimum(monkeypatch):
     monkeypatch.setattr(kernels, "triangle_analog_gaps", nan_in_second_chunk)
     result = scan(3500, seed=8)
     assert calls == [1000, 1000, 1000, 500]
-    rel = RelationId[kernels.TRIANGLE_GAP_COLUMNS[0]]
+    rel = TRIANGLE_ANALOG_RELATIONS[0]
     assert math.isnan(result.min_gap[rel])
     assert result.argmin_bary[rel] == tuple(sample_barycentric(1000, 8, 1)[7])
 

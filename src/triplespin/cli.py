@@ -103,10 +103,10 @@ def _build_state(args, spin: Spin) -> QuantumState:
         if spin.twice_s != 1:
             raise CliError("state families describe qubits; use --spin 1")
         family = Family(args.family)
-        candidates = [v for v in (args.phi, args.theta, args.param) if v is not None]
-        if len(candidates) != 1:
-            raise CliError("give the family parameter once (--phi, --theta, or --param)")
-        return family_point(family, _angle(candidates[0], args.degrees)).state()
+        flag, other = ("phi", "theta") if family is Family.R1_LATITUDE else ("theta", "phi")
+        if getattr(args, flag) is None or getattr(args, other) is not None:
+            raise CliError(f"--family {family.value} takes its parameter as --{flag}, not --{other}")
+        return family_point(family, _angle(getattr(args, flag), args.degrees)).state()
     with open(args.state_file, encoding="utf-8") as fh:
         state = state_from_json_dict(json.load(fh))
     if state.dim != spin.dim:
@@ -279,9 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--spin", type=int, default=1, metavar="TWICE_S")
     p_ver.add_argument("--bloch", help="qubit Bloch vector rx,ry,rz")
     p_ver.add_argument("--family", choices=[f.value for f in Family])
-    p_ver.add_argument("--phi", type=float, help="latitude family azimuth")
-    p_ver.add_argument("--theta", type=float, help="meridian family polar angle")
-    p_ver.add_argument("--param", type=float, help="family parameter (generic spelling)")
+    p_ver.add_argument("--phi", type=float, help="latitude family (r1) azimuth")
+    p_ver.add_argument("--theta", type=float, help="meridian family (r2) polar angle")
     p_ver.add_argument("--state-file", help="JSON file with dim and row-major [re,im] entries")
     p_ver.add_argument("--degrees", action="store_true", help="family parameter is in degrees")
     p_ver.add_argument("--tolerance", type=float, default=VERIFY_CLI_TOL)

@@ -21,7 +21,7 @@ import numpy as np
 from . import kernels
 from .errors import TripleSpinError
 from .moments import bloch_moments, entr, pure_moments
-from .relations import ENTROPIC, RelationId, _ops, check_applicable, evaluate, relation_sides
+from .relations import _SPECS, RelationId, _ops, check_applicable, evaluate, relation_sides
 from .spin_ops import Spin, _as_spin
 from .states import (
     QuantumState,
@@ -69,9 +69,10 @@ class ProbeResult:
     evaluations: int
     best_restart: int
     #: Final objective value of each restart (each refinement, for a
-    #: conjecture scan) in run order; how many agree on min_gap shows how
-    #: reliably the search finds the minimum.
+    #: conjecture scan) in run order; agreeing_restarts of them are within
+    #: cfg.tol of the lowest, and best_restart is the first of those.
     restart_gaps: tuple[float, ...]
+    agreeing_restarts: int
 
     def to_dict(self) -> dict:
         return {
@@ -83,6 +84,7 @@ class ProbeResult:
             "evaluations": self.evaluations,
             "best_restart": self.best_restart,
             "restart_gaps": list(self.restart_gaps),
+            "agreeing_restarts": self.agreeing_restarts,
         }
 
 
@@ -126,10 +128,11 @@ def gap_objective(relation: RelationId, spin: Spin | int, mixed: bool = False):
     evaluate(relation, state, spin).gap at state k, but moments go straight to
     relations.relation_sides without building validated QuantumStates. Bloch
     rows take the closed-form moments.bloch_moments; state vectors take
-    moments.pure_moments over the operator stack, its eigenbases and the R8
-    pair sums, all prepared once here. Spin-component spectra are
-    nondegenerate, so outcome probabilities are the squared amplitudes in the
-    eigenbasis with no eigenvalue merging.
+    moments.pure_moments over the operator stack, plus the eigenbases if the
+    formula reads entropies (h) and the pair sums if it reads Var(Si+Sj) (w),
+    all prepared once here. Spin-component spectra are nondegenerate, so
+    outcome probabilities are the squared amplitudes in the eigenbasis with
+    no eigenvalue merging.
     """
     spin = _as_spin(spin)
     if mixed and spin.twice_s != 1:
@@ -144,9 +147,10 @@ def gap_objective(relation: RelationId, spin: Spin | int, mixed: bool = False):
         return bloch_objective
 
     ops = np.array(_ops(spin.twice_s).as_tuple(), dtype=complex)
+    reads = _SPECS[relation].reads
     # (3, d, d) with eigenvectors as columns: psis @ basis[i] are the amplitudes in S_i's eigenbasis
-    basis = np.linalg.eigh(ops)[1].conj() if relation in ENTROPIC else None
-    pairs = ops + ops[[1, 2, 0]] if relation is RelationId.R8_VARIANCE_OF_SUMS else None
+    basis = np.linalg.eigh(ops)[1].conj() if "h" in reads else None
+    pairs = ops + ops[[1, 2, 0]] if "w" in reads else None
 
     def objective(psis):
         e, v = pure_moments(psis, ops)
@@ -295,9 +299,9 @@ def min_gap(
 
     Runs cfg.restarts independent Nelder-Mead searches from Haar-random pure
     starts (or Hilbert-Schmidt Bloch-ball points when mixed=True, qubit only)
-    and keeps the best result, ties broken by lowest restart index. Restart r
-    starts from the states samplers' draw on stream (seed, r), so the result
-    is deterministic for a fixed config; min_gap is evaluated on the argmin.
+    and keeps the best result (see _search). Restart r starts from the states
+    samplers' draw on stream (seed, r), so the result is deterministic for a
+    fixed config; min_gap is evaluated on the argmin.
     """
     spin = _as_spin(spin)
     check_applicable(relation, spin)
@@ -321,14 +325,15 @@ def _search(
 
     starts are (m, d) state vectors (with mixed=True, (m, 3) Bloch rows, their
     own parameters); they are searched as parameter rows of _param_objective.
-    Ties go to the lowest start index. min_gap is evaluate on the validated
-    argmin state, and evaluations adds the `drawn` samples that chose the
-    starts to the objective calls.
+    The best run is the lowest start index among those within cfg.tol of the
+    lowest final gap (NaN gaps never agree). min_gap is evaluate on the
+    validated argmin state, and evaluations adds the `drawn` samples that
+    chose the starts to the objective calls.
     """
     x0 = starts if mixed else _params_from_vector(starts)
     runs = lockstep_nelder_mead(_param_objective(relation, spin, mixed), x0, cfg.max_iters, cfg.tol)
-    gaps = tuple(runs.fun.tolist())
-    best = min(range(len(gaps)), key=gaps.__getitem__)
+    agree = runs.fun <= np.fmin.reduce(runs.fun) + cfg.tol
+    best = int(agree.argmax())
     if mixed:
         argmin = density_from_bloch(_bloch_from_params(runs.x[best]))
     else:
@@ -344,7 +349,8 @@ def _search(
         converged=bool(runs.success[best]),
         evaluations=drawn + int(runs.nfev.sum()),
         best_restart=best,
-        restart_gaps=gaps,
+        restart_gaps=tuple(runs.fun.tolist()),
+        agreeing_restarts=int(agree.sum()),
     )
 
 

@@ -101,7 +101,6 @@ class RelationSpec:
     alias: str | None
     group: str | None
     description: str
-    applicability: str
     spin_half_only: bool
     sides: Callable | None
     reads: tuple[str, ...] = field(init=False)
@@ -141,134 +140,126 @@ def evaluate_robertson(
     return _report(RelationId.R_ROBERTSON_GENERIC, lhs, rhs, saturation_tol)
 
 
-def _product3(x):
-    return x[0] * x[1] * x[2]
-
-
 def _sum3(x):
     return x[0] + x[1] + x[2]
 
 
-def _abs_sum3(x):
-    return np.abs(x[0]) + np.abs(x[1]) + np.abs(x[2])
+def _cyclic(ids, group, suffix, description, spin_half_only, sides):
+    """The three axis instances of a pairwise formula, one per cyclic (i, j, k).
+
+    Instance n takes (i, j, k) = (n, n+1, n+2) mod 3. The alias is the group
+    plus suffix, and suffix and description are format strings over the axis
+    letters of i, j, k; sides(i, j, k) is the formula.
+    """
+    specs = []
+    for n, relation in enumerate(ids):
+        axes = (n, (n + 1) % 3, (n + 2) % 3)
+        letters = ["xyz"[a] for a in axes]
+        alias = group + suffix.format(*letters).upper()
+        specs.append(RelationSpec(
+            relation, alias, group, description.format(*letters), spin_half_only, sides(*axes)
+        ))
+    return tuple(specs)
 
 
-def _triple_product(d, e):
-    return _product3(d), np.sqrt(np.abs(TAU**3 / 8.0 * e[0] * e[1] * e[2]))
+def _pair_product(i, j, k):
+    return lambda d, e: (d[j] * d[k], np.abs(e[i]) / 2.0)
+
+
+def _pair_sum(i, j, k):
+    return lambda v, e: (v[j] + v[k], np.abs(e[i]))
+
+
+def _entropic_pair(i, j, k):
+    return lambda h: (h[i] + h[j], _LN2)
+
+
+def _triple_product(c):
+    """Delta(Sx) Delta(Sy) Delta(Sz) >= |c^3 <Sx><Sy><Sz> / 8|^(1/2)."""
+    scale = c**3 / 8.0
+    return lambda d, e: (d[0] * d[1] * d[2], np.sqrt(np.abs(scale * e[0] * e[1] * e[2])))
+
+
+def _triple_sum(c):
+    """Var(Sx) + Var(Sy) + Var(Sz) >= c (|<Sx>| + |<Sy>| + |<Sz>|) / 2."""
+    half = c / 2.0
+    return lambda v, e: (_sum3(v), half * (np.abs(e[0]) + np.abs(e[1]) + np.abs(e[2])))
 
 
 #: The catalog, one entry per RelationId in declaration order. Fields: id,
-#: CLI alias, axis group, description, applicability, spin-1/2-only rule and
-#: the (lhs, rhs) formula over the moments its parameters name.
+#: CLI alias, axis group, description, spin-1/2-only rule and the (lhs, rhs)
+#: formula over the moments its parameters name. The pairwise groups are one
+#: formula each over the cyclic axes; the naive triple bounds are the tightened
+#: ones at constant 1 in place of tau.
 RELATIONS = (
     RelationSpec(
         RelationId.R_ROBERTSON_GENERIC, None, None,
-        "Delta(A) Delta(B) >= |<[A,B]>|/2 for an explicit observable pair",
-        "any dimension (explicit observables)", False,
+        "Delta(A) Delta(B) >= |<[A,B]>|/2 for an explicit observable pair", False,
         None,
     ),
-    RelationSpec(
-        RelationId.R2_PAIR_PRODUCT_X, "R2X", "R2",
-        "Delta(Sy) Delta(Sz) >= |<Sx>|/2", "all s", False,
-        lambda d, e: (d[1] * d[2], np.abs(e[0]) / 2.0),
-    ),
-    RelationSpec(
-        RelationId.R2_PAIR_PRODUCT_Y, "R2Y", "R2",
-        "Delta(Sz) Delta(Sx) >= |<Sy>|/2", "all s", False,
-        lambda d, e: (d[2] * d[0], np.abs(e[1]) / 2.0),
-    ),
-    RelationSpec(
-        RelationId.R2_PAIR_PRODUCT_Z, "R2Z", "R2",
-        "Delta(Sx) Delta(Sy) >= |<Sz>|/2", "all s", False,
-        lambda d, e: (d[0] * d[1], np.abs(e[2]) / 2.0),
+    *_cyclic(
+        (RelationId.R2_PAIR_PRODUCT_X, RelationId.R2_PAIR_PRODUCT_Y, RelationId.R2_PAIR_PRODUCT_Z),
+        "R2", "{0}", "Delta(S{1}) Delta(S{2}) >= |<S{0}>|/2", False,
+        _pair_product,
     ),
     RelationSpec(
         RelationId.R3_TRIPLE_PRODUCT, "R3", None,
-        "Delta(Sx) Delta(Sy) Delta(Sz) >= |tau^3 <Sx><Sy><Sz> / 8|^(1/2)",
-        "s = 1/2 (conjectured all s via R11)", True,
-        _triple_product,
+        "Delta(Sx) Delta(Sy) Delta(Sz) >= |tau^3 <Sx><Sy><Sz> / 8|^(1/2); conjectured for all s as R11", True,
+        _triple_product(TAU),
     ),
-    RelationSpec(
-        RelationId.R4_PAIR_SUM_X, "R4X", "R4",
-        "Var(Sy) + Var(Sz) >= |<Sx>|", "all s", False,
-        lambda v, e: (v[1] + v[2], np.abs(e[0])),
-    ),
-    RelationSpec(
-        RelationId.R4_PAIR_SUM_Y, "R4Y", "R4",
-        "Var(Sz) + Var(Sx) >= |<Sy>|", "all s", False,
-        lambda v, e: (v[2] + v[0], np.abs(e[1])),
-    ),
-    RelationSpec(
-        RelationId.R4_PAIR_SUM_Z, "R4Z", "R4",
-        "Var(Sx) + Var(Sy) >= |<Sz>|", "all s", False,
-        lambda v, e: (v[0] + v[1], np.abs(e[2])),
+    *_cyclic(
+        (RelationId.R4_PAIR_SUM_X, RelationId.R4_PAIR_SUM_Y, RelationId.R4_PAIR_SUM_Z),
+        "R4", "{0}", "Var(S{1}) + Var(S{2}) >= |<S{0}>|", False,
+        _pair_sum,
     ),
     RelationSpec(
         RelationId.R5_TRIPLE_SUM, "R5", None,
-        "Var(Sx) + Var(Sy) + Var(Sz) >= tau (|<Sx>| + |<Sy>| + |<Sz>|) / 2", "s = 1/2", True,
-        lambda v, e: (_sum3(v), TAU / 2.0 * _abs_sum3(e)),
+        "Var(Sx) + Var(Sy) + Var(Sz) >= tau (|<Sx>| + |<Sy>| + |<Sz>|) / 2", False,
+        _triple_sum(TAU),
     ),
     RelationSpec(
         RelationId.R6_SUM_HALF, "R6", None,
-        "Var(Sx) + Var(Sy) + Var(Sz) >= 1/2 = 3 tau^2 / 8", "s = 1/2", True,
+        "Var(Sx) + Var(Sy) + Var(Sz) >= 1/2 = 3 tau^2 / 8", False,
         lambda v: (_sum3(v), 0.5),
     ),
     RelationSpec(
         RelationId.R7_SUM_GENERAL_S, "R7", None,
-        "Var(Sx) + Var(Sy) + Var(Sz) >= s", "all s", False,
+        "Var(Sx) + Var(Sy) + Var(Sz) >= s", False,
         lambda v, s: (_sum3(v), s),
     ),
     RelationSpec(
         RelationId.R8_VARIANCE_OF_SUMS, "R8", None,
-        "Var(Sx) + Var(Sy) + Var(Sz) >= (2/5) [Var(Sx+Sy) + Var(Sy+Sz) + Var(Sz+Sx)]",
-        "s = 1/2", True,
+        "Var(Sx) + Var(Sy) + Var(Sz) >= (2/5) [Var(Sx+Sy) + Var(Sy+Sz) + Var(Sz+Sx)]", True,
         lambda v, w: (_sum3(v), 0.4 * _sum3(w)),
     ),
-    RelationSpec(
-        RelationId.R9_ENTROPIC_PAIR_XY, "R9XY", "R9",
-        "H(Sx) + H(Sy) >= log 2", "s = 1/2", True,
-        lambda h: (h[0] + h[1], _LN2),
-    ),
-    RelationSpec(
-        RelationId.R9_ENTROPIC_PAIR_YZ, "R9YZ", "R9",
-        "H(Sy) + H(Sz) >= log 2", "s = 1/2", True,
-        lambda h: (h[1] + h[2], _LN2),
-    ),
-    RelationSpec(
-        RelationId.R9_ENTROPIC_PAIR_ZX, "R9ZX", "R9",
-        "H(Sz) + H(Sx) >= log 2", "s = 1/2", True,
-        lambda h: (h[2] + h[0], _LN2),
+    *_cyclic(
+        (RelationId.R9_ENTROPIC_PAIR_XY, RelationId.R9_ENTROPIC_PAIR_YZ, RelationId.R9_ENTROPIC_PAIR_ZX),
+        "R9", "{0}{1}", "H(S{0}) + H(S{1}) >= log 2", True,
+        _entropic_pair,
     ),
     RelationSpec(
         RelationId.R10_ENTROPIC_TRIPLE, "R10", None,
-        "H(Sx) + H(Sy) + H(Sz) >= log 4 = (3 tau^2 / 2) log 2", "s = 1/2", True,
+        "H(Sx) + H(Sy) + H(Sz) >= log 4 = (3 tau^2 / 2) log 2", True,
         lambda h: (_sum3(h), 2.0 * _LN2),
     ),
     RelationSpec(
         RelationId.R11_CONJECTURE_TRIPLE_PRODUCT, "R11", None,
-        "conjectured all-spin version of the tightened triple product bound",
-        "all s (conjecture)", False,
-        _triple_product,
+        "conjectured all-spin version of the tightened triple product bound", False,
+        _triple_product(TAU),
     ),
     RelationSpec(
         RelationId.NAIVE_PRO2, "PRO2", None,
-        "Delta(Sx) Delta(Sy) Delta(Sz) >= |<Sx><Sy><Sz> / 8|^(1/2), no tau tightening", "all s", False,
-        lambda d, e: (_product3(d), np.sqrt(np.abs(e[0] * e[1] * e[2] / 8.0))),
+        "Delta(Sx) Delta(Sy) Delta(Sz) >= |<Sx><Sy><Sz> / 8|^(1/2), no tau tightening", False,
+        _triple_product(1.0),
     ),
     RelationSpec(
         RelationId.NAIVE_SUM2, "SUM2", None,
-        "Var(Sx) + Var(Sy) + Var(Sz) >= (|<Sx>| + |<Sy>| + |<Sz>|) / 2, no tau tightening", "all s", False,
-        lambda v, e: (_sum3(v), _abs_sum3(e) / 2.0),
+        "Var(Sx) + Var(Sy) + Var(Sz) >= (|<Sx>| + |<Sy>| + |<Sz>|) / 2, no tau tightening", False,
+        _triple_sum(1.0),
     ),
 )
 
 _SPECS = {spec.relation: spec for spec in RELATIONS}
-
-#: Relations whose proofs hold only in the spin-1/2 representation.
-SPIN_HALF_ONLY = frozenset(spec.relation for spec in RELATIONS if spec.spin_half_only)
-
-#: Relations whose sides are Shannon entropies of the three components.
-ENTROPIC = frozenset(spec.relation for spec in RELATIONS if "h" in spec.reads)
 
 #: CLI spellings: alias -> relation, and axis group -> its three instances.
 ALIASES = {spec.alias: spec.relation for spec in RELATIONS if spec.alias}
@@ -299,7 +290,7 @@ def relation_sides(relation: RelationId, d, v, e, h=None, w=None, s=None):
     """(lhs, rhs) of a catalog relation from per-axis moments.
 
     d, v, e are the (x, y, z) standard deviations, variances and means; h the
-    (x, y, z) Shannon entropies in nats, read only by the ENTROPIC relations;
+    (x, y, z) Shannon entropies in nats, read only by the entropic relations;
     w the pair-sum variances Var(Sx+Sy), Var(Sy+Sz), Var(Sz+Sx), read only by
     R8; s the spin, read only by R7. Each entry may be a float or an array of
     a batch of states. The gap is lhs - rhs.
@@ -366,7 +357,7 @@ def equality_condition(relation: RelationId, bloch, tol: float = 1e-9) -> bool:
 
 
 def catalog() -> tuple[RelationSpec, ...]:
-    """Stable enumeration of every relation with its spin applicability."""
+    """Stable enumeration of every relation with its spin rule."""
     return RELATIONS
 
 
@@ -375,11 +366,10 @@ def check_applicable(relation: RelationId, spin: Spin | int) -> None:
     if relation is RelationId.R_ROBERTSON_GENERIC:
         raise ValueError("R_ROBERTSON_GENERIC needs an explicit observable pair; call evaluate_robertson")
     twice_s = _as_spin(spin).twice_s
-    if relation in SPIN_HALF_ONLY and twice_s != 1:
+    if _SPECS[relation].spin_half_only and twice_s != 1:
         raise SpinRestrictionError(
-            f"{relation.value} is proved for spin-1/2 only; "
-            f"got twice_s = {twice_s}. The tightened constants do not carry over to s >= 1 "
-            "(use R11_CONJECTURE_TRIPLE_PRODUCT to explore the product bound at higher spin)."
+            f"{relation.value} ({_SPECS[relation].description}) is proved for spin-1/2 only; "
+            f"got twice_s = {twice_s}"
         )
 
 

@@ -10,7 +10,7 @@ import pytest
 from triplespin import cli, kernels
 from triplespin.cli import dispatch, parse_relation, parse_relations, replay
 from triplespin.measure_sim import CSV_HEADER
-from triplespin.relations import RelationId, RelationReport
+from triplespin.relations import RelationId, RelationReport, catalog
 from triplespin.spin_ops import Spin
 from triplespin.states import random_mixed, state_from_json_dict, state_to_json_dict
 
@@ -43,7 +43,7 @@ def test_verify_all_relations(capsys):
 
 
 def test_verify_spin_restriction_is_usage_error(capsys):
-    code, _, err = run(capsys, "verify", "--relation", "R6", "--spin", "2")
+    code, _, err = run(capsys, "verify", "--relation", "R8", "--spin", "2")
     assert code == 2
     assert "spin-1/2" in err
 
@@ -71,6 +71,30 @@ def test_readme_commands_parse():
     parser = cli.build_parser()
     for argv in commands:
         parser.parse_args(argv[1:])
+
+
+def test_readme_spin_half_only_list_matches_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("Relations proved only for spin-1/2 (", 1)[1].split(")", 1)[0]
+    names = [token.strip(" `\n") for token in listed.split(",")]
+    relations = {r for name in names for r in parse_relations(name.rstrip("*"), Spin(1))}
+    assert relations == {spec.relation for spec in catalog() if spec.spin_half_only}
+
+
+@pytest.mark.parametrize(
+    "family, flag",
+    [("r1", "--theta"), ("r2", "--phi")],
+)
+def test_verify_rejects_the_other_familys_parameter(capsys, family, flag):
+    code, out, err = run(capsys, "verify", "--relation", "R5", "--family", family, flag, "0.9553")
+    assert code == 2 and out == ""
+    assert f"--family {family}" in err
+
+
+def test_verify_family_parameter_has_one_spelling(capsys):
+    code, _, err = run(capsys, "verify", "--relation", "R5", "--family", "r2", "--param", "0.9553")
+    assert code == 2
+    assert "--param" in err
 
 
 def test_verify_family_input_with_degrees(capsys):
@@ -234,6 +258,7 @@ def test_conjecture_scan_reports_the_restart_that_attained_the_minimum(capsys):
     data = json.loads(out)
     gaps = data["restart_gaps"]
     assert data["best_restart"] == gaps.index(min(gaps)) == 6
+    assert data["agreeing_restarts"] == 1
 
 
 def test_probe_json_lists_restart_gaps(capsys):
@@ -242,8 +267,10 @@ def test_probe_json_lists_restart_gaps(capsys):
     )
     assert code == 0
     data = json.loads(out)
-    assert len(data["restart_gaps"]) == 3
-    assert min(data["restart_gaps"]) == data["restart_gaps"][data["best_restart"]]
+    gaps = data["restart_gaps"]
+    assert len(gaps) == 3
+    assert data["best_restart"] == min(r for r, g in enumerate(gaps) if g <= min(gaps) + 1e-10)
+    assert data["agreeing_restarts"] == sum(g <= min(gaps) + 1e-10 for g in gaps)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])

@@ -8,9 +8,7 @@ from triplespin.errors import DimensionMismatchError, SpinRestrictionError
 from triplespin.moments import pure_moments
 from triplespin.prober import gap_objective
 from triplespin.relations import (
-    ENTROPIC,
     QUBIT_SOAK_RELATIONS,
-    SPIN_HALF_ONLY,
     TAU,
     RelationId,
     applicable_to,
@@ -18,12 +16,14 @@ from triplespin.relations import (
     equality_condition,
     evaluate,
     evaluate_robertson,
+    relation_sides,
     soak_qubit,
 )
 from triplespin.spin_ops import build_spin_operators
 from triplespin.states import (
     QuantumState,
     density_from_bloch,
+    from_statevector,
     random_mixed_bloch,
     random_pure,
     random_pure_bloch,
@@ -128,7 +128,7 @@ def test_naive_sum_bound_ratio_is_tau():
 
 def test_spin_restriction_hard_fails():
     st = QuantumState(np.eye(3) / 3)
-    for rel in SPIN_HALF_ONLY:
+    for rel in (spec.relation for spec in catalog() if spec.spin_half_only):
         with pytest.raises(SpinRestrictionError):
             evaluate(rel, st, 2)
 
@@ -219,17 +219,19 @@ def test_catalog_contents():
     entries = catalog()
     assert len(entries) >= 14
     by_id = {e.relation: e for e in entries}
-    assert by_id[RelationId.R3_TRIPLE_PRODUCT].applicability == "s = 1/2 (conjectured all s via R11)"
-    assert by_id[RelationId.R7_SUM_GENERAL_S].applicability == "all s"
+    assert by_id[RelationId.R3_TRIPLE_PRODUCT].spin_half_only
+    assert by_id[RelationId.R3_TRIPLE_PRODUCT].description.endswith("conjectured for all s as R11")
+    assert not by_id[RelationId.R7_SUM_GENERAL_S].spin_half_only
     assert set(by_id) == set(RelationId)
 
 
 def test_table_derived_spin_rules():
     R = RelationId
     entropic = {R.R9_ENTROPIC_PAIR_XY, R.R9_ENTROPIC_PAIR_YZ, R.R9_ENTROPIC_PAIR_ZX, R.R10_ENTROPIC_TRIPLE}
-    assert ENTROPIC == entropic
-    sums_and_products = {R.R3_TRIPLE_PRODUCT, R.R5_TRIPLE_SUM, R.R6_SUM_HALF, R.R8_VARIANCE_OF_SUMS}
-    assert SPIN_HALF_ONLY == entropic | sums_and_products
+    assert {spec.relation for spec in catalog() if "h" in spec.reads} == entropic
+    # R5 and R6 hold at every spin (see test_casimir_identity_bounds_triple_sum)
+    spin_half_only = {spec.relation for spec in catalog() if spec.spin_half_only}
+    assert spin_half_only == entropic | {R.R3_TRIPLE_PRODUCT, R.R8_VARIANCE_OF_SUMS}
     assert len(QUBIT_SOAK_RELATIONS) == 16
     assert set(RelationId) - set(QUBIT_SOAK_RELATIONS) == {
         R.R_ROBERTSON_GENERIC,
@@ -238,10 +240,84 @@ def test_table_derived_spin_rules():
     }
 
 
+@pytest.mark.parametrize(
+    "group",
+    [
+        (RelationId.R2_PAIR_PRODUCT_X, RelationId.R2_PAIR_PRODUCT_Y, RelationId.R2_PAIR_PRODUCT_Z),
+        (RelationId.R4_PAIR_SUM_X, RelationId.R4_PAIR_SUM_Y, RelationId.R4_PAIR_SUM_Z),
+        (RelationId.R9_ENTROPIC_PAIR_XY, RelationId.R9_ENTROPIC_PAIR_YZ, RelationId.R9_ENTROPIC_PAIR_ZX),
+    ],
+    ids=["R2", "R4", "R9"],
+)
+def test_cyclic_axis_rotation_maps_each_instance_to_the_next(group):
+    """Moving the x moments to y, y to z and z to x turns instance n into instance n+1."""
+    rng = np.random.default_rng(11)
+    d, e, h = rng.uniform(0.1, 2.0, (3, 3, 50))
+    d_rot, e_rot, h_rot = (np.roll(m, 1, axis=0) for m in (d, e, h))
+    for n, relation in enumerate(group):
+        following = group[(n + 1) % 3]
+        sides = relation_sides(relation, d, d * d, e, h)
+        rotated = relation_sides(following, d_rot, d_rot * d_rot, e_rot, h_rot)
+        for side, side_rot in zip(sides, rotated):
+            np.testing.assert_allclose(side_rot, side, rtol=0, atol=1e-15)
+
+
+def test_x_instances_read_the_axes_their_descriptions_name():
+    d, e, h = np.array([1.0, 2.0, 3.0]), np.array([-4.0, 5.0, 6.0]), np.array([0.1, 0.2, 0.4])
+    R = RelationId
+    assert relation_sides(R.R2_PAIR_PRODUCT_X, d, d * d, e) == (6.0, 2.0)  # Delta(Sy) Delta(Sz), |<Sx>|/2
+    assert relation_sides(R.R4_PAIR_SUM_X, d, d * d, e) == (13.0, 4.0)  # Var(Sy) + Var(Sz), |<Sx>|
+    assert relation_sides(R.R9_ENTROPIC_PAIR_XY, d, d * d, e, h)[0] == 0.1 + 0.2  # H(Sx) + H(Sy)
+
+
+@pytest.mark.parametrize("twice_s", range(1, 9))
+def test_casimir_identity_bounds_triple_sum(twice_s):
+    """Sum Var(S_i) = s(s+1) - L^2 with L = |<S>|, so R5's gap is >= (s - L)(s + L + 1) >= 0.
+
+    Also sum |<S_i>| <= sqrt(3) L, which is what makes R5 hold at every spin;
+    R6 follows from R7 (sum Var >= s >= 1/2).
+    """
+    s = twice_s / 2.0
+    ops = np.array(build_spin_operators(twice_s).as_tuple())
+    psis = random_pure_vectors(twice_s + 1, 2000, seed=40 + twice_s)
+    e, v = pure_moments(psis, ops)
+    length2 = np.sum(e * e, axis=0)
+    np.testing.assert_allclose(v.sum(axis=0), s * (s + 1) - length2, rtol=0, atol=1e-12)
+    length = np.sqrt(length2)
+    assert np.all(np.abs(e).sum(axis=0) <= SQ3 * length + 1e-12)
+    r5 = gap_objective(RelationId.R5_TRIPLE_SUM, twice_s)(psis)
+    assert np.all(r5 >= (s - length) * (s + length + 1) - 1e-12)
+    assert np.all(gap_objective(RelationId.R6_SUM_HALF, twice_s)(psis) >= s - 0.5 - 1e-12)
+    mixed = QuantumState(np.eye(twice_s + 1, dtype=complex) / (twice_s + 1))
+    assert evaluate(RelationId.R5_TRIPLE_SUM, mixed, twice_s).gap == pytest.approx(s * (s + 1), abs=1e-12)
+
+
+#: A spin-1 state that violates R8, from a seeded Nelder-Mead search past the
+#: spin rule: Var(S_i) = 5/12 for each axis and <S> orthogonal to (1, 1, 1).
+R8_SPIN_ONE_COUNTEREXAMPLE = np.array([
+    0.8715165404005791 + 0.0j,
+    -0.3785499470966714 + 0.0234899678610065j,
+    0.1620575971175122 + 0.2652252137103488j,
+])
+
+
+def test_variance_of_sums_fails_at_spin_one():
+    psi = R8_SPIN_ONE_COUNTEREXAMPLE
+    e, v = pure_moments(psi[None], np.array(build_spin_operators(2).as_tuple()))
+    np.testing.assert_allclose(v.ravel(), [5 / 12] * 3, atol=1e-8)
+    assert abs(e.sum()) <= 1e-8
+    gap = gap_objective(RelationId.R8_VARIANCE_OF_SUMS, 2)(psi[None])[0]
+    assert gap < -0.1
+    with pytest.raises(SpinRestrictionError):
+        evaluate(RelationId.R8_VARIANCE_OF_SUMS, from_statevector(psi), 2)
+
+
 def test_applicability_table():
     assert applicable_to(RelationId.R2_PAIR_PRODUCT_X, 4)
     assert applicable_to(RelationId.R11_CONJECTURE_TRIPLE_PRODUCT, 3)
-    assert not applicable_to(RelationId.R6_SUM_HALF, 2)
+    assert applicable_to(RelationId.R5_TRIPLE_SUM, 4)
+    assert applicable_to(RelationId.R6_SUM_HALF, 2)
+    assert not applicable_to(RelationId.R8_VARIANCE_OF_SUMS, 2)
     assert not applicable_to(RelationId.R_ROBERTSON_GENERIC, 1)
 
 

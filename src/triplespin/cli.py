@@ -5,8 +5,10 @@ Subcommands write CSV for sweep data and JSON for structured reports. When
 written next to it (PATH.manifest.json) recording the exact argv, seed, tool
 version and environment (Python and numpy versions, kernel backend and chunk
 size); re-dispatching the recorded argv reproduces the output file
-byte for byte. The default seed can be overridden with the TRIPLESPIN_SEED
-environment variable.
+byte for byte. A stochastic command's seed is --seed, else the TRIPLESPIN_SEED
+environment variable, else 0; dispatch resolves it once, and when it did not
+come from the command line it is appended to the recorded argv, so a replay
+does not depend on the environment.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, kernels
-from .measure_sim import ShotConfig, rows_to_csv, run_sweep
+from .measure_sim import DEFAULT_SHOTS, ShotConfig, rows_to_csv, run_sweep
 from .prober import ProbeConfig, is_counterexample, min_gap, scan_conjecture
 from .relations import (
     ALIASES,
@@ -79,11 +81,6 @@ def parse_relations(token: str, spin: Spin) -> list[RelationId]:
     return [parse_relation(t)]
 
 
-def _seed(args) -> int:
-    """--seed, else TRIPLESPIN_SEED, else 0; ValueError outside [0, 2**64)."""
-    return check_seed(args.seed if args.seed is not None else os.environ.get("TRIPLESPIN_SEED", "0"))
-
-
 def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
@@ -92,6 +89,8 @@ def _build_state(args, spin: Spin) -> QuantumState:
     given = [x is not None for x in (args.bloch, args.family, args.state_file)]
     if sum(given) != 1:
         raise CliError("give exactly one of --bloch, --family, --state-file")
+    if args.family is None and (args.phi, args.theta, args.degrees) != (None, None, False):
+        raise CliError("--phi, --theta and --degrees set a --family parameter; they need --family")
     if args.bloch is not None:
         if spin.twice_s != 1:
             raise CliError("--bloch describes a qubit; use --spin 1")
@@ -118,19 +117,19 @@ def _matrix_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
-def _write_output(text: str, args, command: str, seed) -> None:
+def _write_output(text: str, args) -> None:
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
             fh.write(text)
         manifest = {
-            "command": command,
-            "argv": list(args._argv),
+            "command": args.command,
+            "argv": args._argv,
             "config": {
                 k: (v.value if hasattr(v, "value") else v)
                 for k, v in vars(args).items()
                 if not k.startswith("_") and k != "func"
             },
-            "seed": seed,
+            "seed": getattr(args, "seed", None),
             "version": __version__,
             "env": {
                 "python": platform.python_version(),
@@ -161,7 +160,7 @@ def _cmd_ops(args) -> int:
         "sz": _matrix_json(ops.sz),
         "residuals": identity_residuals(ops),
     }
-    _write_output(_json_text(out), args, "ops", None)
+    _write_output(_json_text(out), args)
     return 0
 
 
@@ -170,16 +169,11 @@ def _cmd_verify(args) -> int:
     relations = parse_relations(args.relation, spin)
     for rel in relations:
         check_applicable(rel, spin)
-    tol = args.tolerance
-    if not (math.isfinite(tol) and tol >= 0):
-        raise CliError(f"--tolerance must be finite and nonnegative, got {tol}")
     state = _build_state(args, spin)
-    reports = []
-    for rel in relations:
-        reports.append(evaluate(rel, state, spin, saturation_tol=tol))
-    _write_output(_json_text([r.to_dict() for r in reports]), args, "verify", None)
-    # a NaN gap is not >= -tol, so it counts as a violation
-    violated = any(not r.gap >= -tol for r in reports)
+    reports = [evaluate(rel, state, spin, saturation_tol=args.tolerance) for rel in relations]
+    _write_output(_json_text([r.to_dict() for r in reports]), args)
+    # a NaN gap is not >= -tolerance, so it counts as a violation
+    violated = any(not r.gap >= -args.tolerance for r in reports)
     return 1 if violated else 0
 
 
@@ -190,20 +184,18 @@ def _cmd_sweep(args) -> int:
         ShotConfig(shots=1, seed=0),
         analytic_only=True,
     )
-    _write_output(rows_to_csv(rows), args, "sweep", None)
+    _write_output(rows_to_csv(rows), args)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    seed = _seed(args)
-    cfg = ShotConfig(shots=args.shots, seed=seed)
+    cfg = ShotConfig(shots=args.shots, seed=args.seed)
     rows = run_sweep(Family(args.family), args.points, cfg, per_draw=args.per_draw)
-    _write_output(rows_to_csv(rows), args, "simulate", seed)
+    _write_output(rows_to_csv(rows), args)
     return 0
 
 
 def _cmd_probe(args) -> int:
-    seed = _seed(args)
     spin = Spin(args.spin)
     if args.conjecture and (args.relation is not None or args.mixed or args.restarts is not None):
         raise CliError("--conjecture scans R11 over pure states; it takes no --relation, --mixed or --restarts")
@@ -212,7 +204,7 @@ def _cmd_probe(args) -> int:
     # effective values, so that the manifest's config records what ran
     args.restarts = ProbeConfig.restarts if args.restarts is None else args.restarts
     args.samples = CONJECTURE_SAMPLES if args.samples is None else args.samples
-    cfg = ProbeConfig(restarts=args.restarts, max_iters=args.max_iters, tol=args.tol, seed=seed)
+    cfg = ProbeConfig(restarts=args.restarts, max_iters=args.max_iters, tol=args.tol, seed=args.seed)
     if args.conjecture:
         result = scan_conjecture(spin, args.samples, cfg)
         out = result.to_dict()
@@ -232,29 +224,27 @@ def _cmd_probe(args) -> int:
         out = result.to_dict()
         if relation is RelationId.R7_SUM_GENERAL_S:
             out["variance_sum_min"] = result.min_gap + spin.s
-    _write_output(_json_text(out), args, "probe", seed)
+    _write_output(_json_text(out), args)
     return 0
 
 
 def _cmd_triangle(args) -> int:
-    seed = _seed(args)
-    result = triangle_scan(args.samples, seed, side=args.side)
-    _write_output(_json_text(result.to_dict()), args, "triangle", seed)
+    result = triangle_scan(args.samples, args.seed, side=args.side)
+    _write_output(_json_text(result.to_dict()), args)
     return 0
 
 
 def _cmd_soak(args) -> int:
-    seed = _seed(args)
-    summary = soak_qubit(args.pure, args.mixed_n, seed, tolerance=args.tolerance)
+    summary = soak_qubit(args.pure, args.mixed_n, args.seed, tolerance=args.tolerance)
     lines = [
         f"qubit relation soak: {summary.n_pure} pure + {summary.n_mixed} mixed states, "
-        f"seed {seed}, tolerance {summary.tolerance:g}",
+        f"seed {args.seed}, tolerance {summary.tolerance:g}",
         f"{'relation':<32} {'min gap':>14} {'violations':>11}",
     ]
     for rel in summary.min_gap:
         lines.append(f"{rel.value:<32} {summary.min_gap[rel]:>14.3e} {summary.violations[rel]:>11d}")
     lines.append("status: " + ("OK" if summary.ok else "VIOLATIONS FOUND"))
-    _write_output("\n".join(lines) + "\n", args, "soak", seed)
+    _write_output("\n".join(lines) + "\n", args)
     return 0 if summary.ok else 1
 
 
@@ -265,69 +255,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"triplespin {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    emitting = argparse.ArgumentParser(add_help=False)
+    emitting.add_argument("--emit", metavar="PATH", help="write output to PATH (default stdout)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[emitting])
+    seeded.add_argument("--seed", type=int, help="random seed (default $TRIPLESPIN_SEED, else 0)")
+    families = [f.value for f in Family]
 
-    def add_common(p):
-        p.add_argument("--emit", metavar="PATH", help="write output to PATH (default stdout)")
-
-    p_ops = sub.add_parser("ops", help="emit spin operator matrices and identity residuals as JSON")
+    p_ops = sub.add_parser("ops", parents=[emitting], help="spin operator matrices and identity residuals as JSON")
     p_ops.add_argument("--spin", type=int, required=True, metavar="TWICE_S")
-    add_common(p_ops)
     p_ops.set_defaults(func=_cmd_ops)
 
-    p_ver = sub.add_parser("verify", help="evaluate relations on one state, reports as JSON")
+    p_ver = sub.add_parser("verify", parents=[emitting], help="evaluate relations on one state, reports as JSON")
     p_ver.add_argument("--relation", required=True, help="relation id, alias (R3, R5, ...), or 'all'")
     p_ver.add_argument("--spin", type=int, default=1, metavar="TWICE_S")
     p_ver.add_argument("--bloch", help="qubit Bloch vector rx,ry,rz")
-    p_ver.add_argument("--family", choices=[f.value for f in Family])
+    p_ver.add_argument("--family", choices=families)
     p_ver.add_argument("--phi", type=float, help="latitude family (r1) azimuth")
     p_ver.add_argument("--theta", type=float, help="meridian family (r2) polar angle")
     p_ver.add_argument("--state-file", help="JSON file with dim and row-major [re,im] entries")
     p_ver.add_argument("--degrees", action="store_true", help="family parameter is in degrees")
     p_ver.add_argument("--tolerance", type=float, default=VERIFY_CLI_TOL)
-    add_common(p_ver)
     p_ver.set_defaults(func=_cmd_verify)
 
-    p_sweep = sub.add_parser("sweep", help="analytic sweep curves as CSV")
-    p_sweep.add_argument("--family", choices=[f.value for f in Family], required=True)
+    p_sweep = sub.add_parser("sweep", parents=[emitting], help="analytic sweep curves as CSV")
+    p_sweep.add_argument("--family", choices=families, required=True)
     p_sweep.add_argument("--points", type=int, required=True)
-    add_common(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo sweep with shot noise as CSV")
-    p_sim.add_argument("--family", choices=[f.value for f in Family], required=True)
+    p_sim = sub.add_parser("simulate", parents=[seeded], help="Monte Carlo sweep with shot noise as CSV")
+    p_sim.add_argument("--family", choices=families, required=True)
     p_sim.add_argument("--points", type=int, required=True)
-    p_sim.add_argument("--shots", type=int, default=4_000_000)
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
     p_sim.add_argument("--per-draw", action="store_true", help="sample individual shots instead of one binomial")
-    add_common(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_probe = sub.add_parser("probe", help="minimum-gap search / conjecture scan, result as JSON")
+    p_probe = sub.add_parser("probe", parents=[seeded], help="minimum-gap search / conjecture scan, result as JSON")
     p_probe.add_argument("--relation", help="relation id or alias")
     p_probe.add_argument("--spin", type=int, default=1, metavar="TWICE_S")
     p_probe.add_argument("--mixed", action="store_true", help="search the qubit Bloch ball instead of pure states")
     p_probe.add_argument("--conjecture", action="store_true", help="scan the all-spin triple product conjecture")
     p_probe.add_argument("--samples", type=int, help=f"--conjecture scan draws (default {CONJECTURE_SAMPLES})")
     p_probe.add_argument("--restarts", type=int, help=f"--relation search restarts (default {ProbeConfig.restarts})")
-    p_probe.add_argument("--max-iters", type=int, default=2000)
-    p_probe.add_argument("--tol", type=float, default=1e-10)
-    p_probe.add_argument("--seed", type=int, default=None)
-    add_common(p_probe)
+    p_probe.add_argument("--max-iters", type=int, default=ProbeConfig.max_iters)
+    p_probe.add_argument("--tol", type=float, default=ProbeConfig.tol)
     p_probe.set_defaults(func=_cmd_probe)
 
-    p_tri = sub.add_parser("triangle", help="sample the triangle analogs, summary as JSON")
+    p_tri = sub.add_parser("triangle", parents=[seeded], help="sample the triangle analogs, summary as JSON")
     p_tri.add_argument("--samples", type=int, required=True)
-    p_tri.add_argument("--seed", type=int, default=None)
     p_tri.add_argument("--side", type=float, default=1.0)
-    add_common(p_tri)
     p_tri.set_defaults(func=_cmd_triangle)
 
-    p_soak = sub.add_parser("soak", help="random-state soak of every qubit relation")
+    p_soak = sub.add_parser("soak", parents=[seeded], help="random-state soak of every qubit relation")
     p_soak.add_argument("--pure", type=int, default=100_000, help="number of Haar-random pure states")
     p_soak.add_argument("--mixed-n", type=int, default=100_000, help="number of Hilbert-Schmidt mixed states")
-    p_soak.add_argument("--seed", type=int, default=None)
     p_soak.add_argument("--tolerance", type=float, default=1e-10)
-    add_common(p_soak)
     p_soak.set_defaults(func=_cmd_soak)
 
     return parser
@@ -342,6 +323,11 @@ def dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     args._argv = list(argv)
     try:
+        if hasattr(args, "seed"):
+            given = args.seed is not None
+            args.seed = check_seed(args.seed if given else os.environ.get("TRIPLESPIN_SEED", "0"))
+            if not given:
+                args._argv += ["--seed", str(args.seed)]
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

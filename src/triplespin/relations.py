@@ -116,6 +116,8 @@ def _ops(twice_s: int) -> SpinOperatorSet:
 
 
 def _report(relation, lhs, rhs, tol) -> RelationReport:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"saturation tolerance must be finite and nonnegative, got {tol}")
     lhs, rhs = float(lhs), float(rhs)
     gap = lhs - rhs
     return RelationReport(relation, lhs, rhs, gap, abs(gap) <= tol, tol)

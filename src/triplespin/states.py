@@ -222,10 +222,14 @@ def state_to_json_dict(state: QuantumState) -> dict:
 
 
 def state_from_json_dict(obj: dict) -> QuantumState:
-    """Inverse of state_to_json_dict."""
-    dim = int(obj["dim"])
-    entries = obj["entries"]
-    if len(entries) != dim * dim:
-        raise InvalidStateError(f"expected {dim * dim} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
+    """Inverse of state_to_json_dict; InvalidStateError for a malformed object."""
+    try:
+        dim = int(obj["dim"])
+        flat = np.array([complex(re, im) for re, im in obj["entries"]])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidStateError(f"a state needs 'dim' and 'entries' as [re, im] number pairs ({exc!r})") from None
+    if dim < 1:
+        raise InvalidStateError(f"dim must be positive, got {dim}")
+    if flat.size != dim * dim:
+        raise InvalidStateError(f"expected {dim * dim} entries, got {flat.size}")
     return QuantumState(flat.reshape(dim, dim))

@@ -124,6 +124,23 @@ def test_verify_rejects_conflicting_state_inputs(capsys):
     assert "exactly one" in err
 
 
+@pytest.mark.parametrize("flag", [("--phi", "0.3"), ("--theta", "0.3"), ("--degrees",)], ids=lambda f: f[0])
+def test_state_parameter_flags_need_family(capsys, flag):
+    # with --bloch the flag would otherwise be ignored and the pole reported
+    code, out, err = run(capsys, "verify", "--relation", "R5", "--bloch", "0,0,1", *flag)
+    assert code == 2 and out == ""
+    assert "need --family" in err
+
+
+def test_verify_malformed_state_file_exits_two(tmp_path, capsys):
+    # exit 1 would read as a violated relation
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
+    code, out, err = run(capsys, "verify", "--relation", "R5", "--state-file", str(path))
+    assert code == 2 and out == ""
+    assert "'dim'" in err
+
+
 def test_sweep_csv_schema(capsys):
     code, out, _ = run(capsys, "sweep", "--family", "r1", "--points", "8")
     assert code == 0
@@ -188,6 +205,47 @@ def test_simulate_deterministic_and_replayable(tmp_path, capsys):
     clone = tmp_path / "clone.csv"
     assert replay(str(target) + ".manifest.json", emit_override=str(clone)) == 0
     assert clone.read_bytes() == first
+
+
+def emit_triangle(monkeypatch, target, seed_env, *seed_args):
+    """Run a small seeded triangle scan with TRIPLESPIN_SEED set to seed_env (None: unset)."""
+    set_seed_env(monkeypatch, seed_env)
+    argv = ["triangle", "--samples", "1000", *seed_args, "--emit", str(target)]
+    assert dispatch(argv) == 0
+    return argv, json.loads(Path(str(target) + ".manifest.json").read_text())
+
+
+def set_seed_env(monkeypatch, seed_env):
+    if seed_env is None:
+        monkeypatch.delenv("TRIPLESPIN_SEED", raising=False)
+    else:
+        monkeypatch.setenv("TRIPLESPIN_SEED", seed_env)
+
+
+def test_env_seeded_run_replays_without_the_env(tmp_path, monkeypatch):
+    target = tmp_path / "t1.json"
+    emit_triangle(monkeypatch, target, "5")
+    emit_triangle(monkeypatch, tmp_path / "t0.json", None)
+    assert (tmp_path / "t0.json").read_bytes() != target.read_bytes()  # the output depends on the seed
+    for seed_env in (None, "6"):
+        set_seed_env(monkeypatch, seed_env)
+        clone = tmp_path / f"replay_{seed_env}.json"
+        assert replay(str(target) + ".manifest.json", emit_override=str(clone)) == 0
+        assert clone.read_bytes() == target.read_bytes()
+
+
+@pytest.mark.parametrize("seed_env, seed", [("5", 5), (None, 0)])
+def test_manifest_records_the_resolved_seed(tmp_path, monkeypatch, seed_env, seed):
+    argv, manifest = emit_triangle(monkeypatch, tmp_path / "t.json", seed_env)
+    assert manifest["argv"] == argv + ["--seed", str(seed)]
+    assert manifest["seed"] == manifest["config"]["seed"] == seed
+
+
+@pytest.mark.parametrize("seed_args", [("--seed", "7"), ("--seed=7",)])
+def test_manifest_keeps_a_given_seed_argv_as_given(tmp_path, monkeypatch, seed_args):
+    argv, manifest = emit_triangle(monkeypatch, tmp_path / "t.json", "5", *seed_args)
+    assert manifest["argv"] == argv
+    assert manifest["seed"] == manifest["config"]["seed"] == 7
 
 
 def test_seed_env_var_changes_default(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Import checks: every name a library module imports is used in that module,
 every private module-level function is referenced somewhere in the package,
-only rng.py reaches numpy.random, and the runtime imports no scipy."""
+only rng.py reaches numpy.random, only cli.py reads the process environment,
+and the runtime imports no scipy."""
 
 import ast
 import subprocess
@@ -72,6 +73,22 @@ def numpy_random_uses(source: str) -> list[str]:
     return [f"line {line}" for line in sorted(lines)]
 
 
+def environment_reads(source: str) -> list[str]:
+    """Lines that reach os.environ, os.environb, os.getenv or os.getenvb, by attribute or by import."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr in names and isinstance(node.value, ast.Name) and node.value.id == "os"
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "os" and any(alias.name in names for alias in node.names)
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
 def test_checker_flags_unused_names():
     source = "from os import path, sep\nimport numpy as np\nimport json\nprint(sep, json.dumps)\n"
     assert unused_imports(source) == ["line 1: path", "line 2: np"]
@@ -108,6 +125,20 @@ def test_checker_flags_numpy_random():
 def test_only_rng_draws_from_numpy_random(module):
     # every draw comes from an rng.stream keyed by the work item, so runs stay reproducible
     assert numpy_random_uses(module.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_environment_reads():
+    source = (
+        "import os\nfrom os import getenv\nfrom os import path\n"
+        "a = os.environ.get('X')\nb = os.getenv('X')\nc = os.path.join('a')\nd = env.environ\n"
+    )
+    assert environment_reads(source) == [f"line {n}" for n in (2, 4, 5)]
+
+
+@pytest.mark.parametrize("module", sorted(p for p in PACKAGE.glob("*.py") if p.name != "cli.py"), ids=lambda p: p.name)
+def test_only_cli_reads_the_environment(module):
+    # cli.py records what it reads in the run manifest; an input read anywhere else would never reach it
+    assert environment_reads(module.read_text(encoding="utf-8")) == []
 
 
 def test_cli_import_loads_no_scipy():

@@ -66,6 +66,15 @@ def test_robertson_dimension_mismatch():
         evaluate_robertson(density_from_bloch([0, 0, 0]), QUBIT.sx, np.eye(3))
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_saturation_tolerance_must_be_finite_and_nonnegative(tol):
+    # a NaN or negative tolerance would report a saturating state as unsaturated
+    with pytest.raises(ValueError, match="nonnegative"):
+        evaluate(RelationId.R5_TRIPLE_SUM, BALANCED, 1, saturation_tol=tol)
+    with pytest.raises(ValueError, match="nonnegative"):
+        evaluate_robertson(density_from_bloch([0, 0, 1]), QUBIT.sx, QUBIT.sy, saturation_tol=tol)
+
+
 def test_triple_product_saturated_on_balanced_state():
     rep = evaluate(RelationId.R3_TRIPLE_PRODUCT, BALANCED, 1)
     expected = 6.0**-1.5  # (1/sqrt 6)^3 with tau^3/8 <S>^3 matching it

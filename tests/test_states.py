@@ -205,6 +205,22 @@ def test_state_json_rejects_bad_entry_count():
         state_from_json_dict({"dim": 2, "entries": [[1.0, 0.0]]})
 
 
+MALFORMED_STATE_JSON = {
+    "no_dim": {"entries": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+    "entries_not_a_list": {"dim": 2, "entries": 5},
+    "entry_of_strings": {"dim": 1, "entries": [["a", "b"]]},
+    "top_level_list": [2, [[1, 0]]],
+    "short_entry": {"dim": 1, "entries": [[0]]},
+    "zero_dim": {"dim": 0, "entries": []},
+}
+
+
+@pytest.mark.parametrize("obj", MALFORMED_STATE_JSON.values(), ids=MALFORMED_STATE_JSON.keys())
+def test_state_json_rejects_malformed_objects(obj):
+    with pytest.raises(InvalidStateError):
+        state_from_json_dict(obj)
+
+
 def test_quantum_state_validation():
     with pytest.raises(InvalidStateError):
         QuantumState(np.array([[1.0, 0.5], [0.4, 0.0]]))  # not Hermitian

@@ -95,6 +95,11 @@ def test_centroid_saturates_sum_analog():
     assert abs(reports[RelationId.R3_TRIPLE_PRODUCT].gap) <= 1e-12
 
 
+def test_check_analogs_rejects_a_negative_tolerance():
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_analogs(centroid(1.0), saturation_tol=-1.0)
+
+
 def test_vertex_degenerates_product_analog():
     reports = {r.relation: r for r in check_analogs(TrianglePoint(1.0, (1.0, 0.0, 0.0)))}
     prod = reports[RelationId.R3_TRIPLE_PRODUCT]

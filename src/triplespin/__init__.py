@@ -13,17 +13,13 @@ from .spin_ops import Spin, SpinOperatorSet, build_spin_operators, commutator
 from .states import (
     QuantumState,
     Family,
-    StateFamilyPoint,
     density_from_bloch,
     bloch_from_density,
-    family_r1,
-    family_r2,
+    family_point,
     random_pure,
     random_mixed,
 )
 from .moments import (
-    EntropyBase,
-    OutcomeDistribution,
     expectation,
     std_dev,
     outcome_distribution,
@@ -36,7 +32,7 @@ from .relations import (
     evaluate,
     evaluate_robertson,
     equality_condition,
-    catalog,
+    RELATIONS,
 )
 from .prober import ProbeConfig, ProbeResult, min_gap, min_variance_sum, scan_conjecture
 
@@ -48,15 +44,11 @@ __all__ = [
     "commutator",
     "QuantumState",
     "Family",
-    "StateFamilyPoint",
     "density_from_bloch",
     "bloch_from_density",
-    "family_r1",
-    "family_r2",
+    "family_point",
     "random_pure",
     "random_mixed",
-    "EntropyBase",
-    "OutcomeDistribution",
     "expectation",
     "std_dev",
     "outcome_distribution",
@@ -67,7 +59,7 @@ __all__ = [
     "evaluate",
     "evaluate_robertson",
     "equality_condition",
-    "catalog",
+    "RELATIONS",
     "ProbeConfig",
     "ProbeResult",
     "min_gap",

@@ -29,9 +29,9 @@ from .prober import ProbeConfig, is_counterexample, min_gap, scan_conjecture
 from .relations import (
     ALIASES,
     GROUPS,
+    RELATIONS,
     RelationId,
     applicable_to,
-    catalog,
     check_applicable,
     evaluate,
     soak_qubit,
@@ -75,7 +75,7 @@ def parse_relation(token: str) -> RelationId:
 def parse_relations(token: str, spin: Spin) -> list[RelationId]:
     t = token.strip().upper()
     if t == "ALL":
-        return [e.relation for e in catalog() if applicable_to(e.relation, spin)]
+        return [e.relation for e in RELATIONS if applicable_to(e.relation, spin)]
     if t in GROUPS:
         return list(GROUPS[t])
     return [parse_relation(t)]
@@ -105,7 +105,7 @@ def _build_state(args, spin: Spin) -> QuantumState:
         flag, other = ("phi", "theta") if family is Family.R1_LATITUDE else ("theta", "phi")
         if getattr(args, flag) is None or getattr(args, other) is not None:
             raise CliError(f"--family {family.value} takes its parameter as --{flag}, not --{other}")
-        return family_point(family, _angle(getattr(args, flag), args.degrees)).state()
+        return density_from_bloch(family_point(family, _angle(getattr(args, flag), args.degrees)))
     with open(args.state_file, encoding="utf-8") as fh:
         state = state_from_json_dict(json.load(fh))
     if state.dim != spin.dim:
@@ -209,13 +209,6 @@ def _cmd_probe(args) -> int:
         result = scan_conjecture(spin, args.samples, cfg)
         out = result.to_dict()
         out["counterexample"] = is_counterexample(result)
-        if out["counterexample"]:
-            artifact = args.emit + ".counterexample.json" if args.emit else (
-                f"conjecture_counterexample_twice_s{spin.twice_s}.json"
-            )
-            with open(artifact, "w", encoding="utf-8") as fh:
-                fh.write(_json_text(out))
-            print(f"conjecture counterexample candidate written to {artifact}", file=sys.stderr)
     else:
         if args.relation is None:
             raise CliError("probe needs --relation or --conjecture")
@@ -344,9 +337,16 @@ def replay(manifest_path: str, emit_override: str | None = None) -> int:
         manifest = json.load(fh)
     argv = list(manifest["argv"])
     if emit_override is not None:
-        if "--emit" not in argv:
+        # the recorded argv spells the output path as "--emit PATH" or "--emit=PATH"
+        for i, token in enumerate(argv):
+            if token == "--emit":
+                argv[i + 1] = emit_override
+                break
+            if token.startswith("--emit="):
+                argv[i] = "--emit=" + emit_override
+                break
+        else:
             raise ValueError("manifest argv has no --emit to override")
-        argv[argv.index("--emit") + 1] = emit_override
     return dispatch(argv)
 
 

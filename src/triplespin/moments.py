@@ -9,41 +9,15 @@ moments of qubits from their Bloch vectors.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatchError, NotHermitianError, TripleSpinError
-from .states import QuantumState
+from .states import HERMITICITY_TOL, QuantumState
 
-HERMITICITY_TOL = 1e-12
 IMAG_RESIDUE_TOL = 1e-12
 #: Eigenvalues closer than this are treated as one degenerate outcome.
 EIGENVALUE_MERGE_TOL = 1e-9
 VARIANCE_FLOOR = -1e-12
-
-
-class EntropyBase(enum.Enum):
-    NATURAL = "nats"
-    BITS = "bits"
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Projective-measurement outcomes: (eigenvalue, probability) pairs.
-
-    Eigenvalues are sorted descending and degenerate ones are merged with
-    their probabilities summed.
-    """
-
-    entries: tuple[tuple[float, float], ...]
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([e for e, _ in self.entries])
-
-    def probabilities(self) -> np.ndarray:
-        return np.array([p for _, p in self.entries])
 
 
 def _check_pair(state: QuantumState, op: np.ndarray) -> np.ndarray:
@@ -88,47 +62,37 @@ def std_dev(state: QuantumState, op: np.ndarray) -> float:
     return float(np.sqrt(variance(state, op)))
 
 
-def outcome_distribution(
-    state: QuantumState, op: np.ndarray, merge_tol: float = EIGENVALUE_MERGE_TOL
-) -> OutcomeDistribution:
-    """Spectral decomposition of O with probabilities p_k = tr(rho P_k)."""
+def outcome_distribution(state: QuantumState, op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projective-measurement outcomes of O: (eigenvalues, probabilities p_k = tr(rho P_k)).
+
+    Eigenvalues are sorted descending. Neighbours within EIGENVALUE_MERGE_TOL
+    are one degenerate outcome: its eigenvalue is their mean and its
+    probability their sum.
+    """
     op = _check_pair(state, op)
     eigvals, eigvecs = np.linalg.eigh(op)
     # eigh returns ascending order; work in descending order
     eigvals = eigvals[::-1]
     eigvecs = eigvecs[:, ::-1]
     probs = np.einsum("ij,jk,ki->i", eigvecs.conj().T, state.rho, eigvecs).real
+    starts = np.flatnonzero(np.r_[True, np.abs(np.diff(eigvals)) > EIGENVALUE_MERGE_TOL])
+    eigvals = np.add.reduceat(eigvals, starts) / np.diff(np.r_[starts, eigvals.size])
+    probs = np.add.reduceat(probs, starts)
 
-    entries: list[tuple[float, float]] = []
-    k = 0
-    n = len(eigvals)
-    while k < n:
-        j = k + 1
-        while j < n and abs(eigvals[j] - eigvals[j - 1]) <= merge_tol:
-            j += 1
-        group = slice(k, j)
-        entries.append((float(np.mean(eigvals[group])), float(np.sum(probs[group]))))
-        k = j
-
-    total = sum(p for _, p in entries)
+    total = float(np.sum(probs))
     if abs(total - 1.0) > 1e-10:
         raise TripleSpinError(f"outcome probabilities sum to {total}, not 1")
-    if any(p < -1e-12 for _, p in entries):
+    if np.any(probs < -1e-12):
         raise TripleSpinError("negative outcome probability beyond tolerance")
-    return OutcomeDistribution(tuple(entries))
+    return eigvals, probs
 
 
-def shannon_entropy(
-    state: QuantumState, op: np.ndarray, base: EntropyBase = EntropyBase.NATURAL
-) -> float:
-    """Shannon entropy of the measurement outcome distribution of O."""
-    dist = outcome_distribution(state, op)
+def shannon_entropy(state: QuantumState, op: np.ndarray) -> float:
+    """Shannon entropy, in nats, of the measurement outcome distribution of O."""
     h = 0.0
-    for _, p in dist.entries:
+    for p in outcome_distribution(state, op)[1]:
         if p > 0.0:
             h -= p * np.log(p)
-    if base is EntropyBase.BITS:
-        h /= np.log(2.0)
     return float(h)
 
 

@@ -11,8 +11,8 @@ the conjectured all-spin version of the triple product bound is available
 separately as R11_CONJECTURE_TRIPLE_PRODUCT.
 
 RELATIONS is the one table of relations: alias, axis group, description, spin
-rule and moments-to-sides formula per id. The catalog, the spin rules, the CLI
-spellings and the kernel column orders are derived from it, and every gap in
+rule and moments-to-sides formula per id. The spin rules, the CLI spellings
+and the kernel column orders are derived from it, and every gap in
 the package (evaluate, the prober, the kernels, the triangle check and the
 sweep's derived columns) comes from its formulas through relation_sides.
 """
@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError, SpinRestrictionError
-from .moments import EntropyBase, expectation, shannon_entropy, std_dev, variance
+from .moments import expectation, shannon_entropy, std_dev, variance
 from .spin_ops import Spin, SpinOperatorSet, _as_spin, build_spin_operators
 from .states import QuantumState, random_mixed_bloch, random_pure_bloch
 
@@ -328,7 +328,7 @@ def evaluate(
     reads = _SPECS[relation].reads
     h = w = None
     if "h" in reads:
-        h = [shannon_entropy(state, op, EntropyBase.NATURAL) for op in axes]
+        h = [shannon_entropy(state, op) for op in axes]
     if "w" in reads:
         w = [variance(state, axes[i] + axes[(i + 1) % 3]) for i in range(3)]
     lhs, rhs = relation_sides(relation, d, v, e, h, w, spin.s)
@@ -356,11 +356,6 @@ def equality_condition(relation: RelationId, bloch, tol: float = 1e-9) -> bool:
     if relation is RelationId.R8_VARIANCE_OF_SUMS:
         return bool(abs(np.linalg.norm(r) - 1.0) <= tol and abs(float(np.sum(r))) <= tol)
     raise ValueError(f"no analytic equality condition implemented for {relation.value}")
-
-
-def catalog() -> tuple[RelationSpec, ...]:
-    """Stable enumeration of every relation with its spin rule."""
-    return RELATIONS
 
 
 def check_applicable(relation: RelationId, spin: Spin | int) -> None:

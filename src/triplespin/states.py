@@ -66,16 +66,6 @@ class Family(enum.Enum):
     R2_MERIDIAN = "r2"
 
 
-@dataclass(frozen=True, eq=False)
-class StateFamilyPoint:
-    family: Family
-    parameter: float
-    bloch: np.ndarray
-
-    def state(self) -> QuantumState:
-        return density_from_bloch(self.bloch)
-
-
 def from_statevector(psi: np.ndarray) -> QuantumState:
     """Density matrix |psi><psi| of a normalized state vector."""
     psi = np.asarray(psi, dtype=complex).ravel()
@@ -110,11 +100,13 @@ def bloch_from_density(state: QuantumState) -> np.ndarray:
 
 
 def _latitude(phi):
+    """Latitude family r1: (sqrt(2/3) cos phi, sqrt(2/3) sin phi, 1/sqrt(3))."""
     a = np.sqrt(2.0 / 3.0)
     return np.stack(np.broadcast_arrays(a * np.cos(phi), a * np.sin(phi), 1.0 / np.sqrt(3.0)))
 
 
 def _meridian(theta):
+    """Meridian family r2: (sin theta / sqrt 2, sin theta / sqrt 2, cos theta)."""
     b = np.sin(theta) / np.sqrt(2.0)
     return np.stack([b, b, np.cos(theta)])
 
@@ -128,18 +120,9 @@ def _closed_form(family: Family):
     raise ValueError(f"unknown family {family!r}")
 
 
-def family_r1(phi: float) -> StateFamilyPoint:
-    """Latitude family: (sqrt(2/3) cos phi, sqrt(2/3) sin phi, 1/sqrt(3))."""
-    return family_point(Family.R1_LATITUDE, phi)
-
-
-def family_r2(theta: float) -> StateFamilyPoint:
-    """Meridian family: (sin theta / sqrt 2, sin theta / sqrt 2, cos theta)."""
-    return family_point(Family.R2_MERIDIAN, theta)
-
-
-def family_point(family: Family, parameter: float) -> StateFamilyPoint:
-    return StateFamilyPoint(family, float(parameter), _closed_form(family)(parameter))
+def family_point(family: Family, parameter: float) -> np.ndarray:
+    """(3,) Bloch vector of a family's state at one parameter; density_from_bloch makes it a state."""
+    return _closed_form(family)(parameter)
 
 
 def family_bloch(family: Family, params) -> np.ndarray:
@@ -224,12 +207,13 @@ def state_to_json_dict(state: QuantumState) -> dict:
 def state_from_json_dict(obj: dict) -> QuantumState:
     """Inverse of state_to_json_dict; InvalidStateError for a malformed object."""
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         flat = np.array([complex(re, im) for re, im in obj["entries"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidStateError(f"a state needs 'dim' and 'entries' as [re, im] number pairs ({exc!r})") from None
-    if dim < 1:
-        raise InvalidStateError(f"dim must be positive, got {dim}")
+    # a JSON integer only: 2.7, "2" and true (a bool is an int in Python) are malformed
+    if type(dim) is not int or dim < 1:
+        raise InvalidStateError(f"dim must be a positive integer, got {dim!r}")
     if flat.size != dim * dim:
         raise InvalidStateError(f"expected {dim * dim} entries, got {flat.size}")
     return QuantumState(flat.reshape(dim, dim))

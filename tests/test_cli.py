@@ -10,7 +10,7 @@ import pytest
 from triplespin import cli, kernels
 from triplespin.cli import dispatch, parse_relation, parse_relations, replay
 from triplespin.measure_sim import CSV_HEADER
-from triplespin.relations import RelationId, RelationReport, catalog
+from triplespin.relations import RELATIONS, RelationId, RelationReport
 from triplespin.spin_ops import Spin
 from triplespin.states import random_mixed, state_from_json_dict, state_to_json_dict
 
@@ -78,7 +78,7 @@ def test_readme_spin_half_only_list_matches_table():
     listed = readme.split("Relations proved only for spin-1/2 (", 1)[1].split(")", 1)[0]
     names = [token.strip(" `\n") for token in listed.split(",")]
     relations = {r for name in names for r in parse_relations(name.rstrip("*"), Spin(1))}
-    assert relations == {spec.relation for spec in catalog() if spec.spin_half_only}
+    assert relations == {spec.relation for spec in RELATIONS if spec.spin_half_only}
 
 
 @pytest.mark.parametrize(
@@ -207,6 +207,14 @@ def test_simulate_deterministic_and_replayable(tmp_path, capsys):
     assert clone.read_bytes() == first
 
 
+def test_replay_overrides_an_emit_path_given_in_one_token(tmp_path):
+    target = tmp_path / "eq.json"
+    assert dispatch(["triangle", "--samples", "100", "--seed", "1", f"--emit={target}"]) == 0
+    clone = tmp_path / "clone.json"
+    assert replay(str(target) + ".manifest.json", emit_override=str(clone)) == 0
+    assert clone.read_bytes() == target.read_bytes()
+
+
 def emit_triangle(monkeypatch, target, seed_env, *seed_args):
     """Run a small seeded triangle scan with TRIPLESPIN_SEED set to seed_env (None: unset)."""
     set_seed_env(monkeypatch, seed_env)
@@ -304,6 +312,19 @@ def test_probe_conjecture_cli(capsys):
     data = json.loads(out)
     assert data["relation"] == "R11_CONJECTURE_TRIPLE_PRODUCT"
     assert data["counterexample"] is False
+
+
+def test_conjecture_candidate_writes_no_extra_file(tmp_path, monkeypatch):
+    # the output's counterexample field and argmin_state are the record of a candidate
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "is_counterexample", lambda result: True)
+    argv = [
+        "probe", "--conjecture", "--spin", "2", "--samples", "50", "--max-iters", "20", "--seed", "1",
+        "--emit", "out",
+    ]
+    assert dispatch(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "out.manifest.json"]
+    assert json.loads((tmp_path / "out").read_text())["counterexample"] is True
 
 
 def test_conjecture_scan_reports_the_restart_that_attained_the_minimum(capsys):

@@ -204,7 +204,7 @@ def test_analytic_sweep_states_satisfy_every_relation():
 
     for family in Family:
         params = sweep_parameters(family, 60)
-        blochs = np.array([family_point(family, p).bloch for p in params])
+        blochs = np.array([family_point(family, p) for p in params])
         gaps = kernels.qubit_relation_gaps(blochs)
         assert gaps.min() >= -1e-12
 
@@ -309,7 +309,7 @@ def test_sweep_rows_equal_the_per_state_route(family):
     exact = run_sweep(family, 13, cfg, analytic_only=True)
     noisy = run_sweep(family, 13, cfg)
     for k, p in enumerate(params):
-        state = family_point(family, p).state()
+        state = density_from_bloch(family_point(family, p))
         reference = propagate_derived(p, *(exact_expectation(state, ax) for ax in Axis))
         np.testing.assert_equal(astuple(exact[k]), astuple(reference))  # NaN equals NaN here
         np.testing.assert_equal(astuple(exact[k]), astuple(analytic_row(family, p)))

@@ -3,7 +3,6 @@ import pytest
 
 from triplespin.errors import DimensionMismatchError, NotHermitianError
 from triplespin.moments import (
-    EntropyBase,
     bloch_moments,
     entr,
     expectation,
@@ -74,17 +73,15 @@ def test_std_dev_maximally_mixed():
 
 
 def test_outcome_distribution_eigenstate():
-    dist = outcome_distribution(density_from_bloch([0, 0, 1]), QUBIT.sz)
-    assert dist.entries[0][0] == pytest.approx(0.5, abs=1e-12)
-    assert dist.entries[0][1] == pytest.approx(1.0, abs=1e-12)
-    assert dist.entries[1][0] == pytest.approx(-0.5, abs=1e-12)
-    assert dist.entries[1][1] == pytest.approx(0.0, abs=1e-12)
+    eigvals, probs = outcome_distribution(density_from_bloch([0, 0, 1]), QUBIT.sz)
+    np.testing.assert_allclose(eigvals, [0.5, -0.5], atol=1e-12)
+    np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("rz", [-0.9, -0.3, 0.0, 0.4, 1.0])
 def test_outcome_distribution_diagonal_state(rz):
-    dist = outcome_distribution(density_from_bloch([0, 0, rz]), QUBIT.sz)
-    np.testing.assert_allclose(dist.probabilities(), [(1 + rz) / 2, (1 - rz) / 2], atol=1e-12)
+    _, probs = outcome_distribution(density_from_bloch([0, 0, rz]), QUBIT.sz)
+    np.testing.assert_allclose(probs, [(1 + rz) / 2, (1 - rz) / 2], atol=1e-12)
 
 
 def test_outcome_distribution_spin_one_mixed():
@@ -92,23 +89,23 @@ def test_outcome_distribution_spin_one_mixed():
     from triplespin.states import QuantumState
 
     st = QuantumState(np.eye(3) / 3)
-    dist = outcome_distribution(st, ops.sz)
-    np.testing.assert_allclose(dist.eigenvalues(), [1, 0, -1], atol=1e-12)
-    np.testing.assert_allclose(dist.probabilities(), [1 / 3] * 3, atol=1e-12)
+    eigvals, probs = outcome_distribution(st, ops.sz)
+    np.testing.assert_allclose(eigvals, [1, 0, -1], atol=1e-12)
+    np.testing.assert_allclose(probs, [1 / 3] * 3, atol=1e-12)
 
 
 def test_outcome_distribution_merges_degenerate_eigenvalues():
-    dist = outcome_distribution(density_from_bloch([0.2, 0.1, -0.3]), np.eye(2))
-    assert len(dist.entries) == 1
-    assert dist.entries[0] == (pytest.approx(1.0), pytest.approx(1.0))
+    eigvals, probs = outcome_distribution(density_from_bloch([0.2, 0.1, -0.3]), np.eye(2))
+    assert eigvals.tolist() == [pytest.approx(1.0)]
+    assert probs.tolist() == [pytest.approx(1.0)]
 
 
 def test_outcome_distribution_mean_matches_expectation():
     for seed in range(25):
         st = random_mixed(3, seed)
         op = np.asarray(build_spin_operators(2).sy)
-        dist = outcome_distribution(st, op)
-        mean = float(np.dot(dist.eigenvalues(), dist.probabilities()))
+        eigvals, probs = outcome_distribution(st, op)
+        mean = float(np.dot(eigvals, probs))
         assert abs(mean - expectation(st, op)) <= 1e-10
 
 
@@ -119,12 +116,6 @@ def test_entropy_deterministic_outcome_is_zero():
 def test_entropy_transverse_axis_is_ln2():
     assert shannon_entropy(density_from_bloch([0, 0, 1]), QUBIT.sx) == pytest.approx(
         np.log(2.0), abs=1e-12
-    )
-
-
-def test_entropy_bits_uniform_binary():
-    assert shannon_entropy(density_from_bloch([0, 0, 0]), QUBIT.sz, EntropyBase.BITS) == pytest.approx(
-        1.0, abs=1e-12
     )
 
 

@@ -9,10 +9,10 @@ from triplespin.moments import pure_moments
 from triplespin.prober import gap_objective
 from triplespin.relations import (
     QUBIT_SOAK_RELATIONS,
+    RELATIONS,
     TAU,
     RelationId,
     applicable_to,
-    catalog,
     equality_condition,
     evaluate,
     evaluate_robertson,
@@ -137,7 +137,7 @@ def test_naive_sum_bound_ratio_is_tau():
 
 def test_spin_restriction_hard_fails():
     st = QuantumState(np.eye(3) / 3)
-    for rel in (spec.relation for spec in catalog() if spec.spin_half_only):
+    for rel in (spec.relation for spec in RELATIONS if spec.spin_half_only):
         with pytest.raises(SpinRestrictionError):
             evaluate(rel, st, 2)
 
@@ -225,9 +225,8 @@ def test_equality_condition_implies_saturation_for_triple_product():
 
 
 def test_catalog_contents():
-    entries = catalog()
-    assert len(entries) >= 14
-    by_id = {e.relation: e for e in entries}
+    assert len(RELATIONS) >= 14
+    by_id = {e.relation: e for e in RELATIONS}
     assert by_id[RelationId.R3_TRIPLE_PRODUCT].spin_half_only
     assert by_id[RelationId.R3_TRIPLE_PRODUCT].description.endswith("conjectured for all s as R11")
     assert not by_id[RelationId.R7_SUM_GENERAL_S].spin_half_only
@@ -237,9 +236,9 @@ def test_catalog_contents():
 def test_table_derived_spin_rules():
     R = RelationId
     entropic = {R.R9_ENTROPIC_PAIR_XY, R.R9_ENTROPIC_PAIR_YZ, R.R9_ENTROPIC_PAIR_ZX, R.R10_ENTROPIC_TRIPLE}
-    assert {spec.relation for spec in catalog() if "h" in spec.reads} == entropic
+    assert {spec.relation for spec in RELATIONS if "h" in spec.reads} == entropic
     # R5 and R6 hold at every spin (see test_casimir_identity_bounds_triple_sum)
-    spin_half_only = {spec.relation for spec in catalog() if spec.spin_half_only}
+    spin_half_only = {spec.relation for spec in RELATIONS if spec.spin_half_only}
     assert spin_half_only == entropic | {R.R3_TRIPLE_PRODUCT, R.R8_VARIANCE_OF_SUMS}
     assert len(QUBIT_SOAK_RELATIONS) == 16
     assert set(RelationId) - set(QUBIT_SOAK_RELATIONS) == {

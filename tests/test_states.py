@@ -13,8 +13,6 @@ from triplespin.states import (
     density_from_bloch,
     family_bloch,
     family_point,
-    family_r1,
-    family_r2,
     random_mixed,
     random_mixed_bloch,
     random_pure,
@@ -70,22 +68,24 @@ def test_bloch_view_requires_dim_two():
 
 
 def test_family_r1_values():
-    np.testing.assert_allclose(family_r1(np.pi / 4).bloch, [1 / SQ3, 1 / SQ3, 1 / SQ3], atol=1e-15)
-    np.testing.assert_allclose(family_r1(0.0).bloch, [np.sqrt(2 / 3), 0, 1 / SQ3], atol=1e-15)
-    np.testing.assert_allclose(family_r1(np.pi / 2).bloch, [0, np.sqrt(2 / 3), 1 / SQ3], atol=1e-15)
+    r1 = Family.R1_LATITUDE
+    np.testing.assert_allclose(family_point(r1, np.pi / 4), [1 / SQ3, 1 / SQ3, 1 / SQ3], atol=1e-15)
+    np.testing.assert_allclose(family_point(r1, 0.0), [np.sqrt(2 / 3), 0, 1 / SQ3], atol=1e-15)
+    np.testing.assert_allclose(family_point(r1, np.pi / 2), [0, np.sqrt(2 / 3), 1 / SQ3], atol=1e-15)
 
 
 def test_family_r2_values():
-    np.testing.assert_allclose(family_r2(0.0).bloch, [0, 0, 1], atol=1e-15)
+    r2 = Family.R2_MERIDIAN
+    np.testing.assert_allclose(family_point(r2, 0.0), [0, 0, 1], atol=1e-15)
     theta = np.arctan(np.sqrt(2.0))
-    np.testing.assert_allclose(family_r2(theta).bloch, [1 / SQ3, 1 / SQ3, 1 / SQ3], atol=1e-15)
-    np.testing.assert_allclose(family_r2(np.pi / 2).bloch, [1 / np.sqrt(2), 1 / np.sqrt(2), 0], atol=1e-15)
+    np.testing.assert_allclose(family_point(r2, theta), [1 / SQ3, 1 / SQ3, 1 / SQ3], atol=1e-15)
+    np.testing.assert_allclose(family_point(r2, np.pi / 2), [1 / np.sqrt(2), 1 / np.sqrt(2), 0], atol=1e-15)
 
 
 @pytest.mark.parametrize("family", list(Family))
 def test_families_are_unit_vectors(family):
     for p in np.linspace(0, 2 * np.pi, 97):
-        norm = np.linalg.norm(family_point(family, p).bloch)
+        norm = np.linalg.norm(family_point(family, p))
         assert abs(norm - 1.0) <= 1e-12
 
 
@@ -95,7 +95,7 @@ def test_family_bloch_columns_equal_the_validated_state_route(family):
     columns = family_bloch(family, params)
     assert columns.shape == (3, 181)
     for k, p in enumerate(params):
-        assert np.array_equal(columns[:, k], bloch_from_density(family_point(family, p).state()))
+        assert np.array_equal(columns[:, k], bloch_from_density(density_from_bloch(family_point(family, p))))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -105,8 +105,8 @@ def test_family_bloch_rejects_non_finite_parameters(bad):
 
 
 def test_families_intersect():
-    r1 = family_r1(np.pi / 4).bloch
-    r2 = family_r2(np.arctan(np.sqrt(2.0))).bloch
+    r1 = family_point(Family.R1_LATITUDE, np.pi / 4)
+    r2 = family_point(Family.R2_MERIDIAN, np.arctan(np.sqrt(2.0)))
     np.testing.assert_allclose(r1, r2, atol=1e-12)
 
 
@@ -212,6 +212,9 @@ MALFORMED_STATE_JSON = {
     "top_level_list": [2, [[1, 0]]],
     "short_entry": {"dim": 1, "entries": [[0]]},
     "zero_dim": {"dim": 0, "entries": []},
+    "fractional_dim": {"dim": 2.7, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+    "string_dim": {"dim": "2", "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+    "boolean_dim": {"dim": True, "entries": [[1, 0]]},
 }
 
 

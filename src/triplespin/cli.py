@@ -30,6 +30,7 @@ from .relations import (
     ALIASES,
     GROUPS,
     RELATIONS,
+    SOAK_TOL,
     RelationId,
     applicable_to,
     check_applicable,
@@ -85,32 +86,22 @@ def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
-def _build_state(args, spin: Spin) -> QuantumState:
+def _build_state(args) -> QuantumState:
     given = [x is not None for x in (args.bloch, args.family, args.state_file)]
     if sum(given) != 1:
         raise CliError("give exactly one of --bloch, --family, --state-file")
     if args.family is None and (args.phi, args.theta, args.degrees) != (None, None, False):
         raise CliError("--phi, --theta and --degrees set a --family parameter; they need --family")
     if args.bloch is not None:
-        if spin.twice_s != 1:
-            raise CliError("--bloch describes a qubit; use --spin 1")
-        parts = [float(p) for p in args.bloch.split(",")]
-        if len(parts) != 3:
-            raise CliError("--bloch needs three comma-separated components")
-        return density_from_bloch(parts)
+        return density_from_bloch([float(p) for p in args.bloch.split(",")])
     if args.family is not None:
-        if spin.twice_s != 1:
-            raise CliError("state families describe qubits; use --spin 1")
         family = Family(args.family)
         flag, other = ("phi", "theta") if family is Family.R1_LATITUDE else ("theta", "phi")
         if getattr(args, flag) is None or getattr(args, other) is not None:
             raise CliError(f"--family {family.value} takes its parameter as --{flag}, not --{other}")
         return density_from_bloch(family_point(family, _angle(getattr(args, flag), args.degrees)))
     with open(args.state_file, encoding="utf-8") as fh:
-        state = state_from_json_dict(json.load(fh))
-    if state.dim != spin.dim:
-        raise CliError(f"state file has dim {state.dim}, but --spin {spin.twice_s} needs {spin.dim}")
-    return state
+        return state_from_json_dict(json.load(fh))
 
 
 def _matrix_json(m: np.ndarray) -> list:
@@ -169,7 +160,7 @@ def _cmd_verify(args) -> int:
     relations = parse_relations(args.relation, spin)
     for rel in relations:
         check_applicable(rel, spin)
-    state = _build_state(args, spin)
+    state = _build_state(args)
     reports = [evaluate(rel, state, spin, saturation_tol=args.tolerance) for rel in relations]
     _write_output(_json_text([r.to_dict() for r in reports]), args)
     # a NaN gap is not >= -tolerance, so it counts as a violation
@@ -301,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_soak = sub.add_parser("soak", parents=[seeded], help="random-state soak of every qubit relation")
     p_soak.add_argument("--pure", type=int, default=100_000, help="number of Haar-random pure states")
     p_soak.add_argument("--mixed-n", type=int, default=100_000, help="number of Hilbert-Schmidt mixed states")
-    p_soak.add_argument("--tolerance", type=float, default=1e-10)
+    p_soak.add_argument("--tolerance", type=float, default=SOAK_TOL)
     p_soak.set_defaults(func=_cmd_soak)
 
     return parser
@@ -330,23 +321,14 @@ def dispatch(argv: list[str]) -> int:
 def replay(manifest_path: str, emit_override: str | None = None) -> int:
     """Re-dispatch the argv recorded in a run manifest.
 
-    With emit_override the output path is swapped so the original file is
-    left untouched; the rerun output is byte-identical to the original.
+    emit_override is appended as a last --emit, whose value argparse keeps, so
+    the original file is left untouched; the rerun output is byte-identical.
     """
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     argv = list(manifest["argv"])
     if emit_override is not None:
-        # the recorded argv spells the output path as "--emit PATH" or "--emit=PATH"
-        for i, token in enumerate(argv):
-            if token == "--emit":
-                argv[i + 1] = emit_override
-                break
-            if token.startswith("--emit="):
-                argv[i] = "--emit=" + emit_override
-                break
-        else:
-            raise ValueError("manifest argv has no --emit to override")
+        argv += ["--emit", emit_override]
     return dispatch(argv)
 
 

@@ -49,6 +49,8 @@ class ShotConfig:
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if self.shots > np.iinfo(np.int64).max:
+            raise ValueError(f"shots must fit numpy's int64, got {self.shots}")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -120,6 +121,11 @@ def _bloch_from_params(x: np.ndarray) -> np.ndarray:
     return r / np.maximum(np.linalg.norm(r, axis=-1, keepdims=True), 1.0)
 
 
+def _states_from_params(x: np.ndarray, dim: int, mixed: bool) -> np.ndarray:
+    """States at parameter rows x: state vectors (..., dim) or, with mixed=True, Bloch rows (..., 3)."""
+    return _bloch_from_params(x) if mixed else _psi_from_params(x, dim)
+
+
 def gap_objective(relation: RelationId, spin: Spin | int, mixed: bool = False):
     """The search objective: a batch of m states -> (m,) gaps of `relation`.
 
@@ -167,16 +173,10 @@ def gap_objective(relation: RelationId, spin: Spin | int, mixed: bool = False):
 
 
 def _param_objective(relation: RelationId, spin: Spin | int, mixed: bool = False):
-    """_search's simplex objective: gap_objective composed with the parametrization.
-
-    Maps (m, 2d-1) parameter rows (with mixed=True, (m, 3) points of R^3
-    projected onto the Bloch ball) to (m,) gaps.
-    """
+    """_search's simplex objective: gap_objective of _states_from_params, (m, n) rows to (m,) gaps."""
     objective = gap_objective(relation, spin, mixed)
-    if mixed:
-        return lambda x: objective(_bloch_from_params(x))
     dim = _as_spin(spin).dim
-    return lambda x: objective(_psi_from_params(x, dim))
+    return lambda x: objective(_states_from_params(x, dim, mixed))
 
 
 @dataclass(frozen=True)
@@ -306,10 +306,8 @@ def min_gap(
     spin = _as_spin(spin)
     check_applicable(relation, spin)
 
-    if mixed:
-        starts = np.vstack([random_mixed_bloch(1, cfg.seed, r) for r in range(cfg.restarts)])
-    else:
-        starts = np.vstack([random_pure_vectors(spin.dim, 1, cfg.seed, r) for r in range(cfg.restarts)])
+    draw = random_mixed_bloch if mixed else partial(random_pure_vectors, spin.dim)
+    starts = np.vstack([draw(1, cfg.seed, r) for r in range(cfg.restarts)])
     return _search(relation, spin, starts, cfg, mixed)
 
 
@@ -334,10 +332,8 @@ def _search(
     runs = lockstep_nelder_mead(_param_objective(relation, spin, mixed), x0, cfg.max_iters, cfg.tol)
     agree = runs.fun <= np.fmin.reduce(runs.fun) + cfg.tol
     best = int(agree.argmax())
-    if mixed:
-        argmin = density_from_bloch(_bloch_from_params(runs.x[best]))
-    else:
-        argmin = from_statevector(_psi_from_params(runs.x[best], spin.dim))
+    to_state = density_from_bloch if mixed else from_statevector
+    argmin = to_state(_states_from_params(runs.x[best], spin.dim, mixed))
     gap = evaluate(relation, argmin, spin).gap
     if not math.isfinite(gap):
         raise TripleSpinError(f"{relation.value} gap at the search minimum is {gap}, not finite")

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SpinRestrictionError
 from .moments import expectation, shannon_entropy, std_dev, variance
-from .spin_ops import Spin, SpinOperatorSet, _as_spin, build_spin_operators
+from .spin_ops import Spin, SpinOperatorSet, _as_spin, build_spin_operators, commutator
 from .states import QuantumState, random_mixed_bloch, random_pure_bloch
 
 #: The triple constant tightening the naive three-component bounds.
@@ -38,6 +38,8 @@ TAU = 2.0 / math.sqrt(3.0)
 
 #: Default |gap| threshold below which a relation counts as saturated.
 SATURATION_TOL = 1e-9
+#: Default violation tolerance of soak_qubit: a gap below -this is a violation.
+SOAK_TOL = 1e-10
 
 _LN2 = math.log(2.0)
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -130,14 +132,9 @@ def evaluate_robertson(
     saturation_tol: float = SATURATION_TOL,
 ) -> RelationReport:
     """Robertson bound Delta(A) Delta(B) >= |<[A,B]>| / 2 for explicit observables."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"observable shapes differ: {a.shape} vs {b.shape}")
     lhs = std_dev(state, a) * std_dev(state, b)
-    comm = a @ b - b @ a
     # <[A,B]> is purely imaginary for Hermitian A, B
-    val = np.einsum("ij,ji->", state.rho, comm)
+    val = np.einsum("ij,ji->", state.rho, commutator(a, b))
     rhs = abs(val) / 2.0
     return _report(RelationId.R_ROBERTSON_GENERIC, lhs, rhs, saturation_tol)
 
@@ -404,7 +401,7 @@ def soak_qubit(
     n_pure: int,
     n_mixed: int,
     seed: int,
-    tolerance: float = 1e-10,
+    tolerance: float = SOAK_TOL,
 ) -> SoakSummary:
     """Evaluate every qubit relation on random pure and mixed state batches.
 

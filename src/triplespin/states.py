@@ -122,7 +122,8 @@ def _closed_form(family: Family):
 
 def family_point(family: Family, parameter: float) -> np.ndarray:
     """(3,) Bloch vector of a family's state at one parameter; density_from_bloch makes it a state."""
-    return _closed_form(family)(parameter)
+    with np.errstate(invalid="ignore"):  # sin(inf) is NaN, which density_from_bloch refuses
+        return _closed_form(family)(parameter)
 
 
 def family_bloch(family: Family, params) -> np.ndarray:

@@ -141,6 +141,23 @@ def test_verify_malformed_state_file_exits_two(tmp_path, capsys):
     assert "'dim'" in err
 
 
+@pytest.mark.parametrize(
+    "state_args",
+    [("--bloch", "0,0,1"), ("--family", "r1", "--phi", "1"), ("--state-file",)],
+    ids=["bloch", "family", "state-file"],
+)
+def test_qubit_state_at_a_higher_spin_is_usage_error(tmp_path, capsys, state_args):
+    if state_args == ("--state-file",):
+        qubit = tmp_path / "qubit.json"
+        qubit.write_text(json.dumps(state_to_json_dict(random_mixed(2, seed=1))))
+        state_args += (str(qubit),)
+    target = tmp_path / "out.json"
+    code, out, err = run(capsys, "verify", "--relation", "R5", "--spin", "3", *state_args, "--emit", str(target))
+    assert code == 2 and out == ""
+    assert "state dim 2 does not match spin dim 4" in err
+    assert not target.exists()
+
+
 def test_sweep_csv_schema(capsys):
     code, out, _ = run(capsys, "sweep", "--family", "r1", "--points", "8")
     assert code == 0
@@ -215,6 +232,15 @@ def test_replay_overrides_an_emit_path_given_in_one_token(tmp_path):
     assert clone.read_bytes() == target.read_bytes()
 
 
+def test_replay_overrides_an_abbreviated_emit_option(tmp_path):
+    # argparse takes the unique prefix --em for --emit, and the manifest records argv as given
+    target = tmp_path / "eq.json"
+    assert dispatch(["triangle", "--samples", "100", "--seed", "1", "--em", str(target)]) == 0
+    clone = tmp_path / "clone.json"
+    assert replay(str(target) + ".manifest.json", emit_override=str(clone)) == 0
+    assert clone.read_bytes() == target.read_bytes()
+
+
 def emit_triangle(monkeypatch, target, seed_env, *seed_args):
     """Run a small seeded triangle scan with TRIPLESPIN_SEED set to seed_env (None: unset)."""
     set_seed_env(monkeypatch, seed_env)
@@ -254,6 +280,14 @@ def test_manifest_keeps_a_given_seed_argv_as_given(tmp_path, monkeypatch, seed_a
     argv, manifest = emit_triangle(monkeypatch, tmp_path / "t.json", "5", *seed_args)
     assert manifest["argv"] == argv
     assert manifest["seed"] == manifest["config"]["seed"] == 7
+
+
+def test_shot_count_beyond_int64_is_usage_error(capsys):
+    argv = ("simulate", "--family", "r1", "--points", "3", "--shots")
+    code, out, err = run(capsys, *argv, str(2**63))
+    assert code == 2 and out == ""
+    assert "int64" in err
+    assert run(capsys, *argv, str(2**63 - 1))[0] == 0
 
 
 def test_seed_env_var_changes_default(tmp_path, monkeypatch, capsys):
@@ -461,6 +495,8 @@ def test_unknown_relation_lists_valid_spellings(capsys):
         ("soak", "--pure", "100", "--mixed-n", "100", "--tolerance", "nan"),
         ("triangle", "--samples", "100", "--side", "nan"),
         ("triangle", "--samples", "100", "--side", "inf"),
+        ("verify", "--relation", "R5", "--family", "r1", "--phi", "inf"),
+        ("verify", "--relation", "R5", "--family", "r2", "--theta", "inf"),
     ],
 )
 def test_non_finite_input_exits_two(capsys, argv):

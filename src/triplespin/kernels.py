@@ -18,8 +18,6 @@ from .relations import QUBIT_SOAK_RELATIONS, TRIANGLE_ANALOG_RELATIONS, relation
 #: Array library the kernels run on; recorded with benchmark results.
 BACKEND = "numpy"
 
-_SQRT3_2 = math.sqrt(3.0) / 2.0
-
 #: Rows per kind that the soak and the triangle scan draw and pass to one
 #: kernel call; they reduce chunk by chunk, so memory does not grow with n.
 CHUNK_ROWS = 1 << 15
@@ -76,19 +74,15 @@ def triangle_analog_gaps(bary: np.ndarray, side: float) -> np.ndarray:
     deviations and the quadrupled areas 4|PBC|, 4|PCA|, 4|PAB| for |<S_i>|.
     Columns follow relations.TRIANGLE_ANALOG_RELATIONS (the analog of each relation).
     """
-    b = _batch(bary, "barycentric")
+    cols = _batch(bary, "barycentric").T
     if not (math.isfinite(side) and side > 0):
         raise ValueError(f"side must be positive and finite, got {side}")
-    v_bary, w_bary = b[:, 1], b[:, 2]
-    # P with vertices A=(0,0), B=(side,0), C=(side/2, side sqrt(3)/2)
-    px = side * (v_bary + 0.5 * w_bary)
-    py = side * _SQRT3_2 * w_bary
-    d = np.stack(
-        [np.hypot(px, py), np.hypot(px - side, py), np.hypot(px - 0.5 * side, py - _SQRT3_2 * side)]
-    )
-    # drop temporaries before the table allocates its output, to bound peak memory
-    del px, py
-    v = d * d
+    # squared vertex distances from the offsets P - A = v AB + w AC (and cyclically),
+    # two edges 60 degrees apart: |PA|^2 = side^2 (v^2 + vw + w^2)
+    p, q = cols[[1, 0, 0]], cols[[2, 2, 1]]
+    v = (p + q) * p + q * q
+    v *= side * side
+    d = np.sqrt(v)
     # each sub-triangle area is a barycentric weight times the full area sqrt(3) side^2 / 4
-    e = math.sqrt(3.0) * side * side * np.stack([1.0 - v_bary - w_bary, v_bary, w_bary])
+    e = (math.sqrt(3.0) * side * side) * cols
     return _apply_table(TRIANGLE_ANALOG_RELATIONS, d, v, e)

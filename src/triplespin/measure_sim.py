@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .moments import bloch_moments
 from .relations import TAU, RelationId, relation_sides
 from .rng import stream
@@ -87,11 +88,20 @@ class SweepRow:
 
 
 def _count_plus(r_i: float, cfg: ShotConfig, index: int, axis: int, per_draw: bool) -> int:
-    """Number of + outcomes among cfg.shots draws from the stream keyed (seed, index, axis)."""
+    """Number of + outcomes among cfg.shots draws from the stream keyed (seed, index, axis).
+
+    Per-draw outcomes come in blocks of kernels.CHUNK_ROWS, so memory does not
+    grow with the shot count; the blocks continue one stream, so the counts
+    equal those of a single draw of all the shots.
+    """
     p_plus = min(max((1.0 + r_i) / 2.0, 0.0), 1.0)
     rng = stream(cfg.seed, index, axis)
     if per_draw:
-        return int(np.count_nonzero(rng.random(cfg.shots) < p_plus))
+        chunk = kernels.CHUNK_ROWS
+        return sum(
+            int(np.count_nonzero(rng.random(min(chunk, cfg.shots - start)) < p_plus))
+            for start in range(0, cfg.shots, chunk)
+        )
     return int(rng.binomial(cfg.shots, p_plus))
 
 

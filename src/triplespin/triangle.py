@@ -100,11 +100,15 @@ def sample_barycentric(n: int, seed: int, *key: int) -> np.ndarray:
     """(n, 3) points uniform over the triangle, as barycentric weights, from stream (seed, *key).
 
     Normalized standard exponential triples are Dirichlet(1, 1, 1), the
-    uniform distribution on the simplex.
+    uniform distribution on the simplex. The stream fills (3, n) columns
+    (u, v, w), which are normalized in place; the result is their (n, 3)
+    transposed view, so b.T gives the kernel contiguous columns. Seeded
+    draws therefore differ from those of an (n, 3) row layout on the same
+    stream.
     """
-    rng = stream(seed, *key)
-    x = rng.standard_exponential((n, 3))
-    return x / x.sum(axis=1, keepdims=True)
+    x = stream(seed, *key).standard_exponential((3, n))
+    x /= x.sum(axis=0)  # in place: a second (3, n) array raises peak memory
+    return x.T
 
 
 @dataclass(frozen=True)

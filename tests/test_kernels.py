@@ -4,7 +4,7 @@ import pytest
 from triplespin import kernels
 from triplespin.relations import QUBIT_SOAK_RELATIONS, TRIANGLE_ANALOG_RELATIONS, evaluate
 from triplespin.states import density_from_bloch, random_mixed_bloch, random_pure_bloch
-from triplespin.triangle import TrianglePoint, check_analogs
+from triplespin.triangle import TrianglePoint, check_analogs, sample_barycentric
 
 
 def _bloch_batch(n=400):
@@ -53,12 +53,23 @@ def test_kernel_matches_matrix_route():
 
 
 def test_triangle_kernel_matches_report_route():
+    """Kernel gaps vs the scalar check_analogs route, on both input layouts."""
+    third = 1.0 / 3.0
+    special = np.array([
+        [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],  # vertices
+        [0.5, 0.5, 0.0], [0.0, 0.25, 0.75], [0.7, 0.0, 0.3],  # edge points
+        [third, third, third],  # centroid
+    ])
     rng = np.random.default_rng(11)
     bary = rng.random((40, 3))
     bary /= bary.sum(axis=1, keepdims=True)
-    gaps = kernels.triangle_analog_gaps(bary, 1.5)
-    for i in range(40):
-        reports = check_analogs(TrianglePoint(1.5, tuple(bary[i])))
-        for k, rep in enumerate(reports):
-            assert abs(gaps[i, k] - rep.gap) <= 1e-12
-
+    contiguous = np.vstack([special, bary])
+    sampled = sample_barycentric(40, seed=11)
+    assert contiguous.flags.c_contiguous and sampled.T.flags.c_contiguous
+    for side in (0.5, 1.5, 2.0):
+        for batch in (contiguous, sampled):
+            gaps = kernels.triangle_analog_gaps(batch, side)
+            for point, row in zip(batch, gaps):
+                reports = check_analogs(TrianglePoint(side, tuple(point)))
+                for gap, rep in zip(row, reports):
+                    assert abs(gap - rep.gap) <= 1e-12

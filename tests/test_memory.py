@@ -1,6 +1,6 @@
 """The soak, the triangle scan and the conjecture scan reduce chunk by chunk
-in constant memory; the per-draw sweep holds one (point, axis) of outcomes
-at a time."""
+in constant memory; the per-draw sweep holds one block of one (point, axis)'s
+outcomes at a time."""
 
 import tracemalloc
 
@@ -44,3 +44,9 @@ def test_per_draw_sweep_peak_memory_is_bounded():
     # drawing all 200 x 3 x 1e5 outcomes at once takes ~480 MB
     cfg = ShotConfig(shots=100_000, seed=1)
     assert traced_peak(run_sweep, Family.R1_LATITUDE, 200, cfg, per_draw=True) < 16 * MIB
+
+
+def test_per_draw_shots_are_drawn_in_blocks():
+    # drawing all 4e6 outcomes of one (point, axis) at once takes ~31 MiB
+    cfg = ShotConfig(shots=4_000_000, seed=1)
+    assert traced_peak(run_sweep, Family.R1_LATITUDE, 2, cfg, per_draw=True) < 4 * MIB

@@ -1,9 +1,10 @@
-"""Batch gap kernels and the chunk fold of the random-state soak and the triangle scan.
+"""Batch gap scorers and the chunk fold of the random-state soak and the triangle scan.
 
-Each kernel computes a batch's per-axis moments as (3, n) arrays (for qubits
-the closed forms of moments.bloch_moments) and applies the relation table
-(relations.relation_sides) to them, one output row per relation; the result
-is the (n, k) transposed view.
+Every batch gap in the package comes from _apply_table: each scorer computes a
+batch's per-axis moments as (3, n) arrays (of Bloch rows, state vectors or
+triangle points) and _apply_table applies the relation table
+(relations.relation_sides) to them, one row per relation; the result is the
+(n, k) transposed view.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import math
 
 import numpy as np
 
-from .moments import bloch_moments
-from .relations import QUBIT_SOAK_RELATIONS, TRIANGLE_ANALOG_RELATIONS, relation_sides
+from .moments import bloch_moments, entr, pure_moments
+from .relations import _SPECS, QUBIT_SOAK_RELATIONS, TRIANGLE_ANALOG_RELATIONS, _ops, relation_sides
 
 #: Array library the kernels run on; recorded with benchmark results.
 BACKEND = "numpy"
@@ -50,21 +51,53 @@ def _batch(points: np.ndarray, what: str) -> np.ndarray:
     return points
 
 
-def _apply_table(relations, d, v, e, h=None, w=None, s=None) -> np.ndarray:
-    out = np.empty((len(relations), d.shape[1]))
-    for row, relation in zip(out, relations):
+def _apply_table(relations, n: int, d, v, e, h=None, w=None, s=None) -> np.ndarray:
+    out = np.empty((len(relations), n))
+    for k, relation in enumerate(relations):
         lhs, rhs = relation_sides(relation, d, v, e, h, w, s)
-        np.subtract(lhs, rhs, out=row)
+        np.subtract(lhs, rhs, out=out[k])
     return out.T
 
 
-def qubit_relation_gaps(bloch: np.ndarray) -> np.ndarray:
-    """Gaps (lhs - rhs) of all 16 qubit relations for an (n, 3) Bloch batch.
+def qubit_relation_gaps(bloch: np.ndarray, relations=QUBIT_SOAK_RELATIONS) -> np.ndarray:
+    """Gaps (lhs - rhs) of qubit relations for an (n, 3) Bloch batch, rows in the closed ball.
 
-    Columns follow relations.QUBIT_SOAK_RELATIONS.
+    Columns follow `relations`: by default the 16 of relations.QUBIT_SOAK_RELATIONS.
     """
-    moments = bloch_moments(np.ascontiguousarray(_batch(bloch, "Bloch").T))
-    return _apply_table(QUBIT_SOAK_RELATIONS, *moments, 0.5)
+    reads = {name for relation in relations for name in _SPECS[relation].reads}
+    cols = np.ascontiguousarray(_batch(bloch, "Bloch").T)
+    return _apply_table(relations, cols.shape[1], *bloch_moments(cols, reads), 0.5)
+
+
+def vector_scorer(relations, twice_s: int):
+    """Scorer of (n, d) state vectors at spin twice_s/2 -> (n, k) gaps of `relations`.
+
+    Row k equals evaluate(relation, state k, twice_s).gap without a validated
+    QuantumState. Built once per search or scan, it prepares the operator
+    stack, plus the eigenbases and pair sums only if a relation reads
+    entropies (h) or Var(Si+Sj) (w), and each call computes only the moments
+    read. Spin-component spectra are nondegenerate, so outcome probabilities
+    are the squared eigenbasis amplitudes with no eigenvalue merging.
+    """
+    ops = np.array(_ops(twice_s).as_tuple(), dtype=complex)
+    reads = {name for relation in relations for name in _SPECS[relation].reads}
+    # (3, d, d) with eigenvectors as columns: psis @ basis[i] are the amplitudes in S_i's eigenbasis
+    basis = np.linalg.eigh(ops)[1].conj() if "h" in reads else None
+    pairs = ops + ops[[1, 2, 0]] if "w" in reads else None
+
+    def score(psis: np.ndarray) -> np.ndarray:
+        d = v = e = h = w = None
+        if not reads.isdisjoint("dve"):
+            e, v = pure_moments(psis, ops)
+            d = np.sqrt(v) if "d" in reads else None
+        if basis is not None:
+            a = psis @ basis
+            h = entr(a.real**2 + a.imag**2).sum(axis=-1)
+        if pairs is not None:
+            w = pure_moments(psis, pairs)[1]
+        return _apply_table(relations, len(psis), d, v, e, h, w, twice_s / 2)
+
+    return score
 
 
 def triangle_analog_gaps(bary: np.ndarray, side: float) -> np.ndarray:
@@ -85,4 +118,4 @@ def triangle_analog_gaps(bary: np.ndarray, side: float) -> np.ndarray:
     d = np.sqrt(v)
     # each sub-triangle area is a barycentric weight times the full area sqrt(3) side^2 / 4
     e = (math.sqrt(3.0) * side * side) * cols
-    return _apply_table(TRIANGLE_ANALOG_RELATIONS, d, v, e)
+    return _apply_table(TRIANGLE_ANALOG_RELATIONS, cols.shape[1], d, v, e)

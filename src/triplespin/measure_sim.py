@@ -217,7 +217,7 @@ def _family_rows(
     """Rows at the family's parameters, exact (cfg None) or from cfg.shots outcomes per axis.
 
     Point k's axis i draws from stream (seed, k, i), one (point, axis) at a
-    time, so the per-draw mode holds O(shots) memory.
+    time and per-draw in blocks (_count_plus), so memory stays constant.
     """
     r = family_bloch(family, params)
     if cfg is None:

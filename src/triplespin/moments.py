@@ -122,7 +122,7 @@ def pure_moments(psis: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndar
     return e, np.vecdot(r, r).real
 
 
-def bloch_moments(r: np.ndarray):
+def bloch_moments(r: np.ndarray, reads=("h", "w")):
     """Closed-form qubit moments (d, v, e, h, w) of Bloch rows r, shape (3, ...).
 
     Row i holds, for the component S_i:
@@ -130,11 +130,13 @@ def bloch_moments(r: np.ndarray):
         v = (Delta S_i)^2    = (1 - r_i^2) / 4, d = Delta S_i
         h = H(S_i)           = binary entropy of (1 + r_i)/2 in nats
         w = Var(S_i + S_j)   = 1/2 - (r_i + r_j)^2 / 4, j = i + 1 mod 3
-    in the argument order of relations.relation_sides.
+    in the argument order of relations.relation_sides; h and w only if in reads.
     """
     e = r / 2.0
     v = np.maximum(1.0 - r * r, 0.0) / 4.0
-    p = np.minimum(np.maximum((1.0 + r) / 2.0, 0.0), 1.0)  # np.clip, without its call overhead
-    h = entr(p) + entr(1.0 - p)
-    w = 0.5 - (r + r[[1, 2, 0]]) ** 2 / 4.0
+    h = None
+    if "h" in reads:
+        p = np.minimum(np.maximum((1.0 + r) / 2.0, 0.0), 1.0)  # np.clip, without its call overhead
+        h = entr(p) + entr(1.0 - p)
+    w = 0.5 - (r + r[[1, 2, 0]]) ** 2 / 4.0 if "w" in reads else None
     return np.sqrt(v), v, e, h, w

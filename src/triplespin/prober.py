@@ -1,7 +1,7 @@
 """Derivative-free search for minimum-gap and saturating states.
 
-The gap objective scores batches of states; only the simplex search
-parametrizes them. Pure states in dimension d become 2d-1 unconstrained
+The kernels' batch scorers score the states; the prober only parametrizes
+them and searches. Pure states in dimension d become 2d-1 unconstrained
 reals (first amplitude real nonnegative, renormalized at every evaluation),
 so the search never leaves the state manifold. For the qubit, an optional
 mixed-state mode searches the closed Bloch ball instead. Gaps involve
@@ -21,8 +21,7 @@ import numpy as np
 
 from . import kernels
 from .errors import TripleSpinError
-from .moments import bloch_moments, entr, pure_moments
-from .relations import _SPECS, RelationId, _ops, check_applicable, evaluate, relation_sides
+from .relations import RelationId, check_applicable, evaluate
 from .spin_ops import Spin, _as_spin
 from .states import (
     QuantumState,
@@ -126,57 +125,22 @@ def _states_from_params(x: np.ndarray, dim: int, mixed: bool) -> np.ndarray:
     return _bloch_from_params(x) if mixed else _psi_from_params(x, dim)
 
 
-def gap_objective(relation: RelationId, spin: Spin | int, mixed: bool = False):
-    """The search objective: a batch of m states -> (m,) gaps of `relation`.
+def _param_objective(relation: RelationId, spin: Spin | int, mixed: bool = False):
+    """_search's simplex objective: (m, n) parameter rows to (m,) gaps of `relation`.
 
-    The states are (m, d) normalized state vectors or, with mixed=True, (m, 3)
-    qubit Bloch rows in the closed unit ball. Row k's gap equals
-    evaluate(relation, state, spin).gap at state k, but moments go straight to
-    relations.relation_sides without building validated QuantumStates. Bloch
-    rows take the closed-form moments.bloch_moments; state vectors take
-    moments.pure_moments over the operator stack, plus the eigenbases if the
-    formula reads entropies (h) and the pair sums if it reads Var(Si+Sj) (w),
-    all prepared once here. Spin-component spectra are nondegenerate, so
-    outcome probabilities are the squared amplitudes in the eigenbasis with
-    no eigenvalue merging.
+    The rows become states through _states_from_params. Bloch rows (mixed=True,
+    qubit only) are scored by kernels.qubit_relation_gaps, state vectors by a
+    kernels.vector_scorer prepared once here.
     """
     spin = _as_spin(spin)
     if mixed and spin.twice_s != 1:
         raise ValueError("mixed-state probing uses the Bloch ball and needs spin 1/2")
-    s = spin.s
     if mixed:
-
-        def bloch_objective(bloch):
-            lhs, rhs = relation_sides(relation, *bloch_moments(bloch.T), s)
-            return lhs - rhs
-
-        return bloch_objective
-
-    ops = np.array(_ops(spin.twice_s).as_tuple(), dtype=complex)
-    reads = _SPECS[relation].reads
-    # (3, d, d) with eigenvectors as columns: psis @ basis[i] are the amplitudes in S_i's eigenbasis
-    basis = np.linalg.eigh(ops)[1].conj() if "h" in reads else None
-    pairs = ops + ops[[1, 2, 0]] if "w" in reads else None
-
-    def objective(psis):
-        e, v = pure_moments(psis, ops)
-        h = w = None
-        if basis is not None:
-            a = psis @ basis
-            h = entr(a.real**2 + a.imag**2).sum(axis=-1)
-        if pairs is not None:
-            w = pure_moments(psis, pairs)[1]
-        lhs, rhs = relation_sides(relation, np.sqrt(v), v, e, h, w, s)
-        return lhs - rhs
-
-    return objective
-
-
-def _param_objective(relation: RelationId, spin: Spin | int, mixed: bool = False):
-    """_search's simplex objective: gap_objective of _states_from_params, (m, n) rows to (m,) gaps."""
-    objective = gap_objective(relation, spin, mixed)
-    dim = _as_spin(spin).dim
-    return lambda x: objective(_states_from_params(x, dim, mixed))
+        score = partial(kernels.qubit_relation_gaps, relations=(relation,))
+    else:
+        score = kernels.vector_scorer((relation,), spin.twice_s)
+    dim = spin.dim
+    return lambda x: score(_states_from_params(x, dim, mixed))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -368,11 +332,11 @@ def scan_conjecture(
     """Scan the all-spin triple-product conjecture on random pure states.
 
     Chunk k draws up to kernels.CHUNK_ROWS Haar-random states from stream
-    (seed, k) and scores them with gap_objective(R11), keeping a running set
-    of the 10 smallest gaps (ties in draw order), so memory stays constant in
-    `samples`. Those 10 states are then refined together with Nelder-Mead. A
-    minimum below -COUNTEREXAMPLE_TOL marks a counterexample candidate;
-    callers report it rather than fail.
+    (seed, k) and scores them with one kernels.vector_scorer((R11,)), keeping
+    a running set of the 10 smallest gaps (ties in draw order), so memory
+    stays constant in `samples`. Those 10 states are then refined together
+    with Nelder-Mead. A minimum below -COUNTEREXAMPLE_TOL marks a
+    counterexample candidate; callers report it rather than fail.
     """
     spin = _as_spin(spin)
     if spin.twice_s < 2:
@@ -380,12 +344,12 @@ def scan_conjecture(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     relation = RelationId.R11_CONJECTURE_TRIPLE_PRODUCT
-    objective = gap_objective(relation, spin)
+    score = kernels.vector_scorer((relation,), spin.twice_s)
     chunk = kernels.CHUNK_ROWS
     top_gaps, top_psis = np.empty(0), np.empty((0, spin.dim), dtype=complex)
     for k in range(-(-samples // chunk)):
         psis = random_pure_vectors(spin.dim, min(chunk, samples - k * chunk), cfg.seed, k)
-        gaps = np.concatenate([top_gaps, objective(psis)])
+        gaps = np.concatenate([top_gaps, score(psis)[:, 0]])
         # rows at or below the 10th smallest gap, or NaN; the kept rows come
         # first, so a stable sort of them breaks ties in draw order
         last = min(_REFINEMENTS, len(gaps)) - 1

@@ -13,7 +13,7 @@ separately as R11_CONJECTURE_TRIPLE_PRODUCT.
 RELATIONS is the one table of relations: alias, axis group, description, spin
 rule and moments-to-sides formula per id. The spin rules, the CLI spellings
 and the kernel column orders are derived from it, and every gap in
-the package (evaluate, the prober, the kernels, the triangle check and the
+the package (evaluate, the kernels' batch scorers, the triangle check and the
 sweep's derived columns) comes from its formulas through relation_sides.
 """
 

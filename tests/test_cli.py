@@ -407,6 +407,14 @@ def test_probe_conjecture_rejects_mixed(capsys):
     assert "--mixed" in err
 
 
+def test_mixed_probe_above_spin_half_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "out.json"
+    code, out, err = run(capsys, "probe", "--relation", "R6", "--mixed", "--spin", "2", "--emit", str(target))
+    assert code == 2 and out == ""
+    assert "needs spin 1/2" in err
+    assert not target.exists() and not (tmp_path / "out.json.manifest.json").exists()
+
+
 def test_probe_conjecture_rejects_restarts(capsys):
     # the scan refines a fixed number of its best samples; --restarts would be ignored
     code, out, err = run(

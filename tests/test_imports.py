@@ -1,7 +1,8 @@
 """Import checks: every name a library module imports is used in that module,
 every private module-level function is referenced somewhere in the package,
 only rng.py reaches numpy.random, only cli.py reads the process environment,
-and the runtime imports no scipy."""
+the prober scores states only through kernels, and the runtime imports no
+scipy."""
 
 import ast
 import subprocess
@@ -139,6 +140,40 @@ def test_checker_flags_environment_reads():
 def test_only_cli_reads_the_environment(module):
     # cli.py records what it reads in the run manifest; an input read anywhere else would never reach it
     assert environment_reads(module.read_text(encoding="utf-8")) == []
+
+
+def moments_imports(source: str) -> list[str]:
+    """Lines that import the moments module or names from it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").split(".")[-1] == "moments" or any(a.name == "moments" for a in node.names)
+        elif isinstance(node, ast.Import):
+            hit = any(alias.name.split(".")[-1] == "moments" for alias in node.names)
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_checker_flags_moments_imports():
+    source = (
+        "from .moments import entr\nfrom . import moments, kernels\nimport triplespin.moments\n"
+        "from . import kernels\nfrom .relations import evaluate\n"
+    )
+    assert moments_imports(source) == [f"line {n}" for n in (1, 2, 3)]
+
+
+def test_prober_scores_only_through_kernels():
+    # kernels._apply_table is the one batch route from moments to gaps; the prober parametrizes and searches
+    source = (PACKAGE / "prober.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert moments_imports(source) == []
+    assert names & {"relation_sides", "_SPECS", "_ops"} == set()
 
 
 def test_cli_import_loads_no_scipy():

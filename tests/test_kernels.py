@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 from triplespin import kernels
-from triplespin.relations import QUBIT_SOAK_RELATIONS, TRIANGLE_ANALOG_RELATIONS, evaluate
-from triplespin.states import density_from_bloch, random_mixed_bloch, random_pure_bloch
+from triplespin.moments import bloch_moments
+from triplespin.relations import QUBIT_SOAK_RELATIONS, TRIANGLE_ANALOG_RELATIONS, RelationId, applicable_to, evaluate
+from triplespin.states import (
+    bloch_from_density,
+    density_from_bloch,
+    from_statevector,
+    random_mixed_bloch,
+    random_pure_bloch,
+    random_pure_vectors,
+)
 from triplespin.triangle import TrianglePoint, check_analogs, sample_barycentric
 
 
@@ -50,6 +58,31 @@ def test_kernel_matches_matrix_route():
         st = density_from_bloch(bloch[i])
         for k, rel in enumerate(QUBIT_SOAK_RELATIONS):
             assert abs(gaps[i, k] - evaluate(rel, st, 1).gap) <= 1e-12
+
+
+def test_one_relation_reads_only_its_moments():
+    """Scored alone, each relation (computing only the moments it reads) gives its table column bit for bit."""
+    bloch = _bloch_batch(40)
+    gaps = kernels.qubit_relation_gaps(bloch)
+    for k, rel in enumerate(QUBIT_SOAK_RELATIONS):
+        assert np.array_equal(kernels.qubit_relation_gaps(bloch, (rel,))[:, 0], gaps[:, k]), rel
+    h, w = bloch_moments(np.ascontiguousarray(bloch.T), reads=())[3:]
+    assert h is None and w is None
+    for twice_s in (1, 2):
+        relations = tuple(rel for rel in RelationId if applicable_to(rel, twice_s))
+        psis = random_pure_vectors(twice_s + 1, 40, 7)
+        gaps = kernels.vector_scorer(relations, twice_s)(psis)
+        for k, rel in enumerate(relations):
+            assert np.array_equal(kernels.vector_scorer((rel,), twice_s)(psis)[:, 0], gaps[:, k]), rel
+
+
+def test_vector_scorer_matches_bloch_route_at_spin_half():
+    """At spin 1/2 the state-vector scorer gives the Bloch scorer's 16 columns on the same states."""
+    psis = random_pure_vectors(2, 500, 31)
+    bloch = np.array([bloch_from_density(from_statevector(psi)) for psi in psis])
+    vector = kernels.vector_scorer(QUBIT_SOAK_RELATIONS, 1)(psis)
+    assert vector.shape == (500, 16)
+    np.testing.assert_allclose(vector, kernels.qubit_relation_gaps(bloch), rtol=0, atol=1e-12)
 
 
 def test_triangle_kernel_matches_report_route():

@@ -15,7 +15,6 @@ from triplespin.prober import (
     _param_objective,
     _params_from_vector,
     _psi_from_params,
-    gap_objective,
     is_counterexample,
     lockstep_nelder_mead,
     min_gap,
@@ -113,26 +112,23 @@ def test_restart_gaps_record_every_restart():
 
 @pytest.mark.parametrize("twice_s", [1, 2, 3, 4])
 def test_objective_matches_evaluate(twice_s):
+    """The objective's scorers, each scoring its relations in one call, vs evaluate row by row."""
     rng = np.random.default_rng(twice_s)
     dim = twice_s + 1
-    modes = (False, True) if twice_s == 1 else (False,)
-    for relation in RelationId:
-        if not applicable_to(relation, twice_s):
-            continue
-        for mixed in modes:
-            objective = gap_objective(relation, twice_s, mixed)
-            if mixed:
-                # Bloch rows inside the ball and on its surface
-                states = _bloch_from_params(rng.standard_normal((10, 3)) * rng.uniform(0.2, 1.5, (10, 1)))
-            else:
-                states = rng.standard_normal((10, dim)) + 1j * rng.standard_normal((10, dim))
-                states /= np.linalg.norm(states, axis=1, keepdims=True)
-            gaps = objective(states)
-            assert gaps.shape == (10,)
-            for row, gap in zip(states, gaps):
-                state = density_from_bloch(row) if mixed else from_statevector(row)
-                expected = evaluate(relation, state, twice_s).gap
-                assert abs(gap - expected) <= 1e-12, (relation, mixed)
+    relations = tuple(relation for relation in RelationId if applicable_to(relation, twice_s))
+    psis = rng.standard_normal((10, dim)) + 1j * rng.standard_normal((10, dim))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    routes = [(relations, psis, kernels.vector_scorer(relations, twice_s)(psis), from_statevector)]
+    if twice_s == 1:
+        # Bloch rows inside the ball and on its surface, on all 18 relations (not the soak's 16)
+        bloch = _bloch_from_params(rng.standard_normal((10, 3)) * rng.uniform(0.2, 1.5, (10, 1)))
+        routes.append((relations, bloch, kernels.qubit_relation_gaps(bloch, relations), density_from_bloch))
+    for columns, states, gaps, to_state in routes:
+        assert gaps.shape == (10, len(columns))
+        for row, row_gaps in zip(states, gaps):
+            state = to_state(row)
+            for relation, gap in zip(columns, row_gaps):
+                assert abs(gap - evaluate(relation, state, twice_s).gap) <= 1e-12, relation
 
 
 def _one_by_one(objective, calls=None):
@@ -277,7 +273,7 @@ def test_more_restarts_never_hurt():
 def test_probe_rejects_inapplicable_relation():
     with pytest.raises(SpinRestrictionError):
         min_gap(RelationId.R8_VARIANCE_OF_SUMS, 2, FAST)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs spin 1/2"):
         min_gap(RelationId.R7_SUM_GENERAL_S, 2, FAST, mixed=True)
 
 
@@ -346,7 +342,7 @@ def test_scan_conjecture_refines_the_ten_smallest_draws(monkeypatch):
     monkeypatch.setattr(prober, "lockstep_nelder_mead", recording)
     scan_conjecture(2, 3500, ProbeConfig(seed=6, max_iters=5))
     psis = np.vstack([random_pure_vectors(3, m, 6, k) for k, m in enumerate((1000, 1000, 1000, 500))])
-    gaps = gap_objective(RelationId.R11_CONJECTURE_TRIPLE_PRODUCT, 2)(psis)
+    gaps = kernels.vector_scorer((RelationId.R11_CONJECTURE_TRIPLE_PRODUCT,), 2)(psis)[:, 0]
     assert np.array_equal(starts[0], _params_from_vector(psis[np.argsort(gaps, kind="stable")[:10]]))
 
 

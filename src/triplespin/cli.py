@@ -3,12 +3,13 @@
 Subcommands write CSV for sweep data and JSON for structured reports. When
 ``--emit PATH`` is given the output goes to PATH and a run manifest is
 written next to it (PATH.manifest.json) recording the exact argv, seed, tool
-version and environment (Python and numpy versions, kernel backend and chunk
-size); re-dispatching the recorded argv reproduces the output file
-byte for byte. A stochastic command's seed is --seed, else the TRIPLESPIN_SEED
-environment variable, else 0; dispatch resolves it once, and when it did not
-come from the command line it is appended to the recorded argv, so a replay
-does not depend on the environment.
+version and environment (Python and numpy versions, kernel backend, chunk
+size and the most threads a chunked scan may use); re-dispatching the
+recorded argv reproduces the output file byte for byte. A stochastic
+command's seed is --seed, else the TRIPLESPIN_SEED environment variable,
+else 0; dispatch resolves it once, and when it did not come from the command
+line it is appended to the recorded argv, so a replay does not depend on the
+environment.
 """
 
 from __future__ import annotations
@@ -127,6 +128,7 @@ def _write_output(text: str, args) -> None:
                 "numpy": np.__version__,
                 "backend": kernels.BACKEND,
                 "chunk_rows": kernels.CHUNK_ROWS,
+                "scan_workers": kernels._scan_workers(),
             },
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }

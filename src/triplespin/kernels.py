@@ -5,11 +5,15 @@ batch's per-axis moments as (3, n) arrays (of Bloch rows, state vectors or
 triangle points) and _apply_table applies the relation table
 (relations.relation_sides) to them, one row per relation; the result is the
 (n, k) transposed view.
+
+fold_chunks is the one chunk loop of the soak and the triangle scan. It is the
+only code in the package that starts threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -19,9 +23,13 @@ from .relations import _SPECS, QUBIT_SOAK_RELATIONS, TRIANGLE_ANALOG_RELATIONS, 
 #: Array library the kernels run on; recorded with benchmark results.
 BACKEND = "numpy"
 
-#: Rows per kind that the soak and the triangle scan draw and pass to one
-#: kernel call; they reduce chunk by chunk, so memory does not grow with n.
+#: Rows per kind that the soak and the triangle scan draw from one stream;
+#: they reduce chunk by chunk, so memory does not grow with n.
 CHUNK_ROWS = 1 << 15
+
+#: Rows of a chunk scored per kernel call, so a call's temporaries stay in
+#: cache; the gaps are elementwise, so blocks change no bit of the result.
+BLOCK_ROWS = CHUNK_ROWS // 4
 
 
 class MinFold:
@@ -29,7 +37,8 @@ class MinFold:
 
     min holds the k minima and argmin the (k, w) rows of the chunks' (m, w)
     points that attained them. The first occurrence of a tied minimum wins,
-    and a NaN gap becomes the minimum.
+    and a NaN gap becomes the minimum. Folds of consecutive runs of chunks,
+    merged in order, equal one fold that adds every chunk.
     """
 
     def __init__(self, columns: int, width: int):
@@ -38,10 +47,67 @@ class MinFold:
 
     def add(self, points: np.ndarray, gaps: np.ndarray) -> None:
         idx = gaps.argmin(axis=0)
-        chunk_min = gaps[idx, np.arange(len(idx))]
-        better = (chunk_min < self.min) | (np.isnan(chunk_min) & ~np.isnan(self.min))
-        self.min[better] = chunk_min[better]
-        self.argmin[better] = points[idx[better]]
+        self._take(gaps[idx, np.arange(len(idx))], points[idx])
+
+    def merge(self, later: MinFold) -> None:
+        """Fold in the result of a later run of chunks, by the same rules as add."""
+        self._take(later.min, later.argmin)
+
+    def _take(self, mins: np.ndarray, rows: np.ndarray) -> None:
+        better = (mins < self.min) | (np.isnan(mins) & ~np.isnan(self.min))
+        self.min[better] = mins[better]
+        self.argmin[better] = rows[better]
+
+
+def _scan_workers() -> int:
+    """CPUs this process may run on: the most threads fold_chunks starts."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def fold_chunks(chunks: int, draw, score, columns: int, tolerance: float | None = None):
+    """Fold the (m, k) gaps score(block) over the points draw(c) of chunks c = 0..chunks-1.
+
+    draw(c) returns chunk c's (m, w) points, which are scored in blocks of
+    BLOCK_ROWS rows. Returns the MinFold over all gaps and, with a tolerance,
+    the (k,) counts of gaps not at or above -tolerance (NaN counts), else None.
+    Chunks run on up to _scan_workers() threads, all joined before this
+    returns; each chunk has its own fold, and the folds are merged in chunk
+    order, so the result does not depend on the thread count. One chunk or
+    one CPU runs in the calling thread.
+    """
+
+    def one(c: int):
+        points = draw(c)
+        fold = MinFold(columns, points.shape[1])
+        counts = np.zeros(columns, dtype=np.int64)
+        for start in range(0, len(points), BLOCK_ROWS):
+            block = points[start : start + BLOCK_ROWS]
+            gaps = score(block)
+            fold.add(block, gaps)
+            if tolerance is not None:
+                counts += np.count_nonzero(~(gaps >= -tolerance), axis=0)
+        return fold, counts
+
+    def merged(parts):
+        fold, counts = next(parts)
+        for part, part_counts in parts:
+            fold.merge(part)
+            counts += part_counts
+        return fold, counts if tolerance is not None else None
+
+    workers = min(_scan_workers(), chunks)
+    if workers < 2:
+        return merged(map(one, range(chunks)))
+    # imported here: a one-chunk run (every short CLI command) skips the import cost
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        return merged(pool.map(one, range(chunks)))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _batch(points: np.ndarray, what: str) -> np.ndarray:

@@ -407,11 +407,11 @@ def soak_qubit(
 
     Pure states are Haar-distributed, mixed ones Hilbert-Schmidt. Chunk k
     stacks up to kernels.CHUNK_ROWS states of each kind, drawn from the
-    independent streams (seed, 0, k) and (seed, 1, k), and folds the chunk's
-    gaps into the running result (kernels.MinFold), so memory stays constant
-    in the counts. Returns per relation the minimum gap (NaN if any gap is
-    NaN), the state that attained it and the count of gaps not at or above
-    -tolerance (NaN counts).
+    independent streams (seed, 0, k) and (seed, 1, k), and its gaps are folded
+    into the result (kernels.fold_chunks), so memory stays constant in the
+    counts. Returns per relation the minimum gap (NaN if any gap is NaN), the
+    state that attained it and the count of gaps not at or above -tolerance
+    (NaN counts).
     """
     from . import kernels  # kernels reads this module's table at import
 
@@ -422,18 +422,22 @@ def soak_qubit(
     if n_pure + n_mixed == 0:
         raise ValueError("need at least one sample")
     chunk = kernels.CHUNK_ROWS
-    fold = kernels.MinFold(len(QUBIT_SOAK_RELATIONS), 3)
-    viol = np.zeros(len(QUBIT_SOAK_RELATIONS), dtype=np.int64)
     kinds = ((n_pure, random_pure_bloch), (n_mixed, random_mixed_bloch))
-    for k in range(-(-max(n_pure, n_mixed) // chunk)):
-        bloch = np.vstack([
+
+    def stack(k: int) -> np.ndarray:
+        return np.vstack([
             draw(min(chunk, n - k * chunk), seed, kind, k)
             for kind, (n, draw) in enumerate(kinds)
             if n > k * chunk
         ])
-        gaps = kernels.qubit_relation_gaps(bloch)
-        fold.add(bloch, gaps)
-        viol += np.count_nonzero(~(gaps >= -tolerance), axis=0)
+
+    fold, viol = kernels.fold_chunks(
+        -(-max(n_pure, n_mixed) // chunk),
+        stack,
+        kernels.qubit_relation_gaps,
+        len(QUBIT_SOAK_RELATIONS),
+        tolerance,
+    )
     return SoakSummary(
         n_pure=n_pure,
         n_mixed=n_mixed,

@@ -139,18 +139,20 @@ class TriangleScan:
 def scan(n: int, seed: int, side: float = 1.0) -> TriangleScan:
     """Sample n interior points and record the minimum gap per analog.
 
-    Chunk k draws up to kernels.CHUNK_ROWS points from stream (seed, k) and
-    folds its gaps into a running minimum and argmin per analog
-    (kernels.MinFold), so memory stays constant in n.
+    Chunk k draws up to kernels.CHUNK_ROWS points from stream (seed, k), and
+    its gaps are folded into the minimum and argmin per analog
+    (kernels.fold_chunks), so memory stays constant in n.
     """
     if n < 1:
         raise ValueError(f"triangle scan needs at least one sample, got {n} samples")
     rel_ids = TRIANGLE_ANALOG_RELATIONS
     chunk = kernels.CHUNK_ROWS
-    fold = kernels.MinFold(len(rel_ids), 3)
-    for k in range(-(-n // chunk)):
-        bary = sample_barycentric(min(chunk, n - k * chunk), seed, k)
-        fold.add(bary, kernels.triangle_analog_gaps(bary, side))
+    fold, _ = kernels.fold_chunks(
+        -(-n // chunk),
+        lambda k: sample_barycentric(min(chunk, n - k * chunk), seed, k),
+        lambda bary: kernels.triangle_analog_gaps(bary, side),
+        len(rel_ids),
+    )
     return TriangleScan(
         side=side,
         samples=n,

@@ -206,6 +206,7 @@ def test_manifest_records_environment(tmp_path, capsys):
         "numpy": np.__version__,
         "backend": "numpy",
         "chunk_rows": kernels.CHUNK_ROWS,
+        "scan_workers": kernels._scan_workers(),
     }
 
 

@@ -1,8 +1,8 @@
 """Import checks: every name a library module imports is used in that module,
 every private module-level function is referenced somewhere in the package,
 only rng.py reaches numpy.random, only cli.py reads the process environment,
-the prober scores states only through kernels, and the runtime imports no
-scipy."""
+only kernels.py starts threads, the prober scores states only through
+kernels, and the runtime imports no scipy."""
 
 import ast
 import subprocess
@@ -140,6 +140,37 @@ def test_checker_flags_environment_reads():
 def test_only_cli_reads_the_environment(module):
     # cli.py records what it reads in the run manifest; an input read anywhere else would never reach it
     assert environment_reads(module.read_text(encoding="utf-8")) == []
+
+
+def thread_imports(source: str) -> list[str]:
+    """Lines that import threading, concurrent.futures or names from either."""
+    modules = ("threading", "concurrent")
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").split(".")[0] in modules
+        elif isinstance(node, ast.Import):
+            hit = any(alias.name.split(".")[0] in modules for alias in node.names)
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_checker_flags_thread_imports():
+    source = (
+        "import threading\nfrom concurrent.futures import ThreadPoolExecutor\nimport concurrent.futures as cf\n"
+        "from concurrent import futures\nimport os\nfrom .kernels import fold_chunks\n"
+        "def f():\n    from threading import Lock\n"
+    )
+    assert thread_imports(source) == [f"line {n}" for n in (1, 2, 3, 4, 8)]
+
+
+@pytest.mark.parametrize("module", sorted(p for p in PACKAGE.glob("*.py") if p.name != "kernels.py"), ids=lambda p: p.name)
+def test_only_kernels_starts_threads(module):
+    # kernels.fold_chunks merges its threads' results in chunk order, so outputs do not depend on the thread count
+    assert thread_imports(module.read_text(encoding="utf-8")) == []
 
 
 def moments_imports(source: str) -> list[str]:

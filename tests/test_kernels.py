@@ -1,9 +1,18 @@
+import threading
+
 import numpy as np
 import pytest
 
 from triplespin import kernels
 from triplespin.moments import bloch_moments
-from triplespin.relations import QUBIT_SOAK_RELATIONS, TRIANGLE_ANALOG_RELATIONS, RelationId, applicable_to, evaluate
+from triplespin.relations import (
+    QUBIT_SOAK_RELATIONS,
+    TRIANGLE_ANALOG_RELATIONS,
+    RelationId,
+    applicable_to,
+    evaluate,
+    soak_qubit,
+)
 from triplespin.states import (
     bloch_from_density,
     density_from_bloch,
@@ -12,7 +21,7 @@ from triplespin.states import (
     random_pure_bloch,
     random_pure_vectors,
 )
-from triplespin.triangle import TrianglePoint, check_analogs, sample_barycentric
+from triplespin.triangle import TrianglePoint, check_analogs, sample_barycentric, scan
 
 
 def _bloch_batch(n=400):
@@ -31,6 +40,68 @@ def test_min_fold_keeps_first_tied_row_and_nan():
     fold.add(np.array([[2.0], [3.0]]), np.array([[2.0, 4.0, 0.0], [1.5, 6.0, 0.0]]))
     assert fold.min[:2].tolist() == [1.5, 4.0] and np.isnan(fold.min[2])
     assert fold.argmin[:, 0].tolist() == [3.0, 1.0, 1.0]
+
+
+def _fold(points, gaps):
+    fold = kernels.MinFold(len(gaps[0]), 1)
+    fold.add(np.array(points, dtype=float)[:, None], np.array(gaps))
+    return fold
+
+
+def test_min_fold_merge_keeps_the_earlier_chunk_on_a_tie_and_the_first_nan():
+    earlier = _fold([0.0, 1.0], [[2.0, 5.0, np.nan, 3.0], [1.0, 4.0, 0.0, 3.0]])
+    earlier.merge(_fold([2.0, 3.0], [[1.0, 4.0, np.nan, np.nan], [9.0, 9.0, 0.0, 0.0]]))
+    # column 0 ties (the earlier row 1 stays), column 1 ties, column 2 keeps the
+    # earlier NaN, and column 3 takes the later NaN over a finite minimum
+    assert earlier.min[:2].tolist() == [1.0, 4.0] and np.isnan(earlier.min[2:]).all()
+    assert earlier.argmin[:, 0].tolist() == [1.0, 1.0, 0.0, 2.0]
+
+
+def test_min_fold_merge_in_chunk_order_equals_adding_chunk_after_chunk():
+    rng = np.random.default_rng(0)
+    points = np.arange(600.0)[:, None]
+    gaps = np.round(rng.normal(size=(600, 5)), 1)  # many ties across chunks
+    gaps[[250, 420], [1, 1]] = np.nan
+    gaps[450, 4] = np.nan
+    whole = kernels.MinFold(5, 1)
+    merged = kernels.MinFold(5, 1)
+    for rows in np.split(np.arange(600), [100, 250, 300, 450]):
+        whole.add(points[rows], gaps[rows])
+        part = kernels.MinFold(5, 1)
+        part.add(points[rows], gaps[rows])
+        merged.merge(part)
+    assert np.array_equal(whole.min, merged.min, equal_nan=True)
+    assert np.array_equal(whole.argmin, merged.argmin)
+    assert merged.argmin[1, 0] == 250.0 and merged.argmin[4, 0] == 450.0
+
+
+def _with_workers(monkeypatch, workers, fn, *args):
+    monkeypatch.setattr(kernels, "_scan_workers", lambda: workers)
+    return fn(*args)
+
+
+def test_many_chunk_results_do_not_depend_on_the_worker_count(monkeypatch):
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 3000)
+    for fn, args in ((soak_qubit, (20_000, 14_000, 6)), (scan, (25_000, 6, 1.5))):
+        one, two = (repr(_with_workers(monkeypatch, w, fn, *args)) for w in (1, 2))
+        assert one == two
+
+
+def test_no_scan_thread_outlives_the_call(monkeypatch):
+    real = kernels.triangle_analog_gaps
+    threads = set()
+
+    def recording(bary, side):
+        threads.add(threading.current_thread())
+        return real(bary, side)
+
+    monkeypatch.setattr(kernels, "triangle_analog_gaps", recording)
+    monkeypatch.setattr(kernels, "_scan_workers", lambda: 2)
+    scan(kernels.CHUNK_ROWS, 1)  # one chunk: scored in the calling thread
+    assert threads == {threading.current_thread()}
+    scan(4 * kernels.CHUNK_ROWS, 1)
+    workers = threads - {threading.current_thread()}
+    assert workers and not any(t.is_alive() for t in workers)
 
 
 def test_qubit_gaps_shape_and_validation():

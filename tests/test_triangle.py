@@ -205,11 +205,13 @@ def test_scan_tied_minima_keep_the_first_occurrence(monkeypatch):
 
 def test_scan_nan_in_a_later_chunk_becomes_the_minimum(monkeypatch):
     real = kernels.triangle_analog_gaps
+    second_chunk = sample_barycentric(1000, 8, 1)
     calls = []
 
     def nan_in_second_chunk(bary, side):
+        # chunks may be scored on several threads, so the chunk is told by its rows, not by call order
         gaps = real(bary, side)
-        if len(calls) == 1:
+        if np.array_equal(bary, second_chunk):
             gaps[7, 0] = np.nan
         calls.append(len(bary))
         return gaps
@@ -217,7 +219,7 @@ def test_scan_nan_in_a_later_chunk_becomes_the_minimum(monkeypatch):
     monkeypatch.setattr(kernels, "CHUNK_ROWS", 1000)
     monkeypatch.setattr(kernels, "triangle_analog_gaps", nan_in_second_chunk)
     result = scan(3500, seed=8)
-    assert calls == [1000, 1000, 1000, 500]
+    assert sorted(calls) == [500, 1000, 1000, 1000]
     rel = TRIANGLE_ANALOG_RELATIONS[0]
     assert math.isnan(result.min_gap[rel])
     assert result.argmin_bary[rel] == tuple(sample_barycentric(1000, 8, 1)[7])

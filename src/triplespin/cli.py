@@ -10,11 +10,17 @@ command's seed is --seed, else the TRIPLESPIN_SEED environment variable,
 else 0; dispatch resolves it once, and when it did not come from the command
 line it is appended to the recorded argv, so a replay does not depend on the
 environment.
+
+dispatch builds the argument parser once per process and reuses it, so what
+build_parser reads (the subcommand functions and defaults such as
+DEFAULT_SHOTS, SOAK_TOL and ProbeConfig.max_iters) is fixed at the first
+dispatch; the seed's environment default is read on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -300,11 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every dispatch in this process reuses; parse_args gives each call a fresh Namespace."""
+    return build_parser()
+
+
 def dispatch(argv: list[str]) -> int:
     """Run one CLI invocation; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     args._argv = list(argv)

@@ -45,9 +45,12 @@ class MinFold:
         self.min = np.full(columns, np.inf)
         self.argmin = np.zeros((columns, width))
 
-    def add(self, points: np.ndarray, gaps: np.ndarray) -> None:
+    def add(self, points: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+        """Fold in one chunk; returns its (k,) column minima (NaN where a column holds one)."""
         idx = gaps.argmin(axis=0)
-        self._take(gaps[idx, np.arange(len(idx))], points[idx])
+        mins = gaps[idx, np.arange(len(idx))]
+        self._take(mins, points[idx])
+        return mins
 
     def merge(self, later: MinFold) -> None:
         """Fold in the result of a later run of chunks, by the same rules as add."""
@@ -85,8 +88,9 @@ def fold_chunks(chunks: int, draw, score, columns: int, tolerance: float | None 
         for start in range(0, len(points), BLOCK_ROWS):
             block = points[start : start + BLOCK_ROWS]
             gaps = score(block)
-            fold.add(block, gaps)
-            if tolerance is not None:
+            mins = fold.add(block, gaps)
+            # a block whose every column minimum clears -tolerance has nothing to count
+            if tolerance is not None and not (mins >= -tolerance).all():
                 counts += np.count_nonzero(~(gaps >= -tolerance), axis=0)
         return fold, counts
 

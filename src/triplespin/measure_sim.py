@@ -25,7 +25,7 @@ import numpy as np
 from . import kernels
 from .moments import bloch_moments
 from .relations import TAU, RelationId, relation_sides
-from .rng import stream
+from .rng import map_streams, stream
 from .states import Family, QuantumState, bloch_from_density, family_bloch
 
 #: A sweep point is singular for pro0 error propagation when any standard
@@ -87,22 +87,21 @@ class SweepRow:
     flags: tuple[str, ...]
 
 
-def _count_plus(r_i: float, cfg: ShotConfig, index: int, axis: int, per_draw: bool) -> int:
-    """Number of + outcomes among cfg.shots draws from the stream keyed (seed, index, axis).
+def _count_plus(rng, r_i: float, shots: int, per_draw: bool) -> int:
+    """Number of + outcomes among `shots` draws from the generator rng, for the Bloch component r_i.
 
     Per-draw outcomes come in blocks of kernels.CHUNK_ROWS, so memory does not
     grow with the shot count; the blocks continue one stream, so the counts
     equal those of a single draw of all the shots.
     """
     p_plus = min(max((1.0 + r_i) / 2.0, 0.0), 1.0)
-    rng = stream(cfg.seed, index, axis)
     if per_draw:
         chunk = kernels.CHUNK_ROWS
         return sum(
-            int(np.count_nonzero(rng.random(min(chunk, cfg.shots - start)) < p_plus))
-            for start in range(0, cfg.shots, chunk)
+            int(np.count_nonzero(rng.random(min(chunk, shots - start)) < p_plus))
+            for start in range(0, shots, chunk)
         )
-    return int(rng.binomial(cfg.shots, p_plus))
+    return int(rng.binomial(shots, p_plus))
 
 
 def _shot_estimate(k, shots: int):
@@ -132,7 +131,8 @@ def simulate_expectation(
     sweep points can run in any order or in parallel without changing results.
     """
     r_i = float(bloch_from_density(state)[axis.value])
-    estimate, stderr = _shot_estimate(_count_plus(r_i, cfg, index, axis.value, per_draw), cfg.shots)
+    k = _count_plus(stream(cfg.seed, index, axis.value), r_i, cfg.shots, per_draw)
+    estimate, stderr = _shot_estimate(k, cfg.shots)
     return EstimationResult(axis, estimate, float(stderr), cfg.shots)
 
 
@@ -217,16 +217,19 @@ def _family_rows(
     """Rows at the family's parameters, exact (cfg None) or from cfg.shots outcomes per axis.
 
     Point k's axis i draws from stream (seed, k, i), one (point, axis) at a
-    time and per-draw in blocks (_count_plus), so memory stays constant.
+    time and per-draw in blocks (_count_plus), so memory stays constant; the
+    streams' Philox keys are derived in one pass (rng.map_streams).
     """
     r = family_bloch(family, params)
     if cfg is None:
         e, sig, shots = _exact_estimate(r), np.zeros_like(r), 0
     else:
-        k = np.array([
-            [_count_plus(r_i, cfg, index, axis, per_draw) for index, r_i in enumerate(row)]
-            for axis, row in enumerate(r.tolist())
-        ])
+        r_flat = r.ravel().tolist()
+        # row (index, axis) of keys is entry axis * n + index of r_flat
+        keys = np.indices(r.shape)[::-1].reshape(2, -1).T
+        k = np.array(map_streams(
+            cfg.seed, keys, lambda rng, i: _count_plus(rng, r_flat[i], cfg.shots, per_draw)
+        )).reshape(r.shape)
         (e, sig), shots = _shot_estimate(k, cfg.shots), cfg.shots
     ests = zip(*(
         [EstimationResult(ax, x, s, shots) for x, s in zip(e[ax.value].tolist(), sig[ax.value].tolist())]

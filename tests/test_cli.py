@@ -542,3 +542,32 @@ def test_verify_fails_on_non_finite_gap(monkeypatch, capsys):
 def test_json_output_refuses_non_finite_numbers():
     with pytest.raises(ValueError):
         cli._json_text({"gap": math.nan})
+
+
+def test_usage_error_does_not_spoil_the_next_dispatch(capsys):
+    cli._parser.cache_clear()  # the usage error is the process parser's first parse
+    assert run(capsys, "simulate", "--family", "r9", "--points", "3")[0] == 2
+    code, out, _ = run(capsys, "simulate", "--family", "r1", "--points", "3", "--seed", "1")
+    assert code == 0 and out.startswith(CSV_HEADER)
+
+
+def test_seed_env_is_read_on_every_dispatch(tmp_path, monkeypatch):
+    seeds = []
+    for seed_env in ("11", "12"):
+        _, manifest = emit_triangle(monkeypatch, tmp_path / f"t{seed_env}.json", seed_env)
+        seeds.append(manifest["seed"])
+    assert seeds == [11, 12]
+
+
+def test_an_earlier_dispatch_leaves_no_option_behind(tmp_path, capsys):
+    second = ("verify", "--relation", "all", "--family", "r1", "--phi", "30", "--degrees")
+    cli._parser.cache_clear()
+    alone = run(capsys, *second)
+    assert run(capsys, "simulate", "--family", "r1", "--points", "3", "--seed", "1")[0] == 0
+    assert run(capsys, "verify", "--relation", "all", "--bloch", "0.1,0.2,0.3")[0] == 0
+    assert run(capsys, *second) == alone
+    # nor the seeded command's --seed: verify's manifest records none
+    argv = [*second, "--emit", str(tmp_path / "v.json")]
+    assert dispatch(argv) == 0
+    manifest = json.loads((tmp_path / "v.json.manifest.json").read_text())
+    assert manifest["argv"] == argv and manifest["seed"] is None and "seed" not in manifest["config"]

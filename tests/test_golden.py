@@ -6,7 +6,10 @@ weights as (3, n) columns, and guards that the soak did not move with it; the
 chunk. The 100000-state soak and the 250000-point triangle reports span
 several chunks (kernels.CHUNK_ROWS) and were recorded while chunks were still
 folded one after another in one thread, so they pin the fold across chunks
-and blocks, whatever the thread count.
+and blocks, whatever the thread count. The simulate CSVs were recorded while
+every shot-sweep stream was built by rng.stream, one per point and axis, and
+pin the batched key derivation (rng.map_streams) to it: binomial and per-draw
+counts, and a seed of two 32-bit words.
 """
 
 from pathlib import Path
@@ -28,6 +31,15 @@ GOLDEN = Path(__file__).parent / "golden"
             "soak_pure100000_mixed100000_seed0.txt",
         ),
         (["triangle", "--samples", "250000", "--seed", "1"], "triangle_samples250000_seed1.json"),
+        (["simulate", "--family", "r2", "--points", "181", "--seed", "7"], "simulate_r2_points181_seed7.csv"),
+        (
+            ["simulate", "--family", "r1", "--points", "34", "--shots", "10000", "--per-draw", "--seed", "6"],
+            "simulate_r1_points34_shots10000_perdraw_seed6.csv",
+        ),
+        (
+            ["simulate", "--family", "r1", "--points", "19", "--seed", str(2**64 - 1)],
+            "simulate_r1_points19_seed18446744073709551615.csv",
+        ),
     ],
 )
 def test_seeded_output_matches_golden(capsys, argv, name):

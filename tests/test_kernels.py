@@ -75,6 +75,23 @@ def test_min_fold_merge_in_chunk_order_equals_adding_chunk_after_chunk():
     assert merged.argmin[1, 0] == 250.0 and merged.argmin[4, 0] == 450.0
 
 
+def test_fold_counts_equal_a_count_over_every_gap(monkeypatch):
+    """Blocks whose minima all clear -tolerance skip the count; the counts stay exact."""
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", 50)
+    rng = np.random.default_rng(3)
+    gaps = rng.random((400, 4))
+    gaps[[60, 61, 320], [0, 0, 2]] = [-0.5, -1e-9, -0.2]  # two counted, one within tolerance
+    gaps[[75, 380], [1, 3]] = np.nan
+    points = np.arange(400.0)[:, None]
+    for workers in (1, 2):
+        monkeypatch.setattr(kernels, "_scan_workers", lambda: workers)
+        fold, counts = kernels.fold_chunks(
+            4, lambda c: points[100 * c : 100 * (c + 1)], lambda block: gaps[block[:, 0].astype(int)], 4, 1e-6
+        )
+        assert counts.tolist() == np.count_nonzero(~(gaps >= -1e-6), axis=0).tolist() == [1, 1, 1, 1]
+        assert fold.min[0] == -0.5 and np.isnan(fold.min[1]) and np.isnan(fold.min[3])
+
+
 def _with_workers(monkeypatch, workers, fn, *args):
     monkeypatch.setattr(kernels, "_scan_workers", lambda: workers)
     return fn(*args)

@@ -147,12 +147,15 @@ def vector_scorer(relations, twice_s: int):
     stack, plus the eigenbases and pair sums only if a relation reads
     entropies (h) or Var(Si+Sj) (w), and each call computes only the moments
     read. Spin-component spectra are nondegenerate, so outcome probabilities
-    are the squared eigenbasis amplitudes with no eigenvalue merging.
+    are the squared eigenbasis amplitudes with no eigenvalue merging. A row's
+    gaps do not depend on the other rows of its batch (see
+    moments.pure_moments), so a search may batch its points as it likes.
     """
     ops = np.array(_ops(twice_s).as_tuple(), dtype=complex)
     reads = {name for relation in relations for name in _SPECS[relation].reads}
-    # (3, d, d) with eigenvectors as columns: psis @ basis[i] are the amplitudes in S_i's eigenbasis
-    basis = np.linalg.eigh(ops)[1].conj() if "h" in reads else None
+    # (3 d, d): the conjugated eigenvectors of S_x, S_y, S_z as rows, so that
+    # np.matvec(basis, psi) holds psi's amplitudes in the three eigenbases
+    basis = np.linalg.eigh(ops)[1].conj().swapaxes(-1, -2).reshape(-1, ops.shape[-1]) if "h" in reads else None
     pairs = ops + ops[[1, 2, 0]] if "w" in reads else None
 
     def score(psis: np.ndarray) -> np.ndarray:
@@ -161,8 +164,8 @@ def vector_scorer(relations, twice_s: int):
             e, v = pure_moments(psis, ops)
             d = np.sqrt(v) if "d" in reads else None
         if basis is not None:
-            a = psis @ basis
-            h = entr(a.real**2 + a.imag**2).sum(axis=-1)
+            a = np.matvec(basis, psis).reshape(len(psis), 3, -1)
+            h = entr(a.real**2 + a.imag**2).sum(axis=-1).T
         if pairs is not None:
             w = pure_moments(psis, pairs)[1]
         return _apply_table(relations, len(psis), d, v, e, h, w, twice_s / 2)

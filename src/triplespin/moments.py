@@ -113,13 +113,21 @@ def pure_moments(psis: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndar
     psis is one (d,) normalized state vector or an (n, d) batch, ops one
     (d, d) observable or a (k, d, d) stack; both results have shape (k, n)
     with the axes of single arguments dropped. The centred form is
-    nonnegative by construction and accurate near eigenstates.
+    nonnegative by construction and accurate near eigenstates. Each row
+    is computed alone, so its bits do not depend on the batch it is in:
+    np.matvec makes one product of the stacked (k d, d) operators per state,
+    where a batched matmul rounds a row differently with the batch shape.
     """
-    psis = np.asarray(psis)
-    opsi = psis @ np.swapaxes(ops, -1, -2)  # rows (O psi)^T, state axis last
+    psis, ops = np.asarray(psis), np.asarray(ops)
+    d = ops.shape[-1]
+    # O psi for every operator, state axis first: (..., k, d), or (..., d) for one operator
+    opsi = np.matvec(ops.reshape(-1, d), psis).reshape(psis.shape[:-1] + ops.shape[:-1])
+    if ops.ndim > 2:
+        psis = psis[..., None, :]
     e = np.vecdot(psis, opsi).real  # vecdot conjugates its first argument
     r = opsi - e[..., None] * psis
-    return e, np.vecdot(r, r).real
+    v = np.vecdot(r, r).real
+    return (e.T, v.T) if ops.ndim > 2 else (e, v)
 
 
 def bloch_moments(r: np.ndarray, reads=("h", "w")):

@@ -7,8 +7,10 @@ so the search never leaves the state manifold. For the qubit, an optional
 mixed-state mode searches the closed Bloch ball instead. Gaps involve
 absolute values and square roots with kinks at saturation, so local
 refinement uses the Nelder-Mead simplex rather than gradients. All
-restarts of a search advance together, one batched objective call per
-simplex stage.
+restarts of a search advance together: while few are live, an iteration
+scores every run's four candidate points in one batched objective call
+(see lockstep_nelder_mead). The kernels score a state the same in any
+batch, so a restart's result depends only on its own start.
 """
 
 from __future__ import annotations
@@ -41,8 +43,15 @@ _XATOL = 1e-8
 # scipy's non-adaptive Nelder-Mead coefficients and initial-simplex steps
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
-#: Weights (a, b) of the second point a xbar - b worst: expansion, outside and inside contraction.
-_SECOND_POINT = np.array([[1 + _RHO * _CHI, _RHO * _CHI], [1 + _PSI * _RHO, _PSI * _RHO], [1 - _PSI, -_PSI]])
+#: Weights (a, b) of the candidate points a xbar - b worst, in the order of
+#: scipy's branch: reflection, expansion, outside and inside contraction.
+_CANDIDATES = np.array(
+    [[1 + _RHO, _RHO], [1 + _RHO * _CHI, _RHO * _CHI], [1 + _PSI * _RHO, _PSI * _RHO], [1 - _PSI, -_PSI]]
+)[:, :, None, None]
+#: While at most this many runs are live, an iteration of lockstep_nelder_mead
+#: scores all four candidates of every run in one objective call; with more,
+#: it scores the reflections and then only the second points that are needed.
+SPECULATE_RUNS = 16
 
 
 @dataclass(frozen=True)
@@ -175,16 +184,24 @@ def _sort_simplices(sim: np.ndarray, fsim: np.ndarray):
 def lockstep_nelder_mead(objective, x0: np.ndarray, max_iters: int, fatol: float) -> SimplexRuns:
     """Nelder-Mead from each row of x0 (m, n), all runs advancing together.
 
-    objective maps (k, n) points to (k,) values. Each run follows the
-    sequence of scipy.optimize.minimize(method="Nelder-Mead") with
-    maxiter=max_iters, xatol=1e-8 and fatol=fatol (Nelder & Mead, Comput.
-    J. 7, 308, 1965): coefficients 1, 2, 1/2, 1/2, the initial simplex x0
-    with one coordinate at a time raised 5% (or set to 0.00025 when it is
-    0), the xatol/fatol test, and the argsort re-ordering of every simplex
-    after each step. An iteration makes at most three batched calls: all
-    reflections, then each run's one expansion or contraction point, then
-    all shrink points. A run whose values equal the scalar function's
-    reproduces scipy's result exactly.
+    objective maps (k, n) points to (k,) values, and a point's value must not
+    depend on the other points of its call. Each run follows the sequence of
+    scipy.optimize.minimize(method="Nelder-Mead") with maxiter=max_iters,
+    xatol=1e-8 and fatol=fatol (Nelder & Mead, Comput. J. 7, 308, 1965):
+    coefficients 1, 2, 1/2, 1/2, the initial simplex x0 with one coordinate
+    at a time raised 5% (or set to 0.00025 when it is 0), the xatol/fatol
+    test, and the argsort re-ordering of every simplex after each step.
+
+    An iteration builds every live run's four candidates (reflection,
+    expansion, outside and inside contraction) in one array pass. While at
+    most SPECULATE_RUNS runs are live it scores all of them in one batched
+    call; with more, it scores the reflections, then each run's one
+    expansion or contraction point that scipy's branch asks for. Either way
+    one index per run picks the candidate that replaces the worst vertex,
+    and the runs that shrink score their new vertices in one more call. nfev
+    counts the evaluations scipy would make, not the rows scored. A run
+    whose values equal the scalar function's reproduces scipy's result
+    exactly, under either schedule and whatever the other runs do.
     """
     sim0 = np.array(x0, dtype=float)
     m, n = sim0.shape
@@ -196,56 +213,62 @@ def lockstep_nelder_mead(objective, x0: np.ndarray, max_iters: int, fatol: float
     sim, fsim = _sort_simplices(*_sort_simplices(sim, fsim))
 
     x, fun = np.empty((m, n)), np.empty(m)
-    nit, nfev = np.ones(m, dtype=np.int64), np.full(m, n + 1, dtype=np.int64)
-    success = np.zeros(m, dtype=bool)
-    live = np.arange(m)
+    nit, nfev, success = np.ones(m, dtype=np.int64), np.empty(m, dtype=np.int64), np.zeros(m, dtype=bool)
+    live, runs = np.arange(m), np.arange(m)
+    evals = np.full(m, n + 1, dtype=np.int64)  # nfev of the live runs
 
     def finish(rows, iterations, converged):
         done = live[rows]
         x[done], fun[done] = sim[rows, 0], fsim[rows].min(axis=1)
-        nit[done], success[done] = iterations, converged
+        nit[done], nfev[done], success[done] = iterations, evals[rows], converged
 
     iterations = 1
     while iterations < max_iters:
-        converged = (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _XATOL) & (
-            np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol
-        )
+        # scipy's test: all values within fatol of the best (on a sorted row, the
+        # last one is the farthest; a NaN sorts last and fails it), then all
+        # vertices within xatol, tested only where the values pass
+        converged = fsim[:, -1] - fsim[:, 0] <= fatol
+        if converged.any():
+            close = np.flatnonzero(converged)
+            converged[close] = np.abs(sim[close, 1:] - sim[close, :1]).max(axis=(1, 2)) <= _XATOL
         if converged.any():
             finish(converged, iterations, True)
-            live, sim, fsim = live[~converged], sim[~converged], fsim[~converged]
+            keep = ~converged
+            live, sim, fsim, evals = live[keep], sim[keep], fsim[keep], evals[keep]
             if not live.size:
                 break
+            runs = np.arange(live.size)
 
         xbar = np.add.reduce(sim[:, :-1], 1) / n
-        worst = sim[:, -1]
-        xr = (1 + _RHO) * xbar - _RHO * worst
-        fxr = _batch_values(objective, xr)
-        nfev[live] += 1
+        cand = _CANDIDATES[:, 0] * xbar - _CANDIDATES[:, 1] * sim[:, -1]  # (4, runs, n)
+        speculate = live.size <= SPECULATE_RUNS
+        if speculate:
+            fcand = _batch_values(objective, cand.reshape(-1, n)).reshape(4, -1)
+        else:
+            fcand = np.empty((4, live.size))
+            fcand[0] = _batch_values(objective, cand[0])
+        fxr = fcand[0]
 
-        # scipy's branch on the reflected value: -1 accepts it, otherwise the row of
-        # _SECOND_POINT to try (0 expand, 1 contract outside, 2 contract inside)
-        step = np.where(fxr < fsim[:, 0], 0, np.where(fxr < fsim[:, -2], -1, np.where(fxr < fsim[:, -1], 1, 2)))
-        second = np.flatnonzero(step >= 0)
-        shrink = second[:0]
-        if second.size:
-            kind = step[second]
-            weights = _SECOND_POINT[kind]
-            x2 = weights[:, :1] * xbar[second] - weights[:, 1:] * worst[second]
-            f2 = _batch_values(objective, x2)
-            nfev[live[second]] += 1
-            fr = fxr[second]
-            better = np.where(kind == 0, f2 < fr, np.where(kind == 1, f2 <= fr, f2 < fsim[second, -1]))
-            # from here xr, fxr hold each run's replacement for its worst vertex
-            xr[second[better]], fxr[second[better]] = x2[better], f2[better]
-            shrink = second[~better & (kind > 0)]
-        if shrink.size:
+        # scipy's branch on the reflected value: the candidate to try next
+        # (1 expand, 2 contract outside, 3 contract inside), or 0 to keep it
+        step = np.where(fxr < fsim[:, 0], 1, np.where(fxr < fsim[:, -2], 0, np.where(fxr < fsim[:, -1], 2, 3)))
+        if not speculate:
+            second = np.flatnonzero(step)
+            if second.size:
+                fcand[step[second], second] = _batch_values(objective, cand[step[second], second])
+        evals += 1 + (step > 0)
+        f2 = fcand[step, runs]
+        better = np.where(step == 1, f2 < fxr, np.where(step == 2, f2 <= fxr, f2 < fsim[:, -1]))
+        shrink = ~better & (step > 1)
+        moved = runs[~shrink]
+        pick = np.where(better, step, 0)[moved]
+        sim[moved, -1], fsim[moved, -1] = cand[pick, moved], fcand[pick, moved]
+        if shrink.any():
             best = sim[shrink, :1]
             points = best + _SIGMA * (sim[shrink, 1:] - best)
             sim[shrink, 1:] = points
             fsim[shrink, 1:] = _batch_values(objective, points.reshape(-1, n)).reshape(-1, n)
-            nfev[live[shrink]] += n
-            xr[shrink], fxr[shrink] = sim[shrink, -1], fsim[shrink, -1]
-        sim[:, -1], fsim[:, -1] = xr, fxr
+            evals[shrink] += n
 
         iterations += 1
         sim, fsim = _sort_simplices(sim, fsim)

@@ -9,7 +9,11 @@ folded one after another in one thread, so they pin the fold across chunks
 and blocks, whatever the thread count. The simulate CSVs were recorded while
 every shot-sweep stream was built by rng.stream, one per point and axis, and
 pin the batched key derivation (rng.map_streams) to it: binomial and per-draw
-counts, and a seed of two 32-bit words.
+counts, and a seed of two 32-bit words. The probe JSONs were recorded once a
+state-vector row scored the same in any batch and the Nelder-Mead iterations
+scored all four candidates in one call while few restarts were live: a pure
+spin-2 search, a mixed qubit search, a small conjecture scan and the R10
+search whose first restart gap once changed with the number of restarts.
 """
 
 from pathlib import Path
@@ -39,6 +43,22 @@ GOLDEN = Path(__file__).parent / "golden"
         (
             ["simulate", "--family", "r1", "--points", "19", "--seed", str(2**64 - 1)],
             "simulate_r1_points19_seed18446744073709551615.csv",
+        ),
+        (
+            ["probe", "--relation", "R7", "--spin", "4", "--restarts", "3", "--max-iters", "100", "--seed", "1"],
+            "probe_R7_spin4_restarts3_iters100_seed1.json",
+        ),
+        (
+            ["probe", "--relation", "R3", "--spin", "1", "--mixed", "--restarts", "4", "--seed", "2"],
+            "probe_R3_spin1_mixed_restarts4_seed2.json",
+        ),
+        (
+            ["probe", "--conjecture", "--spin", "3", "--samples", "500", "--max-iters", "100", "--seed", "3"],
+            "probe_conjecture_spin3_samples500_iters100_seed3.json",
+        ),
+        (
+            ["probe", "--relation", "R10", "--spin", "1", "--restarts", "4", "--max-iters", "700", "--seed", "2"],
+            "probe_R10_spin1_restarts4_iters700_seed2.json",
         ),
     ],
 )

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from triplespin import kernels
-from triplespin.moments import bloch_moments
+from triplespin.moments import bloch_moments, pure_moments
 from triplespin.relations import (
     QUBIT_SOAK_RELATIONS,
+    RELATIONS,
     TRIANGLE_ANALOG_RELATIONS,
     RelationId,
+    _ops,
     applicable_to,
     evaluate,
     soak_qubit,
@@ -22,6 +24,10 @@ from triplespin.states import (
     random_pure_vectors,
 )
 from triplespin.triangle import TrianglePoint, check_analogs, sample_barycentric, scan
+
+
+#: Every relation with a moment formula.
+FORMULAS = tuple(spec.relation for spec in RELATIONS if spec.sides is not None)
 
 
 def _bloch_batch(n=400):
@@ -194,3 +200,35 @@ def test_triangle_kernel_matches_report_route():
                 reports = check_analogs(TrianglePoint(side, tuple(point)))
                 for gap, rep in zip(row, reports):
                     assert abs(gap - rep.gap) <= 1e-12
+
+
+@pytest.mark.parametrize("twice_s", range(1, 9))
+def test_state_vector_rows_do_not_depend_on_their_batch(twice_s):
+    """Each row's moments and gaps equal, bit for bit, those of the row scored alone or in any prefix.
+
+    A 1-row batch is the case a batched matmul rounds differently; the
+    searches and restarts of the prober rely on rows scored alike in any batch.
+    """
+    psis = random_pure_vectors(twice_s + 1, 24, 40 + twice_s)
+    ops = np.array(_ops(twice_s).as_tuple(), dtype=complex)
+    pairs = ops + ops[[1, 2, 0]]
+    # every relation's formula: d, v and e, entropies (h) and Var(Si+Sj) (w) between them
+    score = kernels.vector_scorer(FORMULAS, twice_s)
+    routes = [lambda p: pure_moments(p, ops), lambda p: pure_moments(p, pairs), lambda p: (score(p).T,)]
+    for route in routes:
+        full = route(psis)
+        for n in range(1, len(psis) + 1):
+            for got, want in zip(route(psis[:n]), full):
+                assert np.array_equal(got, want[..., :n])
+        for i in range(len(psis)):
+            for got, want in zip(route(psis[i : i + 1]), full):
+                assert np.array_equal(got[..., 0], want[..., i])
+
+
+def test_bloch_rows_do_not_depend_on_their_batch():
+    bloch = _bloch_batch(12)
+    full = kernels.qubit_relation_gaps(bloch, FORMULAS)
+    for n in range(1, len(bloch) + 1):
+        assert np.array_equal(kernels.qubit_relation_gaps(bloch[:n], FORMULAS), full[:n])
+    for i in range(len(bloch)):
+        assert np.array_equal(kernels.qubit_relation_gaps(bloch[i : i + 1], FORMULAS)[0], full[i])

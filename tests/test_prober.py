@@ -21,7 +21,7 @@ from triplespin.prober import (
     min_variance_sum,
     scan_conjecture,
 )
-from triplespin.relations import RelationId, applicable_to, evaluate
+from triplespin.relations import RELATIONS, RelationId, applicable_to, evaluate
 from triplespin.spin_ops import build_spin_operators
 from triplespin.states import (
     bloch_from_density,
@@ -227,14 +227,117 @@ def test_lockstep_restarts_match_their_single_runs():
     starts = np.array([_start_params(2, 4, r, True) for r in range(6)])
     calls = []
     runs = lockstep_nelder_mead(_one_by_one(objective, calls), starts, 2000, 1e-10)
-    # at most three batched calls an iteration, after the initial simplex
-    assert len(calls) <= 1 + 3 * (runs.nit.max() - 1)
+    # at most two batched calls an iteration (candidates, shrinks), after the initial simplex
+    assert len(calls) <= 1 + 2 * (runs.nit.max() - 1)
     assert len(set(runs.nit.tolist())) > 1  # the runs stop at different iterations
     for r, x0 in enumerate(starts):
         one = lockstep_nelder_mead(_one_by_one(objective), x0[None], 2000, 1e-10)
         assert one.fun[0] == runs.fun[r] and np.array_equal(one.x[0], runs.x[r])
         assert one.nfev[0] == runs.nfev[r] and one.nit[0] == runs.nit[r]
         assert one.success[0] == runs.success[r]
+
+
+def _iteration_calls(monkeypatch, objective, starts, max_iters):
+    """lockstep_nelder_mead's result and the row counts of its objective calls, one list an iteration."""
+    log = []
+    sort = prober._sort_simplices
+
+    def logged(points):
+        log.append(len(points))
+        return objective(points)
+
+    def sorting(sim, fsim):
+        log.append(None)  # every iteration ends with a sort
+        return sort(sim, fsim)
+
+    monkeypatch.setattr(prober, "_sort_simplices", sorting)
+    runs = lockstep_nelder_mead(logged, starts, max_iters, 1e-10)
+    # the initial simplex: one call, then two sorts
+    assert log[:3] == [len(starts) * (starts.shape[1] + 1), None, None]
+    iterations, calls = [], []
+    for entry in log[3:]:
+        if entry is None:
+            iterations.append(calls)
+            calls = []
+        else:
+            calls.append(entry)
+    return runs, iterations + ([calls] if calls else [])
+
+
+def test_one_call_an_iteration_while_few_runs_are_live(monkeypatch):
+    objective = _param_objective(RelationId.R6_SUM_HALF, 1, mixed=True)
+    starts = np.array([_start_params(2, 0, r, True) for r in range(prober.SPECULATE_RUNS)])
+    runs, iterations = _iteration_calls(monkeypatch, objective, starts, 2000)
+    assert len(iterations) == runs.nit.max() - 1
+    live = len(starts)
+    for calls in iterations:
+        # every live run's four candidates in one call, then the shrinking runs' n = 3 vertices
+        assert len(calls) in (1, 2) and calls[0] % 4 == 0 and calls[0] // 4 <= live
+        live = calls[0] // 4
+        assert len(calls) == 1 or (calls[1] % 3 == 0 and calls[1] // 3 <= live)
+    assert any(len(calls) == 2 for calls in iterations)  # some run shrinks
+
+
+@pytest.mark.parametrize(
+    "relation, twice_s, mixed, max_iters",
+    [(RelationId.R7_SUM_GENERAL_S, 4, False, 700), (RelationId.R3_TRIPLE_PRODUCT, 1, True, 2000)],
+    ids=["R7-spin2", "R3-mixed"],
+)
+def test_speculative_and_lazy_schedules_agree(monkeypatch, relation, twice_s, mixed, max_iters):
+    """64 runs scored four candidates a call, or the reflections first: the same runs, bit for bit."""
+    objective = _param_objective(relation, twice_s, mixed)
+    starts = np.array([_start_params(twice_s + 1, 5, r, mixed) for r in range(64)])
+    results = []
+    for gate in (0, 1 << 20):
+        monkeypatch.setattr(prober, "SPECULATE_RUNS", gate)
+        results.append(lockstep_nelder_mead(objective, starts, max_iters, 1e-10))
+    lazy, speculative = results
+    for field in dataclasses.fields(prober.SimplexRuns):
+        assert np.array_equal(getattr(lazy, field.name), getattr(speculative, field.name), equal_nan=True), field.name
+    # with the gate at 0 an iteration scores the reflections, then second points or shrinks
+    monkeypatch.setattr(prober, "SPECULATE_RUNS", 0)
+    _, iterations = _iteration_calls(monkeypatch, objective, starts[:8], 50)
+    assert all(1 <= len(calls) <= 3 for calls in iterations) and iterations[0][0] == 8
+
+
+#: (relation, twice_s) for every relation with a moment formula that applies at twice_s 1-4
+RESTART_CASES = [
+    (spec.relation, twice_s)
+    for twice_s in (1, 2, 3, 4)
+    for spec in RELATIONS
+    if spec.sides is not None and applicable_to(spec.relation, twice_s)
+]
+
+
+@pytest.mark.parametrize("relation, twice_s", RESTART_CASES, ids=lambda v: getattr(v, "name", str(v)))
+def test_restart_result_does_not_depend_on_the_other_restarts(relation, twice_s):
+    """Restart r ends the same, bit for bit, as one of r + 1, 16 or 24 restarts (24 crosses SPECULATE_RUNS)."""
+    objective = _param_objective(relation, twice_s)
+    starts = np.array([_start_params(twice_s + 1, 3, r, False) for r in range(24)])
+    many = lockstep_nelder_mead(objective, starts, 40, 1e-10)
+    sixteen = lockstep_nelder_mead(objective, starts[:16], 40, 1e-10)
+    for r in range(16):
+        few = lockstep_nelder_mead(objective, starts[: r + 1], 40, 1e-10)
+        for runs in (sixteen, many):
+            assert np.array_equal(few.fun[r], runs.fun[r], equal_nan=True), r
+            assert np.array_equal(few.x[r], runs.x[r]) and few.nit[r] == runs.nit[r] and few.nfev[r] == runs.nfev[r]
+    gaps = [min_gap(relation, twice_s, ProbeConfig(restarts=k, seed=3, max_iters=40)).restart_gaps for k in (1, 5, 16)]
+    assert [repr(g[0]) for g in gaps] == [repr(gaps[2][0])] * 3
+    assert [repr(g) for g in gaps[1]] == [repr(g) for g in gaps[2][:5]]
+
+
+@pytest.mark.parametrize(
+    "relation, twice_s, cfg, counts",
+    [
+        (RelationId.R10_ENTROPIC_TRIPLE, 1, {"seed": 2, "max_iters": 700}, (1, 4)),
+        (RelationId.R7_SUM_GENERAL_S, 2, {"seed": 1}, (1, 4, 10)),
+    ],
+    ids=["R10", "R7"],
+)
+def test_first_restart_gap_does_not_depend_on_the_restart_count(relation, twice_s, cfg, counts):
+    # both once changed sign in the last bit with the number of restarts
+    gaps = [min_gap(relation, twice_s, ProbeConfig(restarts=k, **cfg)).restart_gaps[0] for k in counts]
+    assert len({repr(gap) for gap in gaps}) == 1, gaps
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])

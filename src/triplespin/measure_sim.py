@@ -152,7 +152,7 @@ def _derive(params, ests, e: np.ndarray, sig: np.ndarray) -> list[SweepRow]:
     the affected standard error is NaN (0 when all input errors are 0, since
     then nothing propagates).
     """
-    d, v, _, _, _ = bloch_moments(2.0 * e)
+    d, v, _, _, _ = bloch_moments(2.0 * e, reads=())
     pro0, pro1 = relation_sides(RelationId.R3_TRIPLE_PRODUCT, d, v, e)
     pro2 = relation_sides(RelationId.NAIVE_PRO2, d, v, e)[1]
     sum0, sum1 = relation_sides(RelationId.R5_TRIPLE_SUM, d, v, e)

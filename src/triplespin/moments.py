@@ -26,6 +26,8 @@ def _check_pair(state: QuantumState, op: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(f"observable must be a square matrix, got {op.shape}")
     if op.shape[0] != state.dim:
         raise DimensionMismatchError(f"state dim {state.dim} vs observable dim {op.shape[0]}")
+    if not np.isfinite(op).all():  # first: a NaN residual passes the test below
+        raise TripleSpinError("observable has non-finite entries")
     herm = np.max(np.abs(op - op.conj().T))
     if herm > HERMITICITY_TOL:
         raise NotHermitianError(f"observable not Hermitian: residual {herm:.3e}")
@@ -88,12 +90,8 @@ def outcome_distribution(state: QuantumState, op: np.ndarray) -> tuple[np.ndarra
 
 
 def shannon_entropy(state: QuantumState, op: np.ndarray) -> float:
-    """Shannon entropy, in nats, of the measurement outcome distribution of O."""
-    h = 0.0
-    for p in outcome_distribution(state, op)[1]:
-        if p > 0.0:
-            h -= p * np.log(p)
-    return float(h)
+    """Shannon entropy, in nats, of O's outcome distribution; tolerated tiny negative p count as 0."""
+    return float(entr(np.maximum(outcome_distribution(state, op)[1], 0.0)).sum())
 
 
 def entr(p):
@@ -110,27 +108,26 @@ def entr(p):
 def pure_moments(psis: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Means <psi|O|psi> and centred variances ||(O - <O>) psi||^2.
 
-    psis is one (d,) normalized state vector or an (n, d) batch, ops one
-    (d, d) observable or a (k, d, d) stack; both results have shape (k, n)
-    with the axes of single arguments dropped. The centred form is
+    psis is an (n, d) batch of normalized state vectors and ops a (k, d, d)
+    stack of observables; both results have shape (k, n). The centred form is
     nonnegative by construction and accurate near eigenstates. Each row
     is computed alone, so its bits do not depend on the batch it is in:
     np.matvec makes one product of the stacked (k d, d) operators per state,
     where a batched matmul rounds a row differently with the batch shape.
     """
     psis, ops = np.asarray(psis), np.asarray(ops)
-    d = ops.shape[-1]
-    # O psi for every operator, state axis first: (..., k, d), or (..., d) for one operator
-    opsi = np.matvec(ops.reshape(-1, d), psis).reshape(psis.shape[:-1] + ops.shape[:-1])
-    if ops.ndim > 2:
-        psis = psis[..., None, :]
+    if psis.ndim != 2 or ops.ndim != 3:
+        raise ValueError(f"expected (n, d) states and (k, d, d) operators, got {psis.shape} and {ops.shape}")
+    # O psi for every operator, state axis first: (n, k, d)
+    opsi = np.matvec(ops.reshape(-1, ops.shape[-1]), psis).reshape(len(psis), *ops.shape[:-1])
+    psis = psis[:, None, :]
     e = np.vecdot(psis, opsi).real  # vecdot conjugates its first argument
     r = opsi - e[..., None] * psis
     v = np.vecdot(r, r).real
-    return (e.T, v.T) if ops.ndim > 2 else (e, v)
+    return e.T, v.T
 
 
-def bloch_moments(r: np.ndarray, reads=("h", "w")):
+def bloch_moments(r: np.ndarray, reads):
     """Closed-form qubit moments (d, v, e, h, w) of Bloch rows r, shape (3, ...).
 
     Row i holds, for the component S_i:

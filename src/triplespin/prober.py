@@ -104,7 +104,7 @@ def _psi_from_params(x: np.ndarray, dim: int) -> np.ndarray:
     pairs = np.zeros(x.shape[:-1] + (2 * dim,))
     pairs[..., 0] = np.abs(x[..., 0])
     pairs[..., 2:] = x[..., 1:]
-    norm = np.sqrt(np.sum(pairs * pairs, axis=-1, keepdims=True))
+    norm = np.sqrt(np.add.reduce(pairs * pairs, axis=-1, keepdims=True))
     zero = norm == 0.0
     pairs[..., :1][zero] = 1.0
     norm[zero] = 1.0
@@ -373,11 +373,8 @@ def scan_conjecture(
     for k in range(-(-samples // chunk)):
         psis = random_pure_vectors(spin.dim, min(chunk, samples - k * chunk), cfg.seed, k)
         gaps = np.concatenate([top_gaps, score(psis)[:, 0]])
-        # rows at or below the 10th smallest gap, or NaN; the kept rows come
-        # first, so a stable sort of them breaks ties in draw order
-        last = min(_REFINEMENTS, len(gaps)) - 1
-        rows = np.flatnonzero(~(gaps > np.partition(gaps, last)[last]))
-        keep = rows[np.argsort(gaps[rows], kind="stable")[:_REFINEMENTS]]
+        # the kept rows come first, so a stable sort breaks ties in draw order; NaN sorts last
+        keep = np.argsort(gaps, kind="stable")[:_REFINEMENTS]
         top_gaps, top_psis = gaps[keep], np.vstack([top_psis, psis])[keep]
     return _search(relation, spin, top_psis, cfg, drawn=samples)
 

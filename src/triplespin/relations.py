@@ -309,9 +309,9 @@ def evaluate(
 ) -> RelationReport:
     """Evaluate one catalog relation on a state of the given spin.
 
-    Takes the moments by the validated matrix/spectral route and applies
-    relation_sides to them; the closed-form Bloch route lives in
-    kernels.qubit_relation_gaps and is cross-checked in tests.
+    Takes only the moments the relation reads, by the validated matrix/spectral
+    route, and applies relation_sides to them; the closed-form Bloch route
+    lives in kernels.qubit_relation_gaps and is cross-checked in tests.
     """
     spin = _as_spin(spin)
     check_applicable(relation, spin)
@@ -319,11 +319,13 @@ def evaluate(
         raise DimensionMismatchError(f"state dim {state.dim} does not match spin dim {spin.dim}")
 
     axes = _ops(spin.twice_s).as_tuple()
-    e = [expectation(state, op) for op in axes]
-    v = [variance(state, op) for op in axes]
-    d = [math.sqrt(x) for x in v]
     reads = _SPECS[relation].reads
-    h = w = None
+    d = v = e = h = w = None
+    if "e" in reads:
+        e = [expectation(state, op) for op in axes]
+    if "d" in reads or "v" in reads:
+        v = [variance(state, op) for op in axes]
+        d = [math.sqrt(x) for x in v] if "d" in reads else None
     if "h" in reads:
         h = [shannon_entropy(state, op) for op in axes]
     if "w" in reads:

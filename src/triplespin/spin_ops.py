@@ -81,12 +81,9 @@ def build_spin_operators(spin: Spin | int) -> SpinOperatorSet:
             "twice_s = 0 gives the trivial one-dimensional representation; need twice_s >= 1"
         )
     s = spin.s
-    dim = spin.dim
-    m = s - np.arange(dim)  # descending: s, s-1, ..., -s
-    s_plus = np.zeros((dim, dim))
-    for i in range(dim - 1):
-        # column i+1 holds m[i+1]; S+ maps it up to m[i+1]+1 = m[i]
-        s_plus[i, i + 1] = np.sqrt(s * (s + 1) - m[i + 1] * (m[i + 1] + 1))
+    m = s - np.arange(spin.dim)  # descending: s, s-1, ..., -s
+    # column i+1 holds m[i+1]; S+ maps it up to m[i+1]+1 = m[i], one place above the diagonal
+    s_plus = np.diag(np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1)), 1)
     sx = (s_plus + s_plus.T) / 2
     sy = (s_plus - s_plus.T) / 2j
     sz = np.diag(m)

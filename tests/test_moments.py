@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from triplespin.errors import DimensionMismatchError, NotHermitianError
+from triplespin.errors import DimensionMismatchError, NotHermitianError, TripleSpinError
 from triplespin.moments import (
     bloch_moments,
     entr,
@@ -51,6 +51,15 @@ def test_expectation_traceless_on_maximally_mixed():
 def test_expectation_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         expectation(density_from_bloch([0, 0, 0]), np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("moment", [expectation, variance, std_dev, outcome_distribution, shannon_entropy])
+def test_non_finite_observable_is_rejected(moment, bad):
+    """A NaN residual passes the Hermiticity test, so non-finite entries are checked first."""
+    op = np.array([[bad, 0], [0, 1]], dtype=complex)
+    with pytest.raises(TripleSpinError, match="non-finite"):
+        moment(density_from_bloch([0, 0, 1]), op)
 
 
 def test_expectation_rejects_dimension_mismatch():
@@ -128,6 +137,22 @@ def test_entropy_within_range():
             assert -1e-12 <= h <= np.log(3.0) + 1e-12
 
 
+def test_entropy_matches_the_loop_over_outcomes():
+    """The sum of entr equals the -p log p loop over positive p: bit for bit below
+    8 outcomes, where numpy sums in order, and to rounding above."""
+    for twice_s in range(1, 11):
+        ops = build_spin_operators(twice_s)
+        for seed in range(5):
+            st = random_mixed(twice_s + 1, 100 * twice_s + seed)
+            for op in ops.as_tuple():
+                h = 0.0
+                for p in outcome_distribution(st, op)[1]:
+                    if p > 0.0:
+                        h -= p * np.log(p)
+                got = shannon_entropy(st, op)
+                assert got == h if twice_s < 7 else abs(got - h) <= 1e-14
+
+
 def test_closed_form_oracle_equivalence():
     """Spectral route vs (r_i/2, (1-r_i^2)/4) closed forms on random qubits."""
     blochs = np.vstack([random_pure_bloch(5000, 21), random_mixed_bloch(5000, 22)])
@@ -156,11 +181,12 @@ def test_batch_moments_match_scalar_path():
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
     from triplespin.states import from_statevector
 
-    e_batch, v_batch = pure_moments(psis, ops.sx)
+    e_batch, v_batch = pure_moments(psis, np.array(ops.as_tuple()))
     for i in range(0, 50, 7):
         st = from_statevector(psis[i])
-        assert abs(e_batch[i] - expectation(st, ops.sx)) <= 1e-12
-        assert abs(v_batch[i] - variance(st, ops.sx)) <= 1e-12
+        for k, op in enumerate(ops.as_tuple()):
+            assert abs(e_batch[k, i] - expectation(st, op)) <= 1e-12
+            assert abs(v_batch[k, i] - variance(st, op)) <= 1e-12
 
 
 def test_pure_moments_shapes_follow_arguments():
@@ -171,19 +197,19 @@ def test_pure_moments_shapes_follow_arguments():
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
     e, v = pure_moments(psis, stack)
     assert e.shape == v.shape == (3, 5)
-    e1, v1 = pure_moments(psis[2], stack)
-    assert e1.shape == v1.shape == (3,)
-    np.testing.assert_allclose(e1, e[:, 2], atol=1e-15)
-    np.testing.assert_allclose(v1, v[:, 2], atol=1e-15)
-    e0, v0 = pure_moments(psis[2], ops.sy)
-    assert np.ndim(e0) == np.ndim(v0) == 0
-    assert abs(e0 - e[1, 2]) <= 1e-15 and abs(v0 - v[1, 2]) <= 1e-15
+    e1, v1 = pure_moments(psis[2:3], stack[1:2])
+    assert e1.shape == v1.shape == (1, 1)
+    assert abs(e1[0, 0] - e[1, 2]) <= 1e-15 and abs(v1[0, 0] - v[1, 2]) <= 1e-15
+    # a single state vector or a single observable is not a batch
+    for args in ((psis[2], stack), (psis, ops.sy), (psis[2], ops.sy)):
+        with pytest.raises(ValueError, match="expected"):
+            pure_moments(*args)
 
 
 def test_bloch_moments_match_scalar_path():
     """Closed-form qubit moments vs the matrix and spectral route."""
     blochs = np.vstack([random_pure_bloch(500, 23), random_mixed_bloch(500, 24)])
-    d, v, e, h, w = bloch_moments(blochs.T)
+    d, v, e, h, w = bloch_moments(blochs.T, reads=("h", "w"))
     assert d.shape == v.shape == e.shape == h.shape == w.shape == (3, 1000)
     axes = QUBIT.as_tuple()
     for n in range(0, 1000, 37):
@@ -212,5 +238,5 @@ def test_entr_keeps_nan():
     out = entr(np.array([0.0, np.nan, 0.25]))
     assert out[0] == 0.0 and np.isnan(out[1]) and np.isfinite(out[2])
     # a NaN Bloch component reaches its entropy, so the gaps that read it fail loudly
-    h = bloch_moments(np.array([[np.nan], [0.0], [0.5]]))[3]
+    h = bloch_moments(np.array([[np.nan], [0.0], [0.5]]), reads=("h",))[3]
     assert np.isnan(h[0, 0]) and np.isfinite(h[1:, 0]).all()

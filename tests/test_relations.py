@@ -1,10 +1,11 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
-from triplespin import kernels, states
-from triplespin.errors import DimensionMismatchError, SpinRestrictionError
+from triplespin import kernels, relations, states
+from triplespin.errors import DimensionMismatchError, SpinRestrictionError, TripleSpinError
 from triplespin.moments import pure_moments
 from triplespin.relations import (
     QUBIT_SOAK_RELATIONS,
@@ -63,6 +64,39 @@ def test_robertson_self_commutator():
 def test_robertson_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         evaluate_robertson(density_from_bloch([0, 0, 0]), QUBIT.sx, np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_robertson_rejects_non_finite_observables(bad):
+    op = np.array([[bad, 0], [0, 1]], dtype=complex)
+    for a, b in ((op, QUBIT.sx), (QUBIT.sx, op)):
+        with pytest.raises(TripleSpinError, match="non-finite"):
+            evaluate_robertson(density_from_bloch([0, 0, 1]), a, b)
+
+
+@pytest.mark.parametrize("relation, calls", [
+    (RelationId.R10_ENTROPIC_TRIPLE, {"shannon_entropy": 3}),
+    (RelationId.R6_SUM_HALF, {"variance": 3}),
+    (RelationId.R2_PAIR_PRODUCT_Z, {"expectation": 3, "variance": 3}),
+])
+def test_evaluate_computes_only_the_moments_its_relation_reads(monkeypatch, relation, calls):
+    """Scalar moment calls per relation: none of a moment the formula does not read."""
+    want = evaluate(relation, BALANCED, 1)
+    counts = collections.Counter()
+
+    def counted(name):
+        moment = getattr(relations, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return moment(*args)
+
+        return wrapper
+
+    for name in ("expectation", "variance", "shannon_entropy"):
+        monkeypatch.setattr(relations, name, counted(name))
+    assert evaluate(relation, BALANCED, 1) == want
+    assert dict(counts) == calls
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])

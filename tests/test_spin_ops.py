@@ -40,6 +40,19 @@ def test_eigenvalues_are_the_m_ladder(twice_s):
         np.testing.assert_allclose(np.linalg.eigvalsh(op), expected, atol=1e-10)
 
 
+def test_raising_operator_matches_the_ladder_loop():
+    """S+ = Sx + i Sy equals, bit for bit, the entries built one at a time."""
+    for twice_s in range(1, 21):
+        s = twice_s / 2.0
+        m = s - np.arange(twice_s + 1)
+        s_plus = np.zeros((twice_s + 1, twice_s + 1))
+        for i in range(twice_s):
+            s_plus[i, i + 1] = np.sqrt(s * (s + 1) - m[i + 1] * (m[i + 1] + 1))
+        ops = build_spin_operators(twice_s)
+        assert np.array_equal(ops.sx, (s_plus + s_plus.T) / 2)
+        assert np.array_equal(ops.sy, (s_plus - s_plus.T) / 2j)
+
+
 def test_operators_are_hermitian_and_read_only():
     ops = build_spin_operators(4)
     for op in ops.as_tuple():

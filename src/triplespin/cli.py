@@ -217,6 +217,11 @@ def _cmd_probe(args) -> int:
         if relation is RelationId.R7_SUM_GENERAL_S:
             out["variance_sum_min"] = result.min_gap + spin.s
     _write_output(_json_text(out), args)
+    if not result.converged:
+        print(
+            f"warning: {result.relation.value} best restart did not converge within --max-iters {cfg.max_iters}",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -288,8 +293,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--conjecture", action="store_true", help="scan the all-spin triple product conjecture")
     p_probe.add_argument("--samples", type=int, help=f"--conjecture scan draws (default {CONJECTURE_SAMPLES})")
     p_probe.add_argument("--restarts", type=int, help=f"--relation search restarts (default {ProbeConfig.restarts})")
-    p_probe.add_argument("--max-iters", type=int, default=ProbeConfig.max_iters)
-    p_probe.add_argument("--tol", type=float, default=ProbeConfig.tol)
+    p_probe.add_argument(
+        "--max-iters",
+        type=int,
+        default=ProbeConfig.max_iters,
+        help="L-BFGS iterations per restart; a best restart stopped here is reported on stderr",
+    )
+    p_probe.add_argument(
+        "--tol",
+        type=float,
+        default=ProbeConfig.tol,
+        help="a restart converges after two iterations that each lower its gap by at most this; "
+        "restarts within it of the lowest gap agree",
+    )
     p_probe.set_defaults(func=_cmd_probe)
 
     p_tri = sub.add_parser("triangle", parents=[seeded], help="sample the triangle analogs, summary as JSON")

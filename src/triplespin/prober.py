@@ -1,16 +1,16 @@
-"""Derivative-free search for minimum-gap and saturating states.
+"""Gradient search for minimum-gap and saturating states.
 
 The kernels' batch scorers score the states; the prober only parametrizes
 them and searches. Pure states in dimension d become 2d-1 unconstrained
 reals (first amplitude real nonnegative, renormalized at every evaluation),
 so the search never leaves the state manifold. For the qubit, an optional
-mixed-state mode searches the closed Bloch ball instead. Gaps involve
-absolute values and square roots with kinks at saturation, so local
-refinement uses the Nelder-Mead simplex rather than gradients. All
-restarts of a search advance together: while few are live, an iteration
-scores every run's four candidate points in one batched objective call
-(see lockstep_nelder_mead). The kernels score a state the same in any
-batch, so a restart's result depends only on its own start.
+mixed-state mode searches the closed Bloch ball instead. Local refinement
+is L-BFGS on central differences of that one batched objective, so no
+derivative formula is written anywhere and the relation table stays the
+one place formulas live. All restarts of a search advance together, two
+objective calls an iteration (see lockstep_lbfgs). The kernels score a
+state the same in any batch, so a restart's result depends only on its
+own start.
 """
 
 from __future__ import annotations
@@ -36,22 +36,15 @@ from .states import (
 
 #: A scan minimum below -this is reported as a conjecture counterexample candidate.
 COUNTEREXAMPLE_TOL = 1e-8
-#: Number of smallest-gap conjecture-scan samples refined with Nelder-Mead.
+#: Number of smallest-gap conjecture-scan samples refined by the search.
 _REFINEMENTS = 10
 
-_XATOL = 1e-8
-# scipy's non-adaptive Nelder-Mead coefficients and initial-simplex steps
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
-_NONZDELT, _ZDELT = 0.05, 0.00025
-#: Weights (a, b) of the candidate points a xbar - b worst, in the order of
-#: scipy's branch: reflection, expansion, outside and inside contraction.
-_CANDIDATES = np.array(
-    [[1 + _RHO, _RHO], [1 + _RHO * _CHI, _RHO * _CHI], [1 + _PSI * _RHO, _PSI * _RHO], [1 - _PSI, -_PSI]]
-)[:, :, None, None]
-#: While at most this many runs are live, an iteration of lockstep_nelder_mead
-#: scores all four candidates of every run in one objective call; with more,
-#: it scores the reflections and then only the second points that are needed.
-SPECULATE_RUNS = 16
+#: lockstep_lbfgs's number of kept (s, y) pairs, trial steps 1, 1/2, ..., 1/128,
+#: Armijo constant and central-difference step.
+_MEMORY = 6
+_STEPS = 0.5 ** np.arange(8)
+_ARMIJO = 1e-4
+_H = 1e-7
 
 
 @dataclass(frozen=True)
@@ -74,7 +67,12 @@ class ProbeResult:
     spin: Spin
     min_gap: float
     argmin_state: QuantumState
+    #: Whether the best restart stopped on the tol test (two consecutive
+    #: iterations that each lowered its gap by at most cfg.tol) before
+    #: cfg.max_iters.
     converged: bool
+    #: Objective rows the search scored (line-search trials and gradient
+    #: stencils of every restart), plus the states a conjecture scan drew.
     evaluations: int
     best_restart: int
     #: Final objective value of each restart (each refinement, for a
@@ -135,7 +133,7 @@ def _states_from_params(x: np.ndarray, dim: int, mixed: bool) -> np.ndarray:
 
 
 def _param_objective(relation: RelationId, spin: Spin | int, mixed: bool = False):
-    """_search's simplex objective: (m, n) parameter rows to (m,) gaps of `relation`.
+    """_search's objective: (m, n) parameter rows to (m,) gaps of `relation`.
 
     The rows become states through _states_from_params. Bloch rows (mixed=True,
     qubit only) are scored by kernels.qubit_relation_gaps, state vectors by a
@@ -153,12 +151,12 @@ def _param_objective(relation: RelationId, spin: Spin | int, mixed: bool = False
 
 
 @dataclass(frozen=True)
-class SimplexRuns:
-    """Outcome of lockstep_nelder_mead, one row per start.
+class SearchRuns:
+    """Outcome of lockstep_lbfgs, one row per start.
 
-    x is the best vertex, fun the lowest simplex value (NaN if any vertex
-    is NaN), nit the iterations, nfev the objective evaluations, and
-    success whether the run met the xatol/fatol test before max_iters.
+    x is the last accepted point, fun its objective value, nit the
+    iterations, nfev the rows scored for the run, and success whether the
+    run stopped on the tol test before max_iters.
     """
 
     x: np.ndarray
@@ -175,105 +173,93 @@ def _batch_values(objective, points: np.ndarray) -> np.ndarray:
     return values
 
 
-def _sort_simplices(sim: np.ndarray, fsim: np.ndarray):
-    rows = np.arange(len(fsim))[:, None]
-    order = np.argsort(fsim, axis=1)
-    return sim[rows, order], fsim[rows, order]
-
-
-def lockstep_nelder_mead(objective, x0: np.ndarray, max_iters: int, fatol: float) -> SimplexRuns:
-    """Nelder-Mead from each row of x0 (m, n), all runs advancing together.
+def lockstep_lbfgs(objective, x0: np.ndarray, max_iters: int, tol: float) -> SearchRuns:
+    """L-BFGS from each row of x0 (m, n), all runs advancing together.
 
     objective maps (k, n) points to (k,) values, and a point's value must not
-    depend on the other points of its call. Each run follows the sequence of
-    scipy.optimize.minimize(method="Nelder-Mead") with maxiter=max_iters,
-    xatol=1e-8 and fatol=fatol (Nelder & Mead, Comput. J. 7, 308, 1965):
-    coefficients 1, 2, 1/2, 1/2, the initial simplex x0 with one coordinate
-    at a time raised 5% (or set to 0.00025 when it is 0), the xatol/fatol
-    test, and the argsort re-ordering of every simplex after each step.
-
-    An iteration builds every live run's four candidates (reflection,
-    expansion, outside and inside contraction) in one array pass. While at
-    most SPECULATE_RUNS runs are live it scores all of them in one batched
-    call; with more, it scores the reflections, then each run's one
-    expansion or contraction point that scipy's branch asks for. Either way
-    one index per run picks the candidate that replaces the worst vertex,
-    and the runs that shrink score their new vertices in one more call. nfev
-    counts the evaluations scipy would make, not the rows scored. A run
-    whose values equal the scalar function's reproduces scipy's result
-    exactly, under either schedule and whatever the other runs do.
+    depend on the other points of its call. An iteration makes two calls.
+    The first scores every live run's trial steps _STEPS along its direction,
+    and the run moves to the first that meets the Armijo condition. The
+    second scores the gradient stencil at the new points: the point and its
+    central differences with step _H, 2n + 1 rows a run. The direction is the
+    L-BFGS two-loop product with the last _MEMORY pairs (Liu & Nocedal, Math.
+    Program. 45, 503, 1989), or steepest descent where that is not a descent
+    direction. A pair with s.y <= 0 is not kept, and a run whose line search
+    fails stays put and drops its pairs, so it tries steepest descent next. A
+    run stops, converged, after two consecutive iterations that each lower
+    its value by at most tol, and otherwise after max_iters; a NaN value
+    never lowers and never converges. All arithmetic is per row, so a run
+    ends the same whatever the other runs do.
     """
-    sim0 = np.array(x0, dtype=float)
-    m, n = sim0.shape
-    sim = np.repeat(sim0[:, None, :], n + 1, axis=1)
-    axes = np.arange(n)
-    sim[:, axes + 1, axes] = np.where(sim0 != 0, (1 + _NONZDELT) * sim0, _ZDELT)
-    fsim = _batch_values(objective, sim.reshape(-1, n)).reshape(m, n + 1)
-    # scipy sorts the initial simplex twice; an unstable sort may move ties again
-    sim, fsim = _sort_simplices(*_sort_simplices(sim, fsim))
+    x = np.array(x0, dtype=float)
+    m, n = x.shape
+    eye = _H * np.eye(n)
+    stencil = np.vstack([np.zeros(n), eye, -eye])
+    steps, armijo = _STEPS[:, None], _ARMIJO * _STEPS
 
-    x, fun = np.empty((m, n)), np.empty(m)
-    nit, nfev, success = np.ones(m, dtype=np.int64), np.empty(m, dtype=np.int64), np.zeros(m, dtype=bool)
-    live, runs = np.arange(m), np.arange(m)
-    evals = np.full(m, n + 1, dtype=np.int64)  # nfev of the live runs
+    def score(points):  # (k, j, n) points to (k, j) values
+        return _batch_values(objective, points.reshape(-1, n)).reshape(points.shape[:2])
 
-    def finish(rows, iterations, converged):
-        done = live[rows]
-        x[done], fun[done] = sim[rows, 0], fsim[rows].min(axis=1)
-        nit[done], nfev[done], success[done] = iterations, evals[rows], converged
+    def value_and_gradient(x):
+        f = score(x[:, None] + stencil)
+        return f[:, 0], (f[:, 1 : n + 1] - f[:, n + 1 :]) / (2 * _H)
 
-    iterations = 1
-    while iterations < max_iters:
-        # scipy's test: all values within fatol of the best (on a sorted row, the
-        # last one is the farthest; a NaN sorts last and fails it), then all
-        # vertices within xatol, tested only where the values pass
-        converged = fsim[:, -1] - fsim[:, 0] <= fatol
-        if converged.any():
-            close = np.flatnonzero(converged)
-            converged[close] = np.abs(sim[close, 1:] - sim[close, :1]).max(axis=(1, 2)) <= _XATOL
-        if converged.any():
-            finish(converged, iterations, True)
-            keep = ~converged
-            live, sim, fsim, evals = live[keep], sim[keep], fsim[keep], evals[keep]
+    fun, g = value_and_gradient(x)
+    # kept pairs, oldest first, as rows [s, y, rho s, rho y] with rho = 1 / s.y; empty slots are 0
+    hist = np.zeros((_MEMORY, m, 4 * n))
+    gamma = np.ones((m, 1))  # s.y / y.y of the newest pair
+    stalls = np.zeros(m, dtype=np.int64)
+    out_x, out_fun = np.empty((m, n)), np.empty(m)
+    nit, success = np.empty(m, dtype=np.int64), np.empty(m, dtype=bool)
+    live = np.arange(m)
+    for it in range(1, max_iters + 1):
+        # q = H g by the two-loop recursion, over the slots filled by now at most
+        hs, hy, hrs, hry = (hist[..., j * n : (j + 1) * n] for j in range(4))
+        slots = range(_MEMORY - min(it - 1, _MEMORY), _MEMORY)
+        q, alpha = g.copy(), {}
+        for i in reversed(slots):
+            alpha[i] = np.vecdot(hrs[i], q, keepdims=True)
+            q -= alpha[i] * hy[i]
+        q *= gamma
+        for i in slots:
+            q += (alpha[i] - np.vecdot(hry[i], q, keepdims=True)) * hs[i]
+        slope = -np.vecdot(g, q, keepdims=True)
+        ascent = ~(slope < 0)
+        if ascent.any():
+            q = np.where(ascent, g, q)
+            slope = -np.vecdot(g, q, keepdims=True)
+
+        runs = np.arange(len(live))
+        trial = x[:, None] - steps * q[:, None]
+        ok = score(trial) <= fun[:, None] + armijo * slope
+        first = ok.argmax(axis=1)
+        moved = ok[runs, first, None]
+        x_new = np.where(moved, trial[runs, first], x)
+        f_new, g_new = value_and_gradient(x_new)
+
+        s, y = x_new - x, g_new - g
+        sy = np.vecdot(s, y, keepdims=True)
+        keep = sy > 0
+        rho = np.divide(1, sy, out=np.zeros_like(sy), where=keep)
+        pair = np.concatenate((s, y, rho * s, rho * y), axis=1)
+        hist = np.where(keep, np.concatenate((hist[1:], pair[None])), hist * moved)
+        np.divide(sy, np.vecdot(y, y, keepdims=True), out=gamma, where=keep)
+        gamma[~moved] = 1
+        stalls = np.where(fun - f_new > tol, 0, stalls + 1)
+        x, fun, g = x_new, f_new, g_new
+
+        done = (stalls >= 2) | (it == max_iters)
+        if done.any():
+            ended = live[done]
+            out_x[ended], out_fun[ended] = x[done], fun[done]
+            nit[ended], success[ended] = it, (stalls[done] >= 2) & np.isfinite(fun[done])
+            going = ~done
+            live, x, fun, g, gamma, stalls = live[going], x[going], fun[going], g[going], gamma[going], stalls[going]
+            hist = hist[:, going]
             if not live.size:
                 break
-            runs = np.arange(live.size)
-
-        xbar = np.add.reduce(sim[:, :-1], 1) / n
-        cand = _CANDIDATES[:, 0] * xbar - _CANDIDATES[:, 1] * sim[:, -1]  # (4, runs, n)
-        speculate = live.size <= SPECULATE_RUNS
-        if speculate:
-            fcand = _batch_values(objective, cand.reshape(-1, n)).reshape(4, -1)
-        else:
-            fcand = np.empty((4, live.size))
-            fcand[0] = _batch_values(objective, cand[0])
-        fxr = fcand[0]
-
-        # scipy's branch on the reflected value: the candidate to try next
-        # (1 expand, 2 contract outside, 3 contract inside), or 0 to keep it
-        step = np.where(fxr < fsim[:, 0], 1, np.where(fxr < fsim[:, -2], 0, np.where(fxr < fsim[:, -1], 2, 3)))
-        if not speculate:
-            second = np.flatnonzero(step)
-            if second.size:
-                fcand[step[second], second] = _batch_values(objective, cand[step[second], second])
-        evals += 1 + (step > 0)
-        f2 = fcand[step, runs]
-        better = np.where(step == 1, f2 < fxr, np.where(step == 2, f2 <= fxr, f2 < fsim[:, -1]))
-        shrink = ~better & (step > 1)
-        moved = runs[~shrink]
-        pick = np.where(better, step, 0)[moved]
-        sim[moved, -1], fsim[moved, -1] = cand[pick, moved], fcand[pick, moved]
-        if shrink.any():
-            best = sim[shrink, :1]
-            points = best + _SIGMA * (sim[shrink, 1:] - best)
-            sim[shrink, 1:] = points
-            fsim[shrink, 1:] = _batch_values(objective, points.reshape(-1, n)).reshape(-1, n)
-            evals[shrink] += n
-
-        iterations += 1
-        sim, fsim = _sort_simplices(sim, fsim)
-    finish(slice(None), iterations, False)
-    return SimplexRuns(x=x, fun=fun, nit=nit, nfev=nfev, success=success)
+    nfev = len(stencil) + nit * (_STEPS.size + len(stencil))
+    return SearchRuns(x=out_x, fun=out_fun, nit=nit, nfev=nfev, success=success)
 
 
 def min_gap(
@@ -284,7 +270,7 @@ def min_gap(
 ) -> ProbeResult:
     """Minimize the gap of one relation over states of the given spin.
 
-    Runs cfg.restarts independent Nelder-Mead searches from Haar-random pure
+    Runs cfg.restarts independent L-BFGS searches from Haar-random pure
     starts (or Hilbert-Schmidt Bloch-ball points when mixed=True, qubit only)
     and keeps the best result (see _search). Restart r starts from the states
     samplers' draw on stream (seed, r), so the result is deterministic for a
@@ -306,17 +292,17 @@ def _search(
     mixed: bool = False,
     drawn: int = 0,
 ) -> ProbeResult:
-    """Nelder-Mead from each start state in lockstep; the best run is the result.
+    """lockstep_lbfgs from each start state; the best run is the result.
 
     starts are (m, d) state vectors (with mixed=True, (m, 3) Bloch rows, their
     own parameters); they are searched as parameter rows of _param_objective.
     The best run is the lowest start index among those within cfg.tol of the
     lowest final gap (NaN gaps never agree). min_gap is evaluate on the
     validated argmin state, and evaluations adds the `drawn` samples that
-    chose the starts to the objective calls.
+    chose the starts to the rows the search scored.
     """
     x0 = starts if mixed else _params_from_vector(starts)
-    runs = lockstep_nelder_mead(_param_objective(relation, spin, mixed), x0, cfg.max_iters, cfg.tol)
+    runs = lockstep_lbfgs(_param_objective(relation, spin, mixed), x0, cfg.max_iters, cfg.tol)
     agree = runs.fun <= np.fmin.reduce(runs.fun) + cfg.tol
     best = int(agree.argmax())
     to_state = density_from_bloch if mixed else from_statevector
@@ -358,7 +344,7 @@ def scan_conjecture(
     (seed, k) and scores them with one kernels.vector_scorer((R11,)), keeping
     a running set of the 10 smallest gaps (ties in draw order), so memory
     stays constant in `samples`. Those 10 states are then refined together
-    with Nelder-Mead. A minimum below -COUNTEREXAMPLE_TOL marks a
+    by lockstep_lbfgs. A minimum below -COUNTEREXAMPLE_TOL marks a
     counterexample candidate; callers report it rather than fail.
     """
     spin = _as_spin(spin)

@@ -9,11 +9,11 @@ folded one after another in one thread, so they pin the fold across chunks
 and blocks, whatever the thread count. The simulate CSVs were recorded while
 every shot-sweep stream was built by rng.stream, one per point and axis, and
 pin the batched key derivation (rng.map_streams) to it: binomial and per-draw
-counts, and a seed of two 32-bit words. The probe JSONs were recorded once a
-state-vector row scored the same in any batch and the Nelder-Mead iterations
-scored all four candidates in one call while few restarts were live: a pure
-spin-2 search, a mixed qubit search, a small conjecture scan and the R10
-search whose first restart gap once changed with the number of restarts.
+counts, and a seed of two 32-bit words. The probe JSONs were recorded when
+the lockstep L-BFGS search (two objective calls an iteration on central
+differences) replaced Nelder-Mead: a pure spin-2 search, a mixed qubit
+search, a small conjecture scan and the R10 search whose first restart gap
+once changed with the number of restarts.
 """
 
 from pathlib import Path

@@ -16,7 +16,7 @@ from triplespin.prober import (
     _params_from_vector,
     _psi_from_params,
     is_counterexample,
-    lockstep_nelder_mead,
+    lockstep_lbfgs,
     min_gap,
     min_variance_sum,
     scan_conjecture,
@@ -131,17 +131,6 @@ def test_objective_matches_evaluate(twice_s):
                 assert abs(gap - evaluate(relation, state, twice_s).gap) <= 1e-12, relation
 
 
-def _one_by_one(objective, calls=None):
-    """The objective evaluated one point per call, as a batch map."""
-
-    def batch(points):
-        if calls is not None:
-            calls.append(len(points))
-        return [float(objective(x[None])[0]) for x in points]
-
-    return batch
-
-
 def _start(dim, seed, restart, mixed):
     """min_gap's start state for `restart`: the shared samplers' draw on stream (seed, restart)."""
     if mixed:
@@ -162,6 +151,21 @@ def test_min_gap_starts_from_the_shared_samplers(monkeypatch, twice_s, mixed):
     assert np.array_equal(starts, [_start(twice_s + 1, 7, r, mixed) for r in range(5)])
 
 
+def _quadratic(n, seed):
+    """A convex quadratic on R^n with minimum 0.25 at a random point, as a batch map."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    hessian, center = a @ a.T + 0.5 * np.eye(n), rng.standard_normal(n)
+    return lambda x: 0.25 + np.vecdot(x - center, np.matvec(hessian, x - center))
+
+
+def test_lockstep_lbfgs_reaches_the_minimum_of_a_convex_quadratic():
+    starts = np.random.default_rng(1).uniform(-3, 3, (5, 7))
+    runs = lockstep_lbfgs(_quadratic(7, 0), starts, 2000, 1e-12)
+    assert runs.success.all()
+    assert np.all(np.abs(runs.fun - 0.25) <= 1e-12)
+
+
 #: (relation, twice_s, mixed, max_iters) cases for the scipy oracle
 ORACLE_CASES = [
     (RelationId.R5_TRIPLE_SUM, 1, False, 2000),
@@ -175,129 +179,87 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("relation, twice_s, mixed, max_iters", ORACLE_CASES, ids=lambda v: getattr(v, "name", None))
 def test_lockstep_single_run_reproduces_scipy(relation, twice_s, mixed, max_iters, seed):
+    """One run reaches the minimum that scipy's L-BFGS-B reaches from the same start."""
     objective = _param_objective(relation, twice_s, mixed)
     x0 = _start_params(twice_s + 1, seed, 0, mixed)
-    scalar = _one_by_one(objective)
-    ref = minimize(
-        lambda x: scalar(x[None])[0],
-        x0,
-        method="Nelder-Mead",
-        options={"maxiter": max_iters, "xatol": prober._XATOL, "fatol": 1e-10},
-    )
-    got = lockstep_nelder_mead(scalar, x0[None], max_iters, 1e-10)
-    assert got.nfev[0] == ref.nfev and got.nit[0] == ref.nit
-    assert np.array_equal(got.x[0], ref.x)
-    assert got.fun[0] == ref.fun
-    assert got.success[0] == ref.success
+    ref = minimize(lambda x: objective(x[None])[0], x0, method="L-BFGS-B", options={"maxiter": max_iters})
+    got = lockstep_lbfgs(objective, x0[None], max_iters, 1e-10)
+    assert ref.success and got.success[0]
+    assert abs(got.fun[0] - ref.fun) <= 1e-7  # the same local minimum
+    assert got.fun[0] <= ref.fun + 1e-10  # and no higher up it
 
 
 def test_lockstep_stops_at_max_iters_like_scipy():
-    objective = _one_by_one(_param_objective(RelationId.R7_SUM_GENERAL_S, 4))
-    x0 = _start_params(5, 0, 0, False)
-    ref = minimize(
-        lambda x: objective(x[None])[0],
-        x0,
-        method="Nelder-Mead",
-        options={"maxiter": 30, "xatol": prober._XATOL, "fatol": 1e-10},
-    )
-    got = lockstep_nelder_mead(objective, x0[None], 30, 1e-10)
-    assert not ref.success and not got.success[0]
-    assert got.nit[0] == ref.nit == 30
-    assert got.nfev[0] == ref.nfev and got.fun[0] == ref.fun and np.array_equal(got.x[0], ref.x)
+    objective = _param_objective(RelationId.R7_SUM_GENERAL_S, 4)
+    starts = np.array([_start_params(5, 0, r, False) for r in range(3)])
+    runs = lockstep_lbfgs(objective, starts, 3, 1e-10)
+    assert not runs.success.any()
+    assert runs.nit.tolist() == [3, 3, 3]
+    for x0 in starts:
+        ref = minimize(lambda x: objective(x[None])[0], x0, method="L-BFGS-B", options={"maxiter": 3})
+        assert not ref.success and ref.nit == 3
+    # rows scored: the first gradient stencil, then 8 trial steps and a stencil an iteration
+    n = starts.shape[1]
+    assert runs.nfev.tolist() == [2 * n + 1 + 3 * (8 + 2 * n + 1)] * 3
 
 
-def test_lockstep_shrink_step_reproduces_scipy():
-    objective = _param_objective(RelationId.R6_SUM_HALF, 1, mixed=True)
-    x0 = _start_params(2, 0, 0, True)
-    calls = []
-    got = lockstep_nelder_mead(_one_by_one(objective, calls), x0[None], 2000, 1e-10)
-    assert 3 in calls[1:]  # a shrink evaluates the n = 3 non-best vertices in one call
-    ref = minimize(
-        lambda x: _one_by_one(objective)(x[None])[0],
-        x0,
-        method="Nelder-Mead",
-        options={"maxiter": 2000, "xatol": prober._XATOL, "fatol": 1e-10},
-    )
-    assert got.nfev[0] == ref.nfev and got.nit[0] == ref.nit
-    assert np.array_equal(got.x[0], ref.x) and got.fun[0] == ref.fun
+def _logged(objective, calls):
+    """objective, recording each call's points."""
+
+    def batch(points):
+        calls.append(np.array(points))
+        return objective(points)
+
+    return batch
 
 
-def test_lockstep_restarts_match_their_single_runs():
+def test_two_objective_calls_an_iteration():
     objective = _param_objective(RelationId.R3_TRIPLE_PRODUCT, 1, mixed=True)
     starts = np.array([_start_params(2, 4, r, True) for r in range(6)])
     calls = []
-    runs = lockstep_nelder_mead(_one_by_one(objective, calls), starts, 2000, 1e-10)
-    # at most two batched calls an iteration (candidates, shrinks), after the initial simplex
-    assert len(calls) <= 1 + 2 * (runs.nit.max() - 1)
+    runs = lockstep_lbfgs(_logged(objective, calls), starts, 2000, 1e-10)
     assert len(set(runs.nit.tolist())) > 1  # the runs stop at different iterations
+    assert len(calls) == 1 + 2 * runs.nit.max()
+    assert len(calls[0]) == 6 * 7
+    for it in range(1, runs.nit.max() + 1):
+        live = int((runs.nit >= it).sum())  # a stopped run is scored no more
+        assert [len(c) for c in calls[2 * it - 1 : 2 * it + 1]] == [8 * live, 7 * live]
+
+
+def test_a_stopped_run_no_longer_changes():
+    objective = _param_objective(RelationId.R5_TRIPLE_SUM, 2)
+    starts = np.array([_start_params(3, 2, r, False) for r in range(8)])
+    runs = lockstep_lbfgs(objective, starts, 2000, 1e-10)
+    assert runs.success.all() and runs.nit.min() < runs.nit.max()
     for r, x0 in enumerate(starts):
-        one = lockstep_nelder_mead(_one_by_one(objective), x0[None], 2000, 1e-10)
-        assert one.fun[0] == runs.fun[r] and np.array_equal(one.x[0], runs.x[r])
-        assert one.nfev[0] == runs.nfev[r] and one.nit[0] == runs.nit[r]
-        assert one.success[0] == runs.success[r]
+        # run r alone, cut off at the iteration where it stopped beside the others
+        alone = lockstep_lbfgs(objective, x0[None], int(runs.nit[r]), 1e-10)
+        assert alone.success[0]
+        assert np.array_equal(alone.x[0], runs.x[r]) and alone.fun[0] == runs.fun[r]
+        assert alone.nfev[0] == runs.nfev[r]
 
 
-def _iteration_calls(monkeypatch, objective, starts, max_iters):
-    """lockstep_nelder_mead's result and the row counts of its objective calls, one list an iteration."""
-    log = []
-    sort = prober._sort_simplices
+def test_nan_rows_end_as_nan_and_never_win(monkeypatch):
+    real = prober._param_objective
+    start = _start_params(2, FAST.seed, 0, False)
 
-    def logged(points):
-        log.append(len(points))
-        return objective(points)
+    def poisoned(relation, spin, mixed=False):
+        objective = real(relation, spin, mixed)
 
-    def sorting(sim, fsim):
-        log.append(None)  # every iteration ends with a sort
-        return sort(sim, fsim)
+        def batch(x):
+            gaps = objective(x)
+            gaps[(x == start).all(axis=1)] = np.nan  # restart 0 cannot score its start
+            return gaps
 
-    monkeypatch.setattr(prober, "_sort_simplices", sorting)
-    runs = lockstep_nelder_mead(logged, starts, max_iters, 1e-10)
-    # the initial simplex: one call, then two sorts
-    assert log[:3] == [len(starts) * (starts.shape[1] + 1), None, None]
-    iterations, calls = [], []
-    for entry in log[3:]:
-        if entry is None:
-            iterations.append(calls)
-            calls = []
-        else:
-            calls.append(entry)
-    return runs, iterations + ([calls] if calls else [])
+        return batch
 
-
-def test_one_call_an_iteration_while_few_runs_are_live(monkeypatch):
-    objective = _param_objective(RelationId.R6_SUM_HALF, 1, mixed=True)
-    starts = np.array([_start_params(2, 0, r, True) for r in range(prober.SPECULATE_RUNS)])
-    runs, iterations = _iteration_calls(monkeypatch, objective, starts, 2000)
-    assert len(iterations) == runs.nit.max() - 1
-    live = len(starts)
-    for calls in iterations:
-        # every live run's four candidates in one call, then the shrinking runs' n = 3 vertices
-        assert len(calls) in (1, 2) and calls[0] % 4 == 0 and calls[0] // 4 <= live
-        live = calls[0] // 4
-        assert len(calls) == 1 or (calls[1] % 3 == 0 and calls[1] // 3 <= live)
-    assert any(len(calls) == 2 for calls in iterations)  # some run shrinks
-
-
-@pytest.mark.parametrize(
-    "relation, twice_s, mixed, max_iters",
-    [(RelationId.R7_SUM_GENERAL_S, 4, False, 700), (RelationId.R3_TRIPLE_PRODUCT, 1, True, 2000)],
-    ids=["R7-spin2", "R3-mixed"],
-)
-def test_speculative_and_lazy_schedules_agree(monkeypatch, relation, twice_s, mixed, max_iters):
-    """64 runs scored four candidates a call, or the reflections first: the same runs, bit for bit."""
-    objective = _param_objective(relation, twice_s, mixed)
-    starts = np.array([_start_params(twice_s + 1, 5, r, mixed) for r in range(64)])
-    results = []
-    for gate in (0, 1 << 20):
-        monkeypatch.setattr(prober, "SPECULATE_RUNS", gate)
-        results.append(lockstep_nelder_mead(objective, starts, max_iters, 1e-10))
-    lazy, speculative = results
-    for field in dataclasses.fields(prober.SimplexRuns):
-        assert np.array_equal(getattr(lazy, field.name), getattr(speculative, field.name), equal_nan=True), field.name
-    # with the gate at 0 an iteration scores the reflections, then second points or shrinks
-    monkeypatch.setattr(prober, "SPECULATE_RUNS", 0)
-    _, iterations = _iteration_calls(monkeypatch, objective, starts[:8], 50)
-    assert all(1 <= len(calls) <= 3 for calls in iterations) and iterations[0][0] == 8
+    monkeypatch.setattr(prober, "_param_objective", poisoned)
+    runs = lockstep_lbfgs(poisoned(RelationId.R5_TRIPLE_SUM, 1), start[None], 2000, 1e-10)
+    assert math.isnan(runs.fun[0]) and not runs.success[0] and runs.nit[0] == 2
+    result = min_gap(RelationId.R5_TRIPLE_SUM, 1, FAST)
+    assert math.isnan(result.restart_gaps[0])
+    assert result.best_restart == 1
+    assert result.agreeing_restarts == FAST.restarts - 1
 
 
 #: (relation, twice_s) for every relation with a moment formula that applies at twice_s 1-4
@@ -311,13 +273,13 @@ RESTART_CASES = [
 
 @pytest.mark.parametrize("relation, twice_s", RESTART_CASES, ids=lambda v: getattr(v, "name", str(v)))
 def test_restart_result_does_not_depend_on_the_other_restarts(relation, twice_s):
-    """Restart r ends the same, bit for bit, as one of r + 1, 16 or 24 restarts (24 crosses SPECULATE_RUNS)."""
+    """Restart r ends the same, bit for bit, as one of r + 1, 16 or 24 restarts."""
     objective = _param_objective(relation, twice_s)
     starts = np.array([_start_params(twice_s + 1, 3, r, False) for r in range(24)])
-    many = lockstep_nelder_mead(objective, starts, 40, 1e-10)
-    sixteen = lockstep_nelder_mead(objective, starts[:16], 40, 1e-10)
+    many = lockstep_lbfgs(objective, starts, 40, 1e-10)
+    sixteen = lockstep_lbfgs(objective, starts[:16], 40, 1e-10)
     for r in range(16):
-        few = lockstep_nelder_mead(objective, starts[: r + 1], 40, 1e-10)
+        few = lockstep_lbfgs(objective, starts[: r + 1], 40, 1e-10)
         for runs in (sixteen, many):
             assert np.array_equal(few.fun[r], runs.fun[r], equal_nan=True), r
             assert np.array_equal(few.x[r], runs.x[r]) and few.nit[r] == runs.nit[r] and few.nfev[r] == runs.nfev[r]
@@ -381,7 +343,7 @@ def test_probe_rejects_inapplicable_relation():
 
 
 def test_best_restart_ignores_rounding_noise_among_equal_minima(monkeypatch):
-    real = prober.lockstep_nelder_mead
+    real = prober.lockstep_lbfgs
 
     def noisy(*args, **kwargs):
         runs = real(*args, **kwargs)
@@ -390,7 +352,7 @@ def test_best_restart_ignores_rounding_noise_among_equal_minima(monkeypatch):
         fun[1] += 1.0  # a restart that missed the minimum
         return dataclasses.replace(runs, fun=fun)
 
-    monkeypatch.setattr(prober, "lockstep_nelder_mead", noisy)
+    monkeypatch.setattr(prober, "lockstep_lbfgs", noisy)
     result = min_gap(RelationId.R5_TRIPLE_SUM, 1, FAST)
     assert result.best_restart == 0
     assert result.agreeing_restarts == FAST.restarts - 1
@@ -401,6 +363,25 @@ def test_triple_sum_probe_reaches_zero_at_spin_two():
     result = min_gap(RelationId.R5_TRIPLE_SUM, 4, ProbeConfig(restarts=16, seed=1))
     assert abs(result.min_gap) <= 1e-9
     assert result.agreeing_restarts >= 2
+
+
+@pytest.mark.parametrize("twice_s", [8, 12, 16])
+def test_triple_sum_probe_reaches_zero_at_higher_spin(twice_s):
+    # Nelder-Mead stopped at 0.0363 and 1.04 from these starts at twice_s 8 and 12
+    result = min_gap(RelationId.R5_TRIPLE_SUM, twice_s, ProbeConfig(seed=0))
+    assert abs(result.min_gap) <= 1e-9
+
+
+@pytest.mark.parametrize("twice_s, minimum", [(2, -0.15), (3, -0.45), (4, -1.2), (8, -7.2)])
+def test_variance_of_sums_search_reaches_its_exact_minimum(twice_s, minimum):
+    """R8's minima over all states, from the ground-state duality table of ROADMAP item K.
+
+    min_gap refuses R8 above spin 1/2; _param_objective does not check applicability.
+    """
+    psis = np.vstack([random_pure_vectors(twice_s + 1, 1, 0, k) for k in range(64)])
+    objective = _param_objective(RelationId.R8_VARIANCE_OF_SUMS, twice_s)
+    runs = lockstep_lbfgs(objective, _params_from_vector(psis), ProbeConfig.max_iters, ProbeConfig.tol)
+    assert abs(np.nanmin(runs.fun) - minimum) <= 1e-9
 
 
 def test_min_variance_sum_spin_half():
@@ -435,14 +416,14 @@ def test_scan_conjecture_deterministic():
 
 def test_scan_conjecture_refines_the_ten_smallest_draws(monkeypatch):
     starts = []
-    real = prober.lockstep_nelder_mead
+    real = prober.lockstep_lbfgs
 
-    def recording(objective, x0, max_iters, fatol):
+    def recording(objective, x0, max_iters, tol):
         starts.append(x0)
-        return real(objective, x0, max_iters, fatol)
+        return real(objective, x0, max_iters, tol)
 
     monkeypatch.setattr(kernels, "CHUNK_ROWS", 1000)
-    monkeypatch.setattr(prober, "lockstep_nelder_mead", recording)
+    monkeypatch.setattr(prober, "lockstep_lbfgs", recording)
     scan_conjecture(2, 3500, ProbeConfig(seed=6, max_iters=5))
     psis = np.vstack([random_pure_vectors(3, m, 6, k) for k, m in enumerate((1000, 1000, 1000, 500))])
     gaps = kernels.vector_scorer((RelationId.R11_CONJECTURE_TRIPLE_PRODUCT,), 2)(psis)[:, 0]

@@ -4,7 +4,7 @@ Builds angular-momentum operator matrices for arbitrary spin, evaluates the
 catalog of pairwise and triple uncertainty relations (product, sum,
 state-independent, variance-of-sums, entropic) on qubit and higher-spin
 states, simulates the prepare-rotate-measure experiment with shot noise, and
-searches for minimum-gap states with a derivative-free prober.
+searches for minimum-gap states with an L-BFGS prober on central differences.
 """
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ Every batch gap in the package comes from _apply_table: each scorer computes a
 batch's per-axis moments as (3, n) arrays (of Bloch rows, state vectors or
 triangle points) and _apply_table applies the relation table
 (relations.relation_sides) to them, one row per relation; the result is the
-(n, k) transposed view.
+(n, k) transposed view. States have two moment routes: column_moments (which
+relations.evaluate uses too) and the Bloch closed form, moments.bloch_moments.
 
 fold_chunks is the one chunk loop of the soak and the triangle scan. It is the
 only code in the package that starts threads.
@@ -14,11 +15,13 @@ from __future__ import annotations
 
 import math
 import os
+from functools import lru_cache
 
 import numpy as np
 
 from .moments import bloch_moments, entr, pure_moments
-from .relations import _SPECS, QUBIT_SOAK_RELATIONS, TRIANGLE_ANALOG_RELATIONS, _ops, relation_sides
+from .relations import _SPECS, QUBIT_SOAK_RELATIONS, TRIANGLE_ANALOG_RELATIONS, relation_sides
+from .spin_ops import build_spin_operators
 
 #: Array library the kernels run on; recorded with benchmark results.
 BACKEND = "numpy"
@@ -139,38 +142,45 @@ def qubit_relation_gaps(bloch: np.ndarray, relations=QUBIT_SOAK_RELATIONS) -> np
     return _apply_table(relations, cols.shape[1], *bloch_moments(cols, reads), 0.5)
 
 
-def vector_scorer(relations, twice_s: int):
-    """Scorer of (n, d) state vectors at spin twice_s/2 -> (n, k) gaps of `relations`.
+@lru_cache(maxsize=64)
+def column_moments(twice_s: int, reads: frozenset):
+    """Builder of the moments (d, v, e, h, w) of (n, r, d) column sets at spin twice_s/2.
 
-    Row k equals evaluate(relation, state k, twice_s).gap without a validated
-    QuantumState. Built once per search or scan, it prepares the operator
-    stack, plus the eigenbases and pair sums only if a relation reads
-    entropies (h) or Var(Si+Sj) (w), and each call computes only the moments
-    read. Spin-component spectra are nondegenerate, so outcome probabilities
-    are the squared eigenbasis amplitudes with no eigenvalue merging. A row's
-    gaps do not depend on the other rows of its batch (see
-    moments.pure_moments), so a search may batch its points as it likes.
+    State k is rho = sum_c g_c g_c^dag over its r columns (a state vector is
+    r = 1; see moments.pure_moments). Each moment is (3, n), or None unless
+    `reads` names it; the eigenbases and pair sums are built only for h and w.
+    Spin-component spectra are nondegenerate, so outcome probabilities are the
+    squared eigenbasis amplitudes, summed over columns, with no eigenvalue merging.
     """
-    ops = np.array(_ops(twice_s).as_tuple(), dtype=complex)
-    reads = {name for relation in relations for name in _SPECS[relation].reads}
+    ops = np.array(build_spin_operators(twice_s).as_tuple(), dtype=complex)
     # (3 d, d): the conjugated eigenvectors of S_x, S_y, S_z as rows, so that
-    # np.matvec(basis, psi) holds psi's amplitudes in the three eigenbases
+    # np.matvec(basis, g) holds g's amplitudes in the three eigenbases
     basis = np.linalg.eigh(ops)[1].conj().swapaxes(-1, -2).reshape(-1, ops.shape[-1]) if "h" in reads else None
     pairs = ops + ops[[1, 2, 0]] if "w" in reads else None
 
-    def score(psis: np.ndarray) -> np.ndarray:
+    def moments(cols: np.ndarray):
         d = v = e = h = w = None
         if not reads.isdisjoint("dve"):
-            e, v = pure_moments(psis, ops)
+            e, v = pure_moments(cols, ops)
             d = np.sqrt(v) if "d" in reads else None
         if basis is not None:
-            a = np.matvec(basis, psis).reshape(len(psis), 3, -1)
-            h = entr(a.real**2 + a.imag**2).sum(axis=-1).T
+            a = np.matvec(basis, cols)
+            h = entr((a.real**2 + a.imag**2).sum(axis=1).reshape(len(cols), 3, -1)).sum(axis=-1).T
         if pairs is not None:
-            w = pure_moments(psis, pairs)[1]
-        return _apply_table(relations, len(psis), d, v, e, h, w, twice_s / 2)
+            w = pure_moments(cols, pairs)[1]
+        return d, v, e, h, w
 
-    return score
+    return moments
+
+
+def vector_scorer(relations, twice_s: int):
+    """Scorer of (n, d) state vectors at spin twice_s/2 -> (n, k) gaps of `relations`.
+
+    Row k equals evaluate(relation, state k, twice_s).gap, and does not depend
+    on the other rows of its batch (see moments.pure_moments).
+    """
+    moments = column_moments(twice_s, frozenset(name for rel in relations for name in _SPECS[rel].reads))
+    return lambda psis: _apply_table(relations, len(psis), *moments(psis[:, None]), twice_s / 2)
 
 
 def triangle_analog_gaps(bary: np.ndarray, side: float) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Expectations, variances, outcome distributions, and Shannon entropies.
 
 The scalar functions take moments of one validated state by the matrix and
-spectral route (traces and eigendecompositions); relations.evaluate uses them,
+spectral route (traces and eigendecompositions); evaluate_robertson uses them,
 and tests hold the two fast routes to them at 1e-12: pure_moments takes
-means and variances of pure state vectors, bloch_moments the closed-form
+means and variances of states given as columns, bloch_moments the closed-form
 moments of qubits from their Bloch vectors.
 """
 
@@ -105,25 +105,25 @@ def entr(p):
     return 0.0 - p * np.log(np.where(p == 0.0, 1.0, p))
 
 
-def pure_moments(psis: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Means <psi|O|psi> and centred variances ||(O - <O>) psi||^2.
+def pure_moments(cols: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means sum_c <g_c|O|g_c> and centred variances sum_c ||(O - <O>) g_c||^2.
 
-    psis is an (n, d) batch of normalized state vectors and ops a (k, d, d)
-    stack of observables; both results have shape (k, n). The centred form is
-    nonnegative by construction and accurate near eigenstates. Each row
-    is computed alone, so its bits do not depend on the batch it is in:
-    np.matvec makes one product of the stacked (k d, d) operators per state,
-    where a batched matmul rounds a row differently with the batch shape.
+    cols is an (n, r, d) batch, state k being rho = sum_c g_c g_c^dag over its
+    r columns (a state vector is r = 1), and ops a (k, d, d) stack of
+    observables; both results are (k, n). The centred form is nonnegative by
+    construction and accurate near eigenstates. np.matvec makes one product of
+    the stacked (k d, d) operators per column, so a state's bits do not depend
+    on its batch, as a batched matmul's would.
     """
-    psis, ops = np.asarray(psis), np.asarray(ops)
-    if psis.ndim != 2 or ops.ndim != 3:
-        raise ValueError(f"expected (n, d) states and (k, d, d) operators, got {psis.shape} and {ops.shape}")
-    # O psi for every operator, state axis first: (n, k, d)
-    opsi = np.matvec(ops.reshape(-1, ops.shape[-1]), psis).reshape(len(psis), *ops.shape[:-1])
-    psis = psis[:, None, :]
-    e = np.vecdot(psis, opsi).real  # vecdot conjugates its first argument
-    r = opsi - e[..., None] * psis
-    v = np.vecdot(r, r).real
+    cols, ops = np.asarray(cols), np.asarray(ops)
+    if cols.ndim != 3 or ops.ndim != 3:
+        raise ValueError(f"expected (n, r, d) columns and (k, d, d) operators, got {cols.shape} and {ops.shape}")
+    # O g for every operator, state and column axes first: (n, r, k, d)
+    og = np.matvec(ops.reshape(-1, ops.shape[-1]), cols).reshape(*cols.shape[:2], *ops.shape[:-1])
+    cols = cols[:, :, None, :]
+    e = np.vecdot(cols, og).real.sum(axis=1)  # vecdot conjugates its first argument
+    res = og - e[:, None, :, None] * cols
+    v = np.vecdot(res, res).real.sum(axis=1)
     return e.T, v.T
 
 

@@ -14,7 +14,8 @@ RELATIONS is the one table of relations: alias, axis group, description, spin
 rule and moments-to-sides formula per id. The spin rules, the CLI spellings
 and the kernel column orders are derived from it, and every gap in
 the package (evaluate, the kernels' batch scorers, the triangle check and the
-sweep's derived columns) comes from its formulas through relation_sides.
+sweep's derived columns) comes from its formulas through relation_sides;
+evaluate takes its moments from kernels.column_moments, as the scorers do.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ import enum
 import inspect
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatchError, SpinRestrictionError
-from .moments import expectation, shannon_entropy, std_dev, variance
-from .spin_ops import Spin, SpinOperatorSet, _as_spin, build_spin_operators, commutator
+from .moments import std_dev
+from .spin_ops import Spin, _as_spin, commutator
 from .states import QuantumState, random_mixed_bloch, random_pure_bloch
 
 #: The triple constant tightening the naive three-component bounds.
@@ -110,11 +110,6 @@ class RelationSpec:
     def __post_init__(self):
         reads = tuple(inspect.signature(self.sides).parameters) if self.sides else ()
         object.__setattr__(self, "reads", reads)
-
-
-@lru_cache(maxsize=32)
-def _ops(twice_s: int) -> SpinOperatorSet:
-    return build_spin_operators(Spin(twice_s))
 
 
 def _report(relation, lhs, rhs, tol) -> RelationReport:
@@ -309,28 +304,21 @@ def evaluate(
 ) -> RelationReport:
     """Evaluate one catalog relation on a state of the given spin.
 
-    Takes only the moments the relation reads, by the validated matrix/spectral
-    route, and applies relation_sides to them; the closed-form Bloch route
-    lives in kernels.qubit_relation_gaps and is cross-checked in tests.
+    One eigh of rho = V diag(lam) V^dag gives its columns sqrt(max(lam_c, 0)) v_c,
+    of which kernels.column_moments takes only the moments the relation reads;
+    relation_sides applies the formula to them.
     """
+    from . import kernels  # kernels reads this module's table at import
+
     spin = _as_spin(spin)
     check_applicable(relation, spin)
     if state.dim != spin.dim:
         raise DimensionMismatchError(f"state dim {state.dim} does not match spin dim {spin.dim}")
 
-    axes = _ops(spin.twice_s).as_tuple()
-    reads = _SPECS[relation].reads
-    d = v = e = h = w = None
-    if "e" in reads:
-        e = [expectation(state, op) for op in axes]
-    if "d" in reads or "v" in reads:
-        v = [variance(state, op) for op in axes]
-        d = [math.sqrt(x) for x in v] if "d" in reads else None
-    if "h" in reads:
-        h = [shannon_entropy(state, op) for op in axes]
-    if "w" in reads:
-        w = [variance(state, axes[i] + axes[(i + 1) % 3]) for i in range(3)]
-    lhs, rhs = relation_sides(relation, d, v, e, h, w, spin.s)
+    lam, vecs = np.linalg.eigh(state.rho)
+    cols = (vecs * np.sqrt(np.maximum(lam, 0.0))).T[None]
+    moments = kernels.column_moments(spin.twice_s, frozenset(_SPECS[relation].reads))(cols)
+    lhs, rhs = relation_sides(relation, *[m if m is None else m[:, 0] for m in moments], spin.s)
     return _report(relation, lhs, rhs, saturation_tol)
 
 

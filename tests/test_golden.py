@@ -13,7 +13,11 @@ counts, and a seed of two 32-bit words. The probe JSONs were recorded when
 the lockstep L-BFGS search (two objective calls an iteration on central
 differences) replaced Nelder-Mead: a pure spin-2 search, a mixed qubit
 search, a small conjecture scan and the R10 search whose first restart gap
-once changed with the number of restarts.
+once changed with the number of restarts. Their min_gap (and R7's
+variance_sum_min), which evaluate computes on the argmin state, were
+recorded again when evaluate took its moments from the state-vector scorer's
+builder (kernels.column_moments) on rho's scaled eigenvectors; the searches,
+restart gaps and argmin states kept their bytes.
 """
 
 from pathlib import Path

@@ -10,11 +10,11 @@ from triplespin.relations import (
     RELATIONS,
     TRIANGLE_ANALOG_RELATIONS,
     RelationId,
-    _ops,
     applicable_to,
     evaluate,
     soak_qubit,
 )
+from triplespin.spin_ops import build_spin_operators
 from triplespin.states import (
     bloch_from_density,
     density_from_bloch,
@@ -210,11 +210,15 @@ def test_state_vector_rows_do_not_depend_on_their_batch(twice_s):
     searches and restarts of the prober rely on rows scored alike in any batch.
     """
     psis = random_pure_vectors(twice_s + 1, 24, 40 + twice_s)
-    ops = np.array(_ops(twice_s).as_tuple(), dtype=complex)
+    ops = np.array(build_spin_operators(twice_s).as_tuple(), dtype=complex)
     pairs = ops + ops[[1, 2, 0]]
     # every relation's formula: d, v and e, entropies (h) and Var(Si+Sj) (w) between them
     score = kernels.vector_scorer(FORMULAS, twice_s)
-    routes = [lambda p: pure_moments(p, ops), lambda p: pure_moments(p, pairs), lambda p: (score(p).T,)]
+    routes = [
+        lambda p: pure_moments(p[:, None], ops),
+        lambda p: pure_moments(p[:, None], pairs),
+        lambda p: (score(p).T,),
+    ]
     for route in routes:
         full = route(psis)
         for n in range(1, len(psis) + 1):

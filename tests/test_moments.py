@@ -175,33 +175,39 @@ def test_rotated_observable_std_identity():
 
 
 def test_batch_moments_match_scalar_path():
+    """Pure states as one column each, and mixed ones as their scaled eigenvectors."""
     ops = build_spin_operators(2)
     rng = stream(99)
     psis = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
     from triplespin.states import from_statevector
 
-    e_batch, v_batch = pure_moments(psis, np.array(ops.as_tuple()))
-    for i in range(0, 50, 7):
-        st = from_statevector(psis[i])
-        for k, op in enumerate(ops.as_tuple()):
-            assert abs(e_batch[k, i] - expectation(st, op)) <= 1e-12
-            assert abs(v_batch[k, i] - variance(st, op)) <= 1e-12
+    mixed = [random_mixed(3, seed) for seed in range(50)]
+    cols = []
+    for st in mixed:
+        lam, vecs = np.linalg.eigh(st.rho)
+        cols.append((vecs * np.sqrt(lam)).T)
+    for states, batch in (([from_statevector(psi) for psi in psis], psis[:, None]), (mixed, np.array(cols))):
+        e_batch, v_batch = pure_moments(batch, np.array(ops.as_tuple()))
+        for i in range(0, 50, 7):
+            for k, op in enumerate(ops.as_tuple()):
+                assert abs(e_batch[k, i] - expectation(states[i], op)) <= 1e-12
+                assert abs(v_batch[k, i] - variance(states[i], op)) <= 1e-12
 
 
 def test_pure_moments_shapes_follow_arguments():
     ops = build_spin_operators(2)
     stack = np.array(ops.as_tuple())
     rng = stream(7)
-    psis = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
-    e, v = pure_moments(psis, stack)
+    cols = rng.standard_normal((5, 2, 3)) + 1j * rng.standard_normal((5, 2, 3))
+    cols /= np.linalg.norm(cols, axis=(1, 2), keepdims=True)
+    e, v = pure_moments(cols, stack)
     assert e.shape == v.shape == (3, 5)
-    e1, v1 = pure_moments(psis[2:3], stack[1:2])
+    e1, v1 = pure_moments(cols[2:3], stack[1:2])
     assert e1.shape == v1.shape == (1, 1)
     assert abs(e1[0, 0] - e[1, 2]) <= 1e-15 and abs(v1[0, 0] - v[1, 2]) <= 1e-15
-    # a single state vector or a single observable is not a batch
-    for args in ((psis[2], stack), (psis, ops.sy), (psis[2], ops.sy)):
+    # a state vector batch without its column axis, or a single observable, is not a batch
+    for args in ((cols[:, 0], stack), (cols, ops.sy), (cols[2], ops.sy)):
         with pytest.raises(ValueError, match="expected"):
             pure_moments(*args)
 

@@ -79,6 +79,14 @@ def test_mixed_probe_of_sum_half_reaches_boundary_only():
     assert np.linalg.norm(bloch_from_density(result.argmin_state)) >= 1.0 - 1e-6
 
 
+@pytest.mark.parametrize("seed", [1, 3, 4])
+def test_mixed_probe_of_triple_product_reads_no_violation(seed):
+    """R3 is proved at s = 1/2; these searches end next to a pole, where a
+    moment route that lost Var(S_i) ~ 1e-17 to cancellation read -1.5e-9."""
+    result = min_gap(RelationId.R3_TRIPLE_PRODUCT, 1, ProbeConfig(seed=seed), mixed=True)
+    assert result.min_gap >= 0.0
+
+
 def test_probe_result_is_reproducible_from_argmin():
     result = min_gap(RelationId.R3_TRIPLE_PRODUCT, 1, FAST)
     again = evaluate(result.relation, result.argmin_state, result.spin).gap

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from triplespin import kernels, relations, states
+from triplespin import kernels, moments, relations, states
 from triplespin.errors import DimensionMismatchError, SpinRestrictionError, TripleSpinError
 from triplespin.moments import pure_moments
 from triplespin.relations import (
@@ -24,6 +24,7 @@ from triplespin.states import (
     QuantumState,
     density_from_bloch,
     from_statevector,
+    random_mixed,
     random_mixed_bloch,
     random_pure,
     random_pure_bloch,
@@ -74,29 +75,78 @@ def test_robertson_rejects_non_finite_observables(bad):
             evaluate_robertson(density_from_bloch([0, 0, 1]), a, b)
 
 
-@pytest.mark.parametrize("relation, calls", [
-    (RelationId.R10_ENTROPIC_TRIPLE, {"shannon_entropy": 3}),
-    (RelationId.R6_SUM_HALF, {"variance": 3}),
-    (RelationId.R2_PAIR_PRODUCT_Z, {"expectation": 3, "variance": 3}),
-])
-def test_evaluate_computes_only_the_moments_its_relation_reads(monkeypatch, relation, calls):
-    """Scalar moment calls per relation: none of a moment the formula does not read."""
+#: The scalar functions of moments: evaluate_robertson's route and the tests' oracle.
+SCALAR_MOMENTS = ("expectation", "variance", "std_dev", "outcome_distribution", "shannon_entropy")
+FORMULAS = tuple(spec.relation for spec in RELATIONS if spec.sides is not None)
+
+
+@pytest.mark.parametrize("relation", FORMULAS)
+def test_evaluate_computes_only_the_moments_its_relation_reads(monkeypatch, relation):
+    """No scalar moment call; one pure_moments call for the means and variances
+    if the formula reads any, one more for R8's Var(Si+Sj), none for entropies.
+
+    The first evaluate builds the spin's moment builder and the second finds it
+    cached, so rho's is the only eigh: no spin operator is diagonalized again.
+    """
     want = evaluate(relation, BALANCED, 1)
     counts = collections.Counter()
 
-    def counted(name):
-        moment = getattr(relations, name)
+    def count(module, name):
+        original = getattr(module, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             counts[name] += 1
-            return moment(*args)
+            return original(*args, **kwargs)
 
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("expectation", "variance", "shannon_entropy"):
-        monkeypatch.setattr(relations, name, counted(name))
+    for module in (moments, relations, kernels):
+        for name in SCALAR_MOMENTS:
+            if hasattr(module, name):
+                count(module, name)
+    count(kernels, "pure_moments")
+    count(np.linalg, "eigh")
     assert evaluate(relation, BALANCED, 1) == want
-    assert dict(counts) == calls
+    reads = set(relations._SPECS[relation].reads)
+    pure_calls = bool(reads & {"d", "v", "e"}) + ("w" in reads)
+    assert counts == collections.Counter({"pure_moments": pure_calls, "eigh": 1})
+
+
+@pytest.mark.parametrize("twice_s", range(1, 9))
+def test_evaluate_matches_the_scalar_route(twice_s):
+    """evaluate's sides vs the formulas over the scalar moment functions, within 1e-12.
+
+    On Haar pure and Hilbert-Schmidt states, and on a rank-deficient state
+    whose zero eigenvalues eigh returns slightly negative.
+    """
+    dim = twice_s + 1
+    g = random_pure_vectors(dim, dim // 2, 4)
+    deficient = QuantumState(g.T @ g.conj() / len(g))
+    assert np.linalg.eigh(deficient.rho)[0][0] < 0.0
+    axes = build_spin_operators(twice_s).as_tuple()
+    pairs = [axes[i] + axes[(i + 1) % 3] for i in range(3)]
+    applicable = [relation for relation in FORMULAS if applicable_to(relation, twice_s)]
+    samples = [random_pure(dim, seed) for seed in range(3)] + [random_mixed(dim, seed) for seed in range(3)]
+    for st in [*samples, deficient]:
+        d = [moments.std_dev(st, op) for op in axes]
+        v = [moments.variance(st, op) for op in axes]
+        e = [moments.expectation(st, op) for op in axes]
+        h = [moments.shannon_entropy(st, op) for op in axes]
+        w = [moments.variance(st, op) for op in pairs]
+        for relation in applicable:
+            lhs, rhs = relation_sides(relation, d, v, e, h, w, twice_s / 2)
+            rep = evaluate(relation, st, twice_s)
+            assert abs(rep.lhs - lhs) <= 1e-12 and abs(rep.rhs - rhs) <= 1e-12, relation
+
+
+def test_triple_product_near_a_pole_keeps_its_small_variance():
+    """Var(Sy) = (r_x^2 + r_z^2)/4 near the y pole is ~5e-17: a route that lost it
+    to cancellation reported lhs 0 under rhs 1.5e-9 for a relation proved at s = 1/2."""
+    r = np.array([1.2e-8, 1.0, 7.7e-9])
+    lhs = math.sqrt((1.0 - r[0] ** 2) * (r[0] ** 2 + r[2] ** 2) * (1.0 - r[2] ** 2)) / 8.0
+    rep = evaluate(RelationId.R3_TRIPLE_PRODUCT, density_from_bloch(r), 1)
+    assert rep.lhs == pytest.approx(lhs, rel=1e-6)
+    assert rep.gap > 0.0
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
@@ -321,7 +371,7 @@ def test_casimir_identity_bounds_triple_sum(twice_s):
     s = twice_s / 2.0
     ops = np.array(build_spin_operators(twice_s).as_tuple())
     psis = random_pure_vectors(twice_s + 1, 2000, seed=40 + twice_s)
-    e, v = pure_moments(psis, ops)
+    e, v = pure_moments(psis[:, None], ops)
     length2 = np.sum(e * e, axis=0)
     np.testing.assert_allclose(v.sum(axis=0), s * (s + 1) - length2, rtol=0, atol=1e-12)
     length = np.sqrt(length2)
@@ -344,7 +394,7 @@ R8_SPIN_ONE_COUNTEREXAMPLE = np.array([
 
 def test_variance_of_sums_fails_at_spin_one():
     psi = R8_SPIN_ONE_COUNTEREXAMPLE
-    e, v = pure_moments(psi[None], np.array(build_spin_operators(2).as_tuple()))
+    e, v = pure_moments(psi[None, None], np.array(build_spin_operators(2).as_tuple()))
     np.testing.assert_allclose(v.ravel(), [5 / 12] * 3, atol=1e-8)
     assert abs(e.sum()) <= 1e-8
     gap = kernels.vector_scorer((RelationId.R8_VARIANCE_OF_SUMS,), 2)(psi[None])[0, 0]
@@ -500,7 +550,7 @@ def test_chained_pair_products_give_naive_triple_bound():
 def test_variance_sum_bound_random_states(twice_s):
     ops = build_spin_operators(twice_s)
     psis = random_pure_vectors(twice_s + 1, 10_000, seed=twice_s)
-    sums = pure_moments(psis, np.array(ops.as_tuple()))[1].sum(axis=0)
+    sums = pure_moments(psis[:, None], np.array(ops.as_tuple()))[1].sum(axis=0)
     assert np.min(sums) - twice_s / 2.0 >= -1e-10
 
 

@@ -2,15 +2,15 @@
 
 The kernels' batch scorers score the states; the prober only parametrizes
 them and searches. Pure states in dimension d become 2d-1 unconstrained
-reals (first amplitude real nonnegative, renormalized at every evaluation),
-so the search never leaves the state manifold. For the qubit, an optional
-mixed-state mode searches the closed Bloch ball instead. Local refinement
-is L-BFGS on central differences of that one batched objective, so no
-derivative formula is written anywhere and the relation table stays the
-one place formulas live. All restarts of a search advance together, two
-objective calls an iteration (see lockstep_lbfgs). The kernels score a
-state the same in any batch, so a restart's result depends only on its
-own start.
+reals (first amplitude real, either sign (a smooth double cover),
+renormalized at every evaluation), so the search never leaves the state
+manifold. For the qubit, an optional mixed-state mode searches the closed
+Bloch ball instead. Local refinement is L-BFGS on central differences of
+that one batched objective, so no derivative formula is written anywhere
+and the relation table stays the one place formulas live. All restarts of
+a search advance together, two objective calls an iteration (see
+lockstep_lbfgs). The kernels score a state the same in any batch, so a
+restart's result depends only on its own start.
 """
 
 from __future__ import annotations
@@ -98,9 +98,10 @@ class ProbeResult:
 def _psi_from_params(x: np.ndarray, dim: int) -> np.ndarray:
     """Normalized state vectors, shape (..., dim), from parameter rows (..., 2 dim - 1)."""
     x = np.asarray(x, dtype=float)
-    # interleaved (re, im) pairs; the first amplitude is |x_0| with zero imaginary part
+    # interleaved (re, im) pairs; the first amplitude is x_0, real, either sign (a smooth
+    # double cover: x and -x are the same state), with zero imaginary part
     pairs = np.zeros(x.shape[:-1] + (2 * dim,))
-    pairs[..., 0] = np.abs(x[..., 0])
+    pairs[..., 0] = x[..., 0]
     pairs[..., 2:] = x[..., 1:]
     norm = np.sqrt(np.add.reduce(pairs * pairs, axis=-1, keepdims=True))
     zero = norm == 0.0
@@ -110,7 +111,10 @@ def _psi_from_params(x: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _params_from_vector(psi: np.ndarray) -> np.ndarray:
-    """Parameter rows (..., 2 dim - 1) of state vectors (..., dim); inverse of _psi_from_params."""
+    """Parameter rows (..., 2 dim - 1) of state vectors (..., dim), with x_0 >= 0.
+
+    The inverse of _psi_from_params up to the sign of x (x and -x give the same state).
+    """
     # rotate each vector's global phase so that its first amplitude is real nonnegative
     psi = np.asarray(psi, dtype=complex)
     psi = psi * np.exp(-1j * np.angle(psi[..., :1]))

@@ -363,8 +363,8 @@ def test_conjecture_candidate_writes_no_extra_file(tmp_path, monkeypatch):
 
 
 def test_conjecture_scan_reports_the_restart_that_attained_the_minimum(capsys):
-    # pinned from the scan's (seed, chunk) sample streams; at seed 5 the first refinement misses
-    for seed, best, agreeing in (("3", 0, 7), ("5", 2, 4)):
+    # pinned from the scan's (seed, chunk) sample streams; at seed 32 the first refinement misses
+    for seed, best, agreeing in (("3", 0, 8), ("32", 1, 8)):
         code, out, _ = run(
             capsys, "probe", "--conjecture", "--spin", "3", "--samples", "2000",
             "--max-iters", "200", "--seed", seed,

@@ -17,7 +17,10 @@ once changed with the number of restarts. Their min_gap (and R7's
 variance_sum_min), which evaluate computes on the argmin state, were
 recorded again when evaluate took its moments from the state-vector scorer's
 builder (kernels.column_moments) on rho's scaled eigenvectors; the searches,
-restart gaps and argmin states kept their bytes.
+restart gaps and argmin states kept their bytes. The R7 JSON was recorded
+again when the pure-state chart's first amplitude became x_0 of either sign
+instead of |x_0|: its restart 0 no longer stalls at the kink x_0 = 0. The
+other three kept their bytes.
 """
 
 from pathlib import Path

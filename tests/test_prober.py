@@ -380,16 +380,39 @@ def test_triple_sum_probe_reaches_zero_at_higher_spin(twice_s):
     assert abs(result.min_gap) <= 1e-9
 
 
-@pytest.mark.parametrize("twice_s, minimum", [(2, -0.15), (3, -0.45), (4, -1.2), (8, -7.2)])
-def test_variance_of_sums_search_reaches_its_exact_minimum(twice_s, minimum):
+@pytest.mark.parametrize(
+    "twice_s, minimum, starts",
+    [
+        pytest.param(twice_s, minimum, starts, id=f"{twice_s}-{minimum}")
+        for twice_s, minimum, starts in [(2, -0.15, 64), (3, -0.45, 64), (4, -1.2, 64), (8, -7.2, 64), (16, -33.6, 16)]
+    ],
+)
+def test_variance_of_sums_search_reaches_its_exact_minimum(twice_s, minimum, starts):
     """R8's minima over all states, from the ground-state duality table of ROADMAP item K.
 
     min_gap refuses R8 above spin 1/2; _param_objective does not check applicability.
     """
-    psis = np.vstack([random_pure_vectors(twice_s + 1, 1, 0, k) for k in range(64)])
+    psis = np.vstack([random_pure_vectors(twice_s + 1, 1, 0, k) for k in range(starts)])
     objective = _param_objective(RelationId.R8_VARIANCE_OF_SUMS, twice_s)
     runs = lockstep_lbfgs(objective, _params_from_vector(psis), ProbeConfig.max_iters, ProbeConfig.tol)
     assert abs(np.nanmin(runs.fun) - minimum) <= 1e-9
+
+
+def test_no_variance_sum_restart_stalls_above_its_search_best():
+    """R7 at twice_s 4 from min_gap's 10 starts of seeds 0-19: every run reaches the best.
+
+    With the first amplitude |x_0|, the objective had a kink at x_0 = 0; 8 of these
+    200 runs stopped there on the tol test, more than 1e-6 above their search's best,
+    and the slowest run of a search took 74 iterations on average.
+    """
+    objective = _param_objective(RelationId.R7_SUM_GENERAL_S, 4)
+    slowest = []
+    for seed in range(20):
+        starts = np.vstack([random_pure_vectors(5, 1, seed, r) for r in range(10)])
+        runs = lockstep_lbfgs(objective, _params_from_vector(starts), 700, 1e-10)
+        assert np.all(runs.fun <= runs.fun.min() + 1e-6), seed
+        slowest.append(runs.nit.max())
+    assert np.mean(slowest) < 60
 
 
 def test_min_variance_sum_spin_half():
@@ -510,3 +533,13 @@ def test_parametrization_round_trip():
         assert st.purity() == pytest.approx(1.0, abs=1e-12)
         overlap = float(np.real(z.conj() @ st.rho @ z))
         assert overlap == pytest.approx(1.0, abs=1e-12)
+        # rows with x_0 < 0: x and -x are the same state (the chart is a double cover),
+        # and the inverse returns the normalized x_0 >= 0 representative, -x
+        x = rng.standard_normal((4, 2 * dim - 1))
+        x[:, 0] = -np.abs(x[:, 0])
+        psi, flipped = _psi_from_params(x, dim), _psi_from_params(-x, dim)
+        for a, b in zip(psi, flipped):
+            np.testing.assert_allclose(from_statevector(a).rho, from_statevector(b).rho, atol=1e-15)
+        back = _params_from_vector(psi)
+        assert np.all(back[:, 0] > 0)
+        np.testing.assert_allclose(back, -x / np.linalg.norm(x, axis=1, keepdims=True), atol=1e-12)

@@ -1,16 +1,17 @@
 """Gradient search for minimum-gap and saturating states.
 
 The kernels' batch scorers score the states; the prober only parametrizes
-them and searches. Pure states in dimension d become 2d-1 unconstrained
-reals (first amplitude real, either sign (a smooth double cover),
-renormalized at every evaluation), so the search never leaves the state
-manifold. For the qubit, an optional mixed-state mode searches the closed
-Bloch ball instead. Local refinement is L-BFGS on central differences of
-that one batched objective, so no derivative formula is written anywhere
-and the relation table stays the one place formulas live. All restarts of
-a search advance together, two objective calls an iteration (see
-lockstep_lbfgs). The kernels score a state the same in any batch, so a
-restart's result depends only on its own start.
+them and searches. A pure state in dimension d becomes the 2d
+unconstrained reals of its amplitudes' (re, im) pairs, renormalized at
+every evaluation and with no gauge (global phase and norm are flat
+directions), so the search never leaves the state manifold. For the qubit,
+an optional mixed-state mode searches the closed Bloch ball instead. Local
+refinement is L-BFGS on central differences of that one batched objective,
+so no derivative formula is written anywhere and the relation table stays
+the one place formulas live. All restarts of a search advance together,
+two objective calls an iteration (see lockstep_lbfgs). The kernels score a
+state the same in any batch, so a restart's result depends only on its own
+start.
 """
 
 from __future__ import annotations
@@ -95,14 +96,14 @@ class ProbeResult:
         }
 
 
-def _psi_from_params(x: np.ndarray, dim: int) -> np.ndarray:
-    """Normalized state vectors, shape (..., dim), from parameter rows (..., 2 dim - 1)."""
-    x = np.asarray(x, dtype=float)
-    # interleaved (re, im) pairs; the first amplitude is x_0, real, either sign (a smooth
-    # double cover: x and -x are the same state), with zero imaginary part
-    pairs = np.zeros(x.shape[:-1] + (2 * dim,))
-    pairs[..., 0] = x[..., 0]
-    pairs[..., 2:] = x[..., 1:]
+def _psi_from_params(x: np.ndarray) -> np.ndarray:
+    """Normalized state vectors, shape (..., d), from parameter rows (..., 2 d).
+
+    A row is the (re, im) pairs of d amplitudes, renormalized here, with no
+    gauge: global phase and norm are flat directions of the objective. An
+    all-zero row gives the first basis state.
+    """
+    pairs = np.array(x, dtype=float)
     norm = np.sqrt(np.add.reduce(pairs * pairs, axis=-1, keepdims=True))
     zero = norm == 0.0
     pairs[..., :1][zero] = 1.0
@@ -111,18 +112,8 @@ def _psi_from_params(x: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _params_from_vector(psi: np.ndarray) -> np.ndarray:
-    """Parameter rows (..., 2 dim - 1) of state vectors (..., dim), with x_0 >= 0.
-
-    The inverse of _psi_from_params up to the sign of x (x and -x give the same state).
-    """
-    # rotate each vector's global phase so that its first amplitude is real nonnegative
-    psi = np.asarray(psi, dtype=complex)
-    psi = psi * np.exp(-1j * np.angle(psi[..., :1]))
-    x = np.empty(psi.shape[:-1] + (2 * psi.shape[-1] - 1,))
-    x[..., 0] = psi[..., 0].real
-    x[..., 1::2] = psi[..., 1:].real
-    x[..., 2::2] = psi[..., 1:].imag
-    return x
+    """Parameter rows (..., 2 d) of state vectors (..., d): their (re, im) pairs."""
+    return np.ascontiguousarray(psi, dtype=complex).view(float)
 
 
 def _bloch_from_params(x: np.ndarray) -> np.ndarray:
@@ -131,9 +122,9 @@ def _bloch_from_params(x: np.ndarray) -> np.ndarray:
     return r / np.maximum(np.linalg.norm(r, axis=-1, keepdims=True), 1.0)
 
 
-def _states_from_params(x: np.ndarray, dim: int, mixed: bool) -> np.ndarray:
-    """States at parameter rows x: state vectors (..., dim) or, with mixed=True, Bloch rows (..., 3)."""
-    return _bloch_from_params(x) if mixed else _psi_from_params(x, dim)
+def _states_from_params(x: np.ndarray, mixed: bool) -> np.ndarray:
+    """States at parameter rows x: state vectors (..., d) or, with mixed=True, Bloch rows (..., 3)."""
+    return _bloch_from_params(x) if mixed else _psi_from_params(x)
 
 
 def _param_objective(relation: RelationId, spin: Spin | int, mixed: bool = False):
@@ -150,8 +141,7 @@ def _param_objective(relation: RelationId, spin: Spin | int, mixed: bool = False
         score = partial(kernels.qubit_relation_gaps, relations=(relation,))
     else:
         score = kernels.vector_scorer((relation,), spin.twice_s)
-    dim = spin.dim
-    return lambda x: score(_states_from_params(x, dim, mixed))[:, 0]
+    return lambda x: score(_states_from_params(x, mixed))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -310,7 +300,7 @@ def _search(
     agree = runs.fun <= np.fmin.reduce(runs.fun) + cfg.tol
     best = int(agree.argmax())
     to_state = density_from_bloch if mixed else from_statevector
-    argmin = to_state(_states_from_params(runs.x[best], spin.dim, mixed))
+    argmin = to_state(_states_from_params(runs.x[best], mixed))
     gap = evaluate(relation, argmin, spin).gap
     if not math.isfinite(gap):
         raise TripleSpinError(f"{relation.value} gap at the search minimum is {gap}, not finite")

@@ -20,7 +20,12 @@ builder (kernels.column_moments) on rho's scaled eigenvectors; the searches,
 restart gaps and argmin states kept their bytes. The R7 JSON was recorded
 again when the pure-state chart's first amplitude became x_0 of either sign
 instead of |x_0|: its restart 0 no longer stalls at the kink x_0 = 0. The
-other three kept their bytes.
+other three kept their bytes. The three pure-state JSONs (R7, the conjecture
+scan and R10) were recorded again when that chart lost its gauge and became
+the 2d reals of the amplitudes' (re, im) pairs: the searches take other
+paths to the same minima, with the same best_restart, agreeing_restarts and
+converged. The mixed qubit JSON, whose Bloch-ball chart did not change, kept
+its bytes.
 """
 
 from pathlib import Path

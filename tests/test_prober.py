@@ -375,9 +375,11 @@ def test_triple_sum_probe_reaches_zero_at_spin_two():
 
 @pytest.mark.parametrize("twice_s", [8, 12, 16])
 def test_triple_sum_probe_reaches_zero_at_higher_spin(twice_s):
-    # Nelder-Mead stopped at 0.0363 and 1.04 from these starts at twice_s 8 and 12
+    # Nelder-Mead stopped at 0.0363 and 1.04 from these starts at twice_s 8 and 12; with
+    # the gauge "psi_0 real", 44, 16 and 5 of the 64 restarts agreed at twice_s 8, 12, 16
     result = min_gap(RelationId.R5_TRIPLE_SUM, twice_s, ProbeConfig(seed=0))
     assert abs(result.min_gap) <= 1e-9
+    assert result.agreeing_restarts >= 16
 
 
 @pytest.mark.parametrize(
@@ -403,7 +405,11 @@ def test_no_variance_sum_restart_stalls_above_its_search_best():
 
     With the first amplitude |x_0|, the objective had a kink at x_0 = 0; 8 of these
     200 runs stopped there on the tol test, more than 1e-6 above their search's best,
-    and the slowest run of a search took 74 iterations on average.
+    and the slowest run of a search took 74 iterations on average. With the first
+    amplitude real of either sign, no run stalled, but the gauge "psi_0 real" is
+    singular at psi_0 = 0: a direction's curvature vanished like |psi_0|^2 there, and
+    the slowest run of a search, ending near psi_0 = 0, took 49.6 iterations on
+    average. The chart has had no gauge since.
     """
     objective = _param_objective(RelationId.R7_SUM_GENERAL_S, 4)
     slowest = []
@@ -412,7 +418,7 @@ def test_no_variance_sum_restart_stalls_above_its_search_best():
         runs = lockstep_lbfgs(objective, _params_from_vector(starts), 700, 1e-10)
         assert np.all(runs.fun <= runs.fun.min() + 1e-6), seed
         slowest.append(runs.nit.max())
-    assert np.mean(slowest) < 60
+    assert np.mean(slowest) < 20
 
 
 def test_min_variance_sum_spin_half():
@@ -498,7 +504,7 @@ def test_conjectured_moment_conditions_give_equality_if_reachable():
     target_mean = s / SQ3
 
     def residual(x):
-        st = from_statevector(_psi_from_params(x, 3))
+        st = from_statevector(_psi_from_params(x))
         res = 0.0
         for op in ops.as_tuple():
             res += (expectation(st, np.asarray(op) @ np.asarray(op)) - target_sq) ** 2
@@ -518,7 +524,7 @@ def test_conjectured_moment_conditions_give_equality_if_reachable():
         if best is None or res.fun < best.fun:
             best = res
     if best.fun < 1e-8:
-        st = from_statevector(_psi_from_params(best.x, 3))
+        st = from_statevector(_psi_from_params(best.x))
         gap = evaluate(RelationId.R11_CONJECTURE_TRIPLE_PRODUCT, st, 2).gap
         assert abs(gap) <= 1e-6
 
@@ -526,20 +532,33 @@ def test_conjectured_moment_conditions_give_equality_if_reachable():
 def test_parametrization_round_trip():
     rng = np.random.default_rng(0)
     for dim in (2, 3, 4):
-        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        z /= np.linalg.norm(z)
-        st = from_statevector(_psi_from_params(_params_from_vector(z), dim))
-        # equality up to the fixed global phase
-        assert st.purity() == pytest.approx(1.0, abs=1e-12)
-        overlap = float(np.real(z.conj() @ st.rho @ z))
-        assert overlap == pytest.approx(1.0, abs=1e-12)
-        # rows with x_0 < 0: x and -x are the same state (the chart is a double cover),
-        # and the inverse returns the normalized x_0 >= 0 representative, -x
-        x = rng.standard_normal((4, 2 * dim - 1))
-        x[:, 0] = -np.abs(x[:, 0])
-        psi, flipped = _psi_from_params(x, dim), _psi_from_params(-x, dim)
-        for a, b in zip(psi, flipped):
+        z = rng.standard_normal((4, dim)) + 1j * rng.standard_normal((4, dim))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        # a unit vector's parameters are its (re, im) pairs, which map back to it up to
+        # the rounding of renormalizing by a norm of 1 +- ulps
+        x = _params_from_vector(z)
+        assert np.array_equal(x, np.stack([z.real, z.imag], axis=-1).reshape(4, 2 * dim))
+        np.testing.assert_allclose(_psi_from_params(x), z, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_params_from_vector(_psi_from_params(x)), x, rtol=0, atol=1e-15)
+        # no gauge: x and c x, for any nonzero complex c, are the same state
+        x = rng.standard_normal((4, 2 * dim))
+        c = rng.uniform(0.1, 10, (4, 1)) * np.exp(2j * np.pi * rng.uniform(size=(4, 1)))
+        scaled = _params_from_vector(c * x.view(complex))
+        for a, b in zip(_psi_from_params(x), _psi_from_params(scaled)):
             np.testing.assert_allclose(from_statevector(a).rho, from_statevector(b).rho, atol=1e-15)
-        back = _params_from_vector(psi)
-        assert np.all(back[:, 0] > 0)
-        np.testing.assert_allclose(back, -x / np.linalg.norm(x, axis=1, keepdims=True), atol=1e-12)
+
+
+@pytest.mark.parametrize("twice_s", [1, 3])
+def test_zero_parameter_row_is_the_first_basis_state(twice_s):
+    """An all-zero row maps to |0>, and a batch holding one scores its other rows unchanged."""
+    dim = twice_s + 1
+    basis = np.zeros(dim, dtype=complex)
+    basis[0] = 1.0
+    assert np.array_equal(_psi_from_params(np.zeros(2 * dim)), basis)
+    assert np.array_equal(_psi_from_params(np.zeros((3, 2 * dim))), np.tile(basis, (3, 1)))
+    objective = _param_objective(RelationId.R5_TRIPLE_SUM, twice_s)
+    rows = _params_from_vector(random_pure_vectors(dim, 4, 0, 0))
+    batch = np.vstack([rows[:2], np.zeros(2 * dim), rows[2:]])
+    gaps = objective(batch)
+    assert np.array_equal(np.delete(gaps, 2), objective(rows))
+    assert gaps[2] == objective(_params_from_vector(basis[None]))[0]

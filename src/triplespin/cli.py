@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe = sub.add_parser("probe", parents=[seeded], help="minimum-gap search / conjecture scan, result as JSON")
     p_probe.add_argument("--relation", help="relation id or alias")
     p_probe.add_argument("--spin", type=int, default=1, metavar="TWICE_S")
-    p_probe.add_argument("--mixed", action="store_true", help="search the qubit Bloch ball instead of pure states")
+    p_probe.add_argument("--mixed", action="store_true", help="search mixed states (d columns) instead of pure states")
     p_probe.add_argument("--conjecture", action="store_true", help="scan the all-spin triple product conjecture")
     p_probe.add_argument("--samples", type=int, help=f"--conjecture scan draws (default {CONJECTURE_SAMPLES})")
     p_probe.add_argument("--restarts", type=int, help=f"--relation search restarts (default {ProbeConfig.restarts})")

@@ -1,11 +1,12 @@
 """Batch gap scorers and the chunk fold of the random-state soak and the triangle scan.
 
 Every batch gap in the package comes from _apply_table: each scorer computes a
-batch's per-axis moments as (3, n) arrays (of Bloch rows, state vectors or
+batch's per-axis moments as (3, n) arrays (of Bloch rows, column sets or
 triangle points) and _apply_table applies the relation table
 (relations.relation_sides) to them, one row per relation; the result is the
 (n, k) transposed view. States have two moment routes: column_moments (which
-relations.evaluate uses too) and the Bloch closed form, moments.bloch_moments.
+relations.evaluate and the prober use, for pure and mixed states at every
+spin) and the Bloch closed form, moments.bloch_moments (the qubit soak's).
 
 fold_chunks is the one chunk loop of the soak and the triangle scan. It is the
 only code in the package that starts threads.
@@ -174,13 +175,24 @@ def column_moments(twice_s: int, reads: frozenset):
 
 
 def vector_scorer(relations, twice_s: int):
-    """Scorer of (n, d) state vectors at spin twice_s/2 -> (n, k) gaps of `relations`.
+    """Scorer of (n, r d) unit rows at spin twice_s/2 -> (n, k) gaps of `relations`.
 
-    Row k equals evaluate(relation, state k, twice_s).gap, and does not depend
-    on the other rows of its batch (see moments.pure_moments).
+    Row k is read as r columns g_c of length d, the state rho = sum_c g_c g_c^dag
+    (a state vector is r = 1); r comes from the row width. Row k's gaps equal
+    evaluate(relation, state k, twice_s).gap and do not depend on the other
+    rows of its batch (see moments.pure_moments), so the batch is scored in
+    blocks of at most CHUNK_ROWS columns, which bound its temporaries.
     """
     moments = column_moments(twice_s, frozenset(name for rel in relations for name in _SPECS[rel].reads))
-    return lambda psis: _apply_table(relations, len(psis), *moments(psis[:, None]), twice_s / 2)
+
+    def score(rows: np.ndarray) -> np.ndarray:
+        cols = rows.reshape(len(rows), -1, twice_s + 1)
+        step = max(CHUNK_ROWS // cols.shape[1], 1)
+        if len(cols) > step:
+            return np.vstack([score(cols[start : start + step]) for start in range(0, len(cols), step)])
+        return _apply_table(relations, len(cols), *moments(cols), twice_s / 2)
+
+    return score
 
 
 def triangle_analog_gaps(bary: np.ndarray, side: float) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Gradient search for minimum-gap and saturating states.
 
-The kernels' batch scorers score the states; the prober only parametrizes
-them and searches. A pure state in dimension d becomes the 2d
-unconstrained reals of its amplitudes' (re, im) pairs, renormalized at
-every evaluation and with no gauge (global phase and norm are flat
-directions), so the search never leaves the state manifold. For the qubit,
-an optional mixed-state mode searches the closed Bloch ball instead. Local
+The kernels' batch scorer scores the states; the prober only parametrizes
+them and searches. A state in dimension d is r columns g_c of length d,
+rho = sum_c g_c g_c^dag: r = 1 for a pure state and r = d for a mixed one.
+Its parameters are the 2 d r unconstrained reals of the columns' (re, im)
+pairs, renormalized at every evaluation and with no gauge (global phase and
+norm are flat directions), so the search never leaves the state space, and
+pure and mixed searches share one chart and one scorer at every spin. Local
 refinement is L-BFGS on central differences of that one batched objective,
 so no derivative formula is written anywhere and the relation table stays
 the one place formulas live. All restarts of a search advance together,
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -28,9 +28,7 @@ from .relations import RelationId, check_applicable, evaluate
 from .spin_ops import Spin, _as_spin
 from .states import (
     QuantumState,
-    density_from_bloch,
     from_statevector,
-    random_mixed_bloch,
     random_pure_vectors,
     state_to_json_dict,
 )
@@ -97,11 +95,11 @@ class ProbeResult:
 
 
 def _psi_from_params(x: np.ndarray) -> np.ndarray:
-    """Normalized state vectors, shape (..., d), from parameter rows (..., 2 d).
+    """Unit vectors, shape (..., m), from parameter rows (..., 2 m).
 
-    A row is the (re, im) pairs of d amplitudes, renormalized here, with no
+    A row is the (re, im) pairs of m amplitudes, renormalized here, with no
     gauge: global phase and norm are flat directions of the objective. An
-    all-zero row gives the first basis state.
+    all-zero row gives the first basis vector.
     """
     pairs = np.array(x, dtype=float)
     norm = np.sqrt(np.add.reduce(pairs * pairs, axis=-1, keepdims=True))
@@ -112,36 +110,18 @@ def _psi_from_params(x: np.ndarray) -> np.ndarray:
 
 
 def _params_from_vector(psi: np.ndarray) -> np.ndarray:
-    """Parameter rows (..., 2 d) of state vectors (..., d): their (re, im) pairs."""
+    """Parameter rows (..., 2 m) of unit vectors (..., m): their (re, im) pairs."""
     return np.ascontiguousarray(psi, dtype=complex).view(float)
 
 
-def _bloch_from_params(x: np.ndarray) -> np.ndarray:
-    """Bloch vectors (..., 3): rows of x outside the unit ball projected onto its surface."""
-    r = np.asarray(x, dtype=float)
-    return r / np.maximum(np.linalg.norm(r, axis=-1, keepdims=True), 1.0)
-
-
-def _states_from_params(x: np.ndarray, mixed: bool) -> np.ndarray:
-    """States at parameter rows x: state vectors (..., d) or, with mixed=True, Bloch rows (..., 3)."""
-    return _bloch_from_params(x) if mixed else _psi_from_params(x)
-
-
-def _param_objective(relation: RelationId, spin: Spin | int, mixed: bool = False):
+def _param_objective(relation: RelationId, spin: Spin | int):
     """_search's objective: (m, n) parameter rows to (m,) gaps of `relation`.
 
-    The rows become states through _states_from_params. Bloch rows (mixed=True,
-    qubit only) are scored by kernels.qubit_relation_gaps, state vectors by a
-    kernels.vector_scorer prepared once here.
+    The rows become unit vectors through _psi_from_params, which a
+    kernels.vector_scorer prepared once here reads as n / (2 d) columns.
     """
-    spin = _as_spin(spin)
-    if mixed and spin.twice_s != 1:
-        raise ValueError("mixed-state probing uses the Bloch ball and needs spin 1/2")
-    if mixed:
-        score = partial(kernels.qubit_relation_gaps, relations=(relation,))
-    else:
-        score = kernels.vector_scorer((relation,), spin.twice_s)
-    return lambda x: score(_states_from_params(x, mixed))[:, 0]
+    score = kernels.vector_scorer((relation,), _as_spin(spin).twice_s)
+    return lambda x: score(_psi_from_params(x))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -264,18 +244,19 @@ def min_gap(
 ) -> ProbeResult:
     """Minimize the gap of one relation over states of the given spin.
 
-    Runs cfg.restarts independent L-BFGS searches from Haar-random pure
-    starts (or Hilbert-Schmidt Bloch-ball points when mixed=True, qubit only)
-    and keeps the best result (see _search). Restart r starts from the states
-    samplers' draw on stream (seed, r), so the result is deterministic for a
-    fixed config; min_gap is evaluated on the argmin.
+    Runs cfg.restarts independent L-BFGS searches and keeps the best result
+    (see _search). A state is searched as r columns of length d, r = 1 for
+    pure states and r = d with mixed=True. Restart k starts from a Haar unit
+    vector of C^(d r) drawn on stream (seed, k), so the result is
+    deterministic for a fixed config; read as d columns, that draw is a
+    Hilbert-Schmidt mixed state. min_gap is evaluated on the argmin.
     """
     spin = _as_spin(spin)
     check_applicable(relation, spin)
 
-    draw = random_mixed_bloch if mixed else partial(random_pure_vectors, spin.dim)
-    starts = np.vstack([draw(1, cfg.seed, r) for r in range(cfg.restarts)])
-    return _search(relation, spin, starts, cfg, mixed)
+    width = spin.dim * (spin.dim if mixed else 1)
+    starts = np.vstack([random_pure_vectors(width, 1, cfg.seed, k) for k in range(cfg.restarts)])
+    return _search(relation, spin, starts, cfg)
 
 
 def _search(
@@ -283,24 +264,21 @@ def _search(
     spin: Spin,
     starts: np.ndarray,
     cfg: ProbeConfig,
-    mixed: bool = False,
     drawn: int = 0,
 ) -> ProbeResult:
     """lockstep_lbfgs from each start state; the best run is the result.
 
-    starts are (m, d) state vectors (with mixed=True, (m, 3) Bloch rows, their
-    own parameters); they are searched as parameter rows of _param_objective.
-    The best run is the lowest start index among those within cfg.tol of the
-    lowest final gap (NaN gaps never agree). min_gap is evaluate on the
-    validated argmin state, and evaluations adds the `drawn` samples that
-    chose the starts to the rows the search scored.
+    starts are (m, r d) unit vectors, each r columns of length d; they are
+    searched as parameter rows of _param_objective. The best run is the
+    lowest start index among those within cfg.tol of the lowest final gap
+    (NaN gaps never agree). min_gap is evaluate on the validated argmin
+    state, and evaluations adds the `drawn` samples that chose the starts to
+    the rows the search scored.
     """
-    x0 = starts if mixed else _params_from_vector(starts)
-    runs = lockstep_lbfgs(_param_objective(relation, spin, mixed), x0, cfg.max_iters, cfg.tol)
+    runs = lockstep_lbfgs(_param_objective(relation, spin), _params_from_vector(starts), cfg.max_iters, cfg.tol)
     agree = runs.fun <= np.fmin.reduce(runs.fun) + cfg.tol
     best = int(agree.argmax())
-    to_state = density_from_bloch if mixed else from_statevector
-    argmin = to_state(_states_from_params(runs.x[best], mixed))
+    argmin = from_statevector(_psi_from_params(runs.x[best]).reshape(-1, spin.dim))
     gap = evaluate(relation, argmin, spin).gap
     if not math.isfinite(gap):
         raise TripleSpinError(f"{relation.value} gap at the search minimum is {gap}, not finite")

@@ -67,13 +67,18 @@ class Family(enum.Enum):
 
 
 def from_statevector(psi: np.ndarray) -> QuantumState:
-    """Density matrix |psi><psi| of a normalized state vector."""
-    psi = np.asarray(psi, dtype=complex).ravel()
-    norm = np.linalg.norm(psi)
+    """Density matrix |psi><psi| / <psi|psi> of a state vector (d,), or of r columns g_c as (r, d).
+
+    r columns give sum_c g_c g_c^dag / t with t = sum_c ||g_c||^2, a mixed
+    state when they are not all parallel.
+    """
+    g = np.atleast_2d(np.asarray(psi, dtype=complex))
+    norm = np.linalg.norm(g)
     if norm == 0:
         raise InvalidStateError("zero state vector")
-    psi = psi / norm
-    return QuantumState(np.outer(psi, psi.conj()))
+    g = g / norm
+    # elementwise, like np.outer: a vector's |psi><psi| keeps the bits of the outer product
+    return QuantumState((g[:, :, None] * g.conj()[:, None, :]).sum(axis=0))
 
 
 def density_from_bloch(r) -> QuantumState:

@@ -432,12 +432,11 @@ def test_probe_conjecture_rejects_mixed(capsys):
     assert "--mixed" in err
 
 
-def test_mixed_probe_above_spin_half_is_usage_error(tmp_path, capsys):
-    target = tmp_path / "out.json"
-    code, out, err = run(capsys, "probe", "--relation", "R6", "--mixed", "--spin", "2", "--emit", str(target))
-    assert code == 2 and out == ""
-    assert "needs spin 1/2" in err
-    assert not target.exists() and not (tmp_path / "out.json.manifest.json").exists()
+def test_mixed_probe_runs_above_spin_half(capsys):
+    code, out, _ = run(capsys, "probe", "--relation", "R6", "--mixed", "--spin", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["twice_s"] == 2 and data["argmin_state"]["dim"] == 3
 
 
 def test_probe_conjecture_rejects_restarts(capsys):

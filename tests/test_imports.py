@@ -2,7 +2,7 @@
 every private module-level function is referenced somewhere in the package,
 only rng.py reaches numpy.random, only cli.py reads the process environment,
 only kernels.py starts threads, the prober scores states only through
-kernels, and the runtime imports no scipy."""
+kernels (with one chart and one scorer), and the runtime imports no scipy."""
 
 import ast
 import subprocess
@@ -205,6 +205,8 @@ def test_prober_scores_only_through_kernels():
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert moments_imports(source) == []
     assert names & {"relation_sides", "_SPECS", "_ops"} == set()
+    # one chart and one scorer: pure and mixed states are both columns for kernels.vector_scorer
+    assert names & {"qubit_relation_gaps", "random_mixed_bloch", "density_from_bloch", "partial"} == set()
 
 
 def test_cli_import_loads_no_scipy():

@@ -203,30 +203,40 @@ def test_triangle_kernel_matches_report_route():
 
 
 @pytest.mark.parametrize("twice_s", range(1, 9))
-def test_state_vector_rows_do_not_depend_on_their_batch(twice_s):
+def test_state_vector_rows_do_not_depend_on_their_batch(monkeypatch, twice_s):
     """Each row's moments and gaps equal, bit for bit, those of the row scored alone or in any prefix.
 
-    A 1-row batch is the case a batched matmul rounds differently; the
-    searches and restarts of the prober rely on rows scored alike in any batch.
+    A row is r columns of length d: a state vector (r = 1) or a mixed state
+    (r = d). A 1-row batch is the case a batched matmul rounds differently;
+    the searches and restarts of the prober rely on rows scored alike in any
+    batch, and on blocks (kernels.CHUNK_ROWS columns) changing no bit.
     """
-    psis = random_pure_vectors(twice_s + 1, 24, 40 + twice_s)
+    dim = twice_s + 1
     ops = np.array(build_spin_operators(twice_s).as_tuple(), dtype=complex)
     pairs = ops + ops[[1, 2, 0]]
     # every relation's formula: d, v and e, entropies (h) and Var(Si+Sj) (w) between them
     score = kernels.vector_scorer(FORMULAS, twice_s)
-    routes = [
-        lambda p: pure_moments(p[:, None], ops),
-        lambda p: pure_moments(p[:, None], pairs),
-        lambda p: (score(p).T,),
-    ]
-    for route in routes:
-        full = route(psis)
-        for n in range(1, len(psis) + 1):
-            for got, want in zip(route(psis[:n]), full):
-                assert np.array_equal(got, want[..., :n])
-        for i in range(len(psis)):
-            for got, want in zip(route(psis[i : i + 1]), full):
-                assert np.array_equal(got[..., 0], want[..., i])
+    for r in (1, dim):
+        rows = random_pure_vectors(r * dim, 24, 40 + twice_s, r)
+        routes = [
+            lambda p: pure_moments(p.reshape(len(p), r, dim), ops),
+            lambda p: pure_moments(p.reshape(len(p), r, dim), pairs),
+            lambda p: (score(p).T,),
+        ]
+        for route in routes:
+            full = route(rows)
+            for n in range(1, len(rows) + 1):
+                for got, want in zip(route(rows[:n]), full):
+                    assert np.array_equal(got, want[..., :n])
+            for i in range(len(rows)):
+                for got, want in zip(route(rows[i : i + 1]), full):
+                    assert np.array_equal(got[..., 0], want[..., i])
+        # blocks of 5 rows and of 1 row: five blocks, the last one short, and 24
+        full = score(rows)
+        for block_rows in (5, 1):
+            monkeypatch.setattr(kernels, "CHUNK_ROWS", block_rows * r)
+            assert np.array_equal(score(rows), full)
+        monkeypatch.undo()
 
 
 def test_bloch_rows_do_not_depend_on_their_batch():

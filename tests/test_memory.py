@@ -1,12 +1,12 @@
 """The soak, the triangle scan and the conjecture scan reduce chunk by chunk
 in constant memory; the per-draw sweep holds one block of one (point, axis)'s
-outcomes at a time."""
+outcomes at a time; the prober's scorer scores its stencils in blocks."""
 
 import tracemalloc
 
 from triplespin.measure_sim import ShotConfig, run_sweep
-from triplespin.prober import ProbeConfig, scan_conjecture
-from triplespin.relations import soak_qubit
+from triplespin.prober import ProbeConfig, min_gap, scan_conjecture
+from triplespin.relations import RelationId, soak_qubit
 from triplespin.states import Family
 from triplespin.triangle import scan
 
@@ -38,6 +38,13 @@ def test_conjecture_scan_peak_memory_is_bounded():
     # holding all 4e5 spin-3/2 samples and their gaps at once takes ~262 MiB
     cfg = ProbeConfig(seed=1, max_iters=50)
     assert traced_peak(scan_conjecture, 3, 400_000, cfg) < 64 * MIB
+
+
+def test_mixed_probe_scores_its_stencils_in_blocks():
+    # 64 runs of 2 d^2 = 162 parameters at twice_s 8: scoring all 20800 stencil rows
+    # (187200 columns) at once peaks at ~300 MB
+    cfg = ProbeConfig(seed=0, max_iters=1)
+    assert traced_peak(min_gap, RelationId.R7_SUM_GENERAL_S, 8, cfg, mixed=True) < 160 * MIB
 
 
 def test_per_draw_sweep_peak_memory_is_bounded():

@@ -11,7 +11,6 @@ from triplespin.errors import SpinRestrictionError, TripleSpinError
 from triplespin.moments import expectation, variance
 from triplespin.prober import (
     ProbeConfig,
-    _bloch_from_params,
     _param_objective,
     _params_from_vector,
     _psi_from_params,
@@ -27,7 +26,6 @@ from triplespin.states import (
     bloch_from_density,
     density_from_bloch,
     from_statevector,
-    random_mixed_bloch,
     random_pure_vectors,
 )
 
@@ -81,8 +79,9 @@ def test_mixed_probe_of_sum_half_reaches_boundary_only():
 
 @pytest.mark.parametrize("seed", [1, 3, 4])
 def test_mixed_probe_of_triple_product_reads_no_violation(seed):
-    """R3 is proved at s = 1/2; these searches end next to a pole, where a
-    moment route that lost Var(S_i) ~ 1e-17 to cancellation read -1.5e-9."""
+    """R3 is proved at s = 1/2. In the Bloch-ball chart these searches ended
+    next to a pole, where a moment route that lost Var(S_i) ~ 1e-17 to
+    cancellation read -1.5e-9; as 2 columns they end on a cube diagonal."""
     result = min_gap(RelationId.R3_TRIPLE_PRODUCT, 1, ProbeConfig(seed=seed), mixed=True)
     assert result.min_gap >= 0.0
 
@@ -120,43 +119,67 @@ def test_restart_gaps_record_every_restart():
 
 @pytest.mark.parametrize("twice_s", [1, 2, 3, 4])
 def test_objective_matches_evaluate(twice_s):
-    """The objective's scorers, each scoring its relations in one call, vs evaluate row by row."""
+    """The kernels' scorers, each scoring its relations in one call, vs evaluate row by row.
+
+    The prober's scorer takes pure states (r = 1) and mixed states (r = d
+    columns) alike; at spin 1/2 the soak's Bloch closed form is checked too.
+    """
     rng = np.random.default_rng(twice_s)
     dim = twice_s + 1
     relations = tuple(relation for relation in RelationId if applicable_to(relation, twice_s))
-    psis = rng.standard_normal((10, dim)) + 1j * rng.standard_normal((10, dim))
-    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
-    routes = [(relations, psis, kernels.vector_scorer(relations, twice_s)(psis), from_statevector)]
+    score = kernels.vector_scorer(relations, twice_s)
+    routes = []
+    for r in (1, dim):
+        rows = random_pure_vectors(r * dim, 10, twice_s, r)
+        routes.append((rows, score(rows), lambda row: from_statevector(row.reshape(-1, dim))))
     if twice_s == 1:
         # Bloch rows inside the ball and on its surface, on all 18 relations (not the soak's 16)
-        bloch = _bloch_from_params(rng.standard_normal((10, 3)) * rng.uniform(0.2, 1.5, (10, 1)))
-        routes.append((relations, bloch, kernels.qubit_relation_gaps(bloch, relations), density_from_bloch))
-    for columns, states, gaps, to_state in routes:
-        assert gaps.shape == (10, len(columns))
+        raw = rng.standard_normal((10, 3)) * rng.uniform(0.2, 1.5, (10, 1))
+        bloch = raw / np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1.0)
+        routes.append((bloch, kernels.qubit_relation_gaps(bloch, relations), density_from_bloch))
+    for states, gaps, to_state in routes:
+        assert gaps.shape == (10, len(relations))
         for row, row_gaps in zip(states, gaps):
             state = to_state(row)
-            for relation, gap in zip(columns, row_gaps):
+            for relation, gap in zip(relations, row_gaps):
                 assert abs(gap - evaluate(relation, state, twice_s).gap) <= 1e-12, relation
 
 
 def _start(dim, seed, restart, mixed):
-    """min_gap's start state for `restart`: the shared samplers' draw on stream (seed, restart)."""
-    if mixed:
-        return random_mixed_bloch(1, seed, restart)[0]
-    return random_pure_vectors(dim, 1, seed, restart)[0]
+    """min_gap's start for `restart`: a Haar unit vector of C^(d r) on stream (seed, restart).
+
+    r = 1 for a pure search and r = d for a mixed one, whose start is d columns.
+    """
+    return random_pure_vectors(dim * (dim if mixed else 1), 1, seed, restart)[0]
 
 
 def _start_params(dim, seed, restart, mixed):
-    """The parameter row _search starts `restart` from (a Bloch row is its own)."""
-    start = _start(dim, seed, restart, mixed)
-    return start if mixed else _params_from_vector(start)
+    """The parameter row _search starts `restart` from."""
+    return _params_from_vector(_start(dim, seed, restart, mixed))
 
 
-@pytest.mark.parametrize("twice_s, mixed", [(1, True), (1, False), (3, False)])
+def _starts(monkeypatch, relation, twice_s, cfg, mixed):
+    """The (restarts, r d) start vectors min_gap hands to _search."""
+    monkeypatch.setattr(prober, "_search", lambda relation, spin, starts, cfg: starts)
+    return min_gap(relation, twice_s, cfg, mixed=mixed)
+
+
+@pytest.mark.parametrize("twice_s, mixed", [(1, True), (1, False), (3, False), (3, True)])
 def test_min_gap_starts_from_the_shared_samplers(monkeypatch, twice_s, mixed):
-    monkeypatch.setattr(prober, "_search", lambda relation, spin, starts, cfg, mixed=False: starts)
-    starts = min_gap(RelationId.R7_SUM_GENERAL_S, twice_s, ProbeConfig(restarts=5, seed=7), mixed=mixed)
+    starts = _starts(monkeypatch, RelationId.R7_SUM_GENERAL_S, twice_s, ProbeConfig(restarts=5, seed=7), mixed)
     assert np.array_equal(starts, [_start(twice_s + 1, 7, r, mixed) for r in range(5)])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_mixed_starts_are_hilbert_schmidt_states(monkeypatch, dim):
+    """A Haar unit vector of C^(d^2) read as d columns is a Hilbert-Schmidt state: mean purity 2d/(d^2 + 1)."""
+    starts = _starts(monkeypatch, RelationId.R5_TRIPLE_SUM, dim - 1, ProbeConfig(restarts=4000, seed=3), True)
+    cols = starts.reshape(-1, dim, dim)
+    gram = cols @ cols.conj().swapaxes(1, 2)  # purity tr(rho^2) = sum_cc' |<g_c|g_c'>|^2
+    purity = (gram.real**2 + gram.imag**2).sum(axis=(1, 2))
+    assert np.allclose(np.trace(gram, axis1=1, axis2=2), 1.0)
+    error = purity.std(ddof=1) / math.sqrt(len(purity))
+    assert abs(purity.mean() - 2 * dim / (dim * dim + 1)) <= 5 * error
 
 
 def _quadratic(n, seed):
@@ -178,6 +201,7 @@ def test_lockstep_lbfgs_reaches_the_minimum_of_a_convex_quadratic():
 ORACLE_CASES = [
     (RelationId.R5_TRIPLE_SUM, 1, False, 2000),
     (RelationId.R6_SUM_HALF, 1, True, 2000),
+    (RelationId.R10_ENTROPIC_TRIPLE, 2, True, 2000),
     (RelationId.R7_SUM_GENERAL_S, 4, False, 700),
     (RelationId.R10_ENTROPIC_TRIPLE, 1, False, 2000),
     (RelationId.R11_CONJECTURE_TRIPLE_PRODUCT, 3, False, 2000),
@@ -188,7 +212,7 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("relation, twice_s, mixed, max_iters", ORACLE_CASES, ids=lambda v: getattr(v, "name", None))
 def test_lockstep_single_run_reproduces_scipy(relation, twice_s, mixed, max_iters, seed):
     """One run reaches the minimum that scipy's L-BFGS-B reaches from the same start."""
-    objective = _param_objective(relation, twice_s, mixed)
+    objective = _param_objective(relation, twice_s)
     x0 = _start_params(twice_s + 1, seed, 0, mixed)
     ref = minimize(lambda x: objective(x[None])[0], x0, method="L-BFGS-B", options={"maxiter": max_iters})
     got = lockstep_lbfgs(objective, x0[None], max_iters, 1e-10)
@@ -222,16 +246,17 @@ def _logged(objective, calls):
 
 
 def test_two_objective_calls_an_iteration():
-    objective = _param_objective(RelationId.R3_TRIPLE_PRODUCT, 1, mixed=True)
+    # a mixed qubit search: 2 d^2 = 8 parameters, a stencil of 17 rows
+    objective = _param_objective(RelationId.R3_TRIPLE_PRODUCT, 1)
     starts = np.array([_start_params(2, 4, r, True) for r in range(6)])
     calls = []
     runs = lockstep_lbfgs(_logged(objective, calls), starts, 2000, 1e-10)
     assert len(set(runs.nit.tolist())) > 1  # the runs stop at different iterations
     assert len(calls) == 1 + 2 * runs.nit.max()
-    assert len(calls[0]) == 6 * 7
+    assert len(calls[0]) == 6 * 17
     for it in range(1, runs.nit.max() + 1):
         live = int((runs.nit >= it).sum())  # a stopped run is scored no more
-        assert [len(c) for c in calls[2 * it - 1 : 2 * it + 1]] == [8 * live, 7 * live]
+        assert [len(c) for c in calls[2 * it - 1 : 2 * it + 1]] == [8 * live, 17 * live]
 
 
 def test_a_stopped_run_no_longer_changes():
@@ -251,8 +276,8 @@ def test_nan_rows_end_as_nan_and_never_win(monkeypatch):
     real = prober._param_objective
     start = _start_params(2, FAST.seed, 0, False)
 
-    def poisoned(relation, spin, mixed=False):
-        objective = real(relation, spin, mixed)
+    def poisoned(relation, spin):
+        objective = real(relation, spin)
 
         def batch(x):
             gaps = objective(x)
@@ -344,10 +369,9 @@ def test_more_restarts_never_hurt():
 
 
 def test_probe_rejects_inapplicable_relation():
-    with pytest.raises(SpinRestrictionError):
-        min_gap(RelationId.R8_VARIANCE_OF_SUMS, 2, FAST)
-    with pytest.raises(ValueError, match="needs spin 1/2"):
-        min_gap(RelationId.R7_SUM_GENERAL_S, 2, FAST, mixed=True)
+    for mixed in (False, True):
+        with pytest.raises(SpinRestrictionError):
+            min_gap(RelationId.R8_VARIANCE_OF_SUMS, 2, FAST, mixed=mixed)
 
 
 def test_best_restart_ignores_rounding_noise_among_equal_minima(monkeypatch):
@@ -419,6 +443,19 @@ def test_no_variance_sum_restart_stalls_above_its_search_best():
         assert np.all(runs.fun <= runs.fun.min() + 1e-6), seed
         slowest.append(runs.nit.max())
     assert np.mean(slowest) < 20
+
+
+@pytest.mark.parametrize(
+    "relation",
+    [RelationId.R5_TRIPLE_SUM, RelationId.R7_SUM_GENERAL_S, RelationId.R11_CONJECTURE_TRIPLE_PRODUCT],
+    ids=lambda v: v.name,
+)
+def test_mixed_probe_reaches_the_pure_minimum_at_spin_three_halves(relation):
+    """Each minimum is 0, attained by pure states; the mixed search's d columns find it too."""
+    pure = min_gap(relation, 3, ProbeConfig(seed=0))
+    mixed = min_gap(relation, 3, ProbeConfig(seed=0), mixed=True)
+    assert abs(mixed.min_gap - pure.min_gap) <= 1e-9
+    assert mixed.argmin_state.dim == 4
 
 
 def test_min_variance_sum_spin_half():

@@ -13,6 +13,7 @@ from triplespin.states import (
     density_from_bloch,
     family_bloch,
     family_point,
+    from_statevector,
     random_mixed,
     random_mixed_bloch,
     random_pure,
@@ -129,6 +130,18 @@ def test_random_pure_haar_mean():
     for seed in range(n):
         acc += random_pure(3, seed).rho
     np.testing.assert_allclose(acc / n, np.eye(3) / 3, atol=0.02)
+
+
+def test_from_statevector_takes_columns():
+    """(r, d) columns give sum_c g_c g_c^dag / t; one vector keeps the bits of np.outer."""
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    np.testing.assert_allclose(from_statevector(g).rho, g.T @ g.conj() / np.vdot(g, g).real, rtol=0, atol=1e-15)
+    psi = g[0] / np.linalg.norm(g[0])
+    assert np.array_equal(from_statevector(g[0]).rho, np.outer(psi, psi.conj()))
+    assert np.array_equal(from_statevector(g[:1]).rho, from_statevector(g[0]).rho)
+    with pytest.raises(InvalidStateError, match="zero"):
+        from_statevector(np.zeros((2, 3)))
 
 
 def test_random_mixed_is_valid_and_deterministic():

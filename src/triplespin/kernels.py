@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .moments import bloch_moments, entr, pure_moments
+from .moments import bloch_moments, column_sum, entr, pure_moments
 from .relations import _SPECS, QUBIT_SOAK_RELATIONS, TRIANGLE_ANALOG_RELATIONS, relation_sides
 from .spin_ops import build_spin_operators
 
@@ -166,7 +166,7 @@ def column_moments(twice_s: int, reads: frozenset):
             d = np.sqrt(v) if "d" in reads else None
         if basis is not None:
             a = np.matvec(basis, cols)
-            h = entr((a.real**2 + a.imag**2).sum(axis=1).reshape(len(cols), 3, -1)).sum(axis=-1).T
+            h = entr(column_sum(a.real**2 + a.imag**2).reshape(len(cols), 3, -1)).sum(axis=-1).T
         if pairs is not None:
             w = pure_moments(cols, pairs)[1]
         return d, v, e, h, w

@@ -121,10 +121,15 @@ def pure_moments(cols: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndar
     # O g for every operator, state and column axes first: (n, r, k, d)
     og = np.matvec(ops.reshape(-1, ops.shape[-1]), cols).reshape(*cols.shape[:2], *ops.shape[:-1])
     cols = cols[:, :, None, :]
-    e = np.vecdot(cols, og).real.sum(axis=1)  # vecdot conjugates its first argument
+    e = column_sum(np.vecdot(cols, og).real)  # vecdot conjugates its first argument
     res = og - e[:, None, :, None] * cols
-    v = np.vecdot(res, res).real.sum(axis=1)
+    v = column_sum(np.vecdot(res, res).real)
     return e.T, v.T
+
+
+def column_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the column axis (axis 1) of an (n, r, ...) array; at r = 1, that column."""
+    return a[:, 0] if a.shape[1] == 1 else a.sum(axis=1)
 
 
 def bloch_moments(r: np.ndarray, reads):

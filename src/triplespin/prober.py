@@ -10,9 +10,9 @@ pure and mixed searches share one chart and one scorer at every spin. Local
 refinement is L-BFGS on central differences of that one batched objective,
 so no derivative formula is written anywhere and the relation table stays
 the one place formulas live. All restarts of a search advance together,
-two objective calls an iteration (see lockstep_lbfgs). The kernels score a
-state the same in any batch, so a restart's result depends only on its own
-start.
+one objective call an iteration while every run's unit step is accepted
+(see lockstep_lbfgs). The kernels score a state the same in any batch, so a
+restart's result depends only on its own start.
 """
 
 from __future__ import annotations
@@ -101,11 +101,13 @@ def _psi_from_params(x: np.ndarray) -> np.ndarray:
     gauge: global phase and norm are flat directions of the objective. An
     all-zero row gives the first basis vector.
     """
-    pairs = np.array(x, dtype=float)
+    pairs = np.ascontiguousarray(x, dtype=float)
     norm = np.sqrt(np.add.reduce(pairs * pairs, axis=-1, keepdims=True))
-    zero = norm == 0.0
-    pairs[..., :1][zero] = 1.0
-    norm[zero] = 1.0
+    if not norm.all():
+        zero = norm == 0.0
+        pairs = pairs.copy()
+        pairs[..., :1][zero] = 1.0
+        norm[zero] = 1.0
     return pairs.view(complex) / norm
 
 
@@ -151,19 +153,24 @@ def lockstep_lbfgs(objective, x0: np.ndarray, max_iters: int, tol: float) -> Sea
     """L-BFGS from each row of x0 (m, n), all runs advancing together.
 
     objective maps (k, n) points to (k,) values, and a point's value must not
-    depend on the other points of its call. An iteration makes two calls.
-    The first scores every live run's trial steps _STEPS along its direction,
-    and the run moves to the first that meets the Armijo condition. The
-    second scores the gradient stencil at the new points: the point and its
-    central differences with step _H, 2n + 1 rows a run. The direction is the
-    L-BFGS two-loop product with the last _MEMORY pairs (Liu & Nocedal, Math.
-    Program. 45, 503, 1989), or steepest descent where that is not a descent
-    direction. A pair with s.y <= 0 is not kept, and a run whose line search
-    fails stays put and drops its pairs, so it tries steepest descent next. A
-    run stops, converged, after two consecutive iterations that each lower
-    its value by at most tol, and otherwise after max_iters; a NaN value
-    never lowers and never converges. All arithmetic is per row, so a run
-    ends the same whatever the other runs do.
+    depend on the other points of its call. An iteration first scores every
+    live run's gradient stencil at its unit step x - q: the point and its
+    central differences with step _H, 2n + 1 rows a run. The centre row
+    decides the Armijo condition there, and a run that meets it moves with
+    that call alone. Only the runs that fail it score the shorter steps
+    _STEPS[1:] in a second call and move to the first that meets the
+    condition; a third call scores the stencil at those points. A run that
+    finds no step stays put and keeps its value and gradient, which a new
+    stencil would only repeat. Each run thus takes the first of _STEPS that
+    meets the condition, and nfev counts the rows it scored. The direction q
+    is the L-BFGS two-loop product with the last _MEMORY pairs (Liu &
+    Nocedal, Math. Program. 45, 503, 1989), or steepest descent where that
+    is not a descent direction. A pair with s.y <= 0 is not kept, and a run
+    whose line search fails drops its pairs, so it tries steepest descent
+    next. A run stops, converged, after two consecutive iterations that each
+    lower its value by at most tol, and otherwise after max_iters; a NaN
+    value never lowers and never converges. All arithmetic is per row, so a
+    run ends the same whatever the other runs do.
     """
     x = np.array(x0, dtype=float)
     m, n = x.shape
@@ -186,6 +193,7 @@ def lockstep_lbfgs(objective, x0: np.ndarray, max_iters: int, tol: float) -> Sea
     out_x, out_fun = np.empty((m, n)), np.empty(m)
     nit, success = np.empty(m, dtype=np.int64), np.empty(m, dtype=bool)
     live = np.arange(m)
+    nfev = np.full(m, len(stencil))
     for it in range(1, max_iters + 1):
         # q = H g by the two-loop recursion, over the slots filled by now at most
         hs, hy, hrs, hry = (hist[..., j * n : (j + 1) * n] for j in range(4))
@@ -203,22 +211,37 @@ def lockstep_lbfgs(objective, x0: np.ndarray, max_iters: int, tol: float) -> Sea
             q = np.where(ascent, g, q)
             slope = -np.vecdot(g, q, keepdims=True)
 
-        runs = np.arange(len(live))
-        trial = x[:, None] - steps * q[:, None]
-        ok = score(trial) <= fun[:, None] + armijo * slope
-        first = ok.argmax(axis=1)
-        moved = ok[runs, first, None]
-        x_new = np.where(moved, trial[runs, first], x)
+        # the stencil at the unit step first: its centre row decides Armijo there
+        x_new = x - q
         f_new, g_new = value_and_gradient(x_new)
+        nfev[live] += len(stencil)
+        moved = f_new <= fun + armijo[0] * slope[:, 0]
+        if not moved.all():
+            # the other steps for the runs that fail it, and a stencil where one passes
+            back = np.flatnonzero(~moved)
+            trial = x[back, None] - steps[1:] * q[back, None]
+            ok = score(trial) <= fun[back, None] + armijo[1:] * slope[back]
+            nfev[live[back]] += len(steps) - 1
+            hit = ok.any(axis=1)
+            took, stay = back[hit], back[~hit]
+            if took.size:
+                x_new[took] = trial[hit, ok[hit].argmax(axis=1)]
+                f_new[took], g_new[took] = value_and_gradient(x_new[took])
+                nfev[live[took]] += len(stencil)
+            if stay.size:
+                # a run that stays keeps its value and gradient, and drops its pairs
+                x_new[stay], f_new[stay], g_new[stay] = x[stay], fun[stay], g[stay]
+                hist[:, stay] = 0.0
+                gamma[stay] = 1
 
+        # a pair with s.y > 0 (so the run moved) shifts that run's pairs and is written last
         s, y = x_new - x, g_new - g
         sy = np.vecdot(s, y, keepdims=True)
         keep = sy > 0
         rho = np.divide(1, sy, out=np.zeros_like(sy), where=keep)
-        pair = np.concatenate((s, y, rho * s, rho * y), axis=1)
-        hist = np.where(keep, np.concatenate((hist[1:], pair[None])), hist * moved)
+        np.copyto(hist[:-1], hist[1:], where=keep)
+        np.copyto(hist[-1], np.concatenate((s, y, rho * s, rho * y), axis=1), where=keep)
         np.divide(sy, np.vecdot(y, y, keepdims=True), out=gamma, where=keep)
-        gamma[~moved] = 1
         stalls = np.where(fun - f_new > tol, 0, stalls + 1)
         x, fun, g = x_new, f_new, g_new
 
@@ -232,7 +255,6 @@ def lockstep_lbfgs(objective, x0: np.ndarray, max_iters: int, tol: float) -> Sea
             hist = hist[:, going]
             if not live.size:
                 break
-    nfev = len(stencil) + nit * (_STEPS.size + len(stencil))
     return SearchRuns(x=out_x, fun=out_fun, nit=nit, nfev=nfev, success=success)
 
 

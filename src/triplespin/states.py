@@ -77,8 +77,11 @@ def from_statevector(psi: np.ndarray) -> QuantumState:
     if norm == 0:
         raise InvalidStateError("zero state vector")
     g = g / norm
-    # elementwise, like np.outer: a vector's |psi><psi| keeps the bits of the outer product
-    return QuantumState((g[:, :, None] * g.conj()[:, None, :]).sum(axis=0))
+    # elementwise, like np.outer: a vector's |psi><psi| keeps the bits of the outer product,
+    # but for the diagonal's imaginary parts, which are 0 exactly, not g_i conj(g_i)'s rounding
+    rho = (g[:, :, None] * g.conj()[:, None, :]).sum(axis=0)
+    rho.imag[np.diag_indices_from(rho)] = 0.0
+    return QuantumState(rho)
 
 
 def density_from_bloch(r) -> QuantumState:

@@ -10,8 +10,8 @@ and blocks, whatever the thread count. The simulate CSVs were recorded while
 every shot-sweep stream was built by rng.stream, one per point and axis, and
 pin the batched key derivation (rng.map_streams) to it: binomial and per-draw
 counts, and a seed of two 32-bit words. The probe JSONs were recorded when
-the lockstep L-BFGS search (two objective calls an iteration on central
-differences) replaced Nelder-Mead: a pure spin-2 search, a mixed qubit
+the lockstep L-BFGS search (then two objective calls an iteration on
+central differences) replaced Nelder-Mead: a pure spin-2 search, a mixed qubit
 search, a small conjecture scan and the R10 search whose first restart gap
 once changed with the number of restarts. Their min_gap (and R7's
 variance_sum_min), which evaluate computes on the argmin state, were
@@ -28,7 +28,14 @@ converged. The mixed qubit JSON, whose Bloch-ball chart did not change, kept
 its bytes. The mixed qubit JSON was recorded again when the Bloch-ball chart
 went and a mixed search became two columns of one unit vector of C^4 (8
 reals where the Bloch ball had 3): its min_gap stayed -1.3877787807814457e-17,
-and evaluations went 808 -> 1168. The other ten kept their bytes.
+and evaluations went 808 -> 1168. The other ten kept their bytes. The four
+probe JSONs were recorded again when an iteration began with the gradient
+stencil at the unit step and only the runs that failed Armijo there scored
+the shorter steps, and when the argmin's diagonal got exactly zero
+imaginary parts: only evaluations (933 -> 833, 1168 -> 888, 6220 -> 5226,
+733 -> 501) and those imaginary parts (up to 1.5e-17 before) changed; the
+searches, restart gaps, min_gap and every real part kept their bytes, as
+did the other seven files.
 """
 
 from pathlib import Path

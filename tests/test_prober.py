@@ -230,9 +230,11 @@ def test_lockstep_stops_at_max_iters_like_scipy():
     for x0 in starts:
         ref = minimize(lambda x: objective(x[None])[0], x0, method="L-BFGS-B", options={"maxiter": 3})
         assert not ref.success and ref.nit == 3
-    # rows scored: the first gradient stencil, then 8 trial steps and a stencil an iteration
+    # rows scored: the first gradient stencil, then a stencil at the unit step an iteration;
+    # run r's unit step fails Armijo in r of its 3 iterations, and it then scores the 7
+    # shorter steps and a stencil at the one it takes
     n = starts.shape[1]
-    assert runs.nfev.tolist() == [2 * n + 1 + 3 * (8 + 2 * n + 1)] * 3
+    assert runs.nfev.tolist() == [(2 * n + 1) * 4 + r * (7 + 2 * n + 1) for r in range(3)]
 
 
 def _logged(objective, calls):
@@ -245,18 +247,71 @@ def _logged(objective, calls):
     return batch
 
 
-def test_two_objective_calls_an_iteration():
+def _stencil_centres(call, n):
+    """The centre points of call if it is a gradient stencil (blocks of the 2n + 1
+    points x, x + _H e_i, x - _H e_i), else None."""
+    if len(call) % (2 * n + 1):
+        return None
+    blocks = call.reshape(-1, 2 * n + 1, n)
+    offsets = np.vstack([np.eye(n), -np.eye(n)]) * prober._H
+    if not np.allclose(blocks[:, 1:] - blocks[:, :1], offsets, rtol=0, atol=1e-12):
+        return None
+    return blocks[:, 0]
+
+
+def test_stencil_first_call_pattern():
+    """One stencil call an iteration; backtracking rows only for the runs whose unit step fails."""
     # a mixed qubit search: 2 d^2 = 8 parameters, a stencil of 17 rows
     objective = _param_objective(RelationId.R3_TRIPLE_PRODUCT, 1)
     starts = np.array([_start_params(2, 4, r, True) for r in range(6)])
     calls = []
     runs = lockstep_lbfgs(_logged(objective, calls), starts, 2000, 1e-10)
     assert len(set(runs.nit.tolist())) > 1  # the runs stop at different iterations
-    assert len(calls) == 1 + 2 * runs.nit.max()
-    assert len(calls[0]) == 6 * 17
+    assert len(calls[0]) == 6 * 17 and _stencil_centres(calls[0], 8) is not None
+    k, backtracks, moves = 1, 0, 0
     for it in range(1, runs.nit.max() + 1):
         live = int((runs.nit >= it).sum())  # a stopped run is scored no more
-        assert [len(c) for c in calls[2 * it - 1 : 2 * it + 1]] == [8 * live, 17 * live]
+        # the stencil at every live run's unit step
+        assert len(calls[k]) == 17 * live and _stencil_centres(calls[k], 8) is not None
+        k += 1
+        if k < len(calls) and _stencil_centres(calls[k], 8) is None:
+            # steps 1/2 ... 1/128 for the runs whose unit step failed Armijo
+            assert len(calls[k]) % 7 == 0 and len(calls[k]) <= 7 * live
+            trials, backtracks = calls[k], backtracks + 1
+            k += 1
+            centres = _stencil_centres(calls[k], 8) if k < len(calls) else None
+            if centres is not None and all((trials == c).all(axis=1).any() for c in centres):
+                # a stencil at the step each run then took, for the runs that took one
+                assert len(centres) <= len(trials) // 7
+                moves, k = moves + 1, k + 1
+    assert k == len(calls)
+    assert backtracks and moves  # this search exercises both extra calls
+    assert runs.nfev.sum() == sum(len(c) for c in calls)
+
+
+def test_a_backtracking_run_takes_the_first_step_that_meets_armijo():
+    """x^4 / 4 from 0.5 takes the unit step; from 2 it overshoots to -6, and the run backtracks."""
+
+    def quartic(x):
+        return x[:, 0] ** 4 / 4
+
+    starts = np.array([[0.5], [2.0]])
+    one = lockstep_lbfgs(quartic, starts, 1, 1e-10)
+    h = prober._H
+    for r, x0 in enumerate(starts[:, 0]):
+        f = quartic(np.array([[x0], [x0 + h], [x0 - h]]))
+        g = (f[1] - f[2]) / (2 * h)
+        meets = [quartic(np.array([[x0 - t * g]]))[0] <= f[0] - prober._ARMIJO * t * g * g for t in prober._STEPS]
+        step = prober._STEPS[meets.index(True)]
+        assert step == (1.0 if r == 0 else 0.25)
+        assert one.x[r, 0] == x0 - step * g
+    # run 1 scored the start's stencil, the unit step's, 7 shorter steps and the stencil at 1/4
+    assert one.nfev.tolist() == [3 + 3, 3 + 3 + 7 + 3]
+    both = lockstep_lbfgs(quartic, starts, 2000, 1e-10)
+    for r in range(2):
+        alone = lockstep_lbfgs(quartic, starts[r : r + 1], 2000, 1e-10)
+        assert alone.x[0].tobytes() == both.x[r].tobytes() and alone.fun[0].tobytes() == both.fun[r].tobytes()
+        assert alone.nit[0] == both.nit[r] and alone.nfev[0] == both.nfev[r]
 
 
 def test_a_stopped_run_no_longer_changes():

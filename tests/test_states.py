@@ -133,12 +133,16 @@ def test_random_pure_haar_mean():
 
 
 def test_from_statevector_takes_columns():
-    """(r, d) columns give sum_c g_c g_c^dag / t; one vector keeps the bits of np.outer."""
+    """(r, d) columns give sum_c g_c g_c^dag / t; one vector keeps the bits of np.outer,
+    but for the diagonal's imaginary parts, which are exactly 0."""
     rng = np.random.default_rng(5)
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     np.testing.assert_allclose(from_statevector(g).rho, g.T @ g.conj() / np.vdot(g, g).real, rtol=0, atol=1e-15)
+    assert not from_statevector(g).rho.diagonal().imag.any()
     psi = g[0] / np.linalg.norm(g[0])
-    assert np.array_equal(from_statevector(g[0]).rho, np.outer(psi, psi.conj()))
+    outer = np.outer(psi, psi.conj())
+    outer.imag[np.diag_indices_from(outer)] = 0.0
+    assert np.array_equal(from_statevector(g[0]).rho, outer)
     assert np.array_equal(from_statevector(g[:1]).rho, from_statevector(g[0]).rho)
     with pytest.raises(InvalidStateError, match="zero"):
         from_statevector(np.zeros((2, 3)))

@@ -11,8 +11,8 @@ catalog relations (relations.relation_sides):
     pro0, pro1 = lhs, rhs of R3   pro2 = rhs of NAIVE_PRO2
     sum0, sum1 = lhs, rhs of R5   sum2 = rhs of NAIVE_SUM2
 with <S_i> the estimates and the qubit moments of the Bloch vector 2 <S_i>
-(moments.bloch_moments), so variances are 1/4 - <S_i>^2. Standard errors
-propagate to first order treating the three per-axis estimates as independent.
+(moments.bloch_moments), so variances are 1/4 - <S_i>^2. Standard errors are
+first-order tangents of those sides, the three per-axis estimates independent.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .moments import bloch_moments
-from .relations import TAU, RelationId, relation_sides
+from .relations import RelationId, relation_sides
 from .rng import map_streams, stream
 from .states import Family, QuantumState, bloch_from_density, family_bloch
 
@@ -142,46 +142,64 @@ def exact_expectation(state: QuantumState, axis: Axis) -> EstimationResult:
     return EstimationResult(axis, _exact_estimate(r_i), 0.0, 0)
 
 
+class _Tangent(np.lib.mixins.NDArrayOperatorsMixin):
+    """A value and its first-order partials along seed directions (tan's axis 0), through the ufuncs of _PARTIALS.
+
+    Kinks take one side: |a|' is copysign(1, a), so +-1 at a = +-0, and a tie of maximum takes its first argument's."""
+
+    _PARTIALS = {  # ufunc: (out, *args) -> partial derivatives of out along its args
+        np.add: lambda out, a, b: (1.0, 1.0), np.subtract: lambda out, a, b: (1.0, -1.0),
+        np.multiply: lambda out, a, b: (b, a), np.true_divide: lambda out, a, b: (1.0 / b, -out / b),
+        np.absolute: lambda out, a: (np.copysign(1.0, a),), np.sqrt: lambda out, a: (0.5 / out,),
+        np.maximum: lambda out, a, b: (a >= b, a < b),
+    }
+
+    def __init__(self, val, tan):
+        self.val, self.tan = val, tan
+
+    def __getitem__(self, index):
+        return _Tangent(self.val[index], self.tan[:, index])
+
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        if method != "__call__" or kwargs or ufunc not in self._PARTIALS:
+            return NotImplemented
+        vals = [x.val if isinstance(x, _Tangent) else x for x in args]
+        out = ufunc(*vals)
+        parts = zip(self._PARTIALS[ufunc](out, *vals), args)
+        return _Tangent(out, sum(p * x.tan for p, x in parts if isinstance(x, _Tangent)))
+
+
 def _derive(params, ests, e: np.ndarray, sig: np.ndarray) -> list[SweepRow]:
     """Sweep rows with the six derived quantities of (3, n) estimate and stderr columns.
 
-    ests holds each row's (sx, sy, sz) EstimationResults. Near-singular
-    derivatives are flagged instead of extrapolated: when any
-    standard-deviation factor of pro0 is below PRO0_SINGULAR_TOL, or pro1 or
-    pro2 is below PRO12_SINGULAR_TOL, the row gets a `singular_*` flag and
-    the affected standard error is NaN (0 when all input errors are 0, since
-    then nothing propagates).
+    ests holds each row's (sx, sy, sz) EstimationResults. One pass of bloch_moments and relation_sides
+    on a _Tangent seeded along e_x, e_y, e_z gives each quantity and its partials p_i (one-sided at
+    kinks, see _Tangent), and its standard error is sqrt(sum_i (p_i sigma_i)^2). Near-singular
+    derivatives are flagged instead of extrapolated: when any standard-deviation factor of pro0 is
+    below PRO0_SINGULAR_TOL, or pro1 or pro2 is below PRO12_SINGULAR_TOL, the row gets a `singular_*`
+    flag and the affected standard error is NaN (0 when all input errors are 0, since then nothing
+    propagates).
     """
-    d, v, _, _, _ = bloch_moments(2.0 * e, reads=())
-    pro0, pro1 = relation_sides(RelationId.R3_TRIPLE_PRODUCT, d, v, e)
-    pro2 = relation_sides(RelationId.NAIVE_PRO2, d, v, e)[1]
-    sum0, sum1 = relation_sides(RelationId.R5_TRIPLE_SUM, d, v, e)
-    sum2 = relation_sides(RelationId.NAIVE_SUM2, d, v, e)[1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # masked where singular
+        x = _Tangent(e, np.eye(3)[:, :, None])
+        d, v, _, _, _ = bloch_moments(2.0 * x, reads=())
+        pro0, pro1 = relation_sides(RelationId.R3_TRIPLE_PRODUCT, d, v, x)
+        pro2 = relation_sides(RelationId.NAIVE_PRO2, d, v, x)[1]
+        sum0, sum1 = relation_sides(RelationId.R5_TRIPLE_SUM, d, v, x)
+        sum2 = relation_sides(RelationId.NAIVE_SUM2, d, v, x)[1]
+        sides = (pro0, pro1, pro2, sum0, sum1, sum2)
+        errs = [np.sqrt(t[0] + t[1] + t[2]) for t in ((side.tan * sig) ** 2 for side in sides)]
 
     unknown = np.where((sig == 0.0).all(axis=0), 0.0, np.nan)
     singular = (
-        (d < PRO0_SINGULAR_TOL).any(axis=0), pro1 < PRO12_SINGULAR_TOL, pro2 < PRO12_SINGULAR_TOL
+        (d.val < PRO0_SINGULAR_TOL).any(axis=0), pro1.val < PRO12_SINGULAR_TOL, pro2.val < PRO12_SINGULAR_TOL
     )
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # masked where singular
-        # d(pro0)/de_i = -e_i * pro0 / d_i^2
-        x = (e * sig / d**2) ** 2
-        pro0_err = np.where(singular[0], unknown, pro0 * np.sqrt(x[0] + x[1] + x[2]))
-        # d(pro)/de_i = pro / (2 e_i) for pro1 and pro2
-        x = (sig / e) ** 2
-        rel = np.sqrt(x[0] + x[1] + x[2])
-        pro1_err = np.where(singular[1], unknown, pro1 / 2.0 * rel)
-        pro2_err = np.where(singular[2], unknown, pro2 / 2.0 * rel)
-    x = (2.0 * e * sig) ** 2
-    sum0_err = np.sqrt(x[0] + x[1] + x[2])
-    x = sig**2
-    sig_quad = np.sqrt(x[0] + x[1] + x[2])
+    errs[:3] = [np.where(mask, unknown, err) for mask, err in zip(singular, errs)]
 
     tags = ("singular_pro0", "singular_pro1", "singular_pro2")
     hits = zip(*(m.tolist() for m in singular))
     flags = [tuple(t for t, hit in zip(tags, row) if hit) for row in hits]
-    pairs = ((pro0, pro0_err), (pro1, pro1_err), (pro2, pro2_err),
-             (sum0, sum0_err), (sum1, TAU / 2.0 * sig_quad), (sum2, sig_quad / 2.0))
-    derived = zip(*(map(Derived, val.tolist(), err.tolist()) for val, err in pairs))
+    derived = zip(*(map(Derived, val.tolist(), err.tolist()) for val, err in zip((s.val for s in sides), errs)))
     return [SweepRow(float(p), *est, *der, f) for p, est, der, f in zip(params, ests, derived, flags)]
 
 

@@ -164,13 +164,10 @@ def random_pure(dim: int, seed: int) -> QuantumState:
 
 
 def random_mixed(dim: int, seed: int) -> QuantumState:
-    """Hilbert-Schmidt random mixed state rho = G G^dag / tr(G G^dag)."""
+    """Hilbert-Schmidt random mixed state: the dim columns of one Haar-random unit vector of C^(dim^2)."""
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    rng = stream(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ g.conj().T
-    return QuantumState(m / np.trace(m).real)
+    return from_statevector(random_pure_vectors(dim * dim, 1, seed)[0].reshape(dim, dim))
 
 
 def _directions(n: int, rng) -> np.ndarray:

@@ -2,7 +2,8 @@
 every private module-level function is referenced somewhere in the package,
 only rng.py reaches numpy.random, only cli.py reads the process environment,
 only kernels.py starts threads, the prober scores states only through
-kernels (with one chart and one scorer), and the runtime imports no scipy."""
+kernels (with one chart and one scorer), the sweep takes only the relation
+table from relations, and the runtime imports no scipy."""
 
 import ast
 import subprocess
@@ -194,6 +195,33 @@ def test_checker_flags_moments_imports():
         "from . import kernels\nfrom .relations import evaluate\n"
     )
     assert moments_imports(source) == [f"line {n}" for n in (1, 2, 3)]
+
+
+def relations_names(source: str) -> list[str]:
+    """Names a module takes from the relations module: each name imported from it, or `relations` itself."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "relations":
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [alias.name for alias in node.names if alias.name == "relations"]
+        elif isinstance(node, ast.Import):
+            names += ["relations" for alias in node.names if alias.name.split(".")[-1] == "relations"]
+    return sorted(names)
+
+
+def test_checker_lists_relations_names():
+    source = (
+        "from .relations import TAU, relation_sides\nfrom . import relations, kernels\n"
+        "import triplespin.relations\nfrom .kernels import fold_chunks\n"
+    )
+    assert relations_names(source) == ["TAU", "relation_sides", "relations", "relations"]
+
+
+def test_sweep_takes_only_the_table_from_relations():
+    # the sweep's values and error bars both come from relation_sides: no constant or formula of its own
+    source = (PACKAGE / "measure_sim.py").read_text(encoding="utf-8")
+    assert relations_names(source) == ["RelationId", "relation_sides"]
 
 
 def test_prober_scores_only_through_kernels():

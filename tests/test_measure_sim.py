@@ -142,12 +142,14 @@ def test_delta_method_errors_match_finite_differences():
         return {
             "pro0": d[0] * d[1] * d[2],
             "pro1": math.sqrt(abs(TAU**3 * vals[0] * vals[1] * vals[2] / 8.0)),
+            "pro2": math.sqrt(abs(vals[0] * vals[1] * vals[2] / 8.0)),
             "sum0": float(np.sum(0.25 - vals**2)),
             "sum1": TAU / 2.0 * float(np.sum(np.abs(vals))),
+            "sum2": float(np.sum(np.abs(vals))) / 2.0,
         }
 
     h = 1e-7
-    grads = {k: np.zeros(3) for k in ("pro0", "pro1", "sum0", "sum1")}
+    grads = {k: np.zeros(3) for k in ("pro0", "pro1", "pro2", "sum0", "sum1", "sum2")}
     for i in range(3):
         up, dn = e.copy(), e.copy()
         up[i] += h
@@ -163,10 +165,20 @@ def test_delta_method_errors_match_finite_differences():
         EstimationResult(Axis.SY, e[1], sig[1], 1000),
         EstimationResult(Axis.SZ, e[2], sig[2], 1000),
     )
-    assert row.pro0.stderr == pytest.approx(expected["pro0"], rel=1e-5)
-    assert row.pro1.stderr == pytest.approx(expected["pro1"], rel=1e-5)
-    assert row.sum0.stderr == pytest.approx(expected["sum0"], rel=1e-5)
-    assert row.sum1.stderr == pytest.approx(expected["sum1"], rel=1e-5)
+    for k, err in expected.items():
+        assert getattr(row, k).stderr == pytest.approx(err, rel=1e-5), k
+
+
+@pytest.mark.parametrize("e", [(0.0, 0.2, 0.5), (-0.0, -0.3, -0.5), (0.5, -0.0, 0.0)])
+def test_errors_at_kinks_take_one_sided_derivatives(e):
+    # |<S_i>| has slope +-1 at <S_i> = +-0, and Var(S_i) = max(1/4 - <S_i>^2, 0) keeps the
+    # slope -2 <S_i> of its first branch at <S_i> = +-1/2; a zero slope would drop that axis
+    sig = np.array([2e-3, 1e-3, 3e-3])
+    row = propagate_derived(0.0, *(EstimationResult(ax, x, s, 1000) for ax, x, s in zip(Axis, e, sig)))
+    quad = math.sqrt(float(np.sum(sig**2)))
+    assert row.sum1.stderr == pytest.approx(TAU / 2.0 * quad, rel=1e-12)
+    assert row.sum2.stderr == pytest.approx(quad / 2.0, rel=1e-12)
+    assert row.sum0.stderr == pytest.approx(math.sqrt(float(np.sum((2.0 * np.array(e) * sig) ** 2))), rel=1e-12)
 
 
 def test_sweep_parameter_grids():

@@ -193,6 +193,12 @@ def test_random_mixed_bloch_fills_the_ball_uniformly(key):
     assert kstest(r**3, "uniform").pvalue > KS_ALPHA
 
 
+def test_random_mixed_fills_the_ball_uniformly():
+    # the qubit Hilbert-Schmidt law over seeds: r^3 ~ U(0, 1)
+    r = np.array([np.linalg.norm(bloch_from_density(random_mixed(2, seed))) for seed in range(5000)])
+    assert kstest(r**3, "uniform").pvalue > KS_ALPHA
+
+
 @pytest.mark.parametrize("key", [(), (1,), (1, 4)])
 def test_random_mixed_bloch_matches_matrix_route(key):
     # the G G^dag / tr route on an independent stream: radius and r_z agree in distribution

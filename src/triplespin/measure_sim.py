@@ -13,11 +13,18 @@ catalog relations (relations.relation_sides):
 with <S_i> the estimates and the qubit moments of the Bloch vector 2 <S_i>
 (moments.bloch_moments), so variances are 1/4 - <S_i>^2. Standard errors are
 first-order tangents of those sides, the three per-axis estimates independent.
+
+A sweep is columnar from the draws to the CSV: a Sweep holds (n,) parameters,
+(3, n) estimates and errors, (6, n) derived values and errors and (3, n)
+flags, rows_to_csv renders those arrays, and sweep[k] builds point k's
+SweepRow (with its EstimationResults and Deriveds) only when it is accessed.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +33,7 @@ from . import kernels
 from .moments import bloch_moments
 from .relations import RelationId, relation_sides
 from .rng import map_streams, stream
-from .states import Family, QuantumState, bloch_from_density, family_bloch
+from .states import BLOCH_NORM_TOL, Family, QuantumState, bloch_from_density, family_bloch
 
 #: A sweep point is singular for pro0 error propagation when any standard
 #: deviation factor is this close to zero, and for pro1/pro2 when the bound is.
@@ -85,6 +92,42 @@ class SweepRow:
     sum1: Derived
     sum2: Derived
     flags: tuple[str, ...]
+
+
+_FLAG_TAGS = ("singular_pro0", "singular_pro1", "singular_pro2")
+#: the flags of each code sum_j 2^j singular[j]
+_FLAG_SETS = [tuple(t for j, t in enumerate(_FLAG_TAGS) if code >> j & 1) for code in range(8)]
+
+
+@dataclass(frozen=True, eq=False)
+class Sweep(Sequence):
+    """Sweep points as columns, n of them; sweep[k] builds point k's SweepRow only when asked.
+
+    estimate and stderr hold <S_x>, <S_y>, <S_z> by row, value and error pro0, pro1, pro2,
+    sum0, sum1, sum2, and singular the singular_pro0, _pro1, _pro2 flags; shots is per axis.
+    """
+
+    parameter: np.ndarray  # (n,)
+    estimate: np.ndarray  # (3, n)
+    stderr: np.ndarray  # (3, n)
+    shots: tuple[int, int, int]
+    value: np.ndarray  # (6, n)
+    error: np.ndarray  # (6, n)
+    singular: np.ndarray  # (3, n) bool
+
+    def __len__(self) -> int:
+        return len(self.parameter)
+
+    def _flag_codes(self) -> list[int]:
+        """Each row's index into _FLAG_SETS."""
+        return (self.singular.T @ (1, 2, 4)).tolist()
+
+    def __getitem__(self, k: int) -> SweepRow:
+        k = range(len(self))[operator.index(k)]  # an int, in range as for a list
+        ests = map(EstimationResult, Axis, self.estimate[:, k].tolist(), self.stderr[:, k].tolist(), self.shots)
+        derived = map(Derived, self.value[:, k].tolist(), self.error[:, k].tolist())
+        flags = _FLAG_SETS[int(self.singular[:, k] @ (1, 2, 4))]
+        return SweepRow(float(self.parameter[k]), *ests, *derived, flags)
 
 
 def _count_plus(rng, r_i: float, shots: int, per_draw: bool) -> int:
@@ -169,16 +212,15 @@ class _Tangent(np.lib.mixins.NDArrayOperatorsMixin):
         return _Tangent(out, sum(p * x.tan for p, x in parts if isinstance(x, _Tangent)))
 
 
-def _derive(params, ests, e: np.ndarray, sig: np.ndarray) -> list[SweepRow]:
-    """Sweep rows with the six derived quantities of (3, n) estimate and stderr columns.
+def _derive(params, e: np.ndarray, sig: np.ndarray, shots) -> Sweep:
+    """The sweep of (3, n) estimate and stderr columns, with the six derived quantities.
 
-    ests holds each row's (sx, sy, sz) EstimationResults. One pass of bloch_moments and relation_sides
-    on a _Tangent seeded along e_x, e_y, e_z gives each quantity and its partials p_i (one-sided at
-    kinks, see _Tangent), and its standard error is sqrt(sum_i (p_i sigma_i)^2). Near-singular
-    derivatives are flagged instead of extrapolated: when any standard-deviation factor of pro0 is
-    below PRO0_SINGULAR_TOL, or pro1 or pro2 is below PRO12_SINGULAR_TOL, the row gets a `singular_*`
-    flag and the affected standard error is NaN (0 when all input errors are 0, since then nothing
-    propagates).
+    One pass of bloch_moments and relation_sides on a _Tangent seeded along e_x, e_y, e_z gives
+    each quantity and its partials p_i (one-sided at kinks, see _Tangent), and its standard error
+    is sqrt(sum_i (p_i sigma_i)^2). Near-singular derivatives are flagged instead of extrapolated:
+    when any standard-deviation factor of pro0 is below PRO0_SINGULAR_TOL, or pro1 or pro2 is below
+    PRO12_SINGULAR_TOL, the row gets a `singular_*` flag and the affected standard error is NaN (0
+    when all input errors are 0, since then nothing propagates).
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # masked where singular
         x = _Tangent(e, np.eye(3)[:, :, None])
@@ -188,19 +230,14 @@ def _derive(params, ests, e: np.ndarray, sig: np.ndarray) -> list[SweepRow]:
         sum0, sum1 = relation_sides(RelationId.R5_TRIPLE_SUM, d, v, x)
         sum2 = relation_sides(RelationId.NAIVE_SUM2, d, v, x)[1]
         sides = (pro0, pro1, pro2, sum0, sum1, sum2)
-        errs = [np.sqrt(t[0] + t[1] + t[2]) for t in ((side.tan * sig) ** 2 for side in sides)]
+        errs = np.array([np.sqrt(t[0] + t[1] + t[2]) for t in ((side.tan * sig) ** 2 for side in sides)])
 
+    singular = np.array([(d.val < PRO0_SINGULAR_TOL).any(axis=0), pro1.val < PRO12_SINGULAR_TOL,
+                         pro2.val < PRO12_SINGULAR_TOL])
     unknown = np.where((sig == 0.0).all(axis=0), 0.0, np.nan)
-    singular = (
-        (d.val < PRO0_SINGULAR_TOL).any(axis=0), pro1.val < PRO12_SINGULAR_TOL, pro2.val < PRO12_SINGULAR_TOL
-    )
-    errs[:3] = [np.where(mask, unknown, err) for mask, err in zip(singular, errs)]
-
-    tags = ("singular_pro0", "singular_pro1", "singular_pro2")
-    hits = zip(*(m.tolist() for m in singular))
-    flags = [tuple(t for t, hit in zip(tags, row) if hit) for row in hits]
-    derived = zip(*(map(Derived, val.tolist(), err.tolist()) for val, err in zip((s.val for s in sides), errs)))
-    return [SweepRow(float(p), *est, *der, f) for p, est, der, f in zip(params, ests, derived, flags)]
+    errs[:3] = np.where(singular, unknown, errs[:3])
+    values = np.array([side.val for side in sides])
+    return Sweep(np.asarray(params, dtype=float), e, sig, shots, values, errs, singular)
 
 
 def propagate_derived(
@@ -209,13 +246,21 @@ def propagate_derived(
     sy: EstimationResult,
     sz: EstimationResult,
 ) -> SweepRow:
-    """The six derived sweep quantities of one point with delta-method errors (see _derive)."""
+    """The six derived sweep quantities of one point with delta-method errors (see _derive).
+
+    Raises ValueError unless the estimates come one per axis in (SX, SY, SZ) order, each finite
+    with |2 <S_i>| <= 1 + BLOCH_NORM_TOL, and each standard error is finite and non-negative.
+    """
     ests = (sx, sy, sz)
     if tuple(x.axis for x in ests) != (Axis.SX, Axis.SY, Axis.SZ):
         raise ValueError("expected one estimate per axis in (SX, SY, SZ) order")
-    e = np.array([[x.estimate] for x in ests])
-    sig = np.array([[x.stderr] for x in ests])
-    return _derive([parameter], [ests], e, sig)[0]
+    e = np.array([[x.estimate] for x in ests], dtype=float)
+    sig = np.array([[x.stderr] for x in ests], dtype=float)
+    if not np.isfinite(e).all() or (np.abs(2.0 * e) > 1.0 + BLOCH_NORM_TOL).any():
+        raise ValueError(f"estimates must be finite with |<S_i>| <= 1/2, got {e.ravel().tolist()}")
+    if not (np.isfinite(sig) & (sig >= 0.0)).all():
+        raise ValueError(f"standard errors must be finite and >= 0, got {sig.ravel().tolist()}")
+    return _derive([parameter], e, sig, tuple(x.shots for x in ests))[0]
 
 
 def sweep_parameters(family: Family, n_points: int) -> np.ndarray:
@@ -229,10 +274,8 @@ def sweep_parameters(family: Family, n_points: int) -> np.ndarray:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _family_rows(
-    family: Family, params, cfg: ShotConfig | None, per_draw: bool = False
-) -> list[SweepRow]:
-    """Rows at the family's parameters, exact (cfg None) or from cfg.shots outcomes per axis.
+def _family_sweep(family: Family, params, cfg: ShotConfig | None, per_draw: bool = False) -> Sweep:
+    """The sweep at the family's parameters, exact (cfg None) or from cfg.shots outcomes per axis.
 
     Point k's axis i draws from stream (seed, k, i), one (point, axis) at a
     time and per-draw in blocks (_count_plus), so memory stays constant; the
@@ -240,25 +283,19 @@ def _family_rows(
     """
     r = family_bloch(family, params)
     if cfg is None:
-        e, sig, shots = _exact_estimate(r), np.zeros_like(r), 0
-    else:
-        r_flat = r.ravel().tolist()
-        # row (index, axis) of keys is entry axis * n + index of r_flat
-        keys = np.indices(r.shape)[::-1].reshape(2, -1).T
-        k = np.array(map_streams(
-            cfg.seed, keys, lambda rng, i: _count_plus(rng, r_flat[i], cfg.shots, per_draw)
-        )).reshape(r.shape)
-        (e, sig), shots = _shot_estimate(k, cfg.shots), cfg.shots
-    ests = zip(*(
-        [EstimationResult(ax, x, s, shots) for x, s in zip(e[ax.value].tolist(), sig[ax.value].tolist())]
-        for ax in Axis
-    ))
-    return _derive(params, ests, e, sig)
+        return _derive(params, _exact_estimate(r), np.zeros_like(r), (0, 0, 0))
+    r_flat = r.ravel().tolist()
+    # row (index, axis) of keys is entry axis * n + index of r_flat
+    keys = np.indices(r.shape)[::-1].reshape(2, -1).T
+    k = np.array(map_streams(
+        cfg.seed, keys, lambda rng, i: _count_plus(rng, r_flat[i], cfg.shots, per_draw)
+    )).reshape(r.shape)
+    return _derive(params, *_shot_estimate(k, cfg.shots), (cfg.shots,) * 3)
 
 
 def analytic_row(family: Family, parameter: float) -> SweepRow:
     """Exact sweep row (the solid/dashed theory curves) at one parameter."""
-    return _family_rows(family, [parameter], None)[0]
+    return _family_sweep(family, [parameter], None)[0]
 
 
 def run_sweep(
@@ -267,10 +304,10 @@ def run_sweep(
     cfg: ShotConfig,
     analytic_only: bool = False,
     per_draw: bool = False,
-) -> list[SweepRow]:
+) -> Sweep:
     """Sweep one state family, either analytically or with shot noise, as one batch."""
     params = sweep_parameters(family, n_points)
-    return _family_rows(family, params, None if analytic_only else cfg, per_draw)
+    return _family_sweep(family, params, None if analytic_only else cfg, per_draw)
 
 
 CSV_HEADER = (
@@ -279,15 +316,14 @@ CSV_HEADER = (
 )
 
 
-def rows_to_csv(rows: list[SweepRow]) -> str:
-    """Render sweep rows in the fixed CSV schema (12 significant digits)."""
-    lines = [CSV_HEADER]
-    for r in rows:
-        values = (
-            r.parameter,
-            r.sx.estimate, r.sx.stderr, r.sy.estimate, r.sy.stderr, r.sz.estimate, r.sz.stderr,
-            r.pro0.value, r.pro0.stderr, r.pro1.value, r.pro1.stderr, r.pro2.value,
-            r.sum0.value, r.sum0.stderr, r.sum1.value, r.sum1.stderr, r.sum2.value,
-        )
-        lines.append(",".join([*(format(x, ".12g") for x in values), ";".join(r.flags)]))
-    return "\n".join(lines) + "\n"
+def rows_to_csv(rows: Sweep) -> str:
+    """Render a sweep in the fixed CSV schema (12 significant digits), one row template per point."""
+    n = len(rows)
+    estimates = np.stack((rows.estimate, rows.stderr), axis=1).reshape(6, n)
+    # the derived (value, error) pairs, less pro2's and sum2's errors
+    derived = np.stack((rows.value, rows.error), axis=1).reshape(12, n)[[0, 1, 2, 3, 4, 6, 7, 8, 9, 10]]
+    table = np.concatenate((rows.parameter[None], estimates, derived))
+    flags = [";".join(f) for f in _FLAG_SETS]
+    row = "%.12g," * len(table) + "%s"
+    lines = [row % (*values, flags[code]) for values, code in zip(table.T.tolist(), rows._flag_codes())]
+    return "\n".join([CSV_HEADER, *lines]) + "\n"

@@ -9,7 +9,10 @@ folded one after another in one thread, so they pin the fold across chunks
 and blocks, whatever the thread count. The simulate CSVs were recorded while
 every shot-sweep stream was built by rng.stream, one per point and axis, and
 pin the batched key derivation (rng.map_streams) to it: binomial and per-draw
-counts, and a seed of two 32-bit words. The probe JSONs were recorded when
+counts, and a seed of two 32-bit words. They were recorded while
+measure_sim.rows_to_csv still formatted each field of per-row objects, so they
+also pin the columnar renderer that replaced it (one "%.12g" template per row
+over the Sweep's arrays). The probe JSONs were recorded when
 the lockstep L-BFGS search (then two objective calls an iteration on
 central differences) replaced Nelder-Mead: a pure spin-2 search, a mixed qubit
 search, a small conjecture scan and the R10 search whose first restart gap

@@ -4,12 +4,16 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from triplespin.cli import dispatch
 from triplespin.errors import InvalidStateError
 from triplespin.measure_sim import (
     CSV_HEADER,
     Axis,
+    Derived,
     EstimationResult,
     ShotConfig,
+    Sweep,
+    SweepRow,
     analytic_row,
     exact_expectation,
     propagate_derived,
@@ -132,6 +136,37 @@ def test_propagation_requires_axis_order():
         propagate_derived(0.0, good, good, exact_expectation(BALANCED, Axis.SZ))
 
 
+@pytest.mark.parametrize(
+    "e, sig",
+    [
+        ((0.6, 0.1, math.nan), (1e-3, 1e-3, 1e-3)),
+        ((0.1, math.inf, 0.2), (1e-3, 1e-3, 1e-3)),
+        ((0.1, 0.2, -math.inf), (0.0, 0.0, 0.0)),
+        ((0.6, 0.1, 0.2), (1e-3, 1e-3, 1e-3)),
+        ((0.1, -0.5 - 1e-9, 0.2), (0.0, 0.0, 0.0)),
+        ((0.1, 0.2, 0.3), (1e-3, -1e-3, 1e-3)),
+        ((0.1, 0.2, 0.3), (math.nan, 1e-3, 1e-3)),
+        ((0.1, 0.2, 0.3), (1e-3, 1e-3, math.inf)),
+    ],
+    ids=["nan-estimate", "inf-estimate", "minus-inf-estimate", "estimate-above-half",
+         "estimate-below-minus-half", "negative-stderr", "nan-stderr", "inf-stderr"],
+)
+def test_propagation_refuses_bad_estimates(e, sig):
+    with pytest.raises(ValueError):
+        propagate_derived(0.0, *(EstimationResult(ax, x, s, 1000) for ax, x, s in zip(Axis, e, sig)))
+
+
+def test_propagation_takes_shot_and_exact_estimates_at_the_ball_edge():
+    # a pole eigenstate reads +-1/2 with zero error; |2 <S_i>| may pass 1 by BLOCH_NORM_TOL
+    pole = density_from_bloch([0, 0, -1])
+    cfg = ShotConfig(shots=100, seed=0)
+    shot = propagate_derived(0.0, *(simulate_expectation(pole, ax, cfg) for ax in Axis))
+    exact = propagate_derived(0.0, *(exact_expectation(pole, ax) for ax in Axis))
+    assert shot.sz.estimate == exact.sz.estimate == -0.5
+    edge = propagate_derived(0.0, *(EstimationResult(ax, x, 0.0, 0) for ax, x in zip(Axis, (0.0, 0.0, 0.5 + 1e-13))))
+    assert edge.sz.estimate == 0.5 + 1e-13
+
+
 def test_delta_method_errors_match_finite_differences():
     # oracle: central finite differences of the derived maps
     e = np.array([0.21, -0.33, 0.12])
@@ -235,12 +270,17 @@ def test_estimator_spread_matches_binomial_prediction():
         assert abs(spread / predicted - 1.0) <= 0.2
 
 
+def _bits(row):
+    """A row's fields with each float as its hex digits, so equal means bit-identical."""
+    return tuple(x.hex() if isinstance(x, float) else x for x in astuple(row))
+
+
 def test_monte_carlo_rows_recompute_bit_exactly():
     cfg = ShotConfig(shots=20_000, seed=77)
     rows = run_sweep(Family.R1_LATITUDE, 6, cfg)
     for row in rows:
         again = propagate_derived(row.parameter, row.sx, row.sy, row.sz)
-        assert rows_to_csv([again]) == rows_to_csv([row])
+        assert _bits(again) == _bits(row)
 
 
 def test_csv_schema():
@@ -255,11 +295,61 @@ def test_csv_schema():
 
 
 def test_csv_significant_digits():
-    row = analytic_row(Family.R1_LATITUDE, 0.1)
-    body = rows_to_csv([row]).strip().split("\n")[1]
-    fields = body.split(",")
-    assert fields[1] == format(row.sx.estimate, ".12g")
+    rows = run_sweep(Family.R1_LATITUDE, 7, ShotConfig(shots=1, seed=0), analytic_only=True)
+    fields = rows_to_csv(rows).split("\n")[2].split(",")
+    assert fields[1] == format(rows[1].sx.estimate, ".12g")
     assert len(fields[1].replace("0.", "").replace("-", "")) <= 12
+
+
+def test_csv_renders_special_floats_as_format_does():
+    # every column takes every value once, one rotation per column; flag codes cycle through 0..7
+    specials = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e16, 1 / 3, -2.5e-17]
+    n = len(specials)
+    cols = np.array([np.roll(specials, j) for j in range(17 + 4)])
+    sweep = Sweep(
+        cols[0], cols[1:7:2], cols[2:7:2], (0, 0, 0), cols[7:13], cols[13:19],
+        (np.arange(n) >> np.arange(3)[:, None] & 1).astype(bool),
+    )
+    lines = rows_to_csv(sweep).split("\n")
+    assert lines[0] == CSV_HEADER and lines[-1] == "" and len(lines) == n + 2
+    for k, line in enumerate(lines[1:-1]):
+        row = sweep[k]
+        values = (
+            row.parameter, row.sx.estimate, row.sx.stderr, row.sy.estimate, row.sy.stderr, row.sz.estimate,
+            row.sz.stderr, row.pro0.value, row.pro0.stderr, row.pro1.value, row.pro1.stderr, row.pro2.value,
+            row.sum0.value, row.sum0.stderr, row.sum1.value, row.sum1.stderr, row.sum2.value,
+        )
+        assert line == ",".join([*(format(x, ".12g") for x in values), ";".join(row.flags)])
+        assert len(row.flags) == bin(k % 8).count("1")
+
+
+@pytest.mark.parametrize(
+    "argv, family, points, shots, seed, per_draw",
+    [
+        (["sweep", "--family", "r1", "--points", "360"], Family.R1_LATITUDE, 360, None, 0, False),
+        (["simulate", "--family", "r2", "--points", "181", "--seed", "7"], Family.R2_MERIDIAN, 181, 4_000_000, 7, False),
+        (
+            ["simulate", "--family", "r1", "--points", "34", "--shots", "10000", "--per-draw", "--seed", "6"],
+            Family.R1_LATITUDE, 34, 10_000, 6, True,
+        ),
+    ],
+    ids=["sweep", "simulate", "simulate-per-draw"],
+)
+def test_cli_sweeps_build_no_row_objects(monkeypatch, capsys, argv, family, points, shots, seed, per_draw):
+    assert dispatch(argv) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    for cls in (SweepRow, Derived, EstimationResult):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().out == expected
+    sweep = run_sweep(family, points, ShotConfig(shots=shots or 1, seed=seed), shots is None, per_draw)
+    assert len(sweep) == points
+    with pytest.raises(AssertionError, match="built a"):
+        sweep[0]
 
 
 def test_analytic_sweep_prints_no_negative_zero():

@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, kernels
-from .measure_sim import DEFAULT_SHOTS, ShotConfig, rows_to_csv, run_sweep
+from .measure_sim import DEFAULT_SHOTS, ShotConfig, rows_to_csv, run_sweep, sweep_parameters
 from .prober import ProbeConfig, is_counterexample, min_gap, scan_conjecture
 from .relations import (
     ALIASES,
@@ -177,19 +177,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    rows = run_sweep(
-        Family(args.family),
-        args.points,
-        ShotConfig(shots=1, seed=0),
-        analytic_only=True,
-    )
-    _write_output(rows_to_csv(rows), args)
+    family = Family(args.family)
+    _write_output(rows_to_csv(run_sweep(family, sweep_parameters(family, args.points))), args)
     return 0
 
 
 def _cmd_simulate(args) -> int:
+    family = Family(args.family)
     cfg = ShotConfig(shots=args.shots, seed=args.seed)
-    rows = run_sweep(Family(args.family), args.points, cfg, per_draw=args.per_draw)
+    rows = run_sweep(family, sweep_parameters(family, args.points), cfg, per_draw=args.per_draw)
     _write_output(rows_to_csv(rows), args)
     return 0
 

@@ -14,17 +14,15 @@ with <S_i> the estimates and the qubit moments of the Bloch vector 2 <S_i>
 (moments.bloch_moments), so variances are 1/4 - <S_i>^2. Standard errors are
 first-order tangents of those sides, the three per-axis estimates independent.
 
-A sweep is columnar from the draws to the CSV: a Sweep holds (n,) parameters,
-(3, n) estimates and errors, (6, n) derived values and errors and (3, n)
-flags, rows_to_csv renders those arrays, and sweep[k] builds point k's
-SweepRow (with its EstimationResults and Deriveds) only when it is accessed.
+A sweep is its columns from the draws to the CSV: a Sweep holds (n,)
+parameters, (3, n) estimates and errors, (6, n) derived values and errors and
+(3, n) flags. run_sweep makes one from a family's states, exact or with shot
+noise, propagate_derived from estimates made elsewhere, and rows_to_csv
+renders its arrays.
 """
 
 from __future__ import annotations
 
-import enum
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +30,8 @@ import numpy as np
 from . import kernels
 from .moments import bloch_moments
 from .relations import RelationId, relation_sides
-from .rng import map_streams, stream
-from .states import BLOCH_NORM_TOL, Family, QuantumState, bloch_from_density, family_bloch
+from .rng import map_streams
+from .states import BLOCH_NORM_TOL, Family, family_bloch
 
 #: A sweep point is singular for pro0 error propagation when any standard
 #: deviation factor is this close to zero, and for pro1/pro2 when the bound is.
@@ -41,12 +39,6 @@ PRO0_SINGULAR_TOL = 1e-6
 PRO12_SINGULAR_TOL = 1e-12
 
 DEFAULT_SHOTS = 4_000_000
-
-
-class Axis(enum.Enum):
-    SX = 0
-    SY = 1
-    SZ = 2
 
 
 @dataclass(frozen=True)
@@ -61,73 +53,28 @@ class ShotConfig:
             raise ValueError(f"shots must fit numpy's int64, got {self.shots}")
 
 
-@dataclass(frozen=True)
-class EstimationResult:
-    """Monte Carlo estimate of one spin-component expectation."""
-
-    axis: Axis
-    estimate: float
-    stderr: float
-    shots: int
-
-
-@dataclass(frozen=True)
-class Derived:
-    value: float
-    stderr: float
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One sweep point: per-axis estimates plus the derived products and sums."""
-
-    parameter: float
-    sx: EstimationResult
-    sy: EstimationResult
-    sz: EstimationResult
-    pro0: Derived
-    pro1: Derived
-    pro2: Derived
-    sum0: Derived
-    sum1: Derived
-    sum2: Derived
-    flags: tuple[str, ...]
-
-
 _FLAG_TAGS = ("singular_pro0", "singular_pro1", "singular_pro2")
-#: the flags of each code sum_j 2^j singular[j]
-_FLAG_SETS = [tuple(t for j, t in enumerate(_FLAG_TAGS) if code >> j & 1) for code in range(8)]
+#: the CSV flags field of each code sum_j 2^j singular[j]
+_FLAGS = [";".join(t for j, t in enumerate(_FLAG_TAGS) if code >> j & 1) for code in range(8)]
 
 
 @dataclass(frozen=True, eq=False)
-class Sweep(Sequence):
-    """Sweep points as columns, n of them; sweep[k] builds point k's SweepRow only when asked.
+class Sweep:
+    """A sweep's n points as columns.
 
     estimate and stderr hold <S_x>, <S_y>, <S_z> by row, value and error pro0, pro1, pro2,
-    sum0, sum1, sum2, and singular the singular_pro0, _pro1, _pro2 flags; shots is per axis.
+    sum0, sum1, sum2, and singular the singular_pro0, _pro1, _pro2 flags.
     """
 
     parameter: np.ndarray  # (n,)
     estimate: np.ndarray  # (3, n)
     stderr: np.ndarray  # (3, n)
-    shots: tuple[int, int, int]
     value: np.ndarray  # (6, n)
     error: np.ndarray  # (6, n)
     singular: np.ndarray  # (3, n) bool
 
     def __len__(self) -> int:
         return len(self.parameter)
-
-    def _flag_codes(self) -> list[int]:
-        """Each row's index into _FLAG_SETS."""
-        return (self.singular.T @ (1, 2, 4)).tolist()
-
-    def __getitem__(self, k: int) -> SweepRow:
-        k = range(len(self))[operator.index(k)]  # an int, in range as for a list
-        ests = map(EstimationResult, Axis, self.estimate[:, k].tolist(), self.stderr[:, k].tolist(), self.shots)
-        derived = map(Derived, self.value[:, k].tolist(), self.error[:, k].tolist())
-        flags = _FLAG_SETS[int(self.singular[:, k] @ (1, 2, 4))]
-        return SweepRow(float(self.parameter[k]), *ests, *derived, flags)
 
 
 def _count_plus(rng, r_i: float, shots: int, per_draw: bool) -> int:
@@ -152,37 +99,6 @@ def _shot_estimate(k, shots: int):
     estimate = k / shots - 0.5
     # outcomes are +-1/2, so the sample variance is exactly 1/4 - mean^2
     return estimate, np.sqrt(np.maximum(0.25 - estimate * estimate, 0.0) / shots)
-
-
-def _exact_estimate(r):
-    # + 0.0 turns a -0.0 component into 0.0
-    return r / 2.0 + 0.0
-
-
-def simulate_expectation(
-    state: QuantumState,
-    axis: Axis,
-    cfg: ShotConfig,
-    index: int = 0,
-    per_draw: bool = False,
-) -> EstimationResult:
-    """Sample `shots` outcomes of one spin component and average them.
-
-    Outcomes are +-1/2, the + outcome with probability (1 + r_i)/2 for the
-    Bloch component r_i; a state that is not a qubit raises
-    DimensionMismatchError. The stream is keyed by (seed, index, axis) so
-    sweep points can run in any order or in parallel without changing results.
-    """
-    r_i = float(bloch_from_density(state)[axis.value])
-    k = _count_plus(stream(cfg.seed, index, axis.value), r_i, cfg.shots, per_draw)
-    estimate, stderr = _shot_estimate(k, cfg.shots)
-    return EstimationResult(axis, estimate, float(stderr), cfg.shots)
-
-
-def exact_expectation(state: QuantumState, axis: Axis) -> EstimationResult:
-    """Analytic counterpart of simulate_expectation (zero standard error)."""
-    r_i = float(bloch_from_density(state)[axis.value])
-    return EstimationResult(axis, _exact_estimate(r_i), 0.0, 0)
 
 
 class _Tangent(np.lib.mixins.NDArrayOperatorsMixin):
@@ -212,7 +128,7 @@ class _Tangent(np.lib.mixins.NDArrayOperatorsMixin):
         return _Tangent(out, sum(p * x.tan for p, x in parts if isinstance(x, _Tangent)))
 
 
-def _derive(params, e: np.ndarray, sig: np.ndarray, shots) -> Sweep:
+def _derive(params: np.ndarray, e: np.ndarray, sig: np.ndarray) -> Sweep:
     """The sweep of (3, n) estimate and stderr columns, with the six derived quantities.
 
     One pass of bloch_moments and relation_sides on a _Tangent seeded along e_x, e_y, e_z gives
@@ -237,30 +153,25 @@ def _derive(params, e: np.ndarray, sig: np.ndarray, shots) -> Sweep:
     unknown = np.where((sig == 0.0).all(axis=0), 0.0, np.nan)
     errs[:3] = np.where(singular, unknown, errs[:3])
     values = np.array([side.val for side in sides])
-    return Sweep(np.asarray(params, dtype=float), e, sig, shots, values, errs, singular)
+    return Sweep(params, e, sig, values, errs, singular)
 
 
-def propagate_derived(
-    parameter: float,
-    sx: EstimationResult,
-    sy: EstimationResult,
-    sz: EstimationResult,
-) -> SweepRow:
-    """The six derived sweep quantities of one point with delta-method errors (see _derive).
+def propagate_derived(params, estimate, stderr) -> Sweep:
+    """The sweep of (n,) parameters and (3, n) <S_i> estimate and standard-error columns (see _derive).
 
-    Raises ValueError unless the estimates come one per axis in (SX, SY, SZ) order, each finite
-    with |2 <S_i>| <= 1 + BLOCH_NORM_TOL, and each standard error is finite and non-negative.
+    Raises ValueError unless the shapes match, every estimate is finite with
+    |2 <S_i>| <= 1 + BLOCH_NORM_TOL, and every standard error is finite and non-negative.
     """
-    ests = (sx, sy, sz)
-    if tuple(x.axis for x in ests) != (Axis.SX, Axis.SY, Axis.SZ):
-        raise ValueError("expected one estimate per axis in (SX, SY, SZ) order")
-    e = np.array([[x.estimate] for x in ests], dtype=float)
-    sig = np.array([[x.stderr] for x in ests], dtype=float)
+    params = np.asarray(params, dtype=float)
+    e = np.asarray(estimate, dtype=float)
+    sig = np.asarray(stderr, dtype=float)
+    if params.ndim != 1 or e.shape != (3, len(params)) or sig.shape != e.shape:
+        raise ValueError(f"expected (n,) parameters and (3, n) columns, got {params.shape} {e.shape} {sig.shape}")
     if not np.isfinite(e).all() or (np.abs(2.0 * e) > 1.0 + BLOCH_NORM_TOL).any():
-        raise ValueError(f"estimates must be finite with |<S_i>| <= 1/2, got {e.ravel().tolist()}")
+        raise ValueError(f"estimates must be finite with |<S_i>| <= 1/2, got {e.tolist()}")
     if not (np.isfinite(sig) & (sig >= 0.0)).all():
-        raise ValueError(f"standard errors must be finite and >= 0, got {sig.ravel().tolist()}")
-    return _derive([parameter], e, sig, tuple(x.shots for x in ests))[0]
+        raise ValueError(f"standard errors must be finite and >= 0, got {sig.tolist()}")
+    return _derive(params, e, sig)
 
 
 def sweep_parameters(family: Family, n_points: int) -> np.ndarray:
@@ -274,40 +185,29 @@ def sweep_parameters(family: Family, n_points: int) -> np.ndarray:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _family_sweep(family: Family, params, cfg: ShotConfig | None, per_draw: bool = False) -> Sweep:
-    """The sweep at the family's parameters, exact (cfg None) or from cfg.shots outcomes per axis.
+def run_sweep(family: Family, params, cfg: ShotConfig | None = None, per_draw: bool = False) -> Sweep:
+    """The family's sweep at (n,) parameters, exact (cfg None) or from cfg.shots outcomes per axis.
 
-    Point k's axis i draws from stream (seed, k, i), one (point, axis) at a
-    time and per-draw in blocks (_count_plus), so memory stays constant; the
-    streams' Philox keys are derived in one pass (rng.map_streams).
+    Raises ValueError unless params is 1-D; a non-finite parameter makes
+    family_bloch raise InvalidStateError. Point k's axis i draws from stream
+    (seed, k, i), one (point, axis) at a time and per-draw in blocks
+    (_count_plus), so memory stays constant; the streams' Philox keys are
+    derived in one pass (rng.map_streams).
     """
+    params = np.asarray(params, dtype=float)
+    if params.ndim != 1:
+        raise ValueError(f"sweep parameters must be a 1-D array, got shape {params.shape}")
     r = family_bloch(family, params)
     if cfg is None:
-        return _derive(params, _exact_estimate(r), np.zeros_like(r), (0, 0, 0))
+        # + 0.0 turns a -0.0 component into 0.0
+        return _derive(params, r / 2.0 + 0.0, np.zeros_like(r))
     r_flat = r.ravel().tolist()
     # row (index, axis) of keys is entry axis * n + index of r_flat
     keys = np.indices(r.shape)[::-1].reshape(2, -1).T
     k = np.array(map_streams(
         cfg.seed, keys, lambda rng, i: _count_plus(rng, r_flat[i], cfg.shots, per_draw)
     )).reshape(r.shape)
-    return _derive(params, *_shot_estimate(k, cfg.shots), (cfg.shots,) * 3)
-
-
-def analytic_row(family: Family, parameter: float) -> SweepRow:
-    """Exact sweep row (the solid/dashed theory curves) at one parameter."""
-    return _family_sweep(family, [parameter], None)[0]
-
-
-def run_sweep(
-    family: Family,
-    n_points: int,
-    cfg: ShotConfig,
-    analytic_only: bool = False,
-    per_draw: bool = False,
-) -> Sweep:
-    """Sweep one state family, either analytically or with shot noise, as one batch."""
-    params = sweep_parameters(family, n_points)
-    return _family_sweep(family, params, None if analytic_only else cfg, per_draw)
+    return _derive(params, *_shot_estimate(k, cfg.shots))
 
 
 CSV_HEADER = (
@@ -316,14 +216,14 @@ CSV_HEADER = (
 )
 
 
-def rows_to_csv(rows: Sweep) -> str:
+def rows_to_csv(sweep: Sweep) -> str:
     """Render a sweep in the fixed CSV schema (12 significant digits), one row template per point."""
-    n = len(rows)
-    estimates = np.stack((rows.estimate, rows.stderr), axis=1).reshape(6, n)
+    n = len(sweep)
+    estimates = np.stack((sweep.estimate, sweep.stderr), axis=1).reshape(6, n)
     # the derived (value, error) pairs, less pro2's and sum2's errors
-    derived = np.stack((rows.value, rows.error), axis=1).reshape(12, n)[[0, 1, 2, 3, 4, 6, 7, 8, 9, 10]]
-    table = np.concatenate((rows.parameter[None], estimates, derived))
-    flags = [";".join(f) for f in _FLAG_SETS]
+    derived = np.stack((sweep.value, sweep.error), axis=1).reshape(12, n)[[0, 1, 2, 3, 4, 6, 7, 8, 9, 10]]
+    table = np.concatenate((sweep.parameter[None], estimates, derived))
+    codes = (sweep.singular.T @ (1, 2, 4)).tolist()
     row = "%.12g," * len(table) + "%s"
-    lines = [row % (*values, flags[code]) for values, code in zip(table.T.tolist(), rows._flag_codes())]
+    lines = [row % (*values, _FLAGS[code]) for values, code in zip(table.T.tolist(), codes)]
     return "\n".join([CSV_HEADER, *lines]) + "\n"

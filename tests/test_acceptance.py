@@ -13,14 +13,7 @@ import pytest
 
 from triplespin import kernels
 from triplespin.cli import dispatch, replay
-from triplespin.measure_sim import (
-    Axis,
-    ShotConfig,
-    analytic_row,
-    exact_expectation,
-    run_sweep,
-    simulate_expectation,
-)
+from triplespin.measure_sim import ShotConfig, run_sweep, sweep_parameters
 from triplespin.moments import expectation, variance
 from triplespin.prober import ProbeConfig, is_counterexample, min_gap, min_variance_sum, scan_conjecture
 from triplespin.relations import TAU, RelationId, evaluate, soak_qubit
@@ -94,64 +87,58 @@ def test_c03_saturation_suite():
 
 def test_c04_latitude_sweep_reproduction():
     with criterion(4, "latitude sweep: dominance, saturation points, tau^(3/2) ratio"):
-        rows = run_sweep(Family.R1_LATITUDE, 360, ShotConfig(shots=1, seed=0), analytic_only=True)
-        assert len(rows) == 360
-        for row in rows:
-            assert row.pro0.value - row.pro1.value >= -1e-12
-            assert row.pro1.value - row.pro2.value >= -1e-12
-            assert row.sum0.value - row.sum1.value >= -1e-12
-            assert row.sum1.value - row.sum2.value >= -1e-12
-            if row.pro2.value > 1e-15:
-                assert abs(row.pro1.value / row.pro2.value - TAU**1.5) <= 1e-12
-        for k in (45, 135, 225, 315):  # phi = pi/4 + j pi/2 on the 360-point grid
-            row = rows[k]
-            assert abs(row.sum0.value - 0.5) <= 1e-12
-            assert abs(row.sum1.value - 0.5) <= 1e-12
-            assert abs(row.pro0.value - 6.0**-1.5) <= 1e-12
-            assert abs(row.pro1.value - 6.0**-1.5) <= 1e-12
+        sweep = run_sweep(Family.R1_LATITUDE, sweep_parameters(Family.R1_LATITUDE, 360))
+        assert len(sweep) == 360
+        pro0, pro1, pro2, sum0, sum1, sum2 = sweep.value
+        assert (pro0 - pro1).min() >= -1e-12
+        assert (pro1 - pro2).min() >= -1e-12
+        assert (sum0 - sum1).min() >= -1e-12
+        assert (sum1 - sum2).min() >= -1e-12
+        nonzero = pro2 > 1e-15
+        assert np.abs(pro1[nonzero] / pro2[nonzero] - TAU**1.5).max(initial=0.0) <= 1e-12
+        k = [45, 135, 225, 315]  # phi = pi/4 + j pi/2 on the 360-point grid
+        assert np.abs(sum0[k] - 0.5).max() <= 1e-12
+        assert np.abs(sum1[k] - 0.5).max() <= 1e-12
+        assert np.abs(pro0[k] - 6.0**-1.5).max() <= 1e-12
+        assert np.abs(pro1[k] - 6.0**-1.5).max() <= 1e-12
 
 
 def test_c05_meridian_sweep_reproduction():
     with criterion(5, "meridian sweep: dominance, equality point, endpoints"):
-        rows = run_sweep(Family.R2_MERIDIAN, 361, ShotConfig(shots=1, seed=0), analytic_only=True)
-        assert len(rows) == 361
-        for row in rows:
-            assert row.pro0.value - row.pro1.value >= -1e-12
-            assert row.pro1.value - row.pro2.value >= -1e-12
-            assert row.sum0.value - row.sum1.value >= -1e-12
-            assert row.sum1.value - row.sum2.value >= -1e-12
-        equal_point = analytic_row(Family.R2_MERIDIAN, math.atan(math.sqrt(2.0)))
-        assert abs(equal_point.sum0.value - equal_point.sum1.value) <= 1e-12
-        for row in (rows[0], rows[-1]):  # theta = 0 and pi
-            assert abs(row.pro0.value) <= 1e-12
-            assert abs(row.pro1.value) <= 1e-12
+        sweep = run_sweep(Family.R2_MERIDIAN, sweep_parameters(Family.R2_MERIDIAN, 361))
+        assert len(sweep) == 361
+        pro0, pro1, pro2, sum0, sum1, sum2 = sweep.value
+        assert (pro0 - pro1).min() >= -1e-12
+        assert (pro1 - pro2).min() >= -1e-12
+        assert (sum0 - sum1).min() >= -1e-12
+        assert (sum1 - sum2).min() >= -1e-12
+        equal_point = run_sweep(Family.R2_MERIDIAN, [math.atan(math.sqrt(2.0))]).value[:, 0]
+        assert abs(equal_point[3] - equal_point[4]) <= 1e-12  # sum0 = sum1
+        ends = [0, -1]  # theta = 0 and pi
+        assert np.abs(pro0[ends]).max() <= 1e-12
+        assert np.abs(pro1[ends]).max() <= 1e-12
 
 
 def test_c06_monte_carlo_fidelity():
     with criterion(6, "shot-noise fidelity at 4e6 and 1e4 shots"):
         start = time.perf_counter()
-        state = density_from_bloch([1 / SQ3, 1 / SQ3, 1 / SQ3])
-        exact = {ax: exact_expectation(state, ax).estimate for ax in Axis}
+        # the latitude family at pi/4 is the balanced state, Bloch vector (1, 1, 1)/sqrt 3;
+        # seed s draws its axis i from stream (s, 0, i)
+        balanced = (Family.R1_LATITUDE, [math.pi / 4])
+        exact = run_sweep(*balanced).estimate
 
         hits = 0
         total = 0
         for seed in range(1000):
-            cfg = ShotConfig(shots=4_000_000, seed=seed)
-            for ax in Axis:
-                est = simulate_expectation(state, ax, cfg)
-                total += 1
-                if abs(est.estimate - exact[ax]) <= 5 * est.stderr:
-                    hits += 1
+            est = run_sweep(*balanced, ShotConfig(shots=4_000_000, seed=seed))
+            total += 3
+            hits += int(np.count_nonzero(np.abs(est.estimate - exact) <= 5 * est.stderr))
         assert hits / total >= 0.99
 
-        for ax in Axis:
-            estimates = [
-                simulate_expectation(state, ax, ShotConfig(shots=10_000, seed=s)).estimate
-                for s in range(30)
-            ]
-            spread = float(np.std(estimates, ddof=1))
-            predicted = math.sqrt((0.25 - exact[ax] ** 2) / 10_000)
-            assert abs(spread / predicted - 1.0) <= 0.2
+        estimates = np.hstack([run_sweep(*balanced, ShotConfig(shots=10_000, seed=s)).estimate for s in range(30)])
+        spread = np.std(estimates, axis=1, ddof=1)
+        predicted = np.sqrt((0.25 - exact[:, 0] ** 2) / 10_000)
+        assert (np.abs(spread / predicted - 1.0) <= 0.2).all()
         assert time.perf_counter() - start < 60.0
 
 

@@ -3,7 +3,8 @@ every private module-level function is referenced somewhere in the package,
 only rng.py reaches numpy.random, only cli.py reads the process environment,
 only kernels.py starts threads, the prober scores states only through
 kernels (with one chart and one scorer), the sweep takes only the relation
-table from relations, and the runtime imports no scipy."""
+table from relations, builds no state and draws through one stream route,
+and the runtime imports no scipy."""
 
 import ast
 import subprocess
@@ -197,16 +198,16 @@ def test_checker_flags_moments_imports():
     assert moments_imports(source) == [f"line {n}" for n in (1, 2, 3)]
 
 
-def relations_names(source: str) -> list[str]:
-    """Names a module takes from the relations module: each name imported from it, or `relations` itself."""
+def module_names(source: str, module: str) -> list[str]:
+    """Names a source takes from a package module: each name imported from it, or the module itself."""
     names = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "relations":
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
             names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            names += [alias.name for alias in node.names if alias.name == "relations"]
+            names += [alias.name for alias in node.names if alias.name == module]
         elif isinstance(node, ast.Import):
-            names += ["relations" for alias in node.names if alias.name.split(".")[-1] == "relations"]
+            names += [module for alias in node.names if alias.name.split(".")[-1] == module]
     return sorted(names)
 
 
@@ -215,13 +216,21 @@ def test_checker_lists_relations_names():
         "from .relations import TAU, relation_sides\nfrom . import relations, kernels\n"
         "import triplespin.relations\nfrom .kernels import fold_chunks\n"
     )
-    assert relations_names(source) == ["TAU", "relation_sides", "relations", "relations"]
+    assert module_names(source, "relations") == ["TAU", "relation_sides", "relations", "relations"]
 
 
 def test_sweep_takes_only_the_table_from_relations():
     # the sweep's values and error bars both come from relation_sides: no constant or formula of its own
     source = (PACKAGE / "measure_sim.py").read_text(encoding="utf-8")
-    assert relations_names(source) == ["RelationId", "relation_sides"]
+    assert module_names(source, "relations") == ["RelationId", "relation_sides"]
+
+
+def test_sweep_builds_no_state_and_draws_by_one_route():
+    # Bloch columns come straight from family_bloch, with no density matrix, and every
+    # (point, axis) stream from rng.map_streams
+    source = (PACKAGE / "measure_sim.py").read_text(encoding="utf-8")
+    assert module_names(source, "states") == ["BLOCH_NORM_TOL", "Family", "family_bloch"]
+    assert module_names(source, "rng") == ["map_streams"]
 
 
 def test_prober_scores_only_through_kernels():

@@ -1,139 +1,121 @@
 import math
-from dataclasses import astuple
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from triplespin.cli import dispatch
 from triplespin.errors import InvalidStateError
 from triplespin.measure_sim import (
     CSV_HEADER,
-    Axis,
-    Derived,
-    EstimationResult,
     ShotConfig,
     Sweep,
-    SweepRow,
-    analytic_row,
-    exact_expectation,
     propagate_derived,
     rows_to_csv,
     run_sweep,
-    simulate_expectation,
     sweep_parameters,
 )
 from triplespin.relations import TAU
-from triplespin.states import Family, density_from_bloch, family_point
+from triplespin.rng import stream
+from triplespin.states import Family, bloch_from_density, density_from_bloch, family_point
 
 SQ3 = math.sqrt(3.0)
-BALANCED = density_from_bloch([1 / SQ3, 1 / SQ3, 1 / SQ3])
+#: the latitude family's state at pi/4 has Bloch vector (1, 1, 1)/sqrt 3
+BALANCED = (Family.R1_LATITUDE, [math.pi / 4])
+#: the meridian family's poles, Bloch vectors (0, 0, 1) and (0, 0, -1)
+NORTH, SOUTH = (Family.R2_MERIDIAN, [0.0]), (Family.R2_MERIDIAN, [math.pi])
+
+
+def _bits(sweep):
+    """A sweep's arrays as bytes, so equal means bit-identical (-0.0 and each NaN included)."""
+    return tuple(getattr(sweep, f.name).tobytes() for f in fields(sweep))
+
+
+def _propagate(e, sig):
+    """The one-point sweep of estimates e and standard errors sig, each three numbers."""
+    return propagate_derived([0.0], np.reshape(e, (3, 1)), np.reshape(sig, (3, 1)))
 
 
 def test_eigenstate_measurement_is_noiseless():
-    est = simulate_expectation(density_from_bloch([0, 0, 1]), Axis.SZ, ShotConfig(shots=1000, seed=0))
-    assert est.estimate == 0.5
-    assert est.stderr == 0.0
-
-
-def test_simulation_requires_qubit():
-    from triplespin.errors import DimensionMismatchError
-    from triplespin.states import random_pure
-
-    with pytest.raises(DimensionMismatchError):
-        simulate_expectation(random_pure(3, 0), Axis.SZ, ShotConfig(shots=10, seed=0))
+    for point, sz in ((NORTH, 0.5), (SOUTH, -0.5)):
+        s = run_sweep(*point, ShotConfig(shots=1000, seed=0))
+        assert s.estimate[2, 0] == sz
+        assert s.stderr[2, 0] == 0.0
 
 
 def test_fair_coin_statistics_at_experiment_scale():
-    # binomial oracle: a fair +-1/2 coin at 4e6 shots has stderr 0.5/sqrt(4e6)
-    cfg = ShotConfig(shots=4_000_000, seed=42)
-    est = simulate_expectation(density_from_bloch([1, 0, 0]), Axis.SZ, cfg)
-    assert est.stderr == pytest.approx(0.5 / math.sqrt(4e6), rel=0.02)
-    assert abs(est.estimate) <= 5 * est.stderr
+    # binomial oracle: a fair +-1/2 coin at 4e6 shots has stderr 0.5/sqrt(4e6); the meridian's
+    # theta = pi/2 state has r_z = 0 up to rounding
+    s = run_sweep(Family.R2_MERIDIAN, [math.pi / 2], ShotConfig(shots=4_000_000, seed=42))
+    assert s.stderr[2, 0] == pytest.approx(0.5 / math.sqrt(4e6), rel=0.02)
+    assert abs(s.estimate[2, 0]) <= 5 * s.stderr[2, 0]
 
 
 def test_simulation_is_deterministic():
     cfg = ShotConfig(shots=10_000, seed=9)
-    st = density_from_bloch([0.3, -0.2, 0.4])
-    a = simulate_expectation(st, Axis.SX, cfg, index=4)
-    b = simulate_expectation(st, Axis.SX, cfg, index=4)
-    assert a == b
-    c = simulate_expectation(st, Axis.SX, cfg, index=5)
-    assert a != c
+    params = [0.7, 0.7]  # one state twice: points 0 and 1 draw from different streams
+    a = run_sweep(Family.R1_LATITUDE, params, cfg)
+    b = run_sweep(Family.R1_LATITUDE, params, cfg)
+    assert _bits(a) == _bits(b)
+    assert (a.estimate[:, 0] != a.estimate[:, 1]).any()
 
 
 def test_per_draw_mode_matches_distribution():
     cfg = ShotConfig(shots=50_000, seed=13)
-    st = density_from_bloch([0, 0, 0.6])
-    a = simulate_expectation(st, Axis.SZ, cfg, per_draw=True)
-    b = simulate_expectation(st, Axis.SZ, cfg, per_draw=True)
-    assert a == b
-    assert abs(a.estimate - 0.3) <= 5 * a.stderr
-
-
-def _exact_row(state):
-    return propagate_derived(
-        0.0,
-        exact_expectation(state, Axis.SX),
-        exact_expectation(state, Axis.SY),
-        exact_expectation(state, Axis.SZ),
-    )
+    params = [math.acos(0.6)]  # r_z = 0.6
+    a = run_sweep(Family.R2_MERIDIAN, params, cfg, per_draw=True)
+    b = run_sweep(Family.R2_MERIDIAN, params, cfg, per_draw=True)
+    assert _bits(a) == _bits(b)
+    assert abs(a.estimate[2, 0] - 0.3) <= 5 * a.stderr[2, 0]
 
 
 def test_derived_quantities_on_balanced_state():
-    row = _exact_row(BALANCED)
-    assert row.pro0.value == pytest.approx(6.0**-1.5, abs=1e-12)
-    assert row.pro1.value == pytest.approx(6.0**-1.5, abs=1e-12)
-    assert row.sum0.value == pytest.approx(0.5, abs=1e-12)
-    assert row.sum1.value == pytest.approx(0.5, abs=1e-12)
-    for derived in (row.pro0, row.pro1, row.pro2, row.sum0, row.sum1, row.sum2):
-        assert derived.stderr == 0.0
-    assert row.flags == ()
+    s = run_sweep(*BALANCED)
+    pro0, pro1, _, sum0, sum1, _ = s.value[:, 0]
+    assert pro0 == pytest.approx(6.0**-1.5, abs=1e-12)
+    assert pro1 == pytest.approx(6.0**-1.5, abs=1e-12)
+    assert sum0 == pytest.approx(0.5, abs=1e-12)
+    assert sum1 == pytest.approx(0.5, abs=1e-12)
+    assert (s.error == 0.0).all()
+    assert not s.singular.any()
 
 
 def test_derived_quantities_on_pole_state():
-    row = _exact_row(density_from_bloch([0, 0, 1]))
-    assert row.pro0.value == 0.0
-    assert row.pro1.value == 0.0
-    assert row.sum0.value == pytest.approx(0.5, abs=1e-15)
-    assert row.sum1.value == pytest.approx(TAU / 4.0, abs=1e-15)
-    assert "singular_pro0" in row.flags
-    assert "singular_pro1" in row.flags
+    s = run_sweep(*NORTH)
+    pro0, pro1, _, sum0, sum1, _ = s.value[:, 0]
+    assert pro0 == 0.0
+    assert pro1 == 0.0
+    assert sum0 == pytest.approx(0.5, abs=1e-15)
+    assert sum1 == pytest.approx(TAU / 4.0, abs=1e-15)
+    assert s.singular[0, 0] and s.singular[1, 0]  # singular_pro0, singular_pro1
     # exact inputs carry no uncertainty, so nothing propagates even when singular
-    assert row.pro0.stderr == 0.0
+    assert s.error[0, 0] == 0.0
 
 
 def test_singular_flags_with_noisy_inputs_mark_nan():
-    row = propagate_derived(
-        0.0,
-        EstimationResult(Axis.SX, 0.1, 1e-3, 1000),
-        EstimationResult(Axis.SY, 0.0, 1e-3, 1000),
-        EstimationResult(Axis.SZ, 0.5, 1e-3, 1000),
-    )
-    assert "singular_pro0" in row.flags  # Delta(Sz) = 0
-    assert math.isnan(row.pro0.stderr)
-    assert "singular_pro1" in row.flags  # <Sy> = 0 zeroes the bound
-    assert math.isnan(row.pro1.stderr)
+    s = _propagate((0.1, 0.0, 0.5), (1e-3, 1e-3, 1e-3))
+    assert s.singular[0, 0]  # Delta(Sz) = 0
+    assert math.isnan(s.error[0, 0])
+    assert s.singular[1, 0]  # <Sy> = 0 zeroes the bound
+    assert math.isnan(s.error[1, 0])
 
 
 def test_sum2_is_sum1_over_tau():
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        e = rng.uniform(-0.45, 0.45, size=3)
-        s = rng.uniform(1e-4, 1e-2, size=3)
-        row = propagate_derived(
-            0.0,
-            EstimationResult(Axis.SX, e[0], s[0], 1000),
-            EstimationResult(Axis.SY, e[1], s[1], 1000),
-            EstimationResult(Axis.SZ, e[2], s[2], 1000),
-        )
-        assert row.sum2.value == pytest.approx(row.sum1.value / TAU, abs=1e-12)
-        assert row.sum2.stderr == pytest.approx(row.sum1.stderr / TAU, abs=1e-12)
+    e = rng.uniform(-0.45, 0.45, size=(3, 20))
+    sig = rng.uniform(1e-4, 1e-2, size=(3, 20))
+    s = propagate_derived(np.zeros(20), e, sig)
+    np.testing.assert_allclose(s.value[5], s.value[4] / TAU, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(s.error[5], s.error[4] / TAU, rtol=0, atol=1e-12)
 
 
-def test_propagation_requires_axis_order():
-    good = exact_expectation(BALANCED, Axis.SX)
+@pytest.mark.parametrize(
+    "n_params, e_shape, sig_shape",
+    [(2, (3, 1), (3, 1)), (1, (3, 1), (3, 2)), (1, (1, 3), (1, 3)), (1, (3,), (3,)), (0, (3, 1), (3, 1))],
+    ids=["params-longer", "stderr-wider", "estimate-transposed", "estimate-flat", "no-params"],
+)
+def test_propagation_refuses_mismatched_shapes(n_params, e_shape, sig_shape):
     with pytest.raises(ValueError):
-        propagate_derived(0.0, good, good, exact_expectation(BALANCED, Axis.SZ))
+        propagate_derived(np.zeros(n_params), np.full(e_shape, 0.1), np.full(sig_shape, 1e-3))
 
 
 @pytest.mark.parametrize(
@@ -153,18 +135,18 @@ def test_propagation_requires_axis_order():
 )
 def test_propagation_refuses_bad_estimates(e, sig):
     with pytest.raises(ValueError):
-        propagate_derived(0.0, *(EstimationResult(ax, x, s, 1000) for ax, x, s in zip(Axis, e, sig)))
+        _propagate(e, sig)
 
 
 def test_propagation_takes_shot_and_exact_estimates_at_the_ball_edge():
     # a pole eigenstate reads +-1/2 with zero error; |2 <S_i>| may pass 1 by BLOCH_NORM_TOL
-    pole = density_from_bloch([0, 0, -1])
-    cfg = ShotConfig(shots=100, seed=0)
-    shot = propagate_derived(0.0, *(simulate_expectation(pole, ax, cfg) for ax in Axis))
-    exact = propagate_derived(0.0, *(exact_expectation(pole, ax) for ax in Axis))
-    assert shot.sz.estimate == exact.sz.estimate == -0.5
-    edge = propagate_derived(0.0, *(EstimationResult(ax, x, 0.0, 0) for ax, x in zip(Axis, (0.0, 0.0, 0.5 + 1e-13))))
-    assert edge.sz.estimate == 0.5 + 1e-13
+    shot = run_sweep(*SOUTH, ShotConfig(shots=100, seed=0))
+    exact = run_sweep(*SOUTH)
+    for s in (shot, exact):
+        again = propagate_derived(s.parameter, s.estimate, s.stderr)
+        assert again.estimate[2, 0] == -0.5
+    edge = _propagate((0.0, 0.0, 0.5 + 1e-13), (0.0, 0.0, 0.0))
+    assert edge.estimate[2, 0] == 0.5 + 1e-13
 
 
 def test_delta_method_errors_match_finite_differences():
@@ -174,34 +156,25 @@ def test_delta_method_errors_match_finite_differences():
 
     def derived(vals):
         d = np.sqrt(0.25 - vals**2)
-        return {
-            "pro0": d[0] * d[1] * d[2],
-            "pro1": math.sqrt(abs(TAU**3 * vals[0] * vals[1] * vals[2] / 8.0)),
-            "pro2": math.sqrt(abs(vals[0] * vals[1] * vals[2] / 8.0)),
-            "sum0": float(np.sum(0.25 - vals**2)),
-            "sum1": TAU / 2.0 * float(np.sum(np.abs(vals))),
-            "sum2": float(np.sum(np.abs(vals))) / 2.0,
-        }
+        return np.array([
+            d[0] * d[1] * d[2],  # pro0
+            math.sqrt(abs(TAU**3 * vals[0] * vals[1] * vals[2] / 8.0)),  # pro1
+            math.sqrt(abs(vals[0] * vals[1] * vals[2] / 8.0)),  # pro2
+            float(np.sum(0.25 - vals**2)),  # sum0
+            TAU / 2.0 * float(np.sum(np.abs(vals))),  # sum1
+            float(np.sum(np.abs(vals))) / 2.0,  # sum2
+        ])
 
     h = 1e-7
-    grads = {k: np.zeros(3) for k in ("pro0", "pro1", "pro2", "sum0", "sum1", "sum2")}
+    grads = np.zeros((6, 3))
     for i in range(3):
         up, dn = e.copy(), e.copy()
         up[i] += h
         dn[i] -= h
-        fu, fd = derived(up), derived(dn)
-        for k in grads:
-            grads[k][i] = (fu[k] - fd[k]) / (2 * h)
-    expected = {k: math.sqrt(float(np.sum((grads[k] * sig) ** 2))) for k in grads}
+        grads[:, i] = (derived(up) - derived(dn)) / (2 * h)
+    expected = np.sqrt(np.sum((grads * sig) ** 2, axis=1))
 
-    row = propagate_derived(
-        0.0,
-        EstimationResult(Axis.SX, e[0], sig[0], 1000),
-        EstimationResult(Axis.SY, e[1], sig[1], 1000),
-        EstimationResult(Axis.SZ, e[2], sig[2], 1000),
-    )
-    for k, err in expected.items():
-        assert getattr(row, k).stderr == pytest.approx(err, rel=1e-5), k
+    np.testing.assert_allclose(_propagate(e, sig).error[:, 0], expected, rtol=1e-5)
 
 
 @pytest.mark.parametrize("e", [(0.0, 0.2, 0.5), (-0.0, -0.3, -0.5), (0.5, -0.0, 0.0)])
@@ -209,11 +182,11 @@ def test_errors_at_kinks_take_one_sided_derivatives(e):
     # |<S_i>| has slope +-1 at <S_i> = +-0, and Var(S_i) = max(1/4 - <S_i>^2, 0) keeps the
     # slope -2 <S_i> of its first branch at <S_i> = +-1/2; a zero slope would drop that axis
     sig = np.array([2e-3, 1e-3, 3e-3])
-    row = propagate_derived(0.0, *(EstimationResult(ax, x, s, 1000) for ax, x, s in zip(Axis, e, sig)))
+    _, _, _, err_sum0, err_sum1, err_sum2 = _propagate(e, sig).error[:, 0]
     quad = math.sqrt(float(np.sum(sig**2)))
-    assert row.sum1.stderr == pytest.approx(TAU / 2.0 * quad, rel=1e-12)
-    assert row.sum2.stderr == pytest.approx(quad / 2.0, rel=1e-12)
-    assert row.sum0.stderr == pytest.approx(math.sqrt(float(np.sum((2.0 * np.array(e) * sig) ** 2))), rel=1e-12)
+    assert err_sum1 == pytest.approx(TAU / 2.0 * quad, rel=1e-12)
+    assert err_sum2 == pytest.approx(quad / 2.0, rel=1e-12)
+    assert err_sum0 == pytest.approx(math.sqrt(float(np.sum((2.0 * np.array(e) * sig) ** 2))), rel=1e-12)
 
 
 def test_sweep_parameter_grids():
@@ -229,25 +202,24 @@ def test_sweep_parameter_grids():
 
 
 def test_meridian_start_point_values():
-    row = analytic_row(Family.R2_MERIDIAN, 0.0)
-    assert row.pro0.value == pytest.approx(0.0, abs=1e-15)
-    assert row.pro1.value == pytest.approx(0.0, abs=1e-15)
-    assert row.sum0.value == pytest.approx(0.5, abs=1e-15)
-    assert row.sum1.value == pytest.approx(TAU / 4.0, abs=1e-15)
+    pro0, pro1, _, sum0, sum1, _ = run_sweep(*NORTH).value[:, 0]
+    assert pro0 == pytest.approx(0.0, abs=1e-15)
+    assert pro1 == pytest.approx(0.0, abs=1e-15)
+    assert sum0 == pytest.approx(0.5, abs=1e-15)
+    assert sum1 == pytest.approx(TAU / 4.0, abs=1e-15)
 
 
 def test_analytic_rows_respect_dominance():
     for family in Family:
-        for row in run_sweep(family, 48, ShotConfig(shots=1, seed=0), analytic_only=True):
-            assert row.pro0.value - row.pro1.value >= -1e-12
-            assert row.pro1.value - row.pro2.value >= -1e-12
-            assert row.sum0.value - row.sum1.value >= -1e-12
-            assert row.sum1.value - row.sum2.value >= -1e-12
+        pro0, pro1, pro2, sum0, sum1, sum2 = run_sweep(family, sweep_parameters(family, 48)).value
+        assert (pro0 - pro1).min() >= -1e-12
+        assert (pro1 - pro2).min() >= -1e-12
+        assert (sum0 - sum1).min() >= -1e-12
+        assert (sum1 - sum2).min() >= -1e-12
 
 
 def test_analytic_sweep_states_satisfy_every_relation():
     from triplespin import kernels
-    from triplespin.states import family_point
 
     for family in Family:
         params = sweep_parameters(family, 60)
@@ -258,35 +230,23 @@ def test_analytic_sweep_states_satisfy_every_relation():
 
 def test_estimator_spread_matches_binomial_prediction():
     cfg_shots = 10_000
-    state = BALANCED
-    exact = {ax: exact_expectation(state, ax).estimate for ax in Axis}
-    for ax in Axis:
-        estimates = [
-            simulate_expectation(state, ax, ShotConfig(shots=cfg_shots, seed=s)).estimate
-            for s in range(30)
-        ]
-        spread = float(np.std(estimates, ddof=1))
-        predicted = math.sqrt((0.25 - exact[ax] ** 2) / cfg_shots)
-        assert abs(spread / predicted - 1.0) <= 0.2
-
-
-def _bits(row):
-    """A row's fields with each float as its hex digits, so equal means bit-identical."""
-    return tuple(x.hex() if isinstance(x, float) else x for x in astuple(row))
+    exact = run_sweep(*BALANCED).estimate[:, 0]
+    estimates = np.hstack([run_sweep(*BALANCED, ShotConfig(shots=cfg_shots, seed=s)).estimate for s in range(30)])
+    spread = np.std(estimates, axis=1, ddof=1)
+    predicted = np.sqrt((0.25 - exact**2) / cfg_shots)
+    assert (np.abs(spread / predicted - 1.0) <= 0.2).all()
 
 
 def test_monte_carlo_rows_recompute_bit_exactly():
     cfg = ShotConfig(shots=20_000, seed=77)
-    rows = run_sweep(Family.R1_LATITUDE, 6, cfg)
-    for row in rows:
-        again = propagate_derived(row.parameter, row.sx, row.sy, row.sz)
-        assert _bits(again) == _bits(row)
+    s = run_sweep(Family.R1_LATITUDE, sweep_parameters(Family.R1_LATITUDE, 6), cfg)
+    assert _bits(propagate_derived(s.parameter, s.estimate, s.stderr)) == _bits(s)
 
 
 def test_csv_schema():
-    rows = run_sweep(Family.R1_LATITUDE, 3, ShotConfig(shots=1, seed=0), analytic_only=True)
-    text = rows_to_csv(rows)
-    lines = text.strip().split("\n")
+    s = run_sweep(Family.R1_LATITUDE, sweep_parameters(Family.R1_LATITUDE, 3))
+    assert len(s) == 3
+    lines = rows_to_csv(s).strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert len(lines) == 4
     first = lines[1].split(",")
@@ -295,9 +255,9 @@ def test_csv_schema():
 
 
 def test_csv_significant_digits():
-    rows = run_sweep(Family.R1_LATITUDE, 7, ShotConfig(shots=1, seed=0), analytic_only=True)
-    fields = rows_to_csv(rows).split("\n")[2].split(",")
-    assert fields[1] == format(rows[1].sx.estimate, ".12g")
+    s = run_sweep(Family.R1_LATITUDE, sweep_parameters(Family.R1_LATITUDE, 7))
+    fields = rows_to_csv(s).split("\n")[2].split(",")
+    assert fields[1] == format(s.estimate[0, 1], ".12g")
     assert len(fields[1].replace("0.", "").replace("-", "")) <= 12
 
 
@@ -307,54 +267,24 @@ def test_csv_renders_special_floats_as_format_does():
     n = len(specials)
     cols = np.array([np.roll(specials, j) for j in range(17 + 4)])
     sweep = Sweep(
-        cols[0], cols[1:7:2], cols[2:7:2], (0, 0, 0), cols[7:13], cols[13:19],
+        cols[0], cols[1:7:2], cols[2:7:2], cols[7:13], cols[13:19],
         (np.arange(n) >> np.arange(3)[:, None] & 1).astype(bool),
     )
+    tags = ("singular_pro0", "singular_pro1", "singular_pro2")
     lines = rows_to_csv(sweep).split("\n")
     assert lines[0] == CSV_HEADER and lines[-1] == "" and len(lines) == n + 2
     for k, line in enumerate(lines[1:-1]):
-        row = sweep[k]
-        values = (
-            row.parameter, row.sx.estimate, row.sx.stderr, row.sy.estimate, row.sy.stderr, row.sz.estimate,
-            row.sz.stderr, row.pro0.value, row.pro0.stderr, row.pro1.value, row.pro1.stderr, row.pro2.value,
-            row.sum0.value, row.sum0.stderr, row.sum1.value, row.sum1.stderr, row.sum2.value,
-        )
-        assert line == ",".join([*(format(x, ".12g") for x in values), ";".join(row.flags)])
-        assert len(row.flags) == bin(k % 8).count("1")
-
-
-@pytest.mark.parametrize(
-    "argv, family, points, shots, seed, per_draw",
-    [
-        (["sweep", "--family", "r1", "--points", "360"], Family.R1_LATITUDE, 360, None, 0, False),
-        (["simulate", "--family", "r2", "--points", "181", "--seed", "7"], Family.R2_MERIDIAN, 181, 4_000_000, 7, False),
-        (
-            ["simulate", "--family", "r1", "--points", "34", "--shots", "10000", "--per-draw", "--seed", "6"],
-            Family.R1_LATITUDE, 34, 10_000, 6, True,
-        ),
-    ],
-    ids=["sweep", "simulate", "simulate-per-draw"],
-)
-def test_cli_sweeps_build_no_row_objects(monkeypatch, capsys, argv, family, points, shots, seed, per_draw):
-    assert dispatch(argv) == 0
-    expected = capsys.readouterr().out
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError(f"built a {type(self).__name__}")
-
-    for cls in (SweepRow, Derived, EstimationResult):
-        monkeypatch.setattr(cls, "__init__", refuse)
-    assert dispatch(argv) == 0
-    assert capsys.readouterr().out == expected
-    sweep = run_sweep(family, points, ShotConfig(shots=shots or 1, seed=seed), shots is None, per_draw)
-    assert len(sweep) == points
-    with pytest.raises(AssertionError, match="built a"):
-        sweep[0]
+        (sx, sy, sz), (ex, ey, ez) = sweep.estimate[:, k], sweep.stderr[:, k]
+        (pro0, pro1, pro2, sum0, sum1, sum2), (e0, e1, _, e3, e4, _) = sweep.value[:, k], sweep.error[:, k]
+        values = (sweep.parameter[k], sx, ex, sy, ey, sz, ez, pro0, e0, pro1, e1, pro2, sum0, e3, sum1, e4, sum2)
+        flags = [t for t, on in zip(tags, sweep.singular[:, k]) if on]
+        assert line == ",".join([*(format(x, ".12g") for x in values), ";".join(flags)])
+        assert len(flags) == bin(k % 8).count("1")
 
 
 def test_analytic_sweep_prints_no_negative_zero():
     # the latitude family at phi = 0 has r_y = 0, which must print as 0, not -0
-    csv = rows_to_csv(run_sweep(Family.R1_LATITUDE, 4, ShotConfig(shots=1, seed=0), analytic_only=True))
+    csv = rows_to_csv(run_sweep(Family.R1_LATITUDE, sweep_parameters(Family.R1_LATITUDE, 4)))
     assert csv.split("\n")[1].split(",")[3] == "0"
     assert ",-0," not in csv
 
@@ -393,33 +323,55 @@ SIMULATE_R2_5_PER_DRAW = (
 
 
 @pytest.mark.parametrize(
-    "analytic, per_draw, expected",
-    [(True, False, SWEEP_R2_5), (False, False, SIMULATE_R2_5), (False, True, SIMULATE_R2_5_PER_DRAW)],
+    "shots, per_draw, expected",
+    [(None, False, SWEEP_R2_5), (1000, False, SIMULATE_R2_5), (1000, True, SIMULATE_R2_5_PER_DRAW)],
     ids=["sweep", "simulate", "simulate-per-draw"],
 )
-def test_small_sweeps_reproduce_recorded_csv(analytic, per_draw, expected):
-    cfg = ShotConfig(shots=1000, seed=7)
-    rows = run_sweep(Family.R2_MERIDIAN, 5, cfg, analytic_only=analytic, per_draw=per_draw)
-    assert rows_to_csv(rows) == expected
+def test_small_sweeps_reproduce_recorded_csv(shots, per_draw, expected):
+    cfg = None if shots is None else ShotConfig(shots=shots, seed=7)
+    s = run_sweep(Family.R2_MERIDIAN, sweep_parameters(Family.R2_MERIDIAN, 5), cfg, per_draw)
+    assert rows_to_csv(s) == expected
+
+
+def _per_state_columns(family, params, shots, seed, per_draw):
+    """(3, n) estimates and errors by the per-state route: one validated density matrix per
+    point, its Bloch vector r read back from it, and point k's axis i from stream (seed, k, i)."""
+    e, sig = np.zeros((3, len(params))), np.zeros((3, len(params)))
+    for k, p in enumerate(params):
+        r = bloch_from_density(density_from_bloch(family_point(family, p)))
+        for i in range(3):
+            if shots is None:
+                e[i, k] = r[i] / 2.0 + 0.0
+                continue
+            p_plus = np.clip((1.0 + r[i]) / 2.0, 0.0, 1.0)
+            rng = stream(seed, k, i)
+            plus = np.count_nonzero(rng.random(shots) < p_plus) if per_draw else rng.binomial(shots, p_plus)
+            e[i, k] = plus / shots - 0.5
+            sig[i, k] = math.sqrt(max(0.25 - e[i, k] * e[i, k], 0.0) / shots)
+    return e, sig
 
 
 @pytest.mark.parametrize("family", list(Family))
 def test_sweep_rows_equal_the_per_state_route(family):
-    # reference: one validated density matrix per point, estimates read from it
-    cfg = ShotConfig(shots=5000, seed=3)
     params = sweep_parameters(family, 13)
-    exact = run_sweep(family, 13, cfg, analytic_only=True)
-    noisy = run_sweep(family, 13, cfg)
-    for k, p in enumerate(params):
-        state = density_from_bloch(family_point(family, p))
-        reference = propagate_derived(p, *(exact_expectation(state, ax) for ax in Axis))
-        np.testing.assert_equal(astuple(exact[k]), astuple(reference))  # NaN equals NaN here
-        np.testing.assert_equal(astuple(exact[k]), astuple(analytic_row(family, p)))
-        ests = [simulate_expectation(state, ax, cfg, index=k) for ax in Axis]
-        np.testing.assert_equal(astuple(noisy[k]), astuple(propagate_derived(p, *ests)))
+    # 70000 per-draw shots span three blocks of kernels.CHUNK_ROWS
+    for shots, per_draw in ((None, False), (5000, False), (70_000, True)):
+        cfg = None if shots is None else ShotConfig(shots=shots, seed=3)
+        s = run_sweep(family, params, cfg, per_draw)
+        assert len(s) == 13
+        e, sig = _per_state_columns(family, params, shots, 3, per_draw)
+        assert (s.estimate.tobytes(), s.stderr.tobytes()) == (e.tobytes(), sig.tobytes())
+        assert _bits(propagate_derived(params, e, sig)) == _bits(s)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_analytic_row_rejects_non_finite_parameter(bad):
-    with pytest.raises(InvalidStateError):
-        analytic_row(Family.R2_MERIDIAN, bad)
+    for cfg in (None, ShotConfig(shots=10, seed=0)):
+        with pytest.raises(InvalidStateError):
+            run_sweep(Family.R2_MERIDIAN, [0.5, bad], cfg)
+
+
+@pytest.mark.parametrize("params", [0.5, [[0.0, 0.5]], np.zeros((3, 1))], ids=["scalar", "row", "column"])
+def test_run_sweep_refuses_params_that_are_not_one_dimensional(params):
+    with pytest.raises(ValueError):
+        run_sweep(Family.R1_LATITUDE, params)

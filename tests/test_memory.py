@@ -4,7 +4,7 @@ outcomes at a time; the prober's scorer scores its stencils in blocks."""
 
 import tracemalloc
 
-from triplespin.measure_sim import ShotConfig, run_sweep
+from triplespin.measure_sim import ShotConfig, run_sweep, sweep_parameters
 from triplespin.prober import ProbeConfig, min_gap, scan_conjecture
 from triplespin.relations import RelationId, soak_qubit
 from triplespin.states import Family
@@ -50,10 +50,12 @@ def test_mixed_probe_scores_its_stencils_in_blocks():
 def test_per_draw_sweep_peak_memory_is_bounded():
     # drawing all 200 x 3 x 1e5 outcomes at once takes ~480 MB
     cfg = ShotConfig(shots=100_000, seed=1)
-    assert traced_peak(run_sweep, Family.R1_LATITUDE, 200, cfg, per_draw=True) < 16 * MIB
+    params = sweep_parameters(Family.R1_LATITUDE, 200)
+    assert traced_peak(run_sweep, Family.R1_LATITUDE, params, cfg, per_draw=True) < 16 * MIB
 
 
 def test_per_draw_shots_are_drawn_in_blocks():
     # drawing all 4e6 outcomes of one (point, axis) at once takes ~31 MiB
     cfg = ShotConfig(shots=4_000_000, seed=1)
-    assert traced_peak(run_sweep, Family.R1_LATITUDE, 2, cfg, per_draw=True) < 4 * MIB
+    params = sweep_parameters(Family.R1_LATITUDE, 2)
+    assert traced_peak(run_sweep, Family.R1_LATITUDE, params, cfg, per_draw=True) < 4 * MIB

@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=ProbeConfig.tol,
         help="a restart converges after two iterations that each lower its gap by at most this; "
-        "restarts within it of the lowest gap agree",
+        "the first restart within it of the lowest gap is reported",
     )
     p_probe.set_defaults(func=_cmd_probe)
 

@@ -8,8 +8,10 @@ triangle points) and _apply_table applies the relation table
 relations.evaluate and the prober use, for pure and mixed states at every
 spin) and the Bloch closed form, moments.bloch_moments (the qubit soak's).
 
-fold_chunks is the one chunk loop of the soak and the triangle scan. It is the
-only code in the package that starts threads.
+fold_chunks is the one chunk loop of the soak and the triangle scan: it
+reduces every block, chunk and thread result with np.argmin's order, so its
+minima and their points equal one argmin over all gaps in draw order. It is
+the only code in the package that starts threads.
 """
 
 from __future__ import annotations
@@ -36,36 +38,6 @@ CHUNK_ROWS = 1 << 15
 BLOCK_ROWS = CHUNK_ROWS // 4
 
 
-class MinFold:
-    """Running per-column minimum of (m, k) gap chunks and the row that attained it.
-
-    min holds the k minima and argmin the (k, w) rows of the chunks' (m, w)
-    points that attained them. The first occurrence of a tied minimum wins,
-    and a NaN gap becomes the minimum. Folds of consecutive runs of chunks,
-    merged in order, equal one fold that adds every chunk.
-    """
-
-    def __init__(self, columns: int, width: int):
-        self.min = np.full(columns, np.inf)
-        self.argmin = np.zeros((columns, width))
-
-    def add(self, points: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-        """Fold in one chunk; returns its (k,) column minima (NaN where a column holds one)."""
-        idx = gaps.argmin(axis=0)
-        mins = gaps[idx, np.arange(len(idx))]
-        self._take(mins, points[idx])
-        return mins
-
-    def merge(self, later: MinFold) -> None:
-        """Fold in the result of a later run of chunks, by the same rules as add."""
-        self._take(later.min, later.argmin)
-
-    def _take(self, mins: np.ndarray, rows: np.ndarray) -> None:
-        better = (mins < self.min) | (np.isnan(mins) & ~np.isnan(self.min))
-        self.min[better] = mins[better]
-        self.argmin[better] = rows[better]
-
-
 def _scan_workers() -> int:
     """CPUs this process may run on: the most threads fold_chunks starts."""
     if hasattr(os, "sched_getaffinity"):
@@ -73,37 +45,52 @@ def _scan_workers() -> int:
     return os.cpu_count() or 1
 
 
-def fold_chunks(chunks: int, draw, score, columns: int, tolerance: float | None = None):
+def _least(gaps: np.ndarray, rows: np.ndarray):
+    """Column minima of (j, k) gaps and the matching (k, w) rows of (j, k, w) rows.
+
+    np.argmin's order decides: the first of tied minima wins, and a NaN is the minimum.
+    """
+    i, k = gaps.argmin(axis=0), np.arange(gaps.shape[1])
+    return gaps[i, k], rows[i, k]
+
+
+def fold_chunks(chunks: int, draw, score, tolerance: float | None = None):
     """Fold the (m, k) gaps score(block) over the points draw(c) of chunks c = 0..chunks-1.
 
     draw(c) returns chunk c's (m, w) points, which are scored in blocks of
-    BLOCK_ROWS rows. Returns the MinFold over all gaps and, with a tolerance,
-    the (k,) counts of gaps not at or above -tolerance (NaN counts), else None.
-    Chunks run on up to _scan_workers() threads, all joined before this
-    returns; each chunk has its own fold, and the folds are merged in chunk
-    order, so the result does not depend on the thread count. One chunk or
-    one CPU runs in the calling thread.
+    BLOCK_ROWS rows. Returns (mins, rows, counts): the (k,) column minima over
+    all gaps and the (k, w) points that attained them, in np.argmin's order
+    over the gaps in draw order (the first of tied minima wins, and a NaN is
+    the minimum), and, with a tolerance, the (k,) counts of gaps not at or
+    above -tolerance (NaN counts), else None. Each chunk reduces its block
+    minima, and the chunks' results are merged in chunk order, so memory stays
+    constant in the chunk count. Chunks run on up to _scan_workers() threads,
+    all joined before this returns, and the result does not depend on the
+    thread count. One chunk or one CPU runs in the calling thread.
     """
+    if chunks < 1:
+        raise ValueError(f"need at least one chunk, got {chunks}")
 
     def one(c: int):
         points = draw(c)
-        fold = MinFold(columns, points.shape[1])
-        counts = np.zeros(columns, dtype=np.int64)
+        mins, rows, counts = [], [], 0  # counts stays 0 until a block has gaps to count
         for start in range(0, len(points), BLOCK_ROWS):
             block = points[start : start + BLOCK_ROWS]
             gaps = score(block)
-            mins = fold.add(block, gaps)
+            i = gaps.argmin(axis=0)
+            mins.append(gaps[i, np.arange(len(i))])
+            rows.append(block[i])
             # a block whose every column minimum clears -tolerance has nothing to count
-            if tolerance is not None and not (mins >= -tolerance).all():
-                counts += np.count_nonzero(~(gaps >= -tolerance), axis=0)
-        return fold, counts
+            if tolerance is not None and not (mins[-1] >= -tolerance).all():
+                counts = counts + np.count_nonzero(~(gaps >= -tolerance), axis=0)
+        return *_least(np.array(mins), np.array(rows)), counts
 
     def merged(parts):
-        fold, counts = next(parts)
-        for part, part_counts in parts:
-            fold.merge(part)
-            counts += part_counts
-        return fold, counts if tolerance is not None else None
+        mins, rows, counts = next(parts)
+        for part_mins, part_rows, part_counts in parts:
+            mins, rows = _least(np.array([mins, part_mins]), np.array([rows, part_rows]))
+            counts = counts + part_counts
+        return mins, rows, (np.zeros(len(mins), dtype=np.int64) + counts if tolerance is not None else None)
 
     workers = min(_scan_workers(), chunks)
     if workers < 2:

@@ -75,8 +75,10 @@ class ProbeResult:
     evaluations: int
     best_restart: int
     #: Final objective value of each restart (each refinement, for a
-    #: conjecture scan) in run order; agreeing_restarts of them are within
-    #: cfg.tol of the lowest, and best_restart is the first of those.
+    #: conjecture scan) in run order; best_restart is the first within cfg.tol
+    #: of the lowest, and agreeing_restarts of them are within
+    #: COUNTEREXAMPLE_TOL of it, the prober's resolution (the tol stop test
+    #: leaves a run up to about 1e-9 above its minimum).
     restart_gaps: tuple[float, ...]
     agreeing_restarts: int
 
@@ -292,14 +294,14 @@ def _search(
 
     starts are (m, r d) unit vectors, each r columns of length d; they are
     searched as parameter rows of _param_objective. The best run is the
-    lowest start index among those within cfg.tol of the lowest final gap
-    (NaN gaps never agree). min_gap is evaluate on the validated argmin
-    state, and evaluations adds the `drawn` samples that chose the starts to
-    the rows the search scored.
+    lowest start index among those within cfg.tol of the lowest final gap,
+    and the runs within COUNTEREXAMPLE_TOL of it agree (NaN gaps never do).
+    min_gap is evaluate on the validated argmin state, and evaluations adds
+    the `drawn` samples that chose the starts to the rows the search scored.
     """
     runs = lockstep_lbfgs(_param_objective(relation, spin), _params_from_vector(starts), cfg.max_iters, cfg.tol)
-    agree = runs.fun <= np.fmin.reduce(runs.fun) + cfg.tol
-    best = int(agree.argmax())
+    lowest = np.fmin.reduce(runs.fun)
+    best = int((runs.fun <= lowest + cfg.tol).argmax())
     argmin = from_statevector(_psi_from_params(runs.x[best]).reshape(-1, spin.dim))
     gap = evaluate(relation, argmin, spin).gap
     if not math.isfinite(gap):
@@ -313,7 +315,7 @@ def _search(
         evaluations=drawn + int(runs.nfev.sum()),
         best_restart=best,
         restart_gaps=tuple(runs.fun.tolist()),
-        agreeing_restarts=int(agree.sum()),
+        agreeing_restarts=int(np.count_nonzero(runs.fun <= lowest + COUNTEREXAMPLE_TOL)),
     )
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DimensionMismatchError, SpinRestrictionError
 from .moments import std_dev
 from .spin_ops import Spin, _as_spin, commutator
-from .states import QuantumState, random_mixed_bloch, random_pure_bloch
+from .states import QuantumState, density_from_bloch, random_mixed_bloch, random_pure_bloch
 
 #: The triple constant tightening the naive three-component bounds.
 TAU = 2.0 / math.sqrt(3.0)
@@ -327,10 +327,11 @@ def equality_condition(relation: RelationId, bloch, tol: float = 1e-9) -> bool:
 
     Supported: R3 (all |r_i| = 1/sqrt 3, or some |r_i| = 1), R5 (all
     |r_i| = 1/sqrt 3), R6 (|r| = 1), R8 (|r| = 1 and r_x + r_y + r_z = 0).
+    A vector that is no state (not 3 finite components in the ball) raises
+    InvalidStateError, as in states.density_from_bloch.
     """
+    density_from_bloch(bloch)
     r = np.asarray(bloch, dtype=float).ravel()
-    if r.shape != (3,):
-        raise ValueError(f"Bloch vector needs 3 components, got {r.shape}")
     a = np.abs(r)
     if relation is RelationId.R3_TRIPLE_PRODUCT:
         balanced = bool(np.all(np.abs(a - _INV_SQRT3) <= tol))
@@ -421,19 +422,15 @@ def soak_qubit(
             if n > k * chunk
         ])
 
-    fold, viol = kernels.fold_chunks(
-        -(-max(n_pure, n_mixed) // chunk),
-        stack,
-        kernels.qubit_relation_gaps,
-        len(QUBIT_SOAK_RELATIONS),
-        tolerance,
+    mins, rows, viol = kernels.fold_chunks(
+        -(-max(n_pure, n_mixed) // chunk), stack, kernels.qubit_relation_gaps, tolerance
     )
     return SoakSummary(
         n_pure=n_pure,
         n_mixed=n_mixed,
         seed=seed,
-        min_gap={rel: float(m) for rel, m in zip(QUBIT_SOAK_RELATIONS, fold.min)},
+        min_gap={rel: float(m) for rel, m in zip(QUBIT_SOAK_RELATIONS, mins)},
         violations={rel: int(c) for rel, c in zip(QUBIT_SOAK_RELATIONS, viol)},
         tolerance=tolerance,
-        argmin_bloch={rel: tuple(map(float, r)) for rel, r in zip(QUBIT_SOAK_RELATIONS, fold.argmin)},
+        argmin_bloch={rel: tuple(map(float, r)) for rel, r in zip(QUBIT_SOAK_RELATIONS, rows)},
     )

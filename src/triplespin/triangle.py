@@ -147,18 +147,17 @@ def scan(n: int, seed: int, side: float = 1.0) -> TriangleScan:
         raise ValueError(f"triangle scan needs at least one sample, got {n} samples")
     rel_ids = TRIANGLE_ANALOG_RELATIONS
     chunk = kernels.CHUNK_ROWS
-    fold, _ = kernels.fold_chunks(
+    mins, rows, _ = kernels.fold_chunks(
         -(-n // chunk),
         lambda k: sample_barycentric(min(chunk, n - k * chunk), seed, k),
         lambda bary: kernels.triangle_analog_gaps(bary, side),
-        len(rel_ids),
     )
     return TriangleScan(
         side=side,
         samples=n,
         seed=seed,
-        min_gap={rel: float(fold.min[i]) for i, rel in enumerate(rel_ids)},
-        argmin_bary={rel: tuple(float(x) for x in fold.argmin[i]) for i, rel in enumerate(rel_ids)},
+        min_gap={rel: float(m) for rel, m in zip(rel_ids, mins)},
+        argmin_bary={rel: tuple(map(float, r)) for rel, r in zip(rel_ids, rows)},
     )
 
 

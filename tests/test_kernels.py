@@ -40,45 +40,67 @@ def test_column_layouts():
     assert kernels.BACKEND == "numpy"
 
 
-def test_min_fold_keeps_first_tied_row_and_nan():
-    fold = kernels.MinFold(3, 1)
-    fold.add(np.array([[0.0], [1.0]]), np.array([[2.0, 5.0, 1.0], [2.0, 4.0, np.nan]]))
-    fold.add(np.array([[2.0], [3.0]]), np.array([[2.0, 4.0, 0.0], [1.5, 6.0, 0.0]]))
-    assert fold.min[:2].tolist() == [1.5, 4.0] and np.isnan(fold.min[2])
-    assert fold.argmin[:, 0].tolist() == [3.0, 1.0, 1.0]
+def _fold_table(monkeypatch, gaps, bounds, block_rows, workers):
+    """fold_chunks over gaps[r] at points r, in chunks split at `bounds`."""
+    gaps = np.array(gaps, dtype=float)
+    chunks = np.split(np.arange(len(gaps)), bounds)
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(kernels, "_scan_workers", lambda: workers)
+    return kernels.fold_chunks(
+        len(chunks), lambda c: chunks[c][:, None].astype(float), lambda block: gaps[block[:, 0].astype(int)]
+    )
 
 
-def _fold(points, gaps):
-    fold = kernels.MinFold(len(gaps[0]), 1)
-    fold.add(np.array(points, dtype=float)[:, None], np.array(gaps))
-    return fold
+def test_min_fold_keeps_first_tied_row_and_nan(monkeypatch):
+    gaps = [[2.0, 5.0, 1.0], [2.0, 4.0, np.nan], [2.0, 4.0, 0.0], [1.5, 6.0, 0.0]]
+    mins, rows, counts = _fold_table(monkeypatch, gaps, [], 2, 1)  # one chunk, two blocks
+    assert mins[:2].tolist() == [1.5, 4.0] and np.isnan(mins[2])
+    assert rows[:, 0].tolist() == [3.0, 1.0, 1.0]
+    assert counts is None
 
 
-def test_min_fold_merge_keeps_the_earlier_chunk_on_a_tie_and_the_first_nan():
-    earlier = _fold([0.0, 1.0], [[2.0, 5.0, np.nan, 3.0], [1.0, 4.0, 0.0, 3.0]])
-    earlier.merge(_fold([2.0, 3.0], [[1.0, 4.0, np.nan, np.nan], [9.0, 9.0, 0.0, 0.0]]))
-    # column 0 ties (the earlier row 1 stays), column 1 ties, column 2 keeps the
-    # earlier NaN, and column 3 takes the later NaN over a finite minimum
-    assert earlier.min[:2].tolist() == [1.0, 4.0] and np.isnan(earlier.min[2:]).all()
-    assert earlier.argmin[:, 0].tolist() == [1.0, 1.0, 0.0, 2.0]
+def test_min_fold_merge_keeps_the_earlier_chunk_on_a_tie_and_the_first_nan(monkeypatch):
+    gaps = [[2.0, 5.0, np.nan, 3.0], [1.0, 4.0, 0.0, 3.0], [1.0, 4.0, np.nan, np.nan], [9.0, 9.0, 0.0, 0.0]]
+    for workers in (1, 2):
+        mins, rows, _ = _fold_table(monkeypatch, gaps, [2], 2, workers)
+        # column 0 ties (the earlier row 1 stays), column 1 ties, column 2 keeps the
+        # earlier NaN, and column 3 takes the later NaN over a finite minimum
+        assert mins[:2].tolist() == [1.0, 4.0] and np.isnan(mins[2:]).all()
+        assert rows[:, 0].tolist() == [1.0, 1.0, 0.0, 2.0]
 
 
-def test_min_fold_merge_in_chunk_order_equals_adding_chunk_after_chunk():
+def _tied_gaps():
     rng = np.random.default_rng(0)
-    points = np.arange(600.0)[:, None]
     gaps = np.round(rng.normal(size=(600, 5)), 1)  # many ties across chunks
     gaps[[250, 420], [1, 1]] = np.nan
     gaps[450, 4] = np.nan
-    whole = kernels.MinFold(5, 1)
-    merged = kernels.MinFold(5, 1)
-    for rows in np.split(np.arange(600), [100, 250, 300, 450]):
-        whole.add(points[rows], gaps[rows])
-        part = kernels.MinFold(5, 1)
-        part.add(points[rows], gaps[rows])
-        merged.merge(part)
-    assert np.array_equal(whole.min, merged.min, equal_nan=True)
-    assert np.array_equal(whole.argmin, merged.argmin)
-    assert merged.argmin[1, 0] == 250.0 and merged.argmin[4, 0] == 450.0
+    return gaps
+
+
+def test_min_fold_merge_in_chunk_order_equals_adding_chunk_after_chunk(monkeypatch):
+    gaps = _tied_gaps()
+    whole = _fold_table(monkeypatch, gaps, [], 50, 1)
+    for workers in (1, 2):
+        mins, rows, _ = _fold_table(monkeypatch, gaps, [100, 250, 300, 450], 50, workers)
+        assert np.array_equal(whole[0], mins, equal_nan=True)
+        assert np.array_equal(whole[1], rows)
+        assert rows[1, 0] == 250.0 and rows[4, 0] == 450.0
+
+
+@pytest.mark.parametrize("block_rows", [7, 50, 1000])
+@pytest.mark.parametrize("bounds", [[], [100, 250, 300, 450], [1, 599]], ids=["one-chunk", "five", "edges"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fold_equals_one_argmin_over_every_gap_in_draw_order(monkeypatch, block_rows, bounds, workers):
+    gaps = _tied_gaps()
+    mins, rows, _ = _fold_table(monkeypatch, gaps, bounds, block_rows, workers)
+    i = gaps.argmin(axis=0)
+    assert np.array_equal(mins, gaps[i, np.arange(5)], equal_nan=True)
+    assert rows[:, 0].tolist() == i.tolist()
+
+
+def test_fold_needs_a_chunk():
+    with pytest.raises(ValueError, match="at least one chunk"):
+        kernels.fold_chunks(0, lambda c: np.zeros((1, 1)), lambda block: np.zeros((1, 1)))
 
 
 def test_fold_counts_equal_a_count_over_every_gap(monkeypatch):
@@ -91,11 +113,11 @@ def test_fold_counts_equal_a_count_over_every_gap(monkeypatch):
     points = np.arange(400.0)[:, None]
     for workers in (1, 2):
         monkeypatch.setattr(kernels, "_scan_workers", lambda: workers)
-        fold, counts = kernels.fold_chunks(
-            4, lambda c: points[100 * c : 100 * (c + 1)], lambda block: gaps[block[:, 0].astype(int)], 4, 1e-6
+        mins, _, counts = kernels.fold_chunks(
+            4, lambda c: points[100 * c : 100 * (c + 1)], lambda block: gaps[block[:, 0].astype(int)], 1e-6
         )
         assert counts.tolist() == np.count_nonzero(~(gaps >= -1e-6), axis=0).tolist() == [1, 1, 1, 1]
-        assert fold.min[0] == -0.5 and np.isnan(fold.min[1]) and np.isnan(fold.min[3])
+        assert mins[0] == -0.5 and np.isnan(mins[1]) and np.isnan(mins[3])
 
 
 def _with_workers(monkeypatch, workers, fn, *args):

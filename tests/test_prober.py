@@ -10,6 +10,7 @@ from triplespin import kernels, prober
 from triplespin.errors import SpinRestrictionError, TripleSpinError
 from triplespin.moments import expectation, variance
 from triplespin.prober import (
+    COUNTEREXAMPLE_TOL,
     ProbeConfig,
     _param_objective,
     _params_from_vector,
@@ -104,9 +105,10 @@ def test_restart_gaps_record_every_restart():
     result = min_gap(RelationId.R5_TRIPLE_SUM, 1, FAST)
     gaps = result.restart_gaps
     assert len(gaps) == FAST.restarts
-    # R5's eight balanced states tie: the first restart within tol of the lowest gap wins
-    band = [r for r, g in enumerate(gaps) if g <= min(gaps) + FAST.tol]
-    assert result.best_restart == band[0]
+    # R5's eight balanced states tie: the first restart within tol of the lowest gap wins,
+    # and every restart within the prober's resolution of it agrees
+    assert result.best_restart == min(r for r, g in enumerate(gaps) if g <= min(gaps) + FAST.tol)
+    band = [r for r, g in enumerate(gaps) if g <= min(gaps) + COUNTEREXAMPLE_TOL]
     assert result.agreeing_restarts == len(band) == FAST.restarts
     assert abs(gaps[result.best_restart] - result.min_gap) <= 1e-12
     assert result.to_dict()["restart_gaps"] == list(gaps)
@@ -445,6 +447,22 @@ def test_best_restart_ignores_rounding_noise_among_equal_minima(monkeypatch):
     assert result.agreeing_restarts == FAST.restarts - 1
 
 
+def test_runs_the_stop_test_left_above_the_minimum_agree_but_do_not_win(monkeypatch):
+    real = prober.lockstep_lbfgs
+
+    def early(*args, **kwargs):
+        runs = real(*args, **kwargs)
+        fun = runs.fun.copy()
+        fun[0] += 5e-9  # stopped above the minimum, inside the prober's resolution
+        fun[1] += 2 * COUNTEREXAMPLE_TOL  # outside it
+        return dataclasses.replace(runs, fun=fun)
+
+    monkeypatch.setattr(prober, "lockstep_lbfgs", early)
+    result = min_gap(RelationId.R5_TRIPLE_SUM, 1, FAST)
+    assert result.best_restart == 2
+    assert result.agreeing_restarts == FAST.restarts - 1
+
+
 def test_triple_sum_probe_reaches_zero_at_spin_two():
     # R5 holds at every spin; spin-coherent states along a cube diagonal attain it
     result = min_gap(RelationId.R5_TRIPLE_SUM, 4, ProbeConfig(restarts=16, seed=1))
@@ -458,7 +476,8 @@ def test_triple_sum_probe_reaches_zero_at_higher_spin(twice_s):
     # the gauge "psi_0 real", 44, 16 and 5 of the 64 restarts agreed at twice_s 8, 12, 16
     result = min_gap(RelationId.R5_TRIPLE_SUM, twice_s, ProbeConfig(seed=0))
     assert abs(result.min_gap) <= 1e-9
-    assert result.agreeing_restarts >= 16
+    # every restart ends within the prober's resolution of R5's minimum 0
+    assert result.agreeing_restarts == 64
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from triplespin import kernels, moments, relations, states
-from triplespin.errors import DimensionMismatchError, SpinRestrictionError, TripleSpinError
+from triplespin.errors import DimensionMismatchError, InvalidStateError, SpinRestrictionError, TripleSpinError
 from triplespin.moments import pure_moments
 from triplespin.relations import (
     QUBIT_SOAK_RELATIONS,
@@ -254,6 +254,18 @@ def test_equality_condition_cases():
     assert not equality_condition(RelationId.R8_VARIANCE_OF_SUMS, [0, 0, 1])
     with pytest.raises(ValueError):
         equality_condition(RelationId.R7_SUM_GENERAL_S, [0, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "relation",
+    [RelationId.R3_TRIPLE_PRODUCT, RelationId.R5_TRIPLE_SUM, RelationId.R6_SUM_HALF, RelationId.R8_VARIANCE_OF_SUMS],
+)
+@pytest.mark.parametrize(
+    "bloch", [[np.nan, 0, 0], [0, np.inf, 0], [1, 1, 1], [0, 0]], ids=["nan", "inf", "norm-sqrt3", "two-components"]
+)
+def test_equality_condition_refuses_what_is_not_a_state(relation, bloch):
+    with pytest.raises(InvalidStateError):
+        equality_condition(relation, bloch)
 
 
 def _orthonormal_to_diagonal():

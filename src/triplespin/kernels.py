@@ -4,9 +4,9 @@ Every batch gap in the package comes from _apply_table: each scorer computes a
 batch's per-axis moments as (3, n) arrays (of Bloch rows, column sets or
 triangle points) and _apply_table applies the relation table
 (relations.relation_sides) to them, one row per relation; the result is the
-(n, k) transposed view. States have two moment routes: column_moments (which
-relations.evaluate and the prober use, for pure and mixed states at every
-spin) and the Bloch closed form, moments.bloch_moments (the qubit soak's).
+(n, k) transposed view. States have two moment routes: stack_moments on any
+operator stack (its cached spin form column_moments serves relations.evaluate
+and the prober) and the Bloch closed form, moments.bloch_moments (the soak's).
 
 fold_chunks is the one chunk loop of the soak and the triangle scan: it
 reduces every block, chunk and thread result with np.argmin's order, so its
@@ -132,17 +132,21 @@ def qubit_relation_gaps(bloch: np.ndarray, relations=QUBIT_SOAK_RELATIONS) -> np
 
 @lru_cache(maxsize=64)
 def column_moments(twice_s: int, reads: frozenset):
-    """Builder of the moments (d, v, e, h, w) of (n, r, d) column sets at spin twice_s/2.
+    """stack_moments on the spin stack (Sx, Sy, Sz) of spin twice_s/2, built once per spin and reads."""
+    return stack_moments(np.array(build_spin_operators(twice_s).as_tuple(), dtype=complex), reads)
+
+
+def stack_moments(ops: np.ndarray, reads: frozenset):
+    """Builder of the moments (d, v, e, h, w) of (n, r, d) column sets on a (3, d, d) Hermitian stack.
 
     State k is rho = sum_c g_c g_c^dag over its r columns (a state vector is
-    r = 1; see moments.pure_moments). Each moment is (3, n), or None unless
-    `reads` names it; the eigenbases and pair sums are built only for h and w.
-    Spin-component spectra are nondegenerate, so outcome probabilities are the
-    squared eigenbasis amplitudes, summed over columns, with no eigenvalue merging.
+    r = 1; see moments.pure_moments). Each moment is (3, n), a row per operator,
+    or None unless `reads` names it; the eigenbases and pair sums are built only
+    for h and w. Outcome probabilities are the squared eigenbasis amplitudes,
+    summed over columns, with no eigenvalue merging: h needs nondegenerate spectra.
     """
-    ops = np.array(build_spin_operators(twice_s).as_tuple(), dtype=complex)
-    # (3 d, d): the conjugated eigenvectors of S_x, S_y, S_z as rows, so that
-    # np.matvec(basis, g) holds g's amplitudes in the three eigenbases
+    # (3 d, d): the conjugated eigenvectors of the three operators as rows, so
+    # that np.matvec(basis, g) holds g's amplitudes in the three eigenbases
     basis = np.linalg.eigh(ops)[1].conj().swapaxes(-1, -2).reshape(-1, ops.shape[-1]) if "h" in reads else None
     pairs = ops + ops[[1, 2, 0]] if "w" in reads else None
 

@@ -1,8 +1,8 @@
 """Expectations, variances, outcome distributions, and Shannon entropies.
 
 The scalar functions take moments of one validated state by the matrix and
-spectral route (traces and eigendecompositions); evaluate_robertson uses them,
-and tests hold the two fast routes to them at 1e-12: pure_moments takes
+spectral route (traces and eigendecompositions); no evaluator calls them, and
+tests hold the two fast routes to them at 1e-12: pure_moments takes
 means and variances of states given as columns, bloch_moments the closed-form
 moments of qubits from their Bloch vectors.
 """

@@ -56,8 +56,9 @@ class ProbeConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.restarts < 1 or self.max_iters < 1:
-            raise ValueError("restarts and max_iters must be >= 1")
+        counts = (self.restarts, self.max_iters)
+        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in counts):
+            raise ValueError(f"restarts and max_iters must be integers >= 1, got {counts}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,9 +13,9 @@ separately as R11_CONJECTURE_TRIPLE_PRODUCT.
 RELATIONS is the one table of relations: alias, axis group, description, spin
 rule and moments-to-sides formula per id. The spin rules, the CLI spellings
 and the kernel column orders are derived from it, and every gap in
-the package (evaluate, the kernels' batch scorers, the triangle check and the
-sweep's derived columns) comes from its formulas through relation_sides;
-evaluate takes its moments from kernels.column_moments, as the scorers do.
+the package (evaluate, evaluate_robertson, the kernels' scorers, the triangle
+check and the sweep) comes from its formulas through relation_sides; the
+evaluators take their moments from kernels.stack_moments, as the scorers do.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError, SpinRestrictionError
-from .moments import std_dev
+from .moments import _check_pair
 from .spin_ops import Spin, _as_spin, commutator
 from .states import QuantumState, density_from_bloch, random_mixed_bloch, random_pure_bloch
 
@@ -95,8 +95,8 @@ class RelationSpec:
 
     `sides` maps per-axis moments to (lhs, rhs). Its parameter names, a subset
     of relation_sides' (d, v, e, h, w, s), are the moments it reads, listed in
-    `reads`; callers compute only those. Only R_ROBERTSON_GENERIC has no
-    formula, as it needs an explicit observable pair.
+    `reads`; callers compute only those. R_ROBERTSON_GENERIC's formula reads
+    the moments of the stack (A, B, -i[A, B]) of its observable pair.
     """
 
     relation: RelationId
@@ -104,12 +104,11 @@ class RelationSpec:
     group: str | None
     description: str
     spin_half_only: bool
-    sides: Callable | None
+    sides: Callable
     reads: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
-        reads = tuple(inspect.signature(self.sides).parameters) if self.sides else ()
-        object.__setattr__(self, "reads", reads)
+        object.__setattr__(self, "reads", tuple(inspect.signature(self.sides).parameters))
 
 
 def _report(relation, lhs, rhs, tol) -> RelationReport:
@@ -127,11 +126,12 @@ def evaluate_robertson(
     saturation_tol: float = SATURATION_TOL,
 ) -> RelationReport:
     """Robertson bound Delta(A) Delta(B) >= |<[A,B]>| / 2 for explicit observables."""
-    lhs = std_dev(state, a) * std_dev(state, b)
-    # <[A,B]> is purely imaginary for Hermitian A, B
-    val = np.einsum("ij,ji->", state.rho, commutator(a, b))
-    rhs = abs(val) / 2.0
-    return _report(RelationId.R_ROBERTSON_GENERIC, lhs, rhs, saturation_tol)
+    from . import kernels  # kernels reads this module's table at import
+
+    a, b = _check_pair(state, a), _check_pair(state, b)
+    relation = RelationId.R_ROBERTSON_GENERIC
+    moments = kernels.stack_moments(np.array([a, b, -1j * commutator(a, b)]), frozenset(_SPECS[relation].reads))
+    return _evaluate_with(relation, state, moments, None, saturation_tol)
 
 
 def _sum3(x):
@@ -189,7 +189,7 @@ RELATIONS = (
     RelationSpec(
         RelationId.R_ROBERTSON_GENERIC, None, None,
         "Delta(A) Delta(B) >= |<[A,B]>|/2 for an explicit observable pair", False,
-        None,
+        _pair_product(2, 0, 1),  # on the stack (A, B, C = -i[A, B]), as <[A, B]> = i<C>
     ),
     *_cyclic(
         (RelationId.R2_PAIR_PRODUCT_X, RelationId.R2_PAIR_PRODUCT_Y, RelationId.R2_PAIR_PRODUCT_Z),
@@ -262,13 +262,13 @@ GROUPS = {
     for group in dict.fromkeys(spec.group for spec in RELATIONS if spec.group)
 }
 
-#: Relations the qubit soak evaluates, in kernel column order: every formula
-#: that applies at s = 1/2 except R7 and R11, which there coincide with R6 and R3.
+#: Relations the qubit soak evaluates, in kernel column order: all but R_ROBERTSON_GENERIC,
+#: R7 and R11, which on the spin-1/2 stack coincide with R2_PAIR_PRODUCT_Z, R6 and R3.
 QUBIT_SOAK_RELATIONS = tuple(
     spec.relation
     for spec in RELATIONS
-    if spec.sides is not None
-    and spec.relation not in (RelationId.R7_SUM_GENERAL_S, RelationId.R11_CONJECTURE_TRIPLE_PRODUCT)
+    if spec.relation
+    not in (RelationId.R_ROBERTSON_GENERIC, RelationId.R7_SUM_GENERAL_S, RelationId.R11_CONJECTURE_TRIPLE_PRODUCT)
 )
 
 #: Relations with an equilateral-triangle analog, in kernel column order.
@@ -286,12 +286,10 @@ def relation_sides(relation: RelationId, d, v, e, h=None, w=None, s=None):
     d, v, e are the (x, y, z) standard deviations, variances and means; h the
     (x, y, z) Shannon entropies in nats, read only by the entropic relations;
     w the pair-sum variances Var(Sx+Sy), Var(Sy+Sz), Var(Sz+Sx), read only by
-    R8; s the spin, read only by R7. Each entry may be a float or an array of
-    a batch of states. The gap is lhs - rhs.
+    R8; s the spin, read only by R7; R_ROBERTSON_GENERIC's axes are (A, B, -i[A, B]).
+    Each entry may be a float or an array of a batch of states. The gap is lhs - rhs.
     """
     spec = _SPECS[relation]
-    if spec.sides is None:
-        raise ValueError(f"no moment formula for relation {relation!r}")
     moments = {"d": d, "v": v, "e": e, "h": h, "w": w, "s": s}
     return spec.sides(*[moments[name] for name in spec.reads])
 
@@ -304,9 +302,7 @@ def evaluate(
 ) -> RelationReport:
     """Evaluate one catalog relation on a state of the given spin.
 
-    One eigh of rho = V diag(lam) V^dag gives its columns sqrt(max(lam_c, 0)) v_c,
-    of which kernels.column_moments takes only the moments the relation reads;
-    relation_sides applies the formula to them.
+    kernels.column_moments takes only the moments the relation reads (see _evaluate_with).
     """
     from . import kernels  # kernels reads this module's table at import
 
@@ -314,11 +310,15 @@ def evaluate(
     check_applicable(relation, spin)
     if state.dim != spin.dim:
         raise DimensionMismatchError(f"state dim {state.dim} does not match spin dim {spin.dim}")
+    moments = kernels.column_moments(spin.twice_s, frozenset(_SPECS[relation].reads))
+    return _evaluate_with(relation, state, moments, spin.s, saturation_tol)
 
+
+def _evaluate_with(relation, state, moments, s, saturation_tol) -> RelationReport:
+    """relation's report on state from moments(cols), cols its columns sqrt(max(lam_c, 0)) v_c by one eigh of rho."""
     lam, vecs = np.linalg.eigh(state.rho)
     cols = (vecs * np.sqrt(np.maximum(lam, 0.0))).T[None]
-    moments = kernels.column_moments(spin.twice_s, frozenset(_SPECS[relation].reads))(cols)
-    lhs, rhs = relation_sides(relation, *[m if m is None else m[:, 0] for m in moments], spin.s)
+    lhs, rhs = relation_sides(relation, *[m if m is None else m[:, 0] for m in moments(cols)], s)
     return _report(relation, lhs, rhs, saturation_tol)
 
 

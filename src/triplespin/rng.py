@@ -27,7 +27,12 @@ _POOL = 4
 
 
 def check_seed(seed: int) -> int:
-    """The seed as an int; ValueError outside [0, 2**64), where distinct seeds would share streams."""
+    """The seed as an int; ValueError unless an integer or its string in [0, 2**64).
+
+    Distinct seeds outside it, or floats truncated to ints, would share streams.
+    """
+    if not isinstance(seed, (str, int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     seed = int(seed)
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")

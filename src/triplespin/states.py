@@ -73,6 +73,8 @@ def from_statevector(psi: np.ndarray) -> QuantumState:
     state when they are not all parallel.
     """
     g = np.atleast_2d(np.asarray(psi, dtype=complex))
+    if not np.isfinite(g).all():  # first: the division below would warn on NaN and inf
+        raise InvalidStateError("state vector has non-finite entries")
     norm = np.linalg.norm(g)
     if norm == 0:
         raise InvalidStateError("zero state vector")

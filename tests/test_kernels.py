@@ -26,8 +26,8 @@ from triplespin.states import (
 from triplespin.triangle import TrianglePoint, check_analogs, sample_barycentric, scan
 
 
-#: Every relation with a moment formula.
-FORMULAS = tuple(spec.relation for spec in RELATIONS if spec.sides is not None)
+#: Every relation: each has a moment formula.
+FORMULAS = tuple(spec.relation for spec in RELATIONS)
 
 
 def _bloch_batch(n=400):
@@ -190,6 +190,25 @@ def test_one_relation_reads_only_its_moments():
         gaps = kernels.vector_scorer(relations, twice_s)(psis)
         for k, rel in enumerate(relations):
             assert np.array_equal(kernels.vector_scorer((rel,), twice_s)(psis)[:, 0], gaps[:, k]), rel
+
+
+@pytest.mark.parametrize("twice_s", range(1, 9))
+def test_stack_moments_are_covariant(twice_s):
+    """column_moments of the columns U g equal stack_moments of g on the stack U^dag S_i U, within 1e-12.
+
+    Every moment (d, v, e, h, w), for state vectors (r = 1) and mixed states (r = d).
+    """
+    dim = twice_s + 1
+    reads = frozenset("dvehw")
+    rng = np.random.default_rng(90 + twice_s)
+    u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    ops = np.array(build_spin_operators(twice_s).as_tuple(), dtype=complex)
+    rotated = kernels.stack_moments(u.conj().T @ ops @ u, reads)
+    for r in (1, dim):
+        cols = random_pure_vectors(r * dim, 24, 70 + twice_s, r).reshape(24, r, dim)
+        spin = kernels.column_moments(twice_s, reads)(cols @ u.T)
+        for got, want in zip(rotated(cols), spin, strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_vector_scorer_matches_bloch_route_at_spin_half():

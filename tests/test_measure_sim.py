@@ -201,6 +201,17 @@ def test_sweep_parameter_grids():
         sweep_parameters(Family.R1_LATITUDE, 1)
 
 
+@pytest.mark.parametrize("shots", [2.5, math.nan, math.inf, 100.0, 0, 2**63])
+def test_shot_config_refuses_counts_that_are_no_int64_above_zero(shots):
+    # binomial would truncate 2.5 shots to 2 while the estimate divided by 2.5
+    with pytest.raises(ValueError, match="shots"):
+        ShotConfig(shots=shots)
+
+
+def test_shot_config_takes_numpy_integers():
+    assert ShotConfig(shots=np.int64(100)).shots == 100
+
+
 def test_meridian_start_point_values():
     pro0, pro1, _, sum0, sum1, _ = run_sweep(*NORTH).value[:, 0]
     assert pro0 == pytest.approx(0.0, abs=1e-15)

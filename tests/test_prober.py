@@ -352,12 +352,12 @@ def test_nan_rows_end_as_nan_and_never_win(monkeypatch):
     assert result.agreeing_restarts == FAST.restarts - 1
 
 
-#: (relation, twice_s) for every relation with a moment formula that applies at twice_s 1-4
+#: (relation, twice_s) for every relation that applies at twice_s 1-4
 RESTART_CASES = [
     (spec.relation, twice_s)
     for twice_s in (1, 2, 3, 4)
     for spec in RELATIONS
-    if spec.sides is not None and applicable_to(spec.relation, twice_s)
+    if applicable_to(spec.relation, twice_s)
 ]
 
 
@@ -396,6 +396,21 @@ def test_first_restart_gap_does_not_depend_on_the_restart_count(relation, twice_
 def test_probe_config_rejects_bad_tol(tol):
     with pytest.raises(ValueError):
         ProbeConfig(tol=tol)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [{"max_iters": math.nan}, {"restarts": 2.5}, {"restarts": 4.0}, {"max_iters": 0}, {"restarts": -1}],
+    ids=["nan-iters", "float-restarts", "integral-float-restarts", "zero-iters", "negative-restarts"],
+)
+def test_probe_config_refuses_counts_that_are_no_integer_above_zero(counts):
+    # range() in min_gap would raise TypeError on a float, far from the bad value
+    with pytest.raises(ValueError, match="integers"):
+        ProbeConfig(**counts)
+
+
+def test_probe_config_takes_numpy_integers():
+    assert ProbeConfig(restarts=np.int64(3), max_iters=np.int32(5)).restarts == 3
 
 
 def _nan_gaps(monkeypatch):

@@ -19,7 +19,7 @@ from triplespin.relations import (
     relation_sides,
     soak_qubit,
 )
-from triplespin.spin_ops import build_spin_operators
+from triplespin.spin_ops import build_spin_operators, commutator
 from triplespin.states import (
     QuantumState,
     density_from_bloch,
@@ -75,20 +75,14 @@ def test_robertson_rejects_non_finite_observables(bad):
             evaluate_robertson(density_from_bloch([0, 0, 1]), a, b)
 
 
-#: The scalar functions of moments: evaluate_robertson's route and the tests' oracle.
+#: The scalar functions of moments: the tests' oracle, which no evaluator calls.
 SCALAR_MOMENTS = ("expectation", "variance", "std_dev", "outcome_distribution", "shannon_entropy")
-FORMULAS = tuple(spec.relation for spec in RELATIONS if spec.sides is not None)
+#: Every relation that evaluate accepts at spin 1/2.
+EVALUABLE = tuple(relation for relation in RelationId if applicable_to(relation, 1))
 
 
-@pytest.mark.parametrize("relation", FORMULAS)
-def test_evaluate_computes_only_the_moments_its_relation_reads(monkeypatch, relation):
-    """No scalar moment call; one pure_moments call for the means and variances
-    if the formula reads any, one more for R8's Var(Si+Sj), none for entropies.
-
-    The first evaluate builds the spin's moment builder and the second finds it
-    cached, so rho's is the only eigh: no spin operator is diagonalized again.
-    """
-    want = evaluate(relation, BALANCED, 1)
+def _count_moment_calls(monkeypatch) -> collections.Counter:
+    """Counts, from here on, of the scalar moment calls, kernels' pure_moments calls and eighs."""
     counts = collections.Counter()
 
     def count(module, name):
@@ -106,10 +100,63 @@ def test_evaluate_computes_only_the_moments_its_relation_reads(monkeypatch, rela
                 count(module, name)
     count(kernels, "pure_moments")
     count(np.linalg, "eigh")
+    return counts
+
+
+@pytest.mark.parametrize("relation", EVALUABLE)
+def test_evaluate_computes_only_the_moments_its_relation_reads(monkeypatch, relation):
+    """No scalar moment call; one pure_moments call for the means and variances
+    if the formula reads any, one more for R8's Var(Si+Sj), none for entropies.
+
+    The first evaluate builds the spin's moment builder and the second finds it
+    cached, so rho's is the only eigh: no spin operator is diagonalized again.
+    """
+    want = evaluate(relation, BALANCED, 1)
+    counts = _count_moment_calls(monkeypatch)
     assert evaluate(relation, BALANCED, 1) == want
     reads = set(relations._SPECS[relation].reads)
     pure_calls = bool(reads & {"d", "v", "e"}) + ("w" in reads)
     assert counts == collections.Counter({"pure_moments": pure_calls, "eigh": 1})
+
+
+def test_evaluate_robertson_computes_its_moments_in_one_pass(monkeypatch):
+    """No scalar moment call, one pure_moments call on the stack (A, B, -i[A, B]) and rho's eigh."""
+    want = evaluate_robertson(BALANCED, QUBIT.sx, QUBIT.sy)
+    counts = _count_moment_calls(monkeypatch)
+    assert evaluate_robertson(BALANCED, QUBIT.sx, QUBIT.sy) == want
+    assert counts == collections.Counter({"pure_moments": 1, "eigh": 1})
+
+
+def _random_hermitian(dim: int, rng) -> np.ndarray:
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (m + m.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_evaluate_robertson_matches_the_scalar_route(dim):
+    """Robertson's sides vs std_dev twice and <[A, B]> from the commutator, within 1e-12.
+
+    On random Hermitian pairs, and Haar pure and Hilbert-Schmidt states.
+    """
+    rng = np.random.default_rng(60 + dim)
+    for st in [random_pure(dim, seed) for seed in range(3)] + [random_mixed(dim, seed) for seed in range(3)]:
+        a, b = _random_hermitian(dim, rng), _random_hermitian(dim, rng)
+        lhs = moments.std_dev(st, a) * moments.std_dev(st, b)
+        rhs = abs(np.einsum("ij,ji->", st.rho, commutator(a, b))) / 2.0
+        rep = evaluate_robertson(st, a, b)
+        assert abs(rep.lhs - lhs) <= 1e-12 and abs(rep.rhs - rhs) <= 1e-12
+        assert rep.relation is RelationId.R_ROBERTSON_GENERIC
+
+
+@pytest.mark.parametrize("twice_s", range(1, 9))
+def test_robertson_on_the_spin_pair_is_the_pair_product_z(twice_s):
+    """Delta(Sx) Delta(Sy) >= |<[Sx, Sy]>| / 2 is R2_PAIR_PRODUCT_Z, as -i[Sx, Sy] = Sz; within 1e-12."""
+    dim = twice_s + 1
+    ops = build_spin_operators(twice_s)
+    for st in [random_pure(dim, seed) for seed in range(3)] + [random_mixed(dim, seed) for seed in range(3)]:
+        rep = evaluate_robertson(st, ops.sx, ops.sy)
+        want = evaluate(RelationId.R2_PAIR_PRODUCT_Z, st, twice_s)
+        assert abs(rep.lhs - want.lhs) <= 1e-12 and abs(rep.rhs - want.rhs) <= 1e-12
 
 
 @pytest.mark.parametrize("twice_s", range(1, 9))
@@ -125,7 +172,7 @@ def test_evaluate_matches_the_scalar_route(twice_s):
     assert np.linalg.eigh(deficient.rho)[0][0] < 0.0
     axes = build_spin_operators(twice_s).as_tuple()
     pairs = [axes[i] + axes[(i + 1) % 3] for i in range(3)]
-    applicable = [relation for relation in FORMULAS if applicable_to(relation, twice_s)]
+    applicable = [relation for relation in EVALUABLE if applicable_to(relation, twice_s)]
     samples = [random_pure(dim, seed) for seed in range(3)] + [random_mixed(dim, seed) for seed in range(3)]
     for st in [*samples, deficient]:
         d = [moments.std_dev(st, op) for op in axes]

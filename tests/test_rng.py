@@ -1,4 +1,6 @@
-"""rng.philox_keys and rng.map_streams against numpy's SeedSequence and rng.stream."""
+"""rng.philox_keys and rng.map_streams against numpy's SeedSequence and rng.stream; rng.check_seed."""
+
+import math
 
 import numpy as np
 import pytest
@@ -72,3 +74,18 @@ def test_seed_outside_64_bits_raises():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
             rng.philox_keys(seed, [[0, 0]])
+
+
+@pytest.mark.parametrize(
+    "seed", [2.7, math.inf, math.nan, 3.0, "2.7"], ids=["float", "inf", "nan", "integral-float", "float-string"]
+)
+def test_check_seed_refuses_what_is_no_integer(seed):
+    # truncating 2.7 to 2 would give two distinct seeds one stream
+    with pytest.raises(ValueError):
+        rng.check_seed(seed)
+
+
+@pytest.mark.parametrize("seed, want", [("12", 12), (2**64 - 1, 2**64 - 1), (np.uint64(2**64 - 1), 2**64 - 1)])
+def test_check_seed_takes_integers_and_integer_strings(seed, want):
+    got = rng.check_seed(seed)
+    assert got == want and type(got) is int

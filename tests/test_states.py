@@ -266,6 +266,14 @@ def test_quantum_state_rejects_non_finite_entries(bad):
         density_from_bloch([bad, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_from_statevector_rejects_non_finite_entries(bad):
+    # refused before the normalizing division, which would warn on NaN and inf
+    for psi in ([bad, 1.0], [[1.0, 0.0], [0.0, bad]]):
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            from_statevector(np.array(psi))
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7, -(2**64)])
 def test_stream_rejects_seeds_outside_64_bits(seed):
     # masking them to 64 bits would give seeds 0 and 2**64 the same stream

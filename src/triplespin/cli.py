@@ -41,7 +41,7 @@ from .relations import (
     RelationId,
     applicable_to,
     check_applicable,
-    evaluate,
+    evaluate_all,
     soak_qubit,
 )
 from .rng import check_seed
@@ -139,8 +139,7 @@ def _write_output(text: str, args) -> None:
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
         with open(args.emit + ".manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
     else:
         sys.stdout.write(text)
 
@@ -166,10 +165,10 @@ def _cmd_ops(args) -> int:
 def _cmd_verify(args) -> int:
     spin = Spin(args.spin)
     relations = parse_relations(args.relation, spin)
-    for rel in relations:
+    for rel in relations:  # before the state is read: an inapplicable relation is the error reported
         check_applicable(rel, spin)
     state = _build_state(args)
-    reports = [evaluate(rel, state, spin, saturation_tol=args.tolerance) for rel in relations]
+    reports = evaluate_all(relations, state, spin, saturation_tol=args.tolerance)
     _write_output(_json_text([r.to_dict() for r in reports]), args)
     # a NaN gap is not >= -tolerance, so it counts as a violation
     violated = any(not r.gap >= -args.tolerance for r in reports)

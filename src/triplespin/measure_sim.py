@@ -23,6 +23,7 @@ renders its arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from . import kernels
 from .moments import bloch_moments
 from .relations import RelationId, relation_sides
-from .rng import map_streams
+from .rng import check_seed, map_streams
 from .states import BLOCH_NORM_TOL, Family, family_bloch
 
 #: A sweep point is singular for pro0 error propagation when any standard
@@ -51,6 +52,7 @@ class ShotConfig:
             raise ValueError(f"shots must be an integer >= 1, got {self.shots!r}")
         if self.shots > np.iinfo(np.int64).max:
             raise ValueError(f"shots must fit numpy's int64, got {self.shots}")
+        check_seed(self.seed)
 
 
 _FLAG_TAGS = ("singular_pro0", "singular_pro1", "singular_pro2")
@@ -77,21 +79,20 @@ class Sweep:
         return len(self.parameter)
 
 
-def _count_plus(rng, r_i: float, shots: int, per_draw: bool) -> int:
-    """Number of + outcomes among `shots` draws from the generator rng, for the Bloch component r_i.
+def _count_plus(rng, p_plus: float, shots: int) -> int:
+    """Number of draws u < p_plus among `shots` rng.random() draws, counted on the raw Philox words.
 
-    Per-draw outcomes come in blocks of kernels.CHUNK_ROWS, so memory does not
-    grow with the shot count; the blocks continue one stream, so the counts
-    equal those of a single draw of all the shots.
+    rng.random() is u = (w >> 11) 2^-53 for the next raw 64-bit word w, so u < p
+    exactly when w < ceil(p 2^53) 2^11 (scaling by 2^53 and ceil are exact);
+    at p = 1 that bound is 2^64 and every draw counts. The words come in blocks
+    of kernels.CHUNK_ROWS, so memory does not grow with the shot count; the
+    blocks continue one stream, so the count equals that of one draw of all the shots.
     """
-    p_plus = min(max((1.0 + r_i) / 2.0, 0.0), 1.0)
-    if per_draw:
-        chunk = kernels.CHUNK_ROWS
-        return sum(
-            int(np.count_nonzero(rng.random(min(chunk, shots - start)) < p_plus))
-            for start in range(0, shots, chunk)
-        )
-    return int(rng.binomial(shots, p_plus))
+    bound = math.ceil(p_plus * 2.0**53) << 11
+    if bound >> 64:
+        return shots
+    raw, bound, chunk = rng.bit_generator.random_raw, np.uint64(bound), kernels.CHUNK_ROWS
+    return sum(int(np.count_nonzero(raw(min(chunk, shots - start)) < bound)) for start in range(0, shots, chunk))
 
 
 def _shot_estimate(k, shots: int):
@@ -189,10 +190,11 @@ def run_sweep(family: Family, params, cfg: ShotConfig | None = None, per_draw: b
     """The family's sweep at (n,) parameters, exact (cfg None) or from cfg.shots outcomes per axis.
 
     Raises ValueError unless params is 1-D; a non-finite parameter makes
-    family_bloch raise InvalidStateError. Point k's axis i draws from stream
-    (seed, k, i), one (point, axis) at a time and per-draw in blocks
-    (_count_plus), so memory stays constant; the streams' Philox keys are
-    derived in one pass (rng.map_streams).
+    family_bloch raise InvalidStateError. The + probabilities (1 + r_i) / 2 of
+    all points and axes are clamped to [0, 1] at once; point k's axis i then
+    draws its count from stream (seed, k, i) in one call, a binomial or, per
+    draw, a count of raw words in blocks (_count_plus), so memory stays
+    constant; the streams' Philox keys are derived in one pass (rng.map_streams).
     """
     params = np.asarray(params, dtype=float)
     if params.ndim != 1:
@@ -201,12 +203,14 @@ def run_sweep(family: Family, params, cfg: ShotConfig | None = None, per_draw: b
     if cfg is None:
         # + 0.0 turns a -0.0 component into 0.0
         return _derive(params, r / 2.0 + 0.0, np.zeros_like(r))
-    r_flat = r.ravel().tolist()
-    # row (index, axis) of keys is entry axis * n + index of r_flat
+    p_plus = np.minimum(np.maximum((1.0 + r) / 2.0, 0.0), 1.0).ravel().tolist()
+    # row (index, axis) of keys is entry axis * n + index of p_plus
     keys = np.indices(r.shape)[::-1].reshape(2, -1).T
-    k = np.array(map_streams(
-        cfg.seed, keys, lambda rng, i: _count_plus(rng, r_flat[i], cfg.shots, per_draw)
-    )).reshape(r.shape)
+    if per_draw:
+        k = map_streams(cfg.seed, keys, lambda rng, i: _count_plus(rng, p_plus[i], cfg.shots))
+    else:
+        k = map_streams(cfg.seed, keys, lambda rng, i: rng.binomial(cfg.shots, p_plus[i]))
+    k = np.array(k).reshape(r.shape)
     return _derive(params, *_shot_estimate(k, cfg.shots))
 
 

@@ -25,10 +25,12 @@ import numpy as np
 from . import kernels
 from .errors import TripleSpinError
 from .relations import RelationId, check_applicable, evaluate
+from .rng import check_seed, map_streams
 from .spin_ops import Spin, _as_spin
 from .states import (
     QuantumState,
     from_statevector,
+    haar_vectors,
     random_pure_vectors,
     state_to_json_dict,
 )
@@ -59,6 +61,7 @@ class ProbeConfig:
         counts = (self.restarts, self.max_iters)
         if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in counts):
             raise ValueError(f"restarts and max_iters must be integers >= 1, got {counts}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +275,8 @@ def min_gap(
     Runs cfg.restarts independent L-BFGS searches and keeps the best result
     (see _search). A state is searched as r columns of length d, r = 1 for
     pure states and r = d with mixed=True. Restart k starts from a Haar unit
-    vector of C^(d r) drawn on stream (seed, k), so the result is
+    vector of C^(d r) drawn on stream (seed, k) (keyed in one pass,
+    rng.map_streams), so the result is
     deterministic for a fixed config; read as d columns, that draw is a
     Hilbert-Schmidt mixed state. min_gap is evaluated on the argmin.
     """
@@ -280,7 +284,8 @@ def min_gap(
     check_applicable(relation, spin)
 
     width = spin.dim * (spin.dim if mixed else 1)
-    starts = np.vstack([random_pure_vectors(width, 1, cfg.seed, k) for k in range(cfg.restarts)])
+    keys = np.arange(cfg.restarts)[:, None]
+    starts = np.vstack(map_streams(cfg.seed, keys, lambda rng, k: haar_vectors(rng, width, 1)))
     return _search(relation, spin, starts, cfg)
 
 

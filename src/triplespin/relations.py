@@ -13,9 +13,10 @@ separately as R11_CONJECTURE_TRIPLE_PRODUCT.
 RELATIONS is the one table of relations: alias, axis group, description, spin
 rule and moments-to-sides formula per id. The spin rules, the CLI spellings
 and the kernel column orders are derived from it, and every gap in
-the package (evaluate, evaluate_robertson, the kernels' scorers, the triangle
-check and the sweep) comes from its formulas through relation_sides; the
-evaluators take their moments from kernels.stack_moments, as the scorers do.
+the package (evaluate_all and its one-relation form evaluate, evaluate_robertson,
+the kernels' scorers, the triangle check and the sweep) comes from its formulas
+through relation_sides; the evaluators take their moments from
+kernels.stack_moments, as the scorers do, one pass for a whole relation set.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def evaluate_robertson(
     a, b = _check_pair(state, a), _check_pair(state, b)
     relation = RelationId.R_ROBERTSON_GENERIC
     moments = kernels.stack_moments(np.array([a, b, -1j * commutator(a, b)]), frozenset(_SPECS[relation].reads))
-    return _evaluate_with(relation, state, moments, None, saturation_tol)
+    return _evaluate_with((relation,), state, moments, None, saturation_tol)[0]
 
 
 def _sum3(x):
@@ -300,26 +301,41 @@ def evaluate(
     spin: Spin | int,
     saturation_tol: float = SATURATION_TOL,
 ) -> RelationReport:
-    """Evaluate one catalog relation on a state of the given spin.
+    """Evaluate one catalog relation on a state of the given spin: evaluate_all((relation,), ...)[0]."""
+    return evaluate_all((relation,), state, spin, saturation_tol)[0]
 
-    kernels.column_moments takes only the moments the relation reads (see _evaluate_with).
+
+def evaluate_all(
+    relations,
+    state: QuantumState,
+    spin: Spin | int,
+    saturation_tol: float = SATURATION_TOL,
+) -> list[RelationReport]:
+    """Reports of catalog relations on one state of the given spin, in the order given.
+
+    Every relation is checked (check_applicable) before any is evaluated. One
+    kernels.column_moments builder over the union of the relations' reads and
+    one eigh of rho give every formula its moments (see _evaluate_with); the
+    builder's moments do not depend on the reads it was built for, so each
+    report equals the one a set of that relation alone gives.
     """
     from . import kernels  # kernels reads this module's table at import
 
     spin = _as_spin(spin)
-    check_applicable(relation, spin)
+    for relation in relations:
+        check_applicable(relation, spin)
     if state.dim != spin.dim:
         raise DimensionMismatchError(f"state dim {state.dim} does not match spin dim {spin.dim}")
-    moments = kernels.column_moments(spin.twice_s, frozenset(_SPECS[relation].reads))
-    return _evaluate_with(relation, state, moments, spin.s, saturation_tol)
+    moments = kernels.column_moments(spin.twice_s, frozenset(name for r in relations for name in _SPECS[r].reads))
+    return _evaluate_with(relations, state, moments, spin.s, saturation_tol)
 
 
-def _evaluate_with(relation, state, moments, s, saturation_tol) -> RelationReport:
-    """relation's report on state from moments(cols), cols its columns sqrt(max(lam_c, 0)) v_c by one eigh of rho."""
+def _evaluate_with(relations, state, moments, s, saturation_tol) -> list[RelationReport]:
+    """The relations' reports on state from moments(cols), cols its columns sqrt(max(lam_c, 0)) v_c from one eigh."""
     lam, vecs = np.linalg.eigh(state.rho)
     cols = (vecs * np.sqrt(np.maximum(lam, 0.0))).T[None]
-    lhs, rhs = relation_sides(relation, *[m if m is None else m[:, 0] for m in moments(cols)], s)
-    return _report(relation, lhs, rhs, saturation_tol)
+    taken = [m if m is None else m[:, 0] for m in moments(cols)]
+    return [_report(relation, *relation_sides(relation, *taken, s), saturation_tol) for relation in relations]
 
 
 def equality_condition(relation: RelationId, bloch, tol: float = 1e-9) -> bool:

@@ -197,7 +197,11 @@ def random_mixed_bloch(n: int, seed: int, *key: int) -> np.ndarray:
 
 def random_pure_vectors(dim: int, n: int, seed: int, *key: int) -> np.ndarray:
     """(n, dim) Haar-random normalized state vectors from stream (seed, *key)."""
-    rng = stream(seed, *key)
+    return haar_vectors(stream(seed, *key), dim, n)
+
+
+def haar_vectors(rng, dim: int, n: int) -> np.ndarray:
+    """(n, dim) Haar-random normalized state vectors from the generator rng."""
     z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     return z

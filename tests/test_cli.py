@@ -553,13 +553,25 @@ def test_negative_tolerance_exits_two(capsys, argv):
 
 
 def test_verify_fails_on_non_finite_gap(monkeypatch, capsys):
-    def nan_gap(relation, state, spin, saturation_tol):
-        return RelationReport(relation, math.nan, 0.0, math.nan, False, saturation_tol)
+    def nan_gaps(relations, state, spin, saturation_tol):
+        return [RelationReport(relation, math.nan, 0.0, math.nan, False, saturation_tol) for relation in relations]
 
-    monkeypatch.setattr(cli, "evaluate", nan_gap)
+    monkeypatch.setattr(cli, "evaluate_all", nan_gaps)
     code, out, _ = run(capsys, "verify", "--relation", "R5", "--bloch", "0,0,0.5")
     assert code != 0
     assert "NaN" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--relation", "all", "--bloch", "0.1,0.2,0.3"],
+    ["simulate", "--family", "r1", "--points", "3", "--shots", "10", "--per-draw"],
+])
+def test_manifest_text_is_its_objects_canonical_json(tmp_path, argv):
+    """A manifest is json.dumps(indent=2, sort_keys=True) of its object plus a newline, on any host."""
+    out = tmp_path / "out.txt"
+    assert dispatch(argv + ["--emit", str(out)]) == 0
+    text = Path(str(out) + ".manifest.json").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_json_output_refuses_non_finite_numbers():

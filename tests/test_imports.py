@@ -227,10 +227,10 @@ def test_sweep_takes_only_the_table_from_relations():
 
 def test_sweep_builds_no_state_and_draws_by_one_route():
     # Bloch columns come straight from family_bloch, with no density matrix, and every
-    # (point, axis) stream from rng.map_streams
+    # (point, axis) stream from rng.map_streams; check_seed draws nothing, it validates ShotConfig.seed
     source = (PACKAGE / "measure_sim.py").read_text(encoding="utf-8")
     assert module_names(source, "states") == ["BLOCH_NORM_TOL", "Family", "family_bloch"]
-    assert module_names(source, "rng") == ["map_streams"]
+    assert module_names(source, "rng") == ["check_seed", "map_streams"]
 
 
 def test_prober_scores_only_through_kernels():

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from triplespin.errors import InvalidStateError
+from triplespin.kernels import CHUNK_ROWS
 from triplespin.measure_sim import (
     CSV_HEADER,
     ShotConfig,
     Sweep,
+    _count_plus,
     propagate_derived,
     rows_to_csv,
     run_sweep,
@@ -210,6 +212,42 @@ def test_shot_config_refuses_counts_that_are_no_int64_above_zero(shots):
 
 def test_shot_config_takes_numpy_integers():
     assert ShotConfig(shots=np.int64(100)).shots == 100
+
+
+@pytest.mark.parametrize("seed", [2.7, -1, 2**64, None])
+def test_shot_config_refuses_seeds_outside_the_stream_range(seed):
+    # checked at construction, not first at run_sweep's streams
+    with pytest.raises(ValueError, match="seed"):
+        ShotConfig(seed=seed)
+
+
+#: + probabilities at and one word step (2^-53) inside the ends of [0, 1], 1/2, the least subnormal, and random ones
+COUNT_PROBABILITIES = [0.0, 5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0, *np.random.default_rng(8).random(4).tolist()]
+
+
+@pytest.mark.parametrize("shots", [1, CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 1])
+def test_raw_word_counts_equal_the_float_route(shots):
+    """_count_plus on raw Philox words equals count_nonzero(stream.random(shots) < p) bit for bit."""
+    for key, p in enumerate(COUNT_PROBABILITIES):
+        assert _count_plus(stream(5, key), p, shots) == np.count_nonzero(stream(5, key).random(shots) < p)
+
+
+def test_raw_word_counts_are_exact_at_each_bound():
+    """Words on both sides of each p's bound count as their floats (w >> 11) 2^-53 < p do."""
+
+    class Words:  # a generator whose raw words are the given ones
+        def __init__(self, words):
+            self.bit_generator = self
+            self.words = iter(words)
+
+        def random_raw(self, k):
+            return np.array([next(self.words) for _ in range(k)], dtype=np.uint64)
+
+    for p in COUNT_PROBABILITIES:
+        edge = min(math.ceil(p * 2.0**53) << 11, 2**64 - 1)
+        words = [w for w in (0, edge - 2049, edge - 2048, edge - 1, edge, edge + 1, 2**64 - 1) if 0 <= w < 2**64]
+        want = sum((w >> 11) * 2.0**-53 < p for w in words)
+        assert _count_plus(Words(words), p, len(words)) == want
 
 
 def test_meridian_start_point_values():

@@ -413,6 +413,13 @@ def test_probe_config_takes_numpy_integers():
     assert ProbeConfig(restarts=np.int64(3), max_iters=np.int32(5)).restarts == 3
 
 
+@pytest.mark.parametrize("seed", [2.7, -1, 2**64, None])
+def test_probe_config_refuses_seeds_outside_the_stream_range(seed):
+    # checked at construction, not first at min_gap's streams
+    with pytest.raises(ValueError, match="seed"):
+        ProbeConfig(seed=seed)
+
+
 def _nan_gaps(monkeypatch):
     real = prober.evaluate
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from triplespin import kernels, moments, relations, states
+from triplespin import cli, kernels, moments, relations, states
 from triplespin.errors import DimensionMismatchError, InvalidStateError, SpinRestrictionError, TripleSpinError
 from triplespin.moments import pure_moments
 from triplespin.relations import (
@@ -15,6 +15,7 @@ from triplespin.relations import (
     applicable_to,
     equality_condition,
     evaluate,
+    evaluate_all,
     evaluate_robertson,
     relation_sides,
     soak_qubit,
@@ -117,6 +118,32 @@ def test_evaluate_computes_only_the_moments_its_relation_reads(monkeypatch, rela
     reads = set(relations._SPECS[relation].reads)
     pure_calls = bool(reads & {"d", "v", "e"}) + ("w" in reads)
     assert counts == collections.Counter({"pure_moments": pure_calls, "eigh": 1})
+
+
+def test_evaluate_all_takes_every_moment_from_one_pass(monkeypatch):
+    """One eigh of rho and two pure_moments calls for the whole set: the spin stack and the pair sums."""
+    want = evaluate_all(EVALUABLE, BALANCED, 1)
+    counts = _count_moment_calls(monkeypatch)
+    assert evaluate_all(EVALUABLE, BALANCED, 1) == want
+    assert counts == collections.Counter({"pure_moments": 2, "eigh": 1})
+
+
+def test_verify_all_makes_one_eigh(monkeypatch, capsys):
+    argv = ["verify", "--relation", "all", "--bloch", "0.1,0.2,0.3"]
+    assert cli.dispatch(argv) == 0
+    counts = _count_moment_calls(monkeypatch)
+    assert cli.dispatch(argv) == 0
+    assert counts["eigh"] == 1
+
+
+@pytest.mark.parametrize("twice_s", range(1, 5))
+def test_evaluate_all_equals_evaluate_per_relation(twice_s):
+    """Every applicable relation, in either order, on Haar pure and Hilbert-Schmidt states: repr-identical."""
+    dim = twice_s + 1
+    rels = [relation for relation in RelationId if applicable_to(relation, twice_s)]
+    for st in [random_pure(dim, seed) for seed in range(3)] + [random_mixed(dim, seed) for seed in range(3)]:
+        for order in (rels, rels[::-1]):
+            assert repr(evaluate_all(order, st, twice_s)) == repr([evaluate(r, st, twice_s) for r in order])
 
 
 def test_evaluate_robertson_computes_its_moments_in_one_pass(monkeypatch):

@@ -9,7 +9,7 @@ searches for minimum-gap states with an L-BFGS prober on central differences.
 
 __version__ = "0.1.0"
 
-from .spin_ops import Spin, SpinOperatorSet, build_spin_operators, commutator
+from .spin_ops import Spin, build_spin_operators, commutator
 from .states import (
     QuantumState,
     Family,
@@ -39,7 +39,6 @@ from .prober import ProbeConfig, ProbeResult, min_gap, min_variance_sum, scan_co
 __all__ = [
     "__version__",
     "Spin",
-    "SpinOperatorSet",
     "build_spin_operators",
     "commutator",
     "QuantumState",

@@ -149,13 +149,14 @@ def _json_text(obj) -> str:
 
 
 def _cmd_ops(args) -> int:
-    ops = build_spin_operators(Spin(args.spin))
+    spin = Spin(args.spin)
+    ops = build_spin_operators(spin)
     out = {
-        "twice_s": ops.spin.twice_s,
-        "dim": ops.dim,
-        "sx": _matrix_json(ops.sx),
-        "sy": _matrix_json(ops.sy),
-        "sz": _matrix_json(ops.sz),
+        "twice_s": spin.twice_s,
+        "dim": spin.dim,
+        "sx": _matrix_json(ops[0]),
+        "sy": _matrix_json(ops[1]),
+        "sz": _matrix_json(ops[2]),
         "residuals": identity_residuals(ops),
     }
     _write_output(_json_text(out), args)
@@ -337,8 +338,9 @@ def dispatch(argv: list[str]) -> int:
             if not given:
                 args._argv += ["--seed", str(args.seed)]
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliError, ValueError, OSError, MemoryError) as exc:
+        # a bare MemoryError has no message; numpy's names the allocation it could not make
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

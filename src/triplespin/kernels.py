@@ -16,6 +16,7 @@ the only code in the package that starts threads.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from functools import lru_cache
@@ -23,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .moments import bloch_moments, column_sum, entr, pure_moments
-from .relations import _SPECS, QUBIT_SOAK_RELATIONS, TRIANGLE_ANALOG_RELATIONS, relation_sides
+from .relations import QUBIT_SOAK_RELATIONS, TRIANGLE_ANALOG_RELATIONS, reads_of, relation_sides
 from .spin_ops import build_spin_operators
 
 #: Array library the kernels run on; recorded with benchmark results.
@@ -65,8 +66,9 @@ def fold_chunks(chunks: int, draw, score, tolerance: float | None = None):
     above -tolerance (NaN counts), else None. Each chunk reduces its block
     minima, and the chunks' results are merged in chunk order, so memory stays
     constant in the chunk count. Chunks run on up to _scan_workers() threads,
-    all joined before this returns, and the result does not depend on the
-    thread count. One chunk or one CPU runs in the calling thread.
+    all joined and their freed heap trimmed before this returns, and the result
+    does not depend on the thread count. One chunk or one CPU runs in the
+    calling thread.
     """
     if chunks < 1:
         raise ValueError(f"need at least one chunk, got {chunks}")
@@ -103,6 +105,12 @@ def fold_chunks(chunks: int, draw, score, tolerance: float | None = None):
         return merged(pool.map(one, range(chunks)))
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+        # the workers' malloc arenas keep what they freed in holes laid out by how the
+        # threads interleaved, which would set the next scan's peak RSS (6 MB apart from
+        # run to run at 750000-state soaks); glibc's malloc_trim hands those pages back
+        trim = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "posix" else None
+        if trim is not None:
+            trim(0)
 
 
 def _batch(points: np.ndarray, what: str) -> np.ndarray:
@@ -125,15 +133,14 @@ def qubit_relation_gaps(bloch: np.ndarray, relations=QUBIT_SOAK_RELATIONS) -> np
 
     Columns follow `relations`: by default the 16 of relations.QUBIT_SOAK_RELATIONS.
     """
-    reads = {name for relation in relations for name in _SPECS[relation].reads}
     cols = np.ascontiguousarray(_batch(bloch, "Bloch").T)
-    return _apply_table(relations, cols.shape[1], *bloch_moments(cols, reads), 0.5)
+    return _apply_table(relations, cols.shape[1], *bloch_moments(cols, reads_of(relations)), 0.5)
 
 
 @lru_cache(maxsize=64)
 def column_moments(twice_s: int, reads: frozenset):
     """stack_moments on the spin stack (Sx, Sy, Sz) of spin twice_s/2, built once per spin and reads."""
-    return stack_moments(np.array(build_spin_operators(twice_s).as_tuple(), dtype=complex), reads)
+    return stack_moments(build_spin_operators(twice_s), reads)
 
 
 def stack_moments(ops: np.ndarray, reads: frozenset):
@@ -174,7 +181,7 @@ def vector_scorer(relations, twice_s: int):
     rows of its batch (see moments.pure_moments), so the batch is scored in
     blocks of at most CHUNK_ROWS columns, which bound its temporaries.
     """
-    moments = column_moments(twice_s, frozenset(name for rel in relations for name in _SPECS[rel].reads))
+    moments = column_moments(twice_s, reads_of(relations))
 
     def score(rows: np.ndarray) -> np.ndarray:
         cols = rows.reshape(len(rows), -1, twice_s + 1)

@@ -131,7 +131,7 @@ def evaluate_robertson(
 
     a, b = _check_pair(state, a), _check_pair(state, b)
     relation = RelationId.R_ROBERTSON_GENERIC
-    moments = kernels.stack_moments(np.array([a, b, -1j * commutator(a, b)]), frozenset(_SPECS[relation].reads))
+    moments = kernels.stack_moments(np.array([a, b, -1j * commutator(a, b)]), reads_of((relation,)))
     return _evaluate_with((relation,), state, moments, None, saturation_tol)[0]
 
 
@@ -281,6 +281,11 @@ TRIANGLE_ANALOG_RELATIONS = (
 )
 
 
+def reads_of(relations) -> frozenset:
+    """The moments (names among d, v, e, h, w, s) that any of the relations reads."""
+    return frozenset(name for relation in relations for name in _SPECS[relation].reads)
+
+
 def relation_sides(relation: RelationId, d, v, e, h=None, w=None, s=None):
     """(lhs, rhs) of a catalog relation from per-axis moments.
 
@@ -326,7 +331,7 @@ def evaluate_all(
         check_applicable(relation, spin)
     if state.dim != spin.dim:
         raise DimensionMismatchError(f"state dim {state.dim} does not match spin dim {spin.dim}")
-    moments = kernels.column_moments(spin.twice_s, frozenset(name for r in relations for name in _SPECS[r].reads))
+    moments = kernels.column_moments(spin.twice_s, reads_of(relations))
     return _evaluate_with(relations, state, moments, spin.s, saturation_tol)
 
 

@@ -41,39 +41,16 @@ class Spin:
         return f"{self.twice_s}/2" if self.twice_s % 2 else str(self.twice_s // 2)
 
 
-@dataclass(frozen=True, eq=False)
-class SpinOperatorSet:
-    """The three Hermitian spin-component matrices for one spin value (hbar = 1)."""
-
-    spin: Spin
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
-
-    def as_tuple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.sx, self.sy, self.sz)
-
-    @property
-    def dim(self) -> int:
-        return self.spin.dim
-
-
 def _as_spin(spin: Spin | int) -> Spin:
     return spin if isinstance(spin, Spin) else Spin(spin)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=complex)
-    a.setflags(write=False)
-    return a
+def build_spin_operators(spin: Spin | int) -> np.ndarray:
+    """The read-only complex (3, d, d) stack (Sx, Sy, Sz) of the given spin (hbar = 1).
 
-
-def build_spin_operators(spin: Spin | int) -> SpinOperatorSet:
-    """Construct Sx, Sy, Sz for the given spin via the ladder-operator recipe.
-
-    The raising operator has entries sqrt(s(s+1) - m(m+1)) connecting |s,m>
-    to |s,m+1>; then Sx = (S+ + S-)/2, Sy = (S+ - S-)/(2i) and Sz is diagonal
-    with entries s, s-1, ..., -s.
+    Ladder-operator recipe: the raising operator has entries
+    sqrt(s(s+1) - m(m+1)) connecting |s,m> to |s,m+1>; then Sx = (S+ + S-)/2,
+    Sy = (S+ - S-)/(2i) and Sz is diagonal with entries s, s-1, ..., -s.
     """
     spin = _as_spin(spin)
     if spin.twice_s == 0:
@@ -87,7 +64,9 @@ def build_spin_operators(spin: Spin | int) -> SpinOperatorSet:
     sx = (s_plus + s_plus.T) / 2
     sy = (s_plus - s_plus.T) / 2j
     sz = np.diag(m)
-    return SpinOperatorSet(spin, _frozen(sx), _frozen(sy), _frozen(sz))
+    ops = np.array([sx, sy, sz], dtype=complex)
+    ops.setflags(write=False)
+    return ops
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -101,15 +80,16 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def identity_residuals(ops: SpinOperatorSet) -> dict[str, float]:
+def identity_residuals(ops: np.ndarray) -> dict[str, float]:
     """Max-entry residuals of the cyclic commutation identities and the Casimir.
 
-    All four must be <= IDENTITY_TOL for a correctly built operator set.
+    ops is a (3, d, d) stack (Sx, Sy, Sz) of spin s = (d - 1)/2. All four
+    residuals must be <= IDENTITY_TOL for a correctly built stack.
     """
-    sx, sy, sz = ops.as_tuple()
-    s = ops.spin.s
-    eye = np.eye(ops.dim)
-    casimir = sx @ sx + sy @ sy + sz @ sz - s * (s + 1) * eye
+    sx, sy, sz = ops
+    d = ops.shape[-1]
+    s = (d - 1) / 2
+    casimir = sx @ sx + sy @ sy + sz @ sz - s * (s + 1) * np.eye(d)
     return {
         "comm_xy": float(np.max(np.abs(commutator(sx, sy) - 1j * sz))),
         "comm_yz": float(np.max(np.abs(commutator(sy, sz) - 1j * sx))),

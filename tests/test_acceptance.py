@@ -185,7 +185,7 @@ def test_c09_oracle_equivalence():
         blochs = np.vstack([random_pure_bloch(5000, 61), random_mixed_bloch(5000, 62)])
         for r in blochs:
             st = density_from_bloch(r)
-            for k, op in enumerate(qubit.as_tuple()):
+            for k, op in enumerate(qubit):
                 assert abs(expectation(st, op) - r[k] / 2.0) <= 1e-12
                 assert abs(variance(st, op) - (1.0 - r[k] ** 2) / 4.0) <= 1e-12
 

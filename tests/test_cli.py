@@ -562,6 +562,48 @@ def test_verify_fails_on_non_finite_gap(monkeypatch, capsys):
     assert "NaN" not in out
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+def _violated(relations, state, spin, saturation_tol):
+    return [RelationReport(relation, 0.0, 1.0, -1.0, False, saturation_tol) for relation in relations]
+
+
+SOAK = ("soak", "--pure", "300", "--mixed-n", "300", "--seed", "1")
+VERIFY = ("verify", "--relation", "R5", "--bloch", "0,0,0.5")
+
+
+@pytest.mark.parametrize(
+    "argv, patch, code",
+    [
+        (("ops", "--spin", "3"), None, 0),
+        (VERIFY, None, 0),
+        (SOAK, None, 0),
+        (VERIFY, (cli, "evaluate_all", _violated), 1),
+        (SOAK, (kernels, "qubit_relation_gaps", lambda bloch: np.full((len(bloch), 16), -1.0)), 1),
+        (("ops",), None, 2),  # argparse: a required option is missing
+        (("verify", "--relation", "R99", "--bloch", "0,0,0"), None, 2),  # CliError
+        (("ops", "--spin", "0"), None, 2),  # ValueError
+        (("verify", "--relation", "R5", "--state-file", "no/such/state.json"), None, 2),  # OSError
+        (("ops", "--spin", "3"), (cli, "build_spin_operators", _out_of_memory), 2),
+        (("probe", "--relation", "R5", "--spin", "4"), (cli, "min_gap", _out_of_memory), 2),
+    ],
+    ids=["ops", "verify", "soak", "verify-violated", "soak-violated", "usage", "cli-error", "value-error",
+         "os-error", "ops-out-of-memory", "probe-out-of-memory"],
+)
+def test_dispatch_exit_codes(monkeypatch, capsys, argv, patch, code):
+    """0 on success, 1 when verify or soak finds a violation, 2 with nothing on stdout on every error."""
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code == 2:
+        assert out == "" and "error: " in err.splitlines()[-1]
+    if patch is not None and patch[2] is _out_of_memory:
+        assert err == "error: MemoryError\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--relation", "all", "--bloch", "0.1,0.2,0.3"],
     ["simulate", "--family", "r1", "--points", "3", "--shots", "10", "--per-draw"],

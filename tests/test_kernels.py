@@ -1,4 +1,6 @@
+import os
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -149,6 +151,22 @@ def test_no_scan_thread_outlives_the_call(monkeypatch):
     assert workers and not any(t.is_alive() for t in workers)
 
 
+@pytest.mark.skipif(os.name != "posix", reason="malloc_trim is looked up only in a POSIX libc")
+@pytest.mark.parametrize("has_trim", [True, False], ids=["glibc", "no-malloc_trim"])
+def test_a_threaded_fold_trims_the_freed_heap_after_the_join(monkeypatch, has_trim):
+    """The workers' freed heap goes back once they join; a libc without malloc_trim is left alone."""
+    calls = []
+    libc = SimpleNamespace(malloc_trim=lambda pad: calls.append((pad, threading.active_count())))
+    monkeypatch.setattr(kernels.ctypes, "CDLL", lambda name: libc if has_trim else SimpleNamespace())
+    before = threading.active_count()
+    gaps = [[2.0, 1.0], [0.5, 3.0], [1.0, -1.0], [4.0, 0.0]]
+    one = _fold_table(monkeypatch, gaps, [1, 3], 2, 1)
+    assert calls == []  # the calling thread's fold starts no workers to trim after
+    two = _fold_table(monkeypatch, gaps, [1, 3], 2, 2)
+    assert repr(one) == repr(two)
+    assert calls == ([(0, before)] if has_trim else [])
+
+
 def test_qubit_gaps_shape_and_validation():
     g = kernels.qubit_relation_gaps(_bloch_batch(50))
     assert g.shape == (100, 16)
@@ -202,13 +220,26 @@ def test_stack_moments_are_covariant(twice_s):
     reads = frozenset("dvehw")
     rng = np.random.default_rng(90 + twice_s)
     u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
-    ops = np.array(build_spin_operators(twice_s).as_tuple(), dtype=complex)
+    ops = build_spin_operators(twice_s)
     rotated = kernels.stack_moments(u.conj().T @ ops @ u, reads)
     for r in (1, dim):
         cols = random_pure_vectors(r * dim, 24, 70 + twice_s, r).reshape(24, r, dim)
         spin = kernels.column_moments(twice_s, reads)(cols @ u.T)
         for got, want in zip(rotated(cols), spin, strict=True):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("twice_s", range(1, 9))
+def test_column_moments_are_the_spin_stacks_moments(twice_s):
+    """column_moments(twice_s, reads) equals stack_moments on build_spin_operators(twice_s), bit for bit."""
+    dim = twice_s + 1
+    for reads in (frozenset("e"), frozenset("dvehw")):
+        spin = kernels.column_moments(twice_s, reads)
+        stack = kernels.stack_moments(build_spin_operators(twice_s), reads)
+        for r in (1, dim):
+            cols = random_pure_vectors(r * dim, 24, 60 + twice_s, r).reshape(24, r, dim)
+            for got, want in zip(spin(cols), stack(cols), strict=True):
+                assert got is want is None or np.array_equal(got, want)
 
 
 def test_vector_scorer_matches_bloch_route_at_spin_half():
@@ -253,7 +284,7 @@ def test_state_vector_rows_do_not_depend_on_their_batch(monkeypatch, twice_s):
     batch, and on blocks (kernels.CHUNK_ROWS columns) changing no bit.
     """
     dim = twice_s + 1
-    ops = np.array(build_spin_operators(twice_s).as_tuple(), dtype=complex)
+    ops = build_spin_operators(twice_s)
     pairs = ops + ops[[1, 2, 0]]
     # every relation's formula: d, v and e, entropies (h) and Var(Si+Sj) (w) between them
     score = kernels.vector_scorer(FORMULAS, twice_s)

@@ -22,6 +22,7 @@ from triplespin.states import (
 from triplespin.rng import stream
 
 QUBIT = build_spin_operators(1)
+SX, _, SZ = QUBIT
 SQ3 = np.sqrt(3.0)
 
 
@@ -33,18 +34,18 @@ def _random_unitary(dim, seed):
 
 
 def test_expectation_eigenstate():
-    assert expectation(density_from_bloch([0, 0, 1]), QUBIT.sz) == pytest.approx(0.5, abs=1e-15)
+    assert expectation(density_from_bloch([0, 0, 1]), SZ) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_expectation_balanced_state():
     st = density_from_bloch([1 / SQ3, 1 / SQ3, 1 / SQ3])
     # <S_i> = r_i / 2 from expanding (1 + r.sigma)/2
-    assert expectation(st, QUBIT.sx) == pytest.approx(1 / (2 * SQ3), abs=1e-15)
+    assert expectation(st, SX) == pytest.approx(1 / (2 * SQ3), abs=1e-15)
 
 
 def test_expectation_traceless_on_maximally_mixed():
     st = density_from_bloch([0, 0, 0])
-    for op in QUBIT.as_tuple():
+    for op in QUBIT:
         assert expectation(st, op) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -68,37 +69,37 @@ def test_expectation_rejects_dimension_mismatch():
 
 
 def test_std_dev_eigenstate_is_zero():
-    assert std_dev(density_from_bloch([0, 0, 1]), QUBIT.sz) == pytest.approx(0.0, abs=1e-15)
+    assert std_dev(density_from_bloch([0, 0, 1]), SZ) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_std_dev_balanced_state():
     st = density_from_bloch([1 / SQ3, 1 / SQ3, 1 / SQ3])
     # (Delta S_i)^2 = (1 - r_i^2)/4 for a qubit
-    assert std_dev(st, QUBIT.sx) == pytest.approx(1 / np.sqrt(6.0), abs=1e-15)
+    assert std_dev(st, SX) == pytest.approx(1 / np.sqrt(6.0), abs=1e-15)
 
 
 def test_std_dev_maximally_mixed():
-    assert std_dev(density_from_bloch([0, 0, 0]), QUBIT.sz) == pytest.approx(0.5, abs=1e-15)
+    assert std_dev(density_from_bloch([0, 0, 0]), SZ) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_outcome_distribution_eigenstate():
-    eigvals, probs = outcome_distribution(density_from_bloch([0, 0, 1]), QUBIT.sz)
+    eigvals, probs = outcome_distribution(density_from_bloch([0, 0, 1]), SZ)
     np.testing.assert_allclose(eigvals, [0.5, -0.5], atol=1e-12)
     np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("rz", [-0.9, -0.3, 0.0, 0.4, 1.0])
 def test_outcome_distribution_diagonal_state(rz):
-    _, probs = outcome_distribution(density_from_bloch([0, 0, rz]), QUBIT.sz)
+    _, probs = outcome_distribution(density_from_bloch([0, 0, rz]), SZ)
     np.testing.assert_allclose(probs, [(1 + rz) / 2, (1 - rz) / 2], atol=1e-12)
 
 
 def test_outcome_distribution_spin_one_mixed():
-    ops = build_spin_operators(2)
+    sz = build_spin_operators(2)[2]
     from triplespin.states import QuantumState
 
     st = QuantumState(np.eye(3) / 3)
-    eigvals, probs = outcome_distribution(st, ops.sz)
+    eigvals, probs = outcome_distribution(st, sz)
     np.testing.assert_allclose(eigvals, [1, 0, -1], atol=1e-12)
     np.testing.assert_allclose(probs, [1 / 3] * 3, atol=1e-12)
 
@@ -112,18 +113,18 @@ def test_outcome_distribution_merges_degenerate_eigenvalues():
 def test_outcome_distribution_mean_matches_expectation():
     for seed in range(25):
         st = random_mixed(3, seed)
-        op = np.asarray(build_spin_operators(2).sy)
+        op = build_spin_operators(2)[1]
         eigvals, probs = outcome_distribution(st, op)
         mean = float(np.dot(eigvals, probs))
         assert abs(mean - expectation(st, op)) <= 1e-10
 
 
 def test_entropy_deterministic_outcome_is_zero():
-    assert shannon_entropy(density_from_bloch([0, 0, 1]), QUBIT.sz) == pytest.approx(0.0, abs=1e-12)
+    assert shannon_entropy(density_from_bloch([0, 0, 1]), SZ) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_entropy_transverse_axis_is_ln2():
-    assert shannon_entropy(density_from_bloch([0, 0, 1]), QUBIT.sx) == pytest.approx(
+    assert shannon_entropy(density_from_bloch([0, 0, 1]), SX) == pytest.approx(
         np.log(2.0), abs=1e-12
     )
 
@@ -132,7 +133,7 @@ def test_entropy_within_range():
     ops3 = build_spin_operators(2)
     for seed in range(30):
         st = random_mixed(3, seed)
-        for op in ops3.as_tuple():
+        for op in ops3:
             h = shannon_entropy(st, op)
             assert -1e-12 <= h <= np.log(3.0) + 1e-12
 
@@ -144,7 +145,7 @@ def test_entropy_matches_the_loop_over_outcomes():
         ops = build_spin_operators(twice_s)
         for seed in range(5):
             st = random_mixed(twice_s + 1, 100 * twice_s + seed)
-            for op in ops.as_tuple():
+            for op in ops:
                 h = 0.0
                 for p in outcome_distribution(st, op)[1]:
                     if p > 0.0:
@@ -158,7 +159,7 @@ def test_closed_form_oracle_equivalence():
     blochs = np.vstack([random_pure_bloch(5000, 21), random_mixed_bloch(5000, 22)])
     for r in blochs[::37]:
         st = density_from_bloch(r)
-        for k, op in enumerate(QUBIT.as_tuple()):
+        for k, op in enumerate(QUBIT):
             assert abs(expectation(st, op) - r[k] / 2.0) <= 1e-12
             assert abs(variance(st, op) - (1 - r[k] ** 2) / 4.0) <= 1e-12
 
@@ -167,7 +168,7 @@ def test_rotated_observable_std_identity():
     """std_dev(rho, V+ Sz V) equals sqrt(1/4 - <V+ Sz V>^2) for any qubit and V."""
     for seed in range(40):
         v = _random_unitary(2, seed)
-        op = v.conj().T @ np.asarray(QUBIT.sz) @ v
+        op = v.conj().T @ SZ @ v
         op = (op + op.conj().T) / 2  # scrub fp Hermiticity residue
         st = random_mixed(2, seed + 1000)
         e = expectation(st, op)
@@ -188,16 +189,15 @@ def test_batch_moments_match_scalar_path():
         lam, vecs = np.linalg.eigh(st.rho)
         cols.append((vecs * np.sqrt(lam)).T)
     for states, batch in (([from_statevector(psi) for psi in psis], psis[:, None]), (mixed, np.array(cols))):
-        e_batch, v_batch = pure_moments(batch, np.array(ops.as_tuple()))
+        e_batch, v_batch = pure_moments(batch, ops)
         for i in range(0, 50, 7):
-            for k, op in enumerate(ops.as_tuple()):
+            for k, op in enumerate(ops):
                 assert abs(e_batch[k, i] - expectation(states[i], op)) <= 1e-12
                 assert abs(v_batch[k, i] - variance(states[i], op)) <= 1e-12
 
 
 def test_pure_moments_shapes_follow_arguments():
-    ops = build_spin_operators(2)
-    stack = np.array(ops.as_tuple())
+    stack = build_spin_operators(2)
     rng = stream(7)
     cols = rng.standard_normal((5, 2, 3)) + 1j * rng.standard_normal((5, 2, 3))
     cols /= np.linalg.norm(cols, axis=(1, 2), keepdims=True)
@@ -207,7 +207,7 @@ def test_pure_moments_shapes_follow_arguments():
     assert e1.shape == v1.shape == (1, 1)
     assert abs(e1[0, 0] - e[1, 2]) <= 1e-15 and abs(v1[0, 0] - v[1, 2]) <= 1e-15
     # a state vector batch without its column axis, or a single observable, is not a batch
-    for args in ((cols[:, 0], stack), (cols, ops.sy), (cols[2], ops.sy)):
+    for args in ((cols[:, 0], stack), (cols, stack[1]), (cols[2], stack[1])):
         with pytest.raises(ValueError, match="expected"):
             pure_moments(*args)
 
@@ -217,11 +217,10 @@ def test_bloch_moments_match_scalar_path():
     blochs = np.vstack([random_pure_bloch(500, 23), random_mixed_bloch(500, 24)])
     d, v, e, h, w = bloch_moments(blochs.T, reads=("h", "w"))
     assert d.shape == v.shape == e.shape == h.shape == w.shape == (3, 1000)
-    axes = QUBIT.as_tuple()
     for n in range(0, 1000, 37):
         st = density_from_bloch(blochs[n])
-        for i, op in enumerate(axes):
-            pair = np.asarray(op) + np.asarray(axes[(i + 1) % 3])
+        for i, op in enumerate(QUBIT):
+            pair = op + QUBIT[(i + 1) % 3]
             assert abs(e[i, n] - expectation(st, op)) <= 1e-12
             assert abs(v[i, n] - variance(st, op)) <= 1e-12
             assert abs(d[i, n] - std_dev(st, op)) <= 1e-12

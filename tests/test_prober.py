@@ -50,20 +50,20 @@ def test_min_gap_sum_half_every_restart_saturates():
 
 def _coherent_state(twice_s, direction):
     """Maximal-m eigenstate rotated to point along `direction`."""
-    ops = build_spin_operators(twice_s)
+    _, sy, sz = build_spin_operators(twice_s)
     nx, ny, nz = direction / np.linalg.norm(direction)
     theta = math.acos(np.clip(nz, -1, 1))
     phi = math.atan2(ny, nx)
     top = np.zeros(twice_s + 1, dtype=complex)
     top[0] = 1.0
-    return expm(-1j * phi * np.asarray(ops.sz)) @ expm(-1j * theta * np.asarray(ops.sy)) @ top
+    return expm(-1j * phi * sz) @ expm(-1j * theta * sy) @ top
 
 
 def test_min_gap_variance_sum_spin_one_finds_coherent_state():
     result = min_gap(RelationId.R7_SUM_GENERAL_S, 2, ProbeConfig(restarts=12, seed=4))
     assert result.min_gap <= 1e-8
     ops = build_spin_operators(2)
-    direction = np.array([expectation(result.argmin_state, op) for op in ops.as_tuple()])
+    direction = np.array([expectation(result.argmin_state, op) for op in ops])
     coherent = _coherent_state(2, direction)
     fidelity = float(np.real(coherent.conj() @ result.argmin_state.rho @ coherent))
     assert fidelity >= 1.0 - 1e-3
@@ -639,7 +639,7 @@ def test_conjectured_moment_conditions_give_equality_if_reachable():
     def residual(x):
         st = from_statevector(_psi_from_params(x))
         res = 0.0
-        for op in ops.as_tuple():
+        for op in ops:
             res += (expectation(st, np.asarray(op) @ np.asarray(op)) - target_sq) ** 2
             res += (abs(expectation(st, op)) - target_mean) ** 2
         return res

@@ -32,7 +32,7 @@ from triplespin.states import (
     random_pure_vectors,
 )
 
-QUBIT = build_spin_operators(1)
+SX, SY, _ = build_spin_operators(1)
 SQ3 = math.sqrt(3.0)
 BALANCED = density_from_bloch([1 / SQ3, 1 / SQ3, 1 / SQ3])
 
@@ -43,7 +43,7 @@ def test_triple_constant():
 
 
 def test_robertson_saturated_on_pole():
-    rep = evaluate_robertson(density_from_bloch([0, 0, 1]), QUBIT.sx, QUBIT.sy)
+    rep = evaluate_robertson(density_from_bloch([0, 0, 1]), SX, SY)
     # Delta Sx = Delta Sy = 1/2 and <Sz> = 1/2 at the pole
     assert rep.lhs == pytest.approx(0.25, abs=1e-15)
     assert rep.rhs == pytest.approx(0.25, abs=1e-15)
@@ -51,27 +51,27 @@ def test_robertson_saturated_on_pole():
 
 
 def test_robertson_loose_on_maximally_mixed():
-    rep = evaluate_robertson(density_from_bloch([0, 0, 0]), QUBIT.sx, QUBIT.sy)
+    rep = evaluate_robertson(density_from_bloch([0, 0, 0]), SX, SY)
     assert rep.lhs == pytest.approx(0.25, abs=1e-15)
     assert rep.rhs == pytest.approx(0.0, abs=1e-15)
 
 
 def test_robertson_self_commutator():
     st = density_from_bloch([0.2, 0.3, 0.1])
-    rep = evaluate_robertson(st, QUBIT.sx, QUBIT.sx)
+    rep = evaluate_robertson(st, SX, SX)
     assert rep.rhs == pytest.approx(0.0, abs=1e-15)
     assert rep.gap >= 0.0
 
 
 def test_robertson_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        evaluate_robertson(density_from_bloch([0, 0, 0]), QUBIT.sx, np.eye(3))
+        evaluate_robertson(density_from_bloch([0, 0, 0]), SX, np.eye(3))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_robertson_rejects_non_finite_observables(bad):
     op = np.array([[bad, 0], [0, 1]], dtype=complex)
-    for a, b in ((op, QUBIT.sx), (QUBIT.sx, op)):
+    for a, b in ((op, SX), (SX, op)):
         with pytest.raises(TripleSpinError, match="non-finite"):
             evaluate_robertson(density_from_bloch([0, 0, 1]), a, b)
 
@@ -148,9 +148,9 @@ def test_evaluate_all_equals_evaluate_per_relation(twice_s):
 
 def test_evaluate_robertson_computes_its_moments_in_one_pass(monkeypatch):
     """No scalar moment call, one pure_moments call on the stack (A, B, -i[A, B]) and rho's eigh."""
-    want = evaluate_robertson(BALANCED, QUBIT.sx, QUBIT.sy)
+    want = evaluate_robertson(BALANCED, SX, SY)
     counts = _count_moment_calls(monkeypatch)
-    assert evaluate_robertson(BALANCED, QUBIT.sx, QUBIT.sy) == want
+    assert evaluate_robertson(BALANCED, SX, SY) == want
     assert counts == collections.Counter({"pure_moments": 1, "eigh": 1})
 
 
@@ -179,9 +179,9 @@ def test_evaluate_robertson_matches_the_scalar_route(dim):
 def test_robertson_on_the_spin_pair_is_the_pair_product_z(twice_s):
     """Delta(Sx) Delta(Sy) >= |<[Sx, Sy]>| / 2 is R2_PAIR_PRODUCT_Z, as -i[Sx, Sy] = Sz; within 1e-12."""
     dim = twice_s + 1
-    ops = build_spin_operators(twice_s)
+    sx, sy, _ = build_spin_operators(twice_s)
     for st in [random_pure(dim, seed) for seed in range(3)] + [random_mixed(dim, seed) for seed in range(3)]:
-        rep = evaluate_robertson(st, ops.sx, ops.sy)
+        rep = evaluate_robertson(st, sx, sy)
         want = evaluate(RelationId.R2_PAIR_PRODUCT_Z, st, twice_s)
         assert abs(rep.lhs - want.lhs) <= 1e-12 and abs(rep.rhs - want.rhs) <= 1e-12
 
@@ -197,7 +197,7 @@ def test_evaluate_matches_the_scalar_route(twice_s):
     g = random_pure_vectors(dim, dim // 2, 4)
     deficient = QuantumState(g.T @ g.conj() / len(g))
     assert np.linalg.eigh(deficient.rho)[0][0] < 0.0
-    axes = build_spin_operators(twice_s).as_tuple()
+    axes = build_spin_operators(twice_s)
     pairs = [axes[i] + axes[(i + 1) % 3] for i in range(3)]
     applicable = [relation for relation in EVALUABLE if applicable_to(relation, twice_s)]
     samples = [random_pure(dim, seed) for seed in range(3)] + [random_mixed(dim, seed) for seed in range(3)]
@@ -229,7 +229,7 @@ def test_saturation_tolerance_must_be_finite_and_nonnegative(tol):
     with pytest.raises(ValueError, match="nonnegative"):
         evaluate(RelationId.R5_TRIPLE_SUM, BALANCED, 1, saturation_tol=tol)
     with pytest.raises(ValueError, match="nonnegative"):
-        evaluate_robertson(density_from_bloch([0, 0, 1]), QUBIT.sx, QUBIT.sy, saturation_tol=tol)
+        evaluate_robertson(density_from_bloch([0, 0, 1]), SX, SY, saturation_tol=tol)
 
 
 def test_triple_product_saturated_on_balanced_state():
@@ -455,7 +455,7 @@ def test_casimir_identity_bounds_triple_sum(twice_s):
     R6 follows from R7 (sum Var >= s >= 1/2).
     """
     s = twice_s / 2.0
-    ops = np.array(build_spin_operators(twice_s).as_tuple())
+    ops = build_spin_operators(twice_s)
     psis = random_pure_vectors(twice_s + 1, 2000, seed=40 + twice_s)
     e, v = pure_moments(psis[:, None], ops)
     length2 = np.sum(e * e, axis=0)
@@ -480,7 +480,7 @@ R8_SPIN_ONE_COUNTEREXAMPLE = np.array([
 
 def test_variance_of_sums_fails_at_spin_one():
     psi = R8_SPIN_ONE_COUNTEREXAMPLE
-    e, v = pure_moments(psi[None, None], np.array(build_spin_operators(2).as_tuple()))
+    e, v = pure_moments(psi[None, None], build_spin_operators(2))
     np.testing.assert_allclose(v.ravel(), [5 / 12] * 3, atol=1e-8)
     assert abs(e.sum()) <= 1e-8
     gap = kernels.vector_scorer((RelationId.R8_VARIANCE_OF_SUMS,), 2)(psi[None])[0, 0]
@@ -636,7 +636,7 @@ def test_chained_pair_products_give_naive_triple_bound():
 def test_variance_sum_bound_random_states(twice_s):
     ops = build_spin_operators(twice_s)
     psis = random_pure_vectors(twice_s + 1, 10_000, seed=twice_s)
-    sums = pure_moments(psis[:, None], np.array(ops.as_tuple()))[1].sum(axis=0)
+    sums = pure_moments(psis[:, None], ops)[1].sum(axis=0)
     assert np.min(sums) - twice_s / 2.0 >= -1e-10
 
 

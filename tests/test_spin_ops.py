@@ -6,21 +6,21 @@ from triplespin.spin_ops import Spin, build_spin_operators, commutator, identity
 
 
 def test_spin_half_matrices_are_half_paulis():
-    ops = build_spin_operators(1)
-    assert np.array_equal(ops.sx, np.array([[0, 0.5], [0.5, 0]], dtype=complex))
-    assert np.array_equal(ops.sy, np.array([[0, -0.5j], [0.5j, 0]], dtype=complex))
-    assert np.array_equal(ops.sz, np.array([[0.5, 0], [0, -0.5]], dtype=complex))
+    sx, sy, sz = build_spin_operators(1)
+    assert np.array_equal(sx, np.array([[0, 0.5], [0.5, 0]], dtype=complex))
+    assert np.array_equal(sy, np.array([[0, -0.5j], [0.5j, 0]], dtype=complex))
+    assert np.array_equal(sz, np.array([[0.5, 0], [0, -0.5]], dtype=complex))
 
 
 def test_spin_one_sz_is_descending_diagonal():
-    ops = build_spin_operators(2)
-    assert np.array_equal(ops.sz, np.diag([1.0, 0.0, -1.0]).astype(complex))
+    sz = build_spin_operators(2)[2]
+    assert np.array_equal(sz, np.diag([1.0, 0.0, -1.0]).astype(complex))
 
 
 def test_spin_three_halves_commutator_oracle():
     # oracle: direct matrix multiplication of the constructed matrices
-    ops = build_spin_operators(3)
-    residual = ops.sx @ ops.sy - ops.sy @ ops.sx - 1j * ops.sz
+    sx, sy, sz = build_spin_operators(3)
+    residual = sx @ sy - sy @ sx - 1j * sz
     assert np.max(np.abs(residual)) <= 1e-12
 
 
@@ -36,7 +36,7 @@ def test_eigenvalues_are_the_m_ladder(twice_s):
     ops = build_spin_operators(twice_s)
     s = twice_s / 2.0
     expected = np.sort(s - np.arange(twice_s + 1))
-    for op in ops.as_tuple():
+    for op in ops:
         np.testing.assert_allclose(np.linalg.eigvalsh(op), expected, atol=1e-10)
 
 
@@ -48,16 +48,26 @@ def test_raising_operator_matches_the_ladder_loop():
         s_plus = np.zeros((twice_s + 1, twice_s + 1))
         for i in range(twice_s):
             s_plus[i, i + 1] = np.sqrt(s * (s + 1) - m[i + 1] * (m[i + 1] + 1))
-        ops = build_spin_operators(twice_s)
-        assert np.array_equal(ops.sx, (s_plus + s_plus.T) / 2)
-        assert np.array_equal(ops.sy, (s_plus - s_plus.T) / 2j)
+        sx, sy, _ = build_spin_operators(twice_s)
+        assert np.array_equal(sx, (s_plus + s_plus.T) / 2)
+        assert np.array_equal(sy, (s_plus - s_plus.T) / 2j)
 
 
 def test_operators_are_hermitian_and_read_only():
     ops = build_spin_operators(4)
-    for op in ops.as_tuple():
+    for op in ops:
         assert np.max(np.abs(op - op.conj().T)) <= 1e-12
         assert not op.flags.writeable
+
+
+@pytest.mark.parametrize("twice_s", range(1, 9))
+def test_operators_are_one_read_only_complex_stack(twice_s):
+    ops = build_spin_operators(twice_s)
+    assert ops.shape == (3, twice_s + 1, twice_s + 1) and ops.dtype == complex
+    with pytest.raises(ValueError, match="read-only"):
+        ops[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        ops[2].fill(0.0)  # a row is a read-only view
 
 
 def test_rejects_trivial_representation():
@@ -75,18 +85,18 @@ def test_spin_value_helpers():
 
 
 def test_commutator_self_is_zero():
-    ops = build_spin_operators(1)
-    assert np.max(np.abs(commutator(ops.sx, ops.sx))) == 0.0
+    sx = build_spin_operators(1)[0]
+    assert np.max(np.abs(commutator(sx, sx))) == 0.0
 
 
 def test_commutator_spin_half_algebra():
-    ops = build_spin_operators(1)
-    np.testing.assert_allclose(commutator(ops.sx, ops.sy), 1j * np.asarray(ops.sz), atol=1e-15)
+    sx, sy, sz = build_spin_operators(1)
+    np.testing.assert_allclose(commutator(sx, sy), 1j * sz, atol=1e-15)
 
 
 def test_commutator_spin_one_oracle():
-    ops = build_spin_operators(2)
-    residual = commutator(ops.sz, ops.sx) - 1j * np.asarray(ops.sy)
+    sx, sy, sz = build_spin_operators(2)
+    residual = commutator(sz, sx) - 1j * sy
     assert np.max(np.abs(residual)) <= 1e-12
 
 

@@ -10,8 +10,10 @@ and the prober) and the Bloch closed form, moments.bloch_moments (the soak's).
 
 fold_chunks is the one chunk loop of the soak and the triangle scan: it
 reduces every block, chunk and thread result with np.argmin's order, so its
-minima and their points equal one argmin over all gaps in draw order. It is
-the only code in the package that starts threads.
+minima and their points equal one argmin over all gaps in draw order. Each of
+its workers draws and scores into one Workspace for the whole fold, so a scan
+pages its buffers in once, not once per chunk. It is the only code in the
+package that starts threads.
 """
 
 from __future__ import annotations
@@ -55,36 +57,65 @@ def _least(gaps: np.ndarray, rows: np.ndarray):
     return gaps[i, k], rows[i, k]
 
 
-def fold_chunks(chunks: int, draw, score, tolerance: float | None = None):
-    """Fold the (m, k) gaps score(block) over the points draw(c) of chunks c = 0..chunks-1.
+class Workspace:
+    """Float64 buffers that one fold worker keeps from chunk to chunk (see fold_chunks)."""
 
-    draw(c) returns chunk c's (m, w) points, which are scored in blocks of
-    BLOCK_ROWS rows. Returns (mins, rows, counts): the (k,) column minima over
-    all gaps and the (k, w) points that attained them, in np.argmin's order
-    over the gaps in draw order (the first of tied minima wins, and a NaN is
-    the minimum), and, with a tolerance, the (k,) counts of gaps not at or
-    above -tolerance (NaN counts), else None. Each chunk reduces its block
-    minima, and the chunks' results are merged in chunk order, so memory stays
-    constant in the chunk count. Chunks run on up to _scan_workers() threads,
-    all joined and their freed heap trimmed before this returns, and the result
-    does not depend on the thread count. One chunk or one CPU runs in the
-    calling thread.
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """Buffer `name` as a C-contiguous array of `shape`, holding what the last take left.
+
+        The buffer is allocated at the first take of the name and again only
+        when a take needs more room; takes of one name share memory.
+        """
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size)
+        return buffer[:size].reshape(shape)
+
+
+def fold_chunks(chunks: int, draw, score, tolerance: float | None = None):
+    """Fold the (m, k) gaps score(block, ws) over the points draw(c, ws) of chunks c = 0..chunks-1.
+
+    draw(c, ws) gives chunk c's (m, w) points as parts, in draw order, and
+    each part is scored in blocks of BLOCK_ROWS rows before the next part is
+    taken, so a lazy draw may fill one buffer with part after part. ws is the
+    Workspace of the worker running chunk c: one per worker, kept from chunk to
+    chunk and dropped when the fold returns, which draw and score may fill and
+    return views of (a score's gaps are used up before its next call). Returns
+    (mins, rows, counts): the (k,) column minima over all gaps and the (k, w)
+    points that attained them, in np.argmin's order over the gaps in draw
+    order (the first of tied minima wins, and a NaN is the minimum), and, with
+    a tolerance, the (k,) counts of gaps not at or above -tolerance (NaN
+    counts), else None. Each chunk reduces its block minima, and the chunks'
+    results are merged in chunk order, so memory stays constant in the chunk
+    count. Chunks run on up to _scan_workers() threads, all joined and their
+    freed heap trimmed before this returns, and the result does not depend on
+    the thread count. One chunk or one CPU runs in the calling thread.
     """
     if chunks < 1:
         raise ValueError(f"need at least one chunk, got {chunks}")
+    spare = []  # workspaces between chunks, at most one per worker; pop and append are atomic, so no lock
 
     def one(c: int):
-        points = draw(c)
+        try:
+            ws = spare.pop()
+        except IndexError:
+            ws = Workspace()
         mins, rows, counts = [], [], 0  # counts stays 0 until a block has gaps to count
-        for start in range(0, len(points), BLOCK_ROWS):
-            block = points[start : start + BLOCK_ROWS]
-            gaps = score(block)
-            i = gaps.argmin(axis=0)
-            mins.append(gaps[i, np.arange(len(i))])
-            rows.append(block[i])
-            # a block whose every column minimum clears -tolerance has nothing to count
-            if tolerance is not None and not (mins[-1] >= -tolerance).all():
-                counts = counts + np.count_nonzero(~(gaps >= -tolerance), axis=0)
+        for points in draw(c, ws):
+            for start in range(0, len(points), BLOCK_ROWS):
+                block = points[start : start + BLOCK_ROWS]
+                gaps = score(block, ws)
+                i = gaps.argmin(axis=0)
+                mins.append(gaps[i, np.arange(len(i))])
+                rows.append(block[i])
+                # a block whose every column minimum clears -tolerance has nothing to count
+                if tolerance is not None and not (mins[-1] >= -tolerance).all():
+                    counts = counts + np.count_nonzero(~(gaps >= -tolerance), axis=0)
+        spare.append(ws)
         return *_least(np.array(mins), np.array(rows)), counts
 
     def merged(parts):
@@ -120,12 +151,32 @@ def _batch(points: np.ndarray, what: str) -> np.ndarray:
     return points
 
 
-def _apply_table(relations, n: int, d, v, e, h=None, w=None, s=None) -> np.ndarray:
-    out = np.empty((len(relations), n))
+def _apply_table(relations, n: int, d, v, e, h=None, w=None, s=None, ws=None) -> np.ndarray:
+    """(n, k) gaps of the k relations: the transposed view of a (k, n) array, ws's "gaps" buffer or a fresh one."""
+    shape = (len(relations), n)
+    out = np.empty(shape) if ws is None else ws.take("gaps", shape)
     for k, relation in enumerate(relations):
         lhs, rhs = relation_sides(relation, d, v, e, h, w, s)
         np.subtract(lhs, rhs, out=out[k])
     return out.T
+
+
+def bloch_scorer(relations=QUBIT_SOAK_RELATIONS):
+    """Scorer (bloch, ws=None) -> (n, k) gaps of `relations` for (n, 3) Bloch rows in the closed ball.
+
+    The relations' reads are taken once, here. Given a fold worker's Workspace
+    ws, the gaps are written to its "gaps" buffer, which the next call
+    overwrites; else to a fresh array. The rows may be any (n, 3) view, such
+    as the soak's blocks of columns of its draw buffer: every moment is
+    elementwise, so no bit depends on the layout.
+    """
+    reads = reads_of(relations)
+
+    def score(bloch: np.ndarray, ws=None) -> np.ndarray:
+        cols = bloch.T
+        return _apply_table(relations, cols.shape[1], *bloch_moments(cols, reads), 0.5, ws=ws)
+
+    return score
 
 
 def qubit_relation_gaps(bloch: np.ndarray, relations=QUBIT_SOAK_RELATIONS) -> np.ndarray:
@@ -133,8 +184,7 @@ def qubit_relation_gaps(bloch: np.ndarray, relations=QUBIT_SOAK_RELATIONS) -> np
 
     Columns follow `relations`: by default the 16 of relations.QUBIT_SOAK_RELATIONS.
     """
-    cols = np.ascontiguousarray(_batch(bloch, "Bloch").T)
-    return _apply_table(relations, cols.shape[1], *bloch_moments(cols, reads_of(relations)), 0.5)
+    return bloch_scorer(relations)(_batch(bloch, "Bloch"))
 
 
 @lru_cache(maxsize=64)
@@ -193,22 +243,33 @@ def vector_scorer(relations, twice_s: int):
     return score
 
 
-def triangle_analog_gaps(bary: np.ndarray, side: float) -> np.ndarray:
-    """Gaps of the 8 equilateral-triangle analogs for an (n, 3) barycentric batch.
+def triangle_scorer(side: float):
+    """Scorer (bary, ws=None) -> (n, 8) analog gaps of (n, 3) barycentric rows, triangle side `side`.
 
-    The vertex distances |PA|, |PB|, |PC| stand in for the standard
-    deviations and the quadrupled areas 4|PBC|, 4|PCA|, 4|PAB| for |<S_i>|.
-    Columns follow relations.TRIANGLE_ANALOG_RELATIONS (the analog of each relation).
+    The side is checked once, here. The vertex distances |PA|, |PB|, |PC|
+    stand in for the standard deviations and the quadrupled areas 4|PBC|,
+    4|PCA|, 4|PAB| for |<S_i>|. Columns follow relations.TRIANGLE_ANALOG_RELATIONS
+    (the analog of each relation); ws and the rows' layout are as in bloch_scorer.
     """
-    cols = _batch(bary, "barycentric").T
     if not (math.isfinite(side) and side > 0):
         raise ValueError(f"side must be positive and finite, got {side}")
-    # squared vertex distances from the offsets P - A = v AB + w AC (and cyclically),
-    # two edges 60 degrees apart: |PA|^2 = side^2 (v^2 + vw + w^2)
-    p, q = cols[[1, 0, 0]], cols[[2, 2, 1]]
-    v = (p + q) * p + q * q
-    v *= side * side
-    d = np.sqrt(v)
-    # each sub-triangle area is a barycentric weight times the full area sqrt(3) side^2 / 4
-    e = (math.sqrt(3.0) * side * side) * cols
-    return _apply_table(TRIANGLE_ANALOG_RELATIONS, cols.shape[1], d, v, e)
+    area = math.sqrt(3.0) * side * side
+
+    def score(bary: np.ndarray, ws=None) -> np.ndarray:
+        cols = bary.T
+        # squared vertex distances from the offsets P - A = v AB + w AC (and cyclically),
+        # two edges 60 degrees apart: |PA|^2 = side^2 (v^2 + vw + w^2)
+        p, q = cols[[1, 0, 0]], cols[[2, 2, 1]]
+        v = (p + q) * p + q * q
+        v *= side * side
+        d = np.sqrt(v)
+        # each sub-triangle area is a barycentric weight times the full area sqrt(3) side^2 / 4
+        e = area * cols
+        return _apply_table(TRIANGLE_ANALOG_RELATIONS, cols.shape[1], d, v, e, ws=ws)
+
+    return score
+
+
+def triangle_analog_gaps(bary: np.ndarray, side: float) -> np.ndarray:
+    """Gaps of the 8 equilateral-triangle analogs for an (n, 3) barycentric batch (see triangle_scorer)."""
+    return triangle_scorer(side)(_batch(bary, "barycentric"))

@@ -418,12 +418,13 @@ def soak_qubit(
     """Evaluate every qubit relation on random pure and mixed state batches.
 
     Pure states are Haar-distributed, mixed ones Hilbert-Schmidt. Chunk k
-    stacks up to kernels.CHUNK_ROWS states of each kind, drawn from the
-    independent streams (seed, 0, k) and (seed, 1, k), and its gaps are folded
-    into the result (kernels.fold_chunks), so memory stays constant in the
-    counts. Returns per relation the minimum gap (NaN if any gap is NaN), the
-    state that attained it and the count of gaps not at or above -tolerance
-    (NaN counts).
+    draws up to kernels.CHUNK_ROWS states of each kind from the independent
+    streams (seed, 0, k) and (seed, 1, k), pure then mixed, each into its
+    worker's one draw buffer once the part before it is scored, and its gaps
+    are folded into the result (kernels.fold_chunks), so memory stays constant
+    in the counts. Returns per relation the minimum gap (NaN if any gap is
+    NaN), the state that attained it and the count of gaps not at or above
+    -tolerance (NaN counts).
     """
     from . import kernels  # kernels reads this module's table at import
 
@@ -436,15 +437,14 @@ def soak_qubit(
     chunk = kernels.CHUNK_ROWS
     kinds = ((n_pure, random_pure_bloch), (n_mixed, random_mixed_bloch))
 
-    def stack(k: int) -> np.ndarray:
-        return np.vstack([
-            draw(min(chunk, n - k * chunk), seed, kind, k)
-            for kind, (n, draw) in enumerate(kinds)
-            if n > k * chunk
-        ])
+    def draw(k: int, ws):
+        for kind, (n, draw_kind) in enumerate(kinds):
+            if n > k * chunk:
+                m = min(chunk, n - k * chunk)
+                yield draw_kind(m, seed, kind, k, out=ws.take("points", (3, m)))
 
     mins, rows, viol = kernels.fold_chunks(
-        -(-max(n_pure, n_mixed) // chunk), stack, kernels.qubit_relation_gaps, tolerance
+        -(-max(n_pure, n_mixed) // chunk), draw, kernels.bloch_scorer(QUBIT_SOAK_RELATIONS), tolerance
     )
     return SoakSummary(
         n_pure=n_pure,

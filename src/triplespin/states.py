@@ -172,25 +172,32 @@ def random_mixed(dim: int, seed: int) -> QuantumState:
     return from_statevector(random_pure_vectors(dim * dim, 1, seed)[0].reshape(dim, dim))
 
 
-def _directions(n: int, rng) -> np.ndarray:
-    """(3, n) unit vectors uniform on the sphere from stream rng (Muller, Comm. ACM 2, 19, 1959)."""
-    v = rng.standard_normal((3, n))
+def _directions(n: int, rng, out=None) -> np.ndarray:
+    """(3, n) unit vectors uniform on the sphere from stream rng (Muller, Comm. ACM 2, 19, 1959).
+
+    They are drawn into out, a C-contiguous (3, n) array, if given, with the bits of a fresh draw.
+    """
+    v = rng.standard_normal((3, n), out=out)
     v /= np.sqrt(np.einsum("ij,ij->j", v, v))  # in place: a second (3, n) array raises peak memory
     return v
 
 
-def random_pure_bloch(n: int, seed: int, *key: int) -> np.ndarray:
-    """(n, 3) Bloch vectors of Haar-random qubit pure states from stream (seed, *key), uniform on the sphere."""
-    return _directions(n, stream(seed, *key)).T
+def random_pure_bloch(n: int, seed: int, *key: int, out=None) -> np.ndarray:
+    """(n, 3) Bloch vectors of Haar-random qubit pure states from stream (seed, *key), uniform on the sphere.
+
+    The result is the transposed view of (3, n) columns, drawn into out if given (see _directions).
+    """
+    return _directions(n, stream(seed, *key), out).T
 
 
-def random_mixed_bloch(n: int, seed: int, *key: int) -> np.ndarray:
+def random_mixed_bloch(n: int, seed: int, *key: int, out=None) -> np.ndarray:
     """(n, 3) Bloch vectors of Hilbert-Schmidt random qubit mixed states from stream (seed, *key).
 
     Uniform in the ball (Zyczkowski & Sommers, J. Phys. A 34, 7111, 2001): a direction times U^(1/3).
+    The result is the transposed view of (3, n) columns, drawn into out if given (see _directions).
     """
     rng = stream(seed, *key)
-    r = _directions(n, rng)
+    r = _directions(n, rng, out)
     r *= rng.random(n) ** (1.0 / 3.0)
     return r.T
 

@@ -96,17 +96,18 @@ def check_analogs(p: TrianglePoint, saturation_tol: float = SATURATION_TOL) -> l
     ]
 
 
-def sample_barycentric(n: int, seed: int, *key: int) -> np.ndarray:
+def sample_barycentric(n: int, seed: int, *key: int, out=None) -> np.ndarray:
     """(n, 3) points uniform over the triangle, as barycentric weights, from stream (seed, *key).
 
     Normalized standard exponential triples are Dirichlet(1, 1, 1), the
     uniform distribution on the simplex. The stream fills (3, n) columns
-    (u, v, w), which are normalized in place; the result is their (n, 3)
+    (u, v, w), out if given (a C-contiguous (3, n) array, with the bits of a
+    fresh draw), which are normalized in place; the result is their (n, 3)
     transposed view, so b.T gives the kernel contiguous columns. Seeded
     draws therefore differ from those of an (n, 3) row layout on the same
     stream.
     """
-    x = stream(seed, *key).standard_exponential((3, n))
+    x = stream(seed, *key).standard_exponential((3, n), out=out)
     x /= x.sum(axis=0)  # in place: a second (3, n) array raises peak memory
     return x.T
 
@@ -139,19 +140,22 @@ class TriangleScan:
 def scan(n: int, seed: int, side: float = 1.0) -> TriangleScan:
     """Sample n interior points and record the minimum gap per analog.
 
-    Chunk k draws up to kernels.CHUNK_ROWS points from stream (seed, k), and
-    its gaps are folded into the minimum and argmin per analog
-    (kernels.fold_chunks), so memory stays constant in n.
+    Chunk k draws up to kernels.CHUNK_ROWS points from stream (seed, k) into
+    its worker's workspace, and its gaps are folded into the minimum and
+    argmin per analog (kernels.fold_chunks), so memory stays constant in n.
+    The side is checked before any chunk is drawn.
     """
     if n < 1:
         raise ValueError(f"triangle scan needs at least one sample, got {n} samples")
     rel_ids = TRIANGLE_ANALOG_RELATIONS
     chunk = kernels.CHUNK_ROWS
-    mins, rows, _ = kernels.fold_chunks(
-        -(-n // chunk),
-        lambda k: sample_barycentric(min(chunk, n - k * chunk), seed, k),
-        lambda bary: kernels.triangle_analog_gaps(bary, side),
-    )
+    score = kernels.triangle_scorer(side)
+
+    def draw(k: int, ws):
+        m = min(chunk, n - k * chunk)
+        yield sample_barycentric(m, seed, k, out=ws.take("points", (3, m)))
+
+    mins, rows, _ = kernels.fold_chunks(-(-n // chunk), draw, score)
     return TriangleScan(
         side=side,
         samples=n,

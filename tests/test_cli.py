@@ -581,7 +581,7 @@ VERIFY = ("verify", "--relation", "R5", "--bloch", "0,0,0.5")
         (VERIFY, None, 0),
         (SOAK, None, 0),
         (VERIFY, (cli, "evaluate_all", _violated), 1),
-        (SOAK, (kernels, "qubit_relation_gaps", lambda bloch: np.full((len(bloch), 16), -1.0)), 1),
+        (SOAK, (kernels, "bloch_scorer", lambda relations: lambda bloch, ws=None: np.full((len(bloch), 16), -1.0)), 1),
         (("ops",), None, 2),  # argparse: a required option is missing
         (("verify", "--relation", "R99", "--bloch", "0,0,0"), None, 2),  # CliError
         (("ops", "--spin", "0"), None, 2),  # ValueError

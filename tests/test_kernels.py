@@ -1,5 +1,7 @@
 import os
+import sys
 import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,7 +51,7 @@ def _fold_table(monkeypatch, gaps, bounds, block_rows, workers):
     monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
     monkeypatch.setattr(kernels, "_scan_workers", lambda: workers)
     return kernels.fold_chunks(
-        len(chunks), lambda c: chunks[c][:, None].astype(float), lambda block: gaps[block[:, 0].astype(int)]
+        len(chunks), lambda c, ws: [chunks[c][:, None].astype(float)], lambda block, ws: gaps[block[:, 0].astype(int)]
     )
 
 
@@ -102,7 +104,7 @@ def test_fold_equals_one_argmin_over_every_gap_in_draw_order(monkeypatch, block_
 
 def test_fold_needs_a_chunk():
     with pytest.raises(ValueError, match="at least one chunk"):
-        kernels.fold_chunks(0, lambda c: np.zeros((1, 1)), lambda block: np.zeros((1, 1)))
+        kernels.fold_chunks(0, lambda c, ws: [np.zeros((1, 1))], lambda block, ws: np.zeros((1, 1)))
 
 
 def test_fold_counts_equal_a_count_over_every_gap(monkeypatch):
@@ -116,10 +118,98 @@ def test_fold_counts_equal_a_count_over_every_gap(monkeypatch):
     for workers in (1, 2):
         monkeypatch.setattr(kernels, "_scan_workers", lambda: workers)
         mins, _, counts = kernels.fold_chunks(
-            4, lambda c: points[100 * c : 100 * (c + 1)], lambda block: gaps[block[:, 0].astype(int)], 1e-6
+            4, lambda c, ws: [points[100 * c : 100 * (c + 1)]], lambda block, ws: gaps[block[:, 0].astype(int)], 1e-6
         )
         assert counts.tolist() == np.count_nonzero(~(gaps >= -1e-6), axis=0).tolist() == [1, 1, 1, 1]
         assert mins[0] == -0.5 and np.isnan(mins[1]) and np.isnan(mins[3])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_fold_scoring_into_its_workspace_equals_the_fold_with_fresh_arrays(monkeypatch, workers):
+    """Parts drawn into one workspace buffer and gaps scored into another keep every minimum, row and count."""
+    gaps = _tied_gaps()
+    chunks = np.split(np.arange(len(gaps)), [100, 250, 300, 450])
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", 50)
+    monkeypatch.setattr(kernels, "_scan_workers", lambda: workers)
+
+    def parts(c, ws):
+        # two lazy parts per chunk, both in the worker's one points buffer
+        for part in np.array_split(chunks[c], 2):
+            points = ws.take("points", (1, len(part)))
+            points[0] = part
+            yield points.T
+
+    def shared(block, ws):
+        out = ws.take("gaps", (5, len(block)))
+        out[...] = gaps[block[:, 0].astype(int)].T
+        return out.T
+
+    def fresh(block, ws):
+        return gaps[block[:, 0].astype(int)]
+
+    one = kernels.fold_chunks(len(chunks), parts, shared, 0.5)
+    two = kernels.fold_chunks(len(chunks), lambda c, ws: [chunks[c][:, None].astype(float)], fresh, 0.5)
+    assert repr(one) == repr(two)
+    i = gaps.argmin(axis=0)
+    assert one[1][:, 0].tolist() == i.tolist()
+
+
+def test_no_two_workers_share_a_workspace(monkeypatch):
+    """Eight workers switching often: each block still holds the chunk its worker drew."""
+    monkeypatch.setattr(kernels, "_scan_workers", lambda: 8)
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", 4)
+
+    def parts(c, ws):
+        points = ws.take("points", (1, 64))
+        points[...] = c
+        yield points.T
+
+    def score(block, ws):
+        time.sleep(0)  # hand the interpreter to another worker mid-chunk
+        chunk = block[0, 0]
+        if not (block == chunk).all():
+            raise AssertionError(f"a block of chunk {chunk} holds another chunk's points")
+        return 100.0 - block  # the last chunk has the least gaps
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        mins, rows, _ = kernels.fold_chunks(64, parts, score)
+    finally:
+        sys.setswitchinterval(interval)
+    assert mins.tolist() == [37.0] and rows.tolist() == [[63.0]]
+
+
+def test_workspace_takes_share_one_buffer_that_grows_only_when_too_small():
+    ws = kernels.Workspace()
+    big = ws.take("gaps", (4, 6))
+    small = ws.take("gaps", (3, 2))
+    assert small.flags.c_contiguous and np.shares_memory(big, small)
+    assert not np.shares_memory(big, ws.take("points", (3, 2)))
+    assert not np.shares_memory(big, ws.take("gaps", (5, 6)))
+
+
+@pytest.mark.parametrize("n", [1, 7, kernels.CHUNK_ROWS])
+@pytest.mark.parametrize(
+    "draw", [random_pure_bloch, random_mixed_bloch, sample_barycentric], ids=["pure", "mixed", "barycentric"]
+)
+def test_a_draw_into_a_workspace_has_the_bits_of_a_fresh_draw(draw, n):
+    ws = kernels.Workspace()
+    ws.take("points", (3, kernels.CHUNK_ROWS + 5))[...] = np.nan  # a buffer left larger and dirty
+    out = ws.take("points", (3, n))
+    got = draw(n, 5, 1, 2, out=out)
+    assert np.shares_memory(got, out)
+    assert np.array_equal(got, draw(n, 5, 1, 2))
+
+
+def test_public_scorers_return_fresh_arrays():
+    bloch = _bloch_batch(20)
+    bary = sample_barycentric(40, seed=3)
+    for first, second in (
+        (kernels.qubit_relation_gaps(bloch), kernels.qubit_relation_gaps(bloch)),
+        (kernels.triangle_analog_gaps(bary, 1.0), kernels.triangle_analog_gaps(bary, 2.0)),
+    ):
+        assert not np.shares_memory(first, second)
 
 
 def _with_workers(monkeypatch, workers, fn, *args):
@@ -135,14 +225,14 @@ def test_many_chunk_results_do_not_depend_on_the_worker_count(monkeypatch):
 
 
 def test_no_scan_thread_outlives_the_call(monkeypatch):
-    real = kernels.triangle_analog_gaps
+    real = kernels.triangle_scorer  # the scan's scorer, taken before it is faked
     threads = set()
 
     def recording(bary, side):
         threads.add(threading.current_thread())
-        return real(bary, side)
+        return real(side)(bary)
 
-    monkeypatch.setattr(kernels, "triangle_analog_gaps", recording)
+    monkeypatch.setattr(kernels, "triangle_scorer", lambda side: lambda bary, ws=None: recording(bary, side))
     monkeypatch.setattr(kernels, "_scan_workers", lambda: 2)
     scan(kernels.CHUNK_ROWS, 1)  # one chunk: scored in the calling thread
     assert threads == {threading.current_thread()}

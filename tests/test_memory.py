@@ -2,8 +2,13 @@
 in constant memory; the per-draw sweep holds one block of one (point, axis)'s
 outcomes at a time; the prober's scorer scores its stencils in blocks."""
 
+import platform
+import sys
 import tracemalloc
 
+import pytest
+
+from triplespin import kernels
 from triplespin.measure_sim import ShotConfig, run_sweep, sweep_parameters
 from triplespin.prober import ProbeConfig, min_gap, scan_conjecture
 from triplespin.relations import RelationId, soak_qubit
@@ -32,6 +37,26 @@ def test_soak_peak_memory_is_bounded():
 def test_triangle_scan_peak_memory_is_bounded():
     # holding the gaps of all 1e6 points at once takes ~191 MiB
     assert traced_peak(scan, 1_000_000, seed=1) < 64 * MIB
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="counts glibc's minor page faults, which depend on its heap trimming",
+)
+def test_a_warm_soak_keeps_its_pages(monkeypatch):
+    """Each fold worker draws and scores into buffers it keeps, so chunks do not fault fresh pages in.
+
+    Allocating its arrays chunk by chunk, a one-worker soak of 4 chunks faults
+    about 5000 pages when warm, as glibc trims the freed heap top between them.
+    """
+    import resource  # POSIX only
+
+    monkeypatch.setattr(kernels, "_scan_workers", lambda: 1)
+    n = 4 * kernels.CHUNK_ROWS
+    soak_qubit(n, n, seed=1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    soak_qubit(n, n, seed=2)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
 
 
 def test_conjecture_scan_peak_memory_is_bounded():

@@ -506,14 +506,18 @@ def test_soak_small_sample_is_sound():
 
 
 def test_soak_counts_non_finite_gap_as_violation(monkeypatch):
-    real = kernels.qubit_relation_gaps
+    real = kernels.bloch_scorer()  # the soak's scorer, taken before it is faked
 
-    def with_nan(bloch):
+    scored = []
+
+    def with_nan(bloch, ws=None):
         gaps = np.array(real(bloch))
-        gaps[0, QUBIT_SOAK_RELATIONS.index(RelationId.R3_TRIPLE_PRODUCT)] = np.nan
+        if not scored:  # one NaN gap, in the first part scored (the pure states; one chunk runs in this thread)
+            gaps[0, QUBIT_SOAK_RELATIONS.index(RelationId.R3_TRIPLE_PRODUCT)] = np.nan
+        scored.append(len(bloch))
         return gaps
 
-    monkeypatch.setattr(kernels, "qubit_relation_gaps", with_nan)
+    monkeypatch.setattr(kernels, "bloch_scorer", lambda relations: with_nan)
     summary = soak_qubit(100, 100, seed=1)
     assert summary.violations[RelationId.R3_TRIPLE_PRODUCT] == 1
     assert not summary.ok
@@ -558,13 +562,13 @@ def _keyed_soak_draws(n_pure, n_mixed, seed, chunk):
 
 @pytest.mark.parametrize("n_pure, n_mixed", [(2500, 1200), (700, 2300), (3000, 3000), (0, 1001)])
 def test_soak_chunked_reduction_matches_direct(monkeypatch, n_pure, n_mixed):
-    real = kernels.qubit_relation_gaps
+    real = kernels.bloch_scorer()  # the soak's scorer, taken before it is faked
 
-    def shifted(bloch):
+    def shifted(bloch, ws=None):
         return real(bloch) - 0.05  # near-saturating states now count as violations
 
     monkeypatch.setattr(kernels, "CHUNK_ROWS", 1000)
-    monkeypatch.setattr(kernels, "qubit_relation_gaps", shifted)
+    monkeypatch.setattr(kernels, "bloch_scorer", lambda relations: shifted)
     summary = soak_qubit(n_pure, n_mixed, seed=5)
     gaps = shifted(_keyed_soak_draws(n_pure, n_mixed, 5, 1000))
     assert len(gaps) == n_pure + n_mixed
@@ -586,12 +590,12 @@ def test_soak_argmin_reproduces_min_gap():
 
 
 def test_soak_nan_in_a_later_chunk_fails(monkeypatch):
-    real = kernels.qubit_relation_gaps
+    real = kernels.bloch_scorer()  # the soak's scorer, taken before it is faked
     column = QUBIT_SOAK_RELATIONS.index(RelationId.R3_TRIPLE_PRODUCT)
     second_chunk = random_mixed_bloch(500, 3, 1, 1)
     calls = []
 
-    def nan_after_first_chunk(bloch):
+    def nan_after_first_chunk(bloch, ws=None):
         # chunks may be scored on several threads, so the chunk is told by its rows, not by call order
         gaps = np.array(real(bloch))
         if np.array_equal(bloch, second_chunk):
@@ -600,9 +604,9 @@ def test_soak_nan_in_a_later_chunk_fails(monkeypatch):
         return gaps
 
     monkeypatch.setattr(kernels, "CHUNK_ROWS", 1000)
-    monkeypatch.setattr(kernels, "qubit_relation_gaps", nan_after_first_chunk)
+    monkeypatch.setattr(kernels, "bloch_scorer", lambda relations: nan_after_first_chunk)
     summary = soak_qubit(1000, 1500, seed=3)
-    assert sorted(calls) == [500, 2000]
+    assert sorted(calls) == [500, 1000, 1000]  # chunk 0's pure and mixed parts are scored one after the other
     assert math.isnan(summary.min_gap[RelationId.R3_TRIPLE_PRODUCT])
     assert summary.violations[RelationId.R3_TRIPLE_PRODUCT] == 1
     assert not summary.ok

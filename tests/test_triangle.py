@@ -16,7 +16,7 @@ from triplespin.triangle import (
     vertex_distances,
     vertices,
 )
-from triplespin import kernels
+from triplespin import kernels, triangle
 
 SQ3 = math.sqrt(3.0)
 
@@ -163,6 +163,15 @@ def test_scan_rejects_empty_or_negative_sample_counts():
             scan(n, seed=1)
 
 
+@pytest.mark.parametrize("side", [math.nan, 0.0, -1.0, math.inf])
+def test_scan_checks_the_side_before_drawing(monkeypatch, side):
+    draws = []
+    monkeypatch.setattr(triangle, "sample_barycentric", lambda *args, **kwargs: draws.append(args))
+    with pytest.raises(ValueError, match="side must be positive and finite"):
+        scan(3 * kernels.CHUNK_ROWS, seed=1, side=side)
+    assert draws == []
+
+
 def _keyed_scan_draws(n, seed, chunk):
     """Every chunk's barycentric draws, stacked in the order the scan visits them."""
     return np.vstack(
@@ -187,13 +196,13 @@ def test_scan_chunked_reduction_matches_direct(monkeypatch, n):
 
 
 def test_scan_tied_minima_keep_the_first_occurrence(monkeypatch):
-    real = kernels.triangle_analog_gaps
+    real = kernels.triangle_scorer  # the scan's scorer, taken before it is faked
 
     def coarse(bary, side):
-        return np.round(real(bary, side), 1)
+        return np.round(real(side)(bary), 1)
 
     monkeypatch.setattr(kernels, "CHUNK_ROWS", 1000)
-    monkeypatch.setattr(kernels, "triangle_analog_gaps", coarse)
+    monkeypatch.setattr(kernels, "triangle_scorer", lambda side: lambda bary, ws=None: coarse(bary, side))
     result = scan(3500, seed=6)
     bary = _keyed_scan_draws(3500, 6, 1000)
     gaps = coarse(bary, 1.0)
@@ -204,20 +213,20 @@ def test_scan_tied_minima_keep_the_first_occurrence(monkeypatch):
 
 
 def test_scan_nan_in_a_later_chunk_becomes_the_minimum(monkeypatch):
-    real = kernels.triangle_analog_gaps
+    real = kernels.triangle_scorer  # the scan's scorer, taken before it is faked
     second_chunk = sample_barycentric(1000, 8, 1)
     calls = []
 
     def nan_in_second_chunk(bary, side):
         # chunks may be scored on several threads, so the chunk is told by its rows, not by call order
-        gaps = real(bary, side)
+        gaps = real(side)(bary)
         if np.array_equal(bary, second_chunk):
             gaps[7, 0] = np.nan
         calls.append(len(bary))
         return gaps
 
     monkeypatch.setattr(kernels, "CHUNK_ROWS", 1000)
-    monkeypatch.setattr(kernels, "triangle_analog_gaps", nan_in_second_chunk)
+    monkeypatch.setattr(kernels, "triangle_scorer", lambda side: lambda bary, ws=None: nan_in_second_chunk(bary, side))
     result = scan(3500, seed=8)
     assert sorted(calls) == [500, 1000, 1000, 1000]
     rel = TRIANGLE_ANALOG_RELATIONS[0]

@@ -2,11 +2,16 @@
 
 Every batch gap in the package comes from _apply_table: each scorer computes a
 batch's per-axis moments as (3, n) arrays (of Bloch rows, column sets or
-triangle points) and _apply_table applies the relation table
-(relations.relation_sides) to them, one row per relation; the result is the
-(n, k) transposed view. States have two moment routes: stack_moments on any
-operator stack (its cached spin form column_moments serves relations.evaluate
-and the prober) and the Bloch closed form, moments.bloch_moments (the soak's).
+triangle points) and _apply_table runs the table pass that relations.table_plan
+built once for the scorer's relations. The pass computes each shared term
+(relations.TERMS) once and evaluates a family of formulas, such as a whole
+cyclic group, in one call that writes the family's rows of a (k, n) gaps array
+at once; the result is its (n, k) transposed view. Few, large numpy calls keep
+two fold workers scoring at once, since each call is a point where the GIL
+can pass between them. Formulas and constants stay in the relation table.
+States have two moment routes: stack_moments on any operator stack (its
+cached spin form column_moments serves relations.evaluate and the prober) and
+the Bloch closed form, moments.bloch_moments (the soak's).
 
 fold_chunks is the one chunk loop of the soak and the triangle scan: it
 reduces every block, chunk and thread result with np.argmin's order, so its
@@ -21,12 +26,12 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .moments import bloch_moments, column_sum, entr, pure_moments
-from .relations import QUBIT_SOAK_RELATIONS, TRIANGLE_ANALOG_RELATIONS, reads_of, relation_sides
+from .moments import bloch_moments, column_sum, entr, pair_sums, pure_moments
+from .relations import QUBIT_SOAK_RELATIONS, TRIANGLE_ANALOG_RELATIONS, table_plan
 from .spin_ops import build_spin_operators
 
 #: Array library the kernels run on; recorded with benchmark results.
@@ -151,13 +156,26 @@ def _batch(points: np.ndarray, what: str) -> np.ndarray:
     return points
 
 
-def _apply_table(relations, n: int, d, v, e, h=None, w=None, s=None, ws=None) -> np.ndarray:
-    """(n, k) gaps of the k relations: the transposed view of a (k, n) array, ws's "gaps" buffer or a fresh one."""
-    shape = (len(relations), n)
-    out = np.empty(shape) if ws is None else ws.take("gaps", shape)
-    for k, relation in enumerate(relations):
-        lhs, rhs = relation_sides(relation, d, v, e, h, w, s)
-        np.subtract(lhs, rhs, out=out[k])
+def _apply_table(plan, n: int, moments, cols, s=None, ws=None) -> np.ndarray:
+    """(n, k) gaps of the plan's k relations (relations.table_plan) on the moments(cols) of n points.
+
+    moments(cols) gives the (d, v, e, h, w) of the points; the pass holds the
+    only references to them and to its terms, and drops each after the last
+    step that reads it, so a block's peak memory stays that of its moments.
+    Each gap step writes its rows, one relation's or a family's, straight into
+    a (k, n) array, ws's "gaps" buffer or a fresh one; the result is its
+    transposed view.
+    """
+    out = np.empty((len(plan.relations), n)) if ws is None else ws.take("gaps", (len(plan.relations), n))
+    values = {name: moment for name, moment in zip("dvehw", moments(cols)) if name in plan.reads}
+    values["s"] = s
+    for target, formula, params, dead in plan.steps:
+        if isinstance(target, str):
+            values[target] = formula(*[values[name] for name in params])
+        else:
+            np.subtract(*formula(*[values[name] for name in params]), out=out[target])
+        for name in dead:
+            del values[name]
     return out.T
 
 
@@ -170,11 +188,12 @@ def bloch_scorer(relations=QUBIT_SOAK_RELATIONS):
     as the soak's blocks of columns of its draw buffer: every moment is
     elementwise, so no bit depends on the layout.
     """
-    reads = reads_of(relations)
+    plan = table_plan(relations)
+    moments = partial(bloch_moments, reads=plan.reads)
 
     def score(bloch: np.ndarray, ws=None) -> np.ndarray:
         cols = bloch.T
-        return _apply_table(relations, cols.shape[1], *bloch_moments(cols, reads), 0.5, ws=ws)
+        return _apply_table(plan, cols.shape[1], moments, cols, 0.5, ws)
 
     return score
 
@@ -205,7 +224,7 @@ def stack_moments(ops: np.ndarray, reads: frozenset):
     # (3 d, d): the conjugated eigenvectors of the three operators as rows, so
     # that np.matvec(basis, g) holds g's amplitudes in the three eigenbases
     basis = np.linalg.eigh(ops)[1].conj().swapaxes(-1, -2).reshape(-1, ops.shape[-1]) if "h" in reads else None
-    pairs = ops + ops[[1, 2, 0]] if "w" in reads else None
+    pairs = pair_sums(ops) if "w" in reads else None
 
     def moments(cols: np.ndarray):
         d = v = e = h = w = None
@@ -231,14 +250,15 @@ def vector_scorer(relations, twice_s: int):
     rows of its batch (see moments.pure_moments), so the batch is scored in
     blocks of at most CHUNK_ROWS columns, which bound its temporaries.
     """
-    moments = column_moments(twice_s, reads_of(relations))
+    plan = table_plan(relations)
+    moments = column_moments(twice_s, plan.reads)
 
     def score(rows: np.ndarray) -> np.ndarray:
         cols = rows.reshape(len(rows), -1, twice_s + 1)
         step = max(CHUNK_ROWS // cols.shape[1], 1)
         if len(cols) > step:
             return np.vstack([score(cols[start : start + step]) for start in range(0, len(cols), step)])
-        return _apply_table(relations, len(cols), *moments(cols), twice_s / 2)
+        return _apply_table(plan, len(cols), moments, cols, twice_s / 2)
 
     return score
 
@@ -254,18 +274,20 @@ def triangle_scorer(side: float):
     if not (math.isfinite(side) and side > 0):
         raise ValueError(f"side must be positive and finite, got {side}")
     area = math.sqrt(3.0) * side * side
+    plan = table_plan(TRIANGLE_ANALOG_RELATIONS)
 
-    def score(bary: np.ndarray, ws=None) -> np.ndarray:
-        cols = bary.T
+    def moments(cols: np.ndarray):
         # squared vertex distances from the offsets P - A = v AB + w AC (and cyclically),
         # two edges 60 degrees apart: |PA|^2 = side^2 (v^2 + vw + w^2)
         p, q = cols[[1, 0, 0]], cols[[2, 2, 1]]
         v = (p + q) * p + q * q
         v *= side * side
-        d = np.sqrt(v)
         # each sub-triangle area is a barycentric weight times the full area sqrt(3) side^2 / 4
-        e = area * cols
-        return _apply_table(TRIANGLE_ANALOG_RELATIONS, cols.shape[1], d, v, e, ws=ws)
+        return np.sqrt(v), v, area * cols, None, None
+
+    def score(bary: np.ndarray, ws=None) -> np.ndarray:
+        cols = bary.T
+        return _apply_table(plan, cols.shape[1], moments, cols, ws=ws)
 
     return score
 

@@ -148,5 +148,10 @@ def bloch_moments(r: np.ndarray, reads):
     if "h" in reads:
         p = np.minimum(np.maximum((1.0 + r) / 2.0, 0.0), 1.0)  # np.clip, without its call overhead
         h = entr(p) + entr(1.0 - p)
-    w = 0.5 - (r + r[[1, 2, 0]]) ** 2 / 4.0 if "w" in reads else None
+    w = 0.5 - pair_sums(r) ** 2 / 4.0 if "w" in reads else None
     return np.sqrt(v), v, e, h, w
+
+
+def pair_sums(x):
+    """x_i + x_j along axis 0, j = i + 1 mod 3: the pairs (x, y), (y, z), (z, x) of the pair-sum moments w."""
+    return x + x[[1, 2, 0]]

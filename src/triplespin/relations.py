@@ -11,20 +11,24 @@ the conjectured all-spin version of the triple product bound is available
 separately as R11_CONJECTURE_TRIPLE_PRODUCT.
 
 RELATIONS is the one table of relations: alias, axis group, description, spin
-rule and moments-to-sides formula per id. The spin rules, the CLI spellings
-and the kernel column orders are derived from it, and every gap in
-the package (evaluate_all and its one-relation form evaluate, evaluate_robertson,
-the kernels' scorers, the triangle check and the sweep) comes from its formulas
-through relation_sides; the evaluators take their moments from
-kernels.stack_moments, as the scorers do, one pass for a whole relation set.
+rule and moments-to-sides formula per id, with TERMS, the subexpressions
+several formulas share. The spin rules, the CLI spellings and the kernel
+column orders are derived from it, and every gap in the package comes from
+its formulas: one relation at a time through relation_sides (evaluate_all and
+its one-relation form evaluate, evaluate_robertson, the triangle check and
+the sweep), and a batch of a whole relation set through the table pass that
+table_plan builds (the kernels' scorers). The evaluators take their moments
+from kernels.stack_moments, as the scorers do, one pass for a whole relation set.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 import inspect
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -90,14 +94,52 @@ class RelationReport:
         }
 
 
+def _params(formula: Callable) -> tuple[str, ...]:
+    return tuple(inspect.signature(formula).parameters)
+
+
+def _sum3(x):
+    return x[0] + x[1] + x[2]
+
+
+#: Terms several formulas share, in dependency order: name -> formula over the
+#: moments, or the terms above it, that its parameters name. A table pass
+#: (table_plan) computes each term its formulas read once.
+TERMS = {
+    "abs_e": lambda e: np.abs(e),  # |<S_i>|, a row per axis
+    "var_sum": lambda v: _sum3(v),  # Var(Sx) + Var(Sy) + Var(Sz)
+    "sd_prod": lambda d: d[0] * d[1] * d[2],  # Delta(Sx) Delta(Sy) Delta(Sz)
+    "abs_sum": lambda abs_e: _sum3(abs_e),  # |<Sx>| + |<Sy>| + |<Sz>|
+}
+_TERM_PARAMS = {name: _params(formula) for name, formula in TERMS.items()}
+
+
+def _resolve(names) -> tuple[tuple[str, ...], frozenset]:
+    """The TERMS that `names` need, in TERMS order, and the moments that the names and those terms read."""
+    terms, reads, todo = set(), set(), list(names)
+    while todo:
+        name = todo.pop()
+        if name not in TERMS:
+            reads.add(name)
+        elif name not in terms:
+            terms.add(name)
+            todo += _TERM_PARAMS[name]
+    return tuple(name for name in TERMS if name in terms), frozenset(reads)
+
+
 @dataclass(frozen=True)
 class RelationSpec:
-    """One catalog relation: its CLI spelling, spin rule and moment formula.
+    """One catalog relation: its CLI spelling, spin rule and formula.
 
-    `sides` maps per-axis moments to (lhs, rhs). Its parameter names, a subset
-    of relation_sides' (d, v, e, h, w, s), are the moments it reads, listed in
-    `reads`; callers compute only those. R_ROBERTSON_GENERIC's formula reads
-    the moments of the stack (A, B, -i[A, B]) of its observable pair.
+    `sides` maps per-axis moments and TERMS to (lhs, rhs). Its parameter
+    names (`params`) are among relation_sides' (d, v, e, h, w, s) and the
+    TERMS; `terms` are the terms it needs, and `reads` the moments that it and
+    they read, which callers compute alone. An instance of a formula family
+    keeps the family's factory and its arguments, sides = family(*args): the
+    axes (i, j, k) of a cyclic group or the constant c of a triple bound, so a
+    table pass can evaluate several instances in one call (see table_plan).
+    R_ROBERTSON_GENERIC's formula reads the moments of the stack (A, B, -i[A, B])
+    of its observable pair.
     """
 
     relation: RelationId
@@ -106,10 +148,17 @@ class RelationSpec:
     description: str
     spin_half_only: bool
     sides: Callable
-    reads: tuple[str, ...] = field(init=False)
+    family: Callable | None = None
+    args: tuple = ()
+    params: tuple[str, ...] = field(init=False)
+    terms: tuple[str, ...] = field(init=False)
+    reads: frozenset = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "reads", tuple(inspect.signature(self.sides).parameters))
+        object.__setattr__(self, "params", _params(self.sides))
+        terms, reads = _resolve(self.params)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "reads", reads)
 
 
 def _report(relation, lhs, rhs, tol) -> RelationReport:
@@ -135,8 +184,9 @@ def evaluate_robertson(
     return _evaluate_with((relation,), state, moments, None, saturation_tol)[0]
 
 
-def _sum3(x):
-    return x[0] + x[1] + x[2]
+def _member(family, *args):
+    """The formula family(*args), family and args, as a RelationSpec takes them."""
+    return family(*args), family, args
 
 
 def _cyclic(ids, group, suffix, description, spin_half_only, sides):
@@ -144,7 +194,8 @@ def _cyclic(ids, group, suffix, description, spin_half_only, sides):
 
     Instance n takes (i, j, k) = (n, n+1, n+2) mod 3. The alias is the group
     plus suffix, and suffix and description are format strings over the axis
-    letters of i, j, k; sides(i, j, k) is the formula.
+    letters of i, j, k; sides(i, j, k) is the formula, and i, j, k may
+    as well be index arrays over the axes (see table_plan).
     """
     specs = []
     for n, relation in enumerate(ids):
@@ -152,17 +203,17 @@ def _cyclic(ids, group, suffix, description, spin_half_only, sides):
         letters = ["xyz"[a] for a in axes]
         alias = group + suffix.format(*letters).upper()
         specs.append(RelationSpec(
-            relation, alias, group, description.format(*letters), spin_half_only, sides(*axes)
+            relation, alias, group, description.format(*letters), spin_half_only, *_member(sides, *axes)
         ))
     return tuple(specs)
 
 
 def _pair_product(i, j, k):
-    return lambda d, e: (d[j] * d[k], np.abs(e[i]) / 2.0)
+    return lambda d, abs_e: (d[j] * d[k], abs_e[i] / 2.0)
 
 
 def _pair_sum(i, j, k):
-    return lambda v, e: (v[j] + v[k], np.abs(e[i]))
+    return lambda v, abs_e: (v[j] + v[k], abs_e[i])
 
 
 def _entropic_pair(i, j, k):
@@ -170,22 +221,22 @@ def _entropic_pair(i, j, k):
 
 
 def _triple_product(c):
-    """Delta(Sx) Delta(Sy) Delta(Sz) >= |c^3 <Sx><Sy><Sz> / 8|^(1/2)."""
-    scale = c**3 / 8.0
-    return lambda d, e: (d[0] * d[1] * d[2], np.sqrt(np.abs(scale * e[0] * e[1] * e[2])))
+    """Delta(Sx) Delta(Sy) Delta(Sz) >= |c^3 <Sx><Sy><Sz> / 8|^(1/2); c may be a column of constants."""
+    scale = c * c * c / 8.0  # the bits of c**3 / 8 at tau and 1, and exact elementwise on a column
+    return lambda sd_prod, e: (sd_prod, np.sqrt(np.abs(scale * e[0] * e[1] * e[2])))
 
 
 def _triple_sum(c):
-    """Var(Sx) + Var(Sy) + Var(Sz) >= c (|<Sx>| + |<Sy>| + |<Sz>|) / 2."""
+    """Var(Sx) + Var(Sy) + Var(Sz) >= c (|<Sx>| + |<Sy>| + |<Sz>|) / 2; c may be a column of constants."""
     half = c / 2.0
-    return lambda v, e: (_sum3(v), half * (np.abs(e[0]) + np.abs(e[1]) + np.abs(e[2])))
+    return lambda var_sum, abs_sum: (var_sum, half * abs_sum)
 
 
 #: The catalog, one entry per RelationId in declaration order. Fields: id,
 #: CLI alias, axis group, description, spin-1/2-only rule and the (lhs, rhs)
-#: formula over the moments its parameters name. The pairwise groups are one
+#: formula over the moments and TERMS its parameters name. The pairwise groups are one
 #: formula each over the cyclic axes; the naive triple bounds are the tightened
-#: ones at constant 1 in place of tau.
+#: ones at constant 1 in place of tau. Both kinds are families (see RelationSpec).
 RELATIONS = (
     RelationSpec(
         RelationId.R_ROBERTSON_GENERIC, None, None,
@@ -200,7 +251,7 @@ RELATIONS = (
     RelationSpec(
         RelationId.R3_TRIPLE_PRODUCT, "R3", None,
         "Delta(Sx) Delta(Sy) Delta(Sz) >= |tau^3 <Sx><Sy><Sz> / 8|^(1/2); conjectured for all s as R11", True,
-        _triple_product(TAU),
+        *_member(_triple_product, TAU),
     ),
     *_cyclic(
         (RelationId.R4_PAIR_SUM_X, RelationId.R4_PAIR_SUM_Y, RelationId.R4_PAIR_SUM_Z),
@@ -210,22 +261,22 @@ RELATIONS = (
     RelationSpec(
         RelationId.R5_TRIPLE_SUM, "R5", None,
         "Var(Sx) + Var(Sy) + Var(Sz) >= tau (|<Sx>| + |<Sy>| + |<Sz>|) / 2", False,
-        _triple_sum(TAU),
+        *_member(_triple_sum, TAU),
     ),
     RelationSpec(
         RelationId.R6_SUM_HALF, "R6", None,
         "Var(Sx) + Var(Sy) + Var(Sz) >= 1/2 = 3 tau^2 / 8", False,
-        lambda v: (_sum3(v), 0.5),
+        lambda var_sum: (var_sum, 0.5),
     ),
     RelationSpec(
         RelationId.R7_SUM_GENERAL_S, "R7", None,
         "Var(Sx) + Var(Sy) + Var(Sz) >= s", False,
-        lambda v, s: (_sum3(v), s),
+        lambda var_sum, s: (var_sum, s),
     ),
     RelationSpec(
         RelationId.R8_VARIANCE_OF_SUMS, "R8", None,
         "Var(Sx) + Var(Sy) + Var(Sz) >= (2/5) [Var(Sx+Sy) + Var(Sy+Sz) + Var(Sz+Sx)]", True,
-        lambda v, w: (_sum3(v), 0.4 * _sum3(w)),
+        lambda var_sum, w: (var_sum, 0.4 * _sum3(w)),
     ),
     *_cyclic(
         (RelationId.R9_ENTROPIC_PAIR_XY, RelationId.R9_ENTROPIC_PAIR_YZ, RelationId.R9_ENTROPIC_PAIR_ZX),
@@ -240,17 +291,17 @@ RELATIONS = (
     RelationSpec(
         RelationId.R11_CONJECTURE_TRIPLE_PRODUCT, "R11", None,
         "conjectured all-spin version of the tightened triple product bound", False,
-        _triple_product(TAU),
+        *_member(_triple_product, TAU),
     ),
     RelationSpec(
         RelationId.NAIVE_PRO2, "PRO2", None,
         "Delta(Sx) Delta(Sy) Delta(Sz) >= |<Sx><Sy><Sz> / 8|^(1/2), no tau tightening", False,
-        _triple_product(1.0),
+        *_member(_triple_product, 1.0),
     ),
     RelationSpec(
         RelationId.NAIVE_SUM2, "SUM2", None,
         "Var(Sx) + Var(Sy) + Var(Sz) >= (|<Sx>| + |<Sy>| + |<Sz>|) / 2, no tau tightening", False,
-        _triple_sum(1.0),
+        *_member(_triple_sum, 1.0),
     ),
 )
 
@@ -296,8 +347,85 @@ def relation_sides(relation: RelationId, d, v, e, h=None, w=None, s=None):
     Each entry may be a float or an array of a batch of states. The gap is lhs - rhs.
     """
     spec = _SPECS[relation]
-    moments = {"d": d, "v": v, "e": e, "h": h, "w": w, "s": s}
-    return spec.sides(*[moments[name] for name in spec.reads])
+    values = {"d": d, "v": v, "e": e, "h": h, "w": w, "s": s}
+    for name in spec.terms:
+        values[name] = TERMS[name](*[values[param] for param in _TERM_PARAMS[name]])
+    return spec.sides(*[values[name] for name in spec.params])
+
+
+@dataclass(frozen=True)
+class TablePlan:
+    """One pass of the table over a relation set, built by table_plan.
+
+    `reads` are the moments it reads, and `steps` its (target, formula,
+    params, dead) in order: each calls formula on the values of params, and
+    a term step (target a TERMS name) keeps the result as that value, while a
+    gap step writes lhs - rhs of its (lhs, rhs) to the rows `target` (one row,
+    or a slice of a family's rows) of a (k, n) output. The values named in
+    dead are read by no later step.
+    """
+
+    relations: tuple[RelationId, ...]
+    reads: frozenset
+    steps: tuple
+
+
+def _stacked(args: tuple):
+    """One argument of a family over several instances: axes as an index, a slice
+    (a view) when consecutive and ascending, else an index array; constants as
+    an (m, 1) column, which broadcasts against rows of points."""
+    if not all(isinstance(arg, int) for arg in args):
+        return np.array(args)[:, None]
+    if all(b == a + 1 for a, b in zip(args, args[1:])):
+        return slice(args[0], args[-1] + 1)
+    return np.array(args, dtype=np.intp)
+
+
+def table_plan(relations) -> TablePlan:
+    """The table pass over relations, the k rows of its output in their order; see TablePlan.
+
+    The instances of a formula family (RelationSpec) that sit at evenly
+    spaced rows, each once, are one step: the family's factory called with
+    their stacked arguments (_stacked), which writes their rows at once.
+    Every other relation is a step of its own formula. Each row applies the
+    same operations to the same operands as the relation scored alone, so it
+    keeps that relation's bits. Each term is computed once, just before the
+    first step that reads it, and the steps are ordered to keep few values
+    alive at a time. Built once per relation tuple.
+    """
+    return _table_plan(tuple(relations))
+
+
+@lru_cache(maxsize=256)
+def _table_plan(relations: tuple) -> TablePlan:
+    rows_of: dict = {}  # family, or relation outside any, -> its rows
+    for row, relation in enumerate(relations):
+        rows_of.setdefault(_SPECS[relation].family or relation, []).append(row)
+    gaps = []  # (rows, target, sides, params)
+    for rows in rows_of.values():
+        specs = [_SPECS[relations[row]] for row in rows]
+        if 1 < len(rows) == len({spec.relation for spec in specs}) and len(set(np.diff(rows))) == 1:
+            sides = specs[0].family(*map(_stacked, zip(*(spec.args for spec in specs))))
+            gaps.append((rows, slice(rows[0], rows[-1] + 1, rows[1] - rows[0]), sides, specs[0].params))
+        else:
+            gaps += [([row], row, spec.sides, spec.params) for row, spec in zip(rows, specs)]
+    # a moment few steps read is retired first, and of steps alike the one with fewer rows,
+    # so that the temporaries of a family's rows meet as few live values as possible
+    reads = [_resolve(params)[1] for *_, params in gaps]
+    readers = collections.Counter(name for names in reads for name in names)
+    steps, terms = [], set()
+    for k in sorted(range(len(gaps)), key=lambda k: (sorted(readers[name] for name in reads[k]), len(gaps[k][0]), k)):
+        _, target, sides, params = gaps[k]
+        for name in _resolve(params)[0]:
+            if name not in terms:
+                steps.append((name, TERMS[name], _TERM_PARAMS[name]))
+                terms.add(name)
+        steps.append((target, sides, params))
+    planned, later = [], set()
+    for target, formula, params in reversed(steps):
+        planned.append((target, formula, params, tuple(name for name in params if name not in later)))
+        later.update(params)
+    return TablePlan(relations, frozenset(later - terms), tuple(reversed(planned)))
 
 
 def evaluate(
@@ -424,12 +552,15 @@ def soak_qubit(
     are folded into the result (kernels.fold_chunks), so memory stays constant
     in the counts. Returns per relation the minimum gap (NaN if any gap is
     NaN), the state that attained it and the count of gaps not at or above
-    -tolerance (NaN counts).
+    -tolerance (NaN counts). The counts must be ints or numpy integers, not
+    bools, and not both 0.
     """
     from . import kernels  # kernels reads this module's table at import
 
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
+    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in (n_pure, n_mixed)):
+        raise ValueError(f"state counts must be integers, got {n_pure!r} pure and {n_mixed!r} mixed")
     if n_pure < 0 or n_mixed < 0:
         raise ValueError(f"state counts must be nonnegative, got {n_pure} pure and {n_mixed} mixed")
     if n_pure + n_mixed == 0:
@@ -447,8 +578,8 @@ def soak_qubit(
         -(-max(n_pure, n_mixed) // chunk), draw, kernels.bloch_scorer(QUBIT_SOAK_RELATIONS), tolerance
     )
     return SoakSummary(
-        n_pure=n_pure,
-        n_mixed=n_mixed,
+        n_pure=int(n_pure),
+        n_mixed=int(n_mixed),
         seed=seed,
         min_gap={rel: float(m) for rel, m in zip(QUBIT_SOAK_RELATIONS, mins)},
         violations={rel: int(c) for rel, c in zip(QUBIT_SOAK_RELATIONS, viol)},

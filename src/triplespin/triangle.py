@@ -143,10 +143,11 @@ def scan(n: int, seed: int, side: float = 1.0) -> TriangleScan:
     Chunk k draws up to kernels.CHUNK_ROWS points from stream (seed, k) into
     its worker's workspace, and its gaps are folded into the minimum and
     argmin per analog (kernels.fold_chunks), so memory stays constant in n.
-    The side is checked before any chunk is drawn.
+    The count (an int or numpy integer, not a bool, at least 1) and the side
+    are checked before any chunk is drawn.
     """
-    if n < 1:
-        raise ValueError(f"triangle scan needs at least one sample, got {n} samples")
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"triangle scan needs an integer count of at least one sample, got {n!r} samples")
     rel_ids = TRIANGLE_ANALOG_RELATIONS
     chunk = kernels.CHUNK_ROWS
     score = kernels.triangle_scorer(side)
@@ -158,7 +159,7 @@ def scan(n: int, seed: int, side: float = 1.0) -> TriangleScan:
     mins, rows, _ = kernels.fold_chunks(-(-n // chunk), draw, score)
     return TriangleScan(
         side=side,
-        samples=n,
+        samples=int(n),
         seed=seed,
         min_gap={rel: float(m) for rel, m in zip(rel_ids, mins)},
         argmin_bary={rel: tuple(map(float, r)) for rel, r in zip(rel_ids, rows)},

@@ -2,11 +2,13 @@
 every private module-level function is referenced somewhere in the package,
 only rng.py reaches numpy.random, only cli.py reads the process environment,
 only kernels.py starts threads, the prober scores states only through
-kernels (with one chart and one scorer), the sweep takes only the relation
-table from relations, builds no state and draws through one stream route,
-and the runtime imports no scipy."""
+kernels (with one chart and one scorer), kernels and the sweep take only
+the relation table from relations (kernels writing no formula constant), the
+sweep builds no state and draws through one stream route, and the runtime
+imports no scipy."""
 
 import ast
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -223,6 +225,50 @@ def test_sweep_takes_only_the_table_from_relations():
     # the sweep's values and error bars both come from relation_sides: no constant or formula of its own
     source = (PACKAGE / "measure_sim.py").read_text(encoding="utf-8")
     assert module_names(source, "relations") == ["RelationId", "relation_sides"]
+
+
+TAU = 2.0 / math.sqrt(3.0)
+#: Constants of the relation formulas: tau, tau^3/8, 1/8, 1/sqrt(3), log 2, log 4 and R8's 2/5.
+FORMULA_CONSTANTS = {TAU, TAU**3 / 8.0, 0.125, 1.0 / math.sqrt(3.0), math.log(2.0), 2.0 * math.log(2.0), 0.4}
+
+
+def formula_constants(source: str) -> list[str]:
+    """Lines that write a formula constant: a float among FORMULA_CONSTANTS, a logarithm, a division
+    by a square root (tau = 2/sqrt(3)) or a literal permutation of the axes (0, 1, 2) other than theirs."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant):
+            hit = isinstance(node.value, float) and node.value in FORMULA_CONSTANTS
+        elif isinstance(node, ast.Call):
+            func = node.func
+            hit = (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")).startswith("log")
+        elif isinstance(node, ast.BinOp):
+            right = node.right
+            hit = isinstance(node.op, ast.Div) and isinstance(right, ast.Call) and "sqrt" in ast.unparse(right.func)
+        elif isinstance(node, (ast.List, ast.Tuple)):
+            items = [getattr(item, "value", None) for item in node.elts]
+            hit = sorted(items, key=str) == [0, 1, 2] and items != [0, 1, 2]
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_checker_flags_formula_constants():
+    source = (
+        "tau = 2.0 / math.sqrt(3.0)\nhalf = 0.4 * w\nln2 = np.log(2.0)\nrot = d[[1, 2, 0]]\n"
+        "area = math.sqrt(3.0) * side\nn = x[[1, 0, 0]] + x[[0, 1, 2]] + 0.5 * 4.0\nscale = 0.125\n"
+    )
+    assert formula_constants(source) == [f"line {n}" for n in (1, 2, 3, 4, 7)]
+
+
+def test_kernels_take_only_the_table_api_from_relations():
+    # kernels run the table passes that relations.table_plan builds, so every formula and its constants
+    # stay in relations.RELATIONS and TERMS: a scorer with its own copy of the formulas cannot ship
+    source = (PACKAGE / "kernels.py").read_text(encoding="utf-8")
+    assert module_names(source, "relations") == ["QUBIT_SOAK_RELATIONS", "TRIANGLE_ANALOG_RELATIONS", "table_plan"]
+    assert formula_constants(source) == []
 
 
 def test_sweep_builds_no_state_and_draws_by_one_route():

@@ -16,7 +16,9 @@ from triplespin.relations import (
     RelationId,
     applicable_to,
     evaluate,
+    relation_sides,
     soak_qubit,
+    table_plan,
 )
 from triplespin.spin_ops import build_spin_operators
 from triplespin.states import (
@@ -408,3 +410,85 @@ def test_bloch_rows_do_not_depend_on_their_batch():
         assert np.array_equal(kernels.qubit_relation_gaps(bloch[:n], FORMULAS), full[:n])
     for i in range(len(bloch)):
         assert np.array_equal(kernels.qubit_relation_gaps(bloch[i : i + 1], FORMULAS)[0], full[i])
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The float64 bit patterns of a, so that -0.0 differs from 0.0 and a NaN equals itself."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+R = RelationId
+#: Orders whose families the table pass evaluates in one call, split or leaves to single steps.
+PLAN_CASES = {
+    "qubit": QUBIT_SOAK_RELATIONS,
+    "reversed": QUBIT_SOAK_RELATIONS[::-1],
+    "formulas": FORMULAS,
+    # R2 split over uneven rows, the triple products 2 rows apart, R4 whole but
+    # reversed, R9 partial, a repeated relation and a family of one
+    "split": (R.R2_PAIR_PRODUCT_X, R.R3_TRIPLE_PRODUCT, R.R2_PAIR_PRODUCT_Z, R.NAIVE_PRO2, R.R4_PAIR_SUM_Z,
+              R.R4_PAIR_SUM_Y, R.R4_PAIR_SUM_X, R.R2_PAIR_PRODUCT_Y, R.R9_ENTROPIC_PAIR_ZX,
+              R.R9_ENTROPIC_PAIR_XY, R.R6_SUM_HALF, R.R6_SUM_HALF, R.NAIVE_SUM2),
+    "strided": (R.R2_PAIR_PRODUCT_X, R.R5_TRIPLE_SUM, R.R2_PAIR_PRODUCT_Y, R.NAIVE_SUM2, R.R2_PAIR_PRODUCT_Z),
+}
+
+
+def _plan_cases(pool, seed, draws=6):
+    """PLAN_CASES drawn from pool, and seeded random subsets of it in random orders."""
+    rng = np.random.default_rng(seed)
+    cases = [rels for rels in PLAN_CASES.values() if set(rels) <= set(pool)]
+    return cases + [tuple(rng.permutation(pool)[: rng.integers(2, len(pool) + 1)]) for _ in range(draws)]
+
+
+def test_plan_cases_cover_family_steps():
+    """Families at evenly spaced rows, whole, reversed, strided or partial, are one step each; others are not."""
+    def family_rows(relations):
+        steps = table_plan(relations).steps
+        return sorted(tuple(range(len(relations))[t]) for t, *_ in steps if isinstance(t, slice))
+
+    assert family_rows(PLAN_CASES["qubit"]) == [(0, 1, 2), (3, 14), (4, 5, 6), (7, 15), (10, 11, 12)]
+    assert family_rows(PLAN_CASES["reversed"]) == [(0, 8), (1, 12), (3, 4, 5), (9, 10, 11), (13, 14, 15)]
+    assert family_rows(PLAN_CASES["split"]) == [(1, 3), (4, 5, 6), (8, 9)]
+    assert family_rows(PLAN_CASES["strided"]) == [(0, 2, 4), (1, 3)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bloch_table_pass_keeps_each_relations_bits(seed):
+    """Each column of any relation tuple is, bit for bit, that relation scored alone, at edge rows too."""
+    edges = np.array([[-0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.6, -0.0, -0.8]])
+    bloch = np.vstack([edges, _bloch_batch(60)])
+    for relations in _plan_cases(QUBIT_SOAK_RELATIONS + (R.R_ROBERTSON_GENERIC, R.R11_CONJECTURE_TRIPLE_PRODUCT), seed):
+        gaps = kernels.bloch_scorer(relations)(bloch)
+        for k, rel in enumerate(relations):
+            assert np.array_equal(_bits(gaps[:, k]), _bits(kernels.bloch_scorer((rel,))(bloch)[:, 0])), (relations, rel)
+
+
+@pytest.mark.parametrize("twice_s", [1, 2, 3])
+def test_vector_table_pass_keeps_each_relations_bits(twice_s):
+    """As for Bloch rows, for state vectors (r = 1) and mixed states (r = d) of spin twice_s/2."""
+    dim = twice_s + 1
+    for r in (1, dim):
+        rows = random_pure_vectors(r * dim, 30, 80 + twice_s, r)
+        for relations in _plan_cases(FORMULAS, twice_s * 10 + r, draws=4):
+            gaps = kernels.vector_scorer(relations, twice_s)(rows)
+            for k, rel in enumerate(relations):
+                alone = kernels.vector_scorer((rel,), twice_s)(rows)[:, 0]
+                assert np.array_equal(_bits(gaps[:, k]), _bits(alone)), (relations, rel)
+
+
+def test_triangle_columns_are_the_table_on_its_moments(monkeypatch):
+    """The triangle scorer's 8 columns are relation_sides' lhs - rhs on the moments it computes."""
+    real, seen = kernels._apply_table, []
+
+    def spy(plan, n, moments, cols, s=None, ws=None):
+        seen.append(moments(cols))
+        return real(plan, n, moments, cols, s, ws)
+
+    monkeypatch.setattr(kernels, "_apply_table", spy)
+    bary = np.vstack([np.eye(3), [[1 / 3, 1 / 3, 1 / 3], [0.5, 0.5, 0.0]], sample_barycentric(60, seed=5)])
+    for side in (0.5, 1.0, 3.0):
+        gaps = kernels.triangle_analog_gaps(bary, side)
+        d, v, e, h, w = seen.pop()
+        assert h is None and w is None
+        for k, rel in enumerate(TRIANGLE_ANALOG_RELATIONS):
+            lhs, rhs = relation_sides(rel, d, v, e)
+            assert np.array_equal(_bits(gaps[:, k]), _bits(np.subtract(lhs, rhs))), rel

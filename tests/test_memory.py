@@ -1,6 +1,7 @@
 """The soak, the triangle scan and the conjecture scan reduce chunk by chunk
-in constant memory; the per-draw sweep holds one block of one (point, axis)'s
-outcomes at a time; the prober's scorer scores its stencils in blocks."""
+in constant memory, and a scan block's table pass peaks near its moments; the
+per-draw sweep holds one block of one (point, axis)'s outcomes at a time; the
+prober's scorer scores its stencils in blocks."""
 
 import platform
 import sys
@@ -12,8 +13,8 @@ from triplespin import kernels
 from triplespin.measure_sim import ShotConfig, run_sweep, sweep_parameters
 from triplespin.prober import ProbeConfig, min_gap, scan_conjecture
 from triplespin.relations import RelationId, soak_qubit
-from triplespin.states import Family
-from triplespin.triangle import scan
+from triplespin.states import Family, random_pure_bloch
+from triplespin.triangle import sample_barycentric, scan
 
 MIB = 1 << 20
 
@@ -57,6 +58,50 @@ def test_a_warm_soak_keeps_its_pages(monkeypatch):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     soak_qubit(n, n, seed=2)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
+
+
+def _warm_block(scorer: str):
+    """A scorer, one BLOCK_ROWS block of its points and a workspace it has scored into twice."""
+    n = kernels.BLOCK_ROWS
+    if scorer == "bloch":
+        score, points = kernels.bloch_scorer(), random_pure_bloch(n, 1, 0, 0)
+    else:
+        score, points = kernels.triangle_scorer(1.0), sample_barycentric(n, 1, 0)
+    ws = kernels.Workspace()
+    score(points, ws)
+    score(points, ws)
+    return score, points, ws
+
+
+@pytest.mark.parametrize("scorer", ["bloch", "triangle"])
+def test_a_warm_block_peaks_near_its_moments(scorer):
+    """A table pass drops each moment and term after its last step and runs the families'
+    rows when few values are alive, so a block's peak stays near that of its moments
+    (168 B a row for the qubit scorer, 144 for the triangle's); with every moment and
+    term kept for the whole pass, a qubit block peaks at about 248 B a row."""
+    score, points, ws = _warm_block(scorer)
+    assert traced_peak(score, points, ws) <= 224 * kernels.BLOCK_ROWS
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="counts glibc's minor page faults, which depend on its heap trimming",
+)
+@pytest.mark.parametrize("scorer", ["bloch", "triangle"])
+def test_warm_blocks_on_the_main_thread_keep_their_pages(monkeypatch, scorer):
+    """Once a warm scan has freed its workspaces, glibc's trim threshold exceeds a block's
+    temporaries, so 200 blocks scored on the main thread fault no fresh pages; a table
+    pass whose peak rose past it would have the heap top trimmed and faulted back in
+    every block (a few hundred pages a qubit block)."""
+    import resource  # POSIX only
+
+    monkeypatch.setattr(kernels, "_scan_workers", lambda: 1)
+    soak_qubit(4 * kernels.CHUNK_ROWS, 4 * kernels.CHUNK_ROWS, seed=1)
+    score, points, ws = _warm_block(scorer)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(200):
+        score(points, ws)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
 
 
 def test_conjecture_scan_peak_memory_is_bounded():

@@ -536,6 +536,19 @@ def test_soak_rejects_negative_tolerance():
     assert soak_qubit(10, 10, seed=1, tolerance=0.0).tolerance == 0.0
 
 
+@pytest.mark.parametrize("counts", [(2.5, 0), (0, 2.5), (True, 0), (10, False), ("3", 1), (None, 1)])
+def test_soak_rejects_counts_that_are_no_integers(counts):
+    # a float count used to fail inside range() with a TypeError, and a bool ran as 0 or 1 states
+    with pytest.raises(ValueError, match="state counts must be integers"):
+        soak_qubit(*counts, seed=1)
+
+
+def test_soak_takes_numpy_integer_counts():
+    summary = soak_qubit(np.int64(70), np.int32(50), seed=1)
+    assert summary == soak_qubit(70, 50, seed=1)
+    assert type(summary.n_pure) is type(summary.n_mixed) is int
+
+
 def test_soak_batches_draw_from_independent_streams(monkeypatch):
     keys = []
     real = states.stream

@@ -163,6 +163,22 @@ def test_scan_rejects_empty_or_negative_sample_counts():
             scan(n, seed=1)
 
 
+@pytest.mark.parametrize("n", [2.5, True, "3", None])
+def test_scan_rejects_a_count_that_is_no_integer_before_drawing(monkeypatch, n):
+    # a float count used to fail inside range() with a TypeError, and True ran as one sample
+    draws = []
+    monkeypatch.setattr(triangle, "sample_barycentric", lambda *args, **kwargs: draws.append(args))
+    with pytest.raises(ValueError, match="integer count"):
+        scan(n, seed=1)
+    assert draws == []
+
+
+def test_scan_takes_a_numpy_integer_count():
+    result = scan(np.int64(700), seed=2)
+    assert result == scan(700, seed=2)
+    assert type(result.samples) is int  # so that to_dict stays JSON
+
+
 @pytest.mark.parametrize("side", [math.nan, 0.0, -1.0, math.inf])
 def test_scan_checks_the_side_before_drawing(monkeypatch, side):
     draws = []

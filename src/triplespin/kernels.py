@@ -225,12 +225,14 @@ def stack_moments(ops: np.ndarray, reads: frozenset):
     # that np.matvec(basis, g) holds g's amplitudes in the three eigenbases
     basis = np.linalg.eigh(ops)[1].conj().swapaxes(-1, -2).reshape(-1, ops.shape[-1]) if "h" in reads else None
     pairs = pair_sums(ops) if "w" in reads else None
+    mean_var, sd = not reads.isdisjoint("dve"), "d" in reads
 
     def moments(cols: np.ndarray):
         d = v = e = h = w = None
-        if not reads.isdisjoint("dve"):
+        if mean_var:
             e, v = pure_moments(cols, ops)
-            d = np.sqrt(v) if "d" in reads else None
+            if sd:
+                d = np.sqrt(v)
         if basis is not None:
             a = np.matvec(basis, cols)
             h = entr(column_sum(a.real**2 + a.imag**2).reshape(len(cols), 3, -1)).sum(axis=-1).T
@@ -252,13 +254,14 @@ def vector_scorer(relations, twice_s: int):
     """
     plan = table_plan(relations)
     moments = column_moments(twice_s, plan.reads)
+    dim, s = twice_s + 1, twice_s / 2
 
     def score(rows: np.ndarray) -> np.ndarray:
-        cols = rows.reshape(len(rows), -1, twice_s + 1)
+        cols = rows.reshape(len(rows), -1, dim)
         step = max(CHUNK_ROWS // cols.shape[1], 1)
         if len(cols) > step:
             return np.vstack([score(cols[start : start + step]) for start in range(0, len(cols), step)])
-        return _apply_table(plan, len(cols), moments, cols, twice_s / 2)
+        return _apply_table(plan, len(cols), moments, cols, s)
 
     return score
 

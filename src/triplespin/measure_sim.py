@@ -48,7 +48,7 @@ class ShotConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.shots, (int, np.integer)) or self.shots < 1:
+        if not isinstance(self.shots, (int, np.integer)) or isinstance(self.shots, bool) or self.shots < 1:
             raise ValueError(f"shots must be an integer >= 1, got {self.shots!r}")
         if self.shots > np.iinfo(np.int64).max:
             raise ValueError(f"shots must fit numpy's int64, got {self.shots}")

@@ -59,7 +59,7 @@ class ProbeConfig:
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         counts = (self.restarts, self.max_iters)
-        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in counts):
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1 for n in counts):
             raise ValueError(f"restarts and max_iters must be integers >= 1, got {counts}")
         check_seed(self.seed)
 
@@ -109,7 +109,7 @@ def _psi_from_params(x: np.ndarray) -> np.ndarray:
     """
     pairs = np.ascontiguousarray(x, dtype=float)
     norm = np.sqrt(np.add.reduce(pairs * pairs, axis=-1, keepdims=True))
-    if not norm.all():
+    if np.count_nonzero(norm) < norm.size:
         zero = norm == 0.0
         pairs = pairs.copy()
         pairs[..., :1][zero] = 1.0
@@ -148,13 +148,6 @@ class SearchRuns:
     success: np.ndarray
 
 
-def _batch_values(objective, points: np.ndarray) -> np.ndarray:
-    values = np.asarray(objective(points), dtype=float)
-    if values.shape != (len(points),):
-        raise ValueError(f"objective returned shape {values.shape} for {len(points)} points")
-    return values
-
-
 def lockstep_lbfgs(objective, x0: np.ndarray, max_iters: int, tol: float) -> SearchRuns:
     """L-BFGS from each row of x0 (m, n), all runs advancing together.
 
@@ -177,90 +170,117 @@ def lockstep_lbfgs(objective, x0: np.ndarray, max_iters: int, tol: float) -> Sea
     lower its value by at most tol, and otherwise after max_iters; a NaN
     value never lowers and never converges. All arithmetic is per row, so a
     run ends the same whatever the other runs do.
+
+    The loop runs on arrays of a handful of rows, where each numpy call costs
+    more than its arithmetic, so it makes few calls: the pairs sit in a ring
+    of slots, which an iteration in which every run keeps its pair advances
+    without a copy.
     """
     x = np.array(x0, dtype=float)
     m, n = x.shape
     eye = _H * np.eye(n)
     stencil = np.vstack([np.zeros(n), eye, -eye])
-    steps, armijo = _STEPS[:, None], _ARMIJO * _STEPS
+    width = len(stencil)
+    steps, armijo = _STEPS[1:, None], _ARMIJO * _STEPS
 
     def score(points):  # (k, j, n) points to (k, j) values
-        return _batch_values(objective, points.reshape(-1, n)).reshape(points.shape[:2])
+        rows = points.reshape(-1, n)
+        values = np.asarray(objective(rows), dtype=float)
+        if values.shape != (len(rows),):
+            raise ValueError(f"objective returned shape {values.shape} for {len(rows)} points")
+        return values.reshape(points.shape[:2])
 
     def value_and_gradient(x):
         f = score(x[:, None] + stencil)
         return f[:, 0], (f[:, 1 : n + 1] - f[:, n + 1 :]) / (2 * _H)
 
     fun, g = value_and_gradient(x)
-    # kept pairs, oldest first, as rows [s, y, rho s, rho y] with rho = 1 / s.y; empty slots are 0
-    hist = np.zeros((_MEMORY, m, 4 * n))
+    # kept pairs [s, y, rho s, rho y], rho = 1 / s.y, in a ring of _MEMORY + 1 slots: slot
+    # ring[i] holds every run's i-th oldest pair (0 where it has none), and slot
+    # ring[_MEMORY] is free for the next pair
+    hist = np.zeros((_MEMORY + 1, 4, m, n))
+    ring = list(range(_MEMORY + 1))
     gamma = np.ones((m, 1))  # s.y / y.y of the newest pair
     stalls = np.zeros(m, dtype=np.int64)
     out_x, out_fun = np.empty((m, n)), np.empty(m)
     nit, success = np.empty(m, dtype=np.int64), np.empty(m, dtype=bool)
-    live = np.arange(m)
-    nfev = np.full(m, len(stencil))
+    nfev = np.full(m, width)
+    live, spent = np.arange(m), nfev.copy()  # the live runs and the rows each has scored
     for it in range(1, max_iters + 1):
         # q = H g by the two-loop recursion, over the slots filled by now at most
-        hs, hy, hrs, hry = (hist[..., j * n : (j + 1) * n] for j in range(4))
-        slots = range(_MEMORY - min(it - 1, _MEMORY), _MEMORY)
-        q, alpha = g.copy(), {}
-        for i in reversed(slots):
-            alpha[i] = np.vecdot(hrs[i], q, keepdims=True)
-            q -= alpha[i] * hy[i]
+        used = ring[_MEMORY - min(it - 1, _MEMORY) : _MEMORY]
+        q, alphas = g.copy(), []
+        for j in reversed(used):
+            alpha = np.vecdot(hist[j, 2], q, keepdims=True)
+            q -= alpha * hist[j, 1]
+            alphas.append(alpha)
         q *= gamma
-        for i in slots:
-            q += (alpha[i] - np.vecdot(hry[i], q, keepdims=True)) * hs[i]
-        slope = -np.vecdot(g, q, keepdims=True)
-        ascent = ~(slope < 0)
-        if ascent.any():
-            q = np.where(ascent, g, q)
-            slope = -np.vecdot(g, q, keepdims=True)
+        for j, alpha in zip(used, reversed(alphas)):
+            q += (alpha - np.vecdot(hist[j, 3], q, keepdims=True)) * hist[j, 0]
+        # g.q is minus the slope along -q; where it is not positive, -q does not descend
+        gq = np.vecdot(g, q)
+        if np.count_nonzero(gq > 0) < len(gq):
+            q = np.where(~(gq > 0)[:, None], g, q)
+            gq = np.vecdot(g, q)
 
         # the stencil at the unit step first: its centre row decides Armijo there
         x_new = x - q
         f_new, g_new = value_and_gradient(x_new)
-        nfev[live] += len(stencil)
-        moved = f_new <= fun + armijo[0] * slope[:, 0]
-        if not moved.all():
+        spent += width
+        moved = f_new <= fun - armijo[0] * gq
+        if np.count_nonzero(moved) < len(moved):
             # the other steps for the runs that fail it, and a stencil where one passes
-            back = np.flatnonzero(~moved)
-            trial = x[back, None] - steps[1:] * q[back, None]
-            ok = score(trial) <= fun[back, None] + armijo[1:] * slope[back]
-            nfev[live[back]] += len(steps) - 1
+            back = (~moved).nonzero()[0]
+            trial = x[back, None] - steps * q[back, None]
+            ok = score(trial) <= fun[back, None] - armijo[1:] * gq[back, None]
+            spent[back] += len(steps)
             hit = ok.any(axis=1)
             took, stay = back[hit], back[~hit]
             if took.size:
                 x_new[took] = trial[hit, ok[hit].argmax(axis=1)]
                 f_new[took], g_new[took] = value_and_gradient(x_new[took])
-                nfev[live[took]] += len(stencil)
+                spent[took] += width
             if stay.size:
                 # a run that stays keeps its value and gradient, and drops its pairs
                 x_new[stay], f_new[stay], g_new[stay] = x[stay], fun[stay], g[stay]
-                hist[:, stay] = 0.0
+                hist[:, :, stay] = 0.0
                 gamma[stay] = 1
 
-        # a pair with s.y > 0 (so the run moved) shifts that run's pairs and is written last
-        s, y = x_new - x, g_new - g
+        # a pair with s.y > 0 (so the run moved) becomes that run's newest, and its oldest goes
+        s, y, rs, ry = hist[ring[_MEMORY]]
+        np.subtract(x_new, x, out=s)
+        np.subtract(g_new, g, out=y)
         sy = np.vecdot(s, y, keepdims=True)
         keep = sy > 0
-        rho = np.divide(1, sy, out=np.zeros_like(sy), where=keep)
-        np.copyto(hist[:-1], hist[1:], where=keep)
-        np.copyto(hist[-1], np.concatenate((s, y, rho * s, rho * y), axis=1), where=keep)
-        np.divide(sy, np.vecdot(y, y, keepdims=True), out=gamma, where=keep)
+        ring = ring[1:] + ring[:1]
+        every = np.count_nonzero(keep) == len(keep)
+        if every:
+            rho = 1 / sy
+            gamma = sy / np.vecdot(y, y, keepdims=True)
+        else:
+            rho = np.divide(1, sy, out=np.zeros(sy.shape), where=keep)
+            np.divide(sy, np.vecdot(y, y, keepdims=True), out=gamma, where=keep)
+        np.multiply(rho, s, out=rs)
+        np.multiply(rho, y, out=ry)
+        if not every:
+            # the runs that keep no pair roll their slots back one, so their pairs stay in place
+            skip = (~keep[:, 0]).nonzero()[0]
+            hist[:, :, skip] = np.roll(hist[:, :, skip], 1, axis=0)
         stalls = np.where(fun - f_new > tol, 0, stalls + 1)
         x, fun, g = x_new, f_new, g_new
 
-        done = (stalls >= 2) | (it == max_iters)
-        if done.any():
-            ended = live[done]
-            out_x[ended], out_fun[ended] = x[done], fun[done]
-            nit[ended], success[ended] = it, (stalls[done] >= 2) & np.isfinite(fun[done])
-            going = ~done
-            live, x, fun, g, gamma, stalls = live[going], x[going], fun[going], g[going], gamma[going], stalls[going]
-            hist = hist[:, going]
-            if not live.size:
+        stopped = stalls >= 2
+        if it == max_iters or np.count_nonzero(stopped):
+            done = stopped | (it == max_iters)
+            ends = done.nonzero()[0]
+            ended = live[ends]
+            out_x[ended], out_fun[ended], nfev[ended] = x.take(ends, 0), fun[ends], spent[ends]
+            nit[ended], success[ended] = it, stopped[ends] & np.isfinite(fun[ends])
+            going = (~done).nonzero()[0]
+            if not going.size:
                 break
+            live, fun, stalls, spent = live[going], fun[going], stalls[going], spent[going]
+            x, g, gamma, hist = x.take(going, 0), g.take(going, 0), gamma.take(going, 0), hist.take(going, 2)
     return SearchRuns(x=out_x, fun=out_fun, nit=nit, nfev=nfev, success=success)
 
 
@@ -352,8 +372,9 @@ def scan_conjecture(
     spin = _as_spin(spin)
     if spin.twice_s < 2:
         raise ValueError("the spin-1/2 case is the proved product bound; scan needs twice_s >= 2")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    samples = int(samples)
     relation = RelationId.R11_CONJECTURE_TRIPLE_PRODUCT
     score = kernels.vector_scorer((relation,), spin.twice_s)
     chunk = kernels.CHUNK_ROWS

@@ -46,18 +46,26 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 
 
 def _hash(x: np.ndarray, h: int, mult: int) -> tuple[np.ndarray, int]:
-    """SeedSequence's hashmix of uint32 words x under hash constant h, and the next constant."""
-    x = x ^ np.uint32(h)
-    h = h * mult & _MASK32
-    x = x * np.uint32(h)
-    return x ^ x >> 16, h
+    """SeedSequence's hashmix of uint32 words x in each of the _POOL pool lanes, and the constant after them.
+
+    Lane i (row i of the (_POOL, m) result) hashes x, an (m,) word or the
+    (_POOL, m) lanes themselves, under the i-th of the hash constants h,
+    h * mult, ... that SeedSequence steps through one lane after another.
+    """
+    steps = [h]
+    for _ in range(_POOL):
+        steps.append(steps[-1] * mult & _MASK32)
+    constants = np.array(steps, dtype=np.uint32)[:, None]
+    x = (x ^ constants[:-1]) * constants[1:]
+    return x ^ x >> 16, steps[-1]
 
 
 def philox_keys(seed: int, keys) -> np.ndarray:
     """The (m, 2) uint64 Philox keys that stream(seed, *row) uses, for each row of (m, j) keys.
 
     Runs SeedSequence's entropy mixing and generate_state(2, np.uint64) over
-    all rows at once in uint32 arithmetic. A seed below 2**64 is at most two
+    all rows at once in uint32 arithmetic, the four pool words of every row
+    as one (4, m) array. A seed below 2**64 is at most two
     32-bit words, padded to the four-word pool when a key is given, so the
     pool before the key words is SeedSequence(seed).pool for every row; each
     key entry then mixes in as one word, so it must lie in [0, 2**32).
@@ -68,18 +76,14 @@ def philox_keys(seed: int, keys) -> np.ndarray:
         raise ValueError(
             f"stream keys must be an (m, j) array of integers in [0, 2**32), got {keys.dtype} {keys.shape}"
         )
-    pool = [np.full(len(keys), w, dtype=np.uint32) for w in np.random.SeedSequence(check_seed(seed)).pool]
+    pool = np.array(np.random.SeedSequence(check_seed(seed)).pool, dtype=np.uint32)[:, None].repeat(len(keys), axis=1)
     # the pool's own hashing took 4 + 4 * 3 steps of the constant
     h = _INIT_A * pow(_MULT_A, _POOL * _POOL, 1 << 32) & _MASK32
     for word in keys.T.astype(np.uint32):
-        for i in range(_POOL):
-            x, h = _hash(word, h, _MULT_A)
-            y = pool[i] * np.uint32(_MIX_L) - x * np.uint32(_MIX_R)
-            pool[i] = y ^ y >> 16
-    words, h = [], _INIT_B
-    for i in range(_POOL):
-        x, h = _hash(pool[i], h, _MULT_B)
-        words.append(x.astype(np.uint64))
+        x, h = _hash(word, h, _MULT_A)
+        y = pool * np.uint32(_MIX_L) - x * np.uint32(_MIX_R)
+        pool = y ^ y >> 16
+    words = _hash(pool, _INIT_B, _MULT_B)[0].astype(np.uint64)
     return np.stack([words[0] | words[1] << np.uint64(32), words[2] | words[3] << np.uint64(32)], axis=1)
 
 

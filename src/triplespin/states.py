@@ -39,10 +39,10 @@ class QuantumState:
             raise InvalidStateError(f"density matrix must be square, got shape {rho.shape}")
         if not np.isfinite(rho).all():
             raise InvalidStateError("density matrix has non-finite entries")
-        herm = np.max(np.abs(rho - rho.conj().T))
+        herm = np.abs(rho - rho.conj().T).max()
         if herm > HERMITICITY_TOL:
             raise InvalidStateError(f"density matrix not Hermitian: residual {herm:.3e}")
-        tr = np.trace(rho)
+        tr = rho.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidStateError(f"trace must be 1, got {tr}")
         min_eig = float(np.linalg.eigvalsh(rho)[0])
@@ -82,7 +82,7 @@ def from_statevector(psi: np.ndarray) -> QuantumState:
     # elementwise, like np.outer: a vector's |psi><psi| keeps the bits of the outer product,
     # but for the diagonal's imaginary parts, which are 0 exactly, not g_i conj(g_i)'s rounding
     rho = (g[:, :, None] * g.conj()[:, None, :]).sum(axis=0)
-    rho.imag[np.diag_indices_from(rho)] = 0.0
+    np.fill_diagonal(rho.imag, 0.0)
     return QuantumState(rho)
 
 
@@ -216,10 +216,9 @@ def haar_vectors(rng, dim: int, n: int) -> np.ndarray:
 
 def state_to_json_dict(state: QuantumState) -> dict:
     """Serialize to {dim, entries} with row-major [re, im] pairs."""
-    flat = state.rho.ravel()
     return {
         "dim": state.dim,
-        "entries": [[float(z.real), float(z.imag)] for z in flat],
+        "entries": state.rho.view(float).reshape(-1, 2).tolist(),
     }
 
 

@@ -214,6 +214,13 @@ def test_shot_config_takes_numpy_integers():
     assert ShotConfig(shots=np.int64(100)).shots == 100
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_shot_config_refuses_bool_counts(flag):
+    # a bool is an int in Python, so True would stand for one shot
+    with pytest.raises(ValueError, match="shots"):
+        ShotConfig(shots=flag)
+
+
 @pytest.mark.parametrize("seed", [2.7, -1, 2**64, None])
 def test_shot_config_refuses_seeds_outside_the_stream_range(seed):
     # checked at construction, not first at run_sweep's streams

@@ -413,6 +413,14 @@ def test_probe_config_takes_numpy_integers():
     assert ProbeConfig(restarts=np.int64(3), max_iters=np.int32(5)).restarts == 3
 
 
+@pytest.mark.parametrize("field", ["restarts", "max_iters"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_probe_config_refuses_bool_counts(field, flag):
+    # a bool is an int in Python, so True would stand for one restart or one iteration
+    with pytest.raises(ValueError, match="integers"):
+        ProbeConfig(**{field: flag})
+
+
 @pytest.mark.parametrize("seed", [2.7, -1, 2**64, None])
 def test_probe_config_refuses_seeds_outside_the_stream_range(seed):
     # checked at construction, not first at min_gap's streams
@@ -616,6 +624,23 @@ def test_scan_conjecture_parametrizes_only_its_refinement_starts(monkeypatch):
 def test_scan_conjecture_rejects_spin_half():
     with pytest.raises(ValueError):
         scan_conjecture(1, 100, FAST)
+
+
+@pytest.mark.parametrize("samples", [True, 2.5, "3", 0, None], ids=repr)
+def test_scan_conjecture_refuses_sample_counts_before_drawing(monkeypatch, samples):
+    # True ran a 1-sample scan and 2.5 raised TypeError from range; no state is drawn for either now
+    def no_draws(*args):
+        raise AssertionError("drew states for a bad sample count")
+
+    monkeypatch.setattr(prober, "random_pure_vectors", no_draws)
+    with pytest.raises(ValueError, match="samples"):
+        scan_conjecture(3, samples, ProbeConfig(seed=1, max_iters=5))
+
+
+def test_scan_conjecture_takes_a_numpy_sample_count():
+    result = scan_conjecture(3, np.int64(5), ProbeConfig(seed=1, max_iters=5))
+    assert type(result.evaluations) is int
+    assert result.to_dict() == scan_conjecture(3, 5, ProbeConfig(seed=1, max_iters=5)).to_dict()
 
 
 def test_eigenstate_sits_on_degenerate_conjecture_branch():

@@ -29,8 +29,9 @@ from .rng import check_seed, map_streams
 from .spin_ops import Spin, _as_spin
 from .states import (
     QuantumState,
+    complex_normals,
     from_statevector,
-    haar_vectors,
+    normalize_rows,
     random_pure_vectors,
     state_to_json_dict,
 )
@@ -48,6 +49,17 @@ _ARMIJO = 1e-4
 _H = 1e-7
 
 
+def _is_count(n) -> bool:
+    """Whether n is an integer >= 1: a Python or numpy integer, and no bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+
+
+def _check_tol(tol) -> None:
+    """ValueError unless tol is positive and finite; a NaN tol would let every run stop as converged."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 @dataclass(frozen=True)
 class ProbeConfig:
     restarts: int = 64
@@ -56,10 +68,9 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        _check_tol(self.tol)
         counts = (self.restarts, self.max_iters)
-        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1 for n in counts):
+        if not all(map(_is_count, counts)):
             raise ValueError(f"restarts and max_iters must be integers >= 1, got {counts}")
         check_seed(self.seed)
 
@@ -171,52 +182,72 @@ def lockstep_lbfgs(objective, x0: np.ndarray, max_iters: int, tol: float) -> Sea
     value never lowers and never converges. All arithmetic is per row, so a
     run ends the same whatever the other runs do.
 
+    max_iters must be an integer >= 1 and tol positive and finite, as ProbeConfig requires.
+
     The loop runs on arrays of a handful of rows, where each numpy call costs
-    more than its arithmetic, so it makes few calls: the pairs sit in a ring
-    of slots, which an iteration in which every run keeps its pair advances
-    without a copy.
+    more than its arithmetic, so it makes few calls: each run's point and
+    gradient are rows of one (2, m, n) stack, so that its pair (s, y) is one
+    subtraction, and the pairs sit in a ring of slots, which an iteration in
+    which every run keeps its pair advances without a copy.
     """
+    if not _is_count(max_iters):
+        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    _check_tol(tol)
     x = np.array(x0, dtype=float)
     m, n = x.shape
     eye = _H * np.eye(n)
-    stencil = np.vstack([np.zeros(n), eye, -eye])
-    width = len(stencil)
-    steps, armijo = _STEPS[1:, None], _ARMIJO * _STEPS
+    offsets = np.vstack([np.zeros(n), eye, -eye]).ravel()  # a stencil's rows, end to end
+    width = 2 * n + 1
+    steps, armijo = _STEPS[1:, None], _ARMIJO * _STEPS[1:]
 
-    def score(points):  # (k, j, n) points to (k, j) values
-        rows = points.reshape(-1, n)
+    def score(rows, k):  # (k j, n) rows to (k, j) values
         values = np.asarray(objective(rows), dtype=float)
         if values.shape != (len(rows),):
             raise ValueError(f"objective returned shape {values.shape} for {len(rows)} points")
-        return values.reshape(points.shape[:2])
+        return values.reshape(k, -1)
 
-    def value_and_gradient(x):
-        f = score(x[:, None] + stencil)
-        return f[:, 0], (f[:, 1 : n + 1] - f[:, n + 1 :]) / (2 * _H)
+    def value_and_gradient(x, g=None):  # the values at (k, n) points and their gradients, into g if given
+        rows = x.repeat(width, axis=0)
+        stencils = rows.reshape(len(x), -1)
+        stencils += offsets
+        f = score(rows, len(x))
+        g = np.subtract(f[:, 1 : n + 1], f[:, n + 1 :], out=g)
+        g /= 2 * _H
+        return f[:, 0], g
 
-    fun, g = value_and_gradient(x)
+    def slot_views(hist):  # each slot's (s, y, rho s, rho y), and its [s, y] and [rho s, rho y] halves
+        return [(h[0], h[1], h[2], h[3]) for h in hist], [(h[:2], h[2:]) for h in hist]
+
+    # xg[0] and xg[1] hold each run's point and gradient; the next iteration
+    # writes its points and gradients into spare
+    xg = np.empty((2, m, n))
+    xg[0] = x
+    fun = value_and_gradient(xg[0], xg[1])[0]
+    spare = np.empty_like(xg)
     # kept pairs [s, y, rho s, rho y], rho = 1 / s.y, in a ring of _MEMORY + 1 slots: slot
     # ring[i] holds every run's i-th oldest pair (0 where it has none), and slot
     # ring[_MEMORY] is free for the next pair
     hist = np.zeros((_MEMORY + 1, 4, m, n))
+    pairs, halves = slot_views(hist)
     ring = list(range(_MEMORY + 1))
     gamma = np.ones((m, 1))  # s.y / y.y of the newest pair
-    stalls = np.zeros(m, dtype=np.int64)
+    lowered = np.ones(m, dtype=bool)  # whether the last iteration lowered the value by more than tol
     out_x, out_fun = np.empty((m, n)), np.empty(m)
-    nit, success = np.empty(m, dtype=np.int64), np.empty(m, dtype=bool)
-    nfev = np.full(m, width)
-    live, spent = np.arange(m), nfev.copy()  # the live runs and the rows each has scored
+    nit, success, nfev = np.empty(m, dtype=np.int64), np.empty(m, dtype=bool), np.empty(m, dtype=np.int64)
+    # the live runs, and the rows each has scored beyond a stencil an iteration
+    live, extra = np.arange(m), np.zeros(m, dtype=np.int64)
     for it in range(1, max_iters + 1):
         # q = H g by the two-loop recursion, over the slots filled by now at most
-        used = ring[_MEMORY - min(it - 1, _MEMORY) : _MEMORY]
-        q, alphas = g.copy(), []
-        for j in reversed(used):
-            alpha = np.vecdot(hist[j, 2], q, keepdims=True)
-            q -= alpha * hist[j, 1]
+        x, g = xg[0], xg[1]
+        used = [pairs[j] for j in ring[_MEMORY - min(it - 1, _MEMORY) : _MEMORY]]
+        q, alphas = g, []
+        for _, y, rs, _ in reversed(used):
+            alpha = np.vecdot(rs, q, keepdims=True)
+            q = q - alpha * y
             alphas.append(alpha)
-        q *= gamma
-        for j, alpha in zip(used, reversed(alphas)):
-            q += (alpha - np.vecdot(hist[j, 3], q, keepdims=True)) * hist[j, 0]
+        q = q * gamma
+        for (s, _, _, ry), alpha in zip(used, reversed(alphas)):
+            q += (alpha - np.vecdot(ry, q, keepdims=True)) * s
         # g.q is minus the slope along -q; where it is not positive, -q does not descend
         gq = np.vecdot(g, q)
         if np.count_nonzero(gq > 0) < len(gq):
@@ -224,63 +255,67 @@ def lockstep_lbfgs(objective, x0: np.ndarray, max_iters: int, tol: float) -> Sea
             gq = np.vecdot(g, q)
 
         # the stencil at the unit step first: its centre row decides Armijo there
-        x_new = x - q
-        f_new, g_new = value_and_gradient(x_new)
-        spent += width
-        moved = f_new <= fun - armijo[0] * gq
+        new = spare
+        x_new, g_new = new[0], new[1]
+        f_new = value_and_gradient(np.subtract(x, q, out=x_new), g_new)[0]
+        moved = f_new <= fun - _ARMIJO * gq
         if np.count_nonzero(moved) < len(moved):
             # the other steps for the runs that fail it, and a stencil where one passes
             back = (~moved).nonzero()[0]
-            trial = x[back, None] - steps * q[back, None]
-            ok = score(trial) <= fun[back, None] - armijo[1:] * gq[back, None]
-            spent[back] += len(steps)
+            trial = x.take(back, 0)[:, None] - steps * q.take(back, 0)[:, None]
+            ok = score(trial.reshape(-1, n), len(back)) <= fun[back][:, None] - armijo * gq[back][:, None]
             hit = ok.any(axis=1)
+            extra[back] += len(steps) + width * hit
             took, stay = back[hit], back[~hit]
             if took.size:
-                x_new[took] = trial[hit, ok[hit].argmax(axis=1)]
-                f_new[took], g_new[took] = value_and_gradient(x_new[took])
-                spent[took] += width
+                x_took = trial[hit, ok[hit].argmax(axis=1)]
+                x_new[took] = x_took
+                f_new[took], g_new[took] = value_and_gradient(x_took)
             if stay.size:
                 # a run that stays keeps its value and gradient, and drops its pairs
-                x_new[stay], f_new[stay], g_new[stay] = x[stay], fun[stay], g[stay]
+                new[:, stay], f_new[stay] = xg[:, stay], fun[stay]
                 hist[:, :, stay] = 0.0
                 gamma[stay] = 1
 
         # a pair with s.y > 0 (so the run moved) becomes that run's newest, and its oldest goes
-        s, y, rs, ry = hist[ring[_MEMORY]]
-        np.subtract(x_new, x, out=s)
-        np.subtract(g_new, g, out=y)
-        sy = np.vecdot(s, y, keepdims=True)
+        sy_pair, scaled = halves[ring[_MEMORY]]
+        np.subtract(new, xg, out=sy_pair)
+        dots = np.vecdot(sy_pair, sy_pair[1], keepdims=True)
+        sy, yy = dots[0], dots[1]
         keep = sy > 0
         ring = ring[1:] + ring[:1]
         every = np.count_nonzero(keep) == len(keep)
         if every:
             rho = 1 / sy
-            gamma = sy / np.vecdot(y, y, keepdims=True)
+            gamma = sy / yy
         else:
             rho = np.divide(1, sy, out=np.zeros(sy.shape), where=keep)
-            np.divide(sy, np.vecdot(y, y, keepdims=True), out=gamma, where=keep)
-        np.multiply(rho, s, out=rs)
-        np.multiply(rho, y, out=ry)
+            np.divide(sy, yy, out=gamma, where=keep)
+        np.multiply(rho, sy_pair, out=scaled)
         if not every:
             # the runs that keep no pair roll their slots back one, so their pairs stay in place
             skip = (~keep[:, 0]).nonzero()[0]
             hist[:, :, skip] = np.roll(hist[:, :, skip], 1, axis=0)
-        stalls = np.where(fun - f_new > tol, 0, stalls + 1)
-        x, fun, g = x_new, f_new, g_new
+        # a run goes on while one of its last two iterations lowered its value by more than tol
+        went = lowered
+        lowered = fun - f_new > tol
+        going = lowered | went
+        xg, spare, fun = new, xg, f_new
 
-        stopped = stalls >= 2
-        if it == max_iters or np.count_nonzero(stopped):
+        if it == max_iters or np.count_nonzero(going) < len(going):
+            stopped = ~going
             done = stopped | (it == max_iters)
             ends = done.nonzero()[0]
             ended = live[ends]
-            out_x[ended], out_fun[ended], nfev[ended] = x.take(ends, 0), fun[ends], spent[ends]
+            out_x[ended], out_fun[ended], nfev[ended] = x_new.take(ends, 0), fun[ends], width * (it + 1) + extra[ends]
             nit[ended], success[ended] = it, stopped[ends] & np.isfinite(fun[ends])
-            going = (~done).nonzero()[0]
-            if not going.size:
+            rest = (~done).nonzero()[0]
+            if not rest.size:
                 break
-            live, fun, stalls, spent = live[going], fun[going], stalls[going], spent[going]
-            x, g, gamma, hist = x.take(going, 0), g.take(going, 0), gamma.take(going, 0), hist.take(going, 2)
+            live, fun, lowered, extra = live[rest], fun[rest], lowered[rest], extra[rest]
+            xg, gamma, hist = xg.take(rest, 1), gamma.take(rest, 0), hist.take(rest, 2)
+            spare = np.empty_like(xg)
+            pairs, halves = slot_views(hist)
     return SearchRuns(x=out_x, fun=out_fun, nit=nit, nfev=nfev, success=success)
 
 
@@ -305,7 +340,8 @@ def min_gap(
 
     width = spin.dim * (spin.dim if mixed else 1)
     keys = np.arange(cfg.restarts)[:, None]
-    starts = np.vstack(map_streams(cfg.seed, keys, lambda rng, k: haar_vectors(rng, width, 1)))
+    # each restart's normals, normalized as one stack: a row's bits are those of haar_vectors on its stream
+    starts = normalize_rows(np.vstack(map_streams(cfg.seed, keys, lambda rng, k: complex_normals(rng, width, 1))))
     return _search(relation, spin, starts, cfg)
 
 

@@ -464,8 +464,9 @@ def evaluate_all(
 
 
 def _evaluate_with(relations, state, moments, s, saturation_tol) -> list[RelationReport]:
-    """The relations' reports on state from moments(cols), cols its columns sqrt(max(lam_c, 0)) v_c from one eigh."""
-    lam, vecs = np.linalg.eigh(state.rho)
+    """The relations' reports on state from moments(cols), cols its columns sqrt(max(lam_c, 0)) v_c
+    from the state's one eigh (QuantumState.spectrum)."""
+    lam, vecs = state.spectrum
     cols = (vecs * np.sqrt(np.maximum(lam, 0.0))).T[None]
     taken = [m if m is None else m[:, 0] for m in moments(cols)]
     return [_report(relation, *relation_sides(relation, *taken, s), saturation_tol) for relation in relations]

@@ -10,7 +10,7 @@ mixed (Hilbert-Schmidt) generators are deterministic per seed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,9 +29,16 @@ _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Validated density matrix (Hermitian, unit trace, positive semidefinite)."""
+    """Validated density matrix (Hermitian, unit trace, positive semidefinite).
+
+    spectrum is rho's eigendecomposition (its ascending eigenvalues and the
+    eigenvectors as columns, both read-only) from np.linalg.eigh, which the
+    positive-semidefinite check reads: the one eigh the evaluators take a
+    state's moments from.
+    """
 
     rho: np.ndarray
+    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         rho = np.ascontiguousarray(self.rho, dtype=complex)
@@ -45,11 +52,14 @@ class QuantumState:
         tr = rho.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidStateError(f"trace must be 1, got {tr}")
-        min_eig = float(np.linalg.eigvalsh(rho)[0])
+        spectrum = np.linalg.eigh(rho)
+        min_eig = float(spectrum[0][0])
         if min_eig < PSD_EIG_FLOOR:
             raise InvalidStateError(f"density matrix not positive semidefinite: min eig {min_eig:.3e}")
-        rho.setflags(write=False)
+        for a in (rho, *spectrum):
+            a.setflags(write=False)
         object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "spectrum", tuple(spectrum))
 
     @property
     def dim(self) -> int:
@@ -208,8 +218,20 @@ def random_pure_vectors(dim: int, n: int, seed: int, *key: int) -> np.ndarray:
 
 
 def haar_vectors(rng, dim: int, n: int) -> np.ndarray:
-    """(n, dim) Haar-random normalized state vectors from the generator rng."""
-    z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    """(n, dim) Haar-random normalized state vectors from the generator rng: normalized complex_normals."""
+    return normalize_rows(complex_normals(rng, dim, n))
+
+
+def complex_normals(rng, dim: int, n: int) -> np.ndarray:
+    """(n, dim) standard complex normals from the generator rng: n dim real parts drawn, then the imaginary parts."""
+    parts = rng.standard_normal((2, n, dim))
+    z = np.empty((n, dim), dtype=complex)
+    z.real, z.imag = parts[0], parts[1]
+    return z
+
+
+def normalize_rows(z: np.ndarray) -> np.ndarray:
+    """z, (n, dim) complex, with each row divided by its norm in place; a row's bits do not depend on n."""
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     return z
 

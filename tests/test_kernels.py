@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from triplespin import kernels
+from triplespin.prober import _param_objective, _params_from_vector
 from triplespin.moments import bloch_moments, pure_moments
 from triplespin.relations import (
     QUBIT_SOAK_RELATIONS,
@@ -401,6 +402,32 @@ def test_state_vector_rows_do_not_depend_on_their_batch(monkeypatch, twice_s):
             monkeypatch.setattr(kernels, "CHUNK_ROWS", block_rows * r)
             assert np.array_equal(score(rows), full)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("twice_s", range(1, 9))
+def test_objective_rows_do_not_depend_on_their_batch(monkeypatch, twice_s):
+    """The prober's objective, on every relation it accepts at spin twice_s/2, pure and mixed:
+    a parameter row's value equals, bit for bit, that of the row scored alone, in any
+    prefix of its batch or in 1-row blocks. Rows are starts and stencil-like perturbations
+    of them, one of them all zero (the first basis vector)."""
+    dim = twice_s + 1
+    relations = [rel for rel in RelationId if applicable_to(rel, twice_s)]  # what min_gap accepts
+    rng = np.random.default_rng(twice_s)
+    for r in (1, dim):
+        starts = _params_from_vector(random_pure_vectors(r * dim, 4, 60 + twice_s, r))
+        rows = np.vstack([starts, starts + 1e-7 * rng.standard_normal(starts.shape), starts[:2] * 3.0])
+        rows[-1] = 0.0
+        for rel in relations:
+            full = _param_objective(rel, twice_s)(rows)
+            assert full.shape == (len(rows),)
+            objective = _param_objective(rel, twice_s)
+            for n in range(1, len(rows) + 1):
+                assert np.array_equal(objective(rows[:n]), full[:n]), (rel, r, n)
+            for i in range(len(rows)):
+                assert np.array_equal(objective(rows[i : i + 1]), full[i : i + 1]), (rel, r, i)
+            monkeypatch.setattr(kernels, "CHUNK_ROWS", r)  # one row a block
+            assert np.array_equal(_param_objective(rel, twice_s)(rows), full), (rel, r)
+            monkeypatch.undo()
 
 
 def test_bloch_rows_do_not_depend_on_their_batch():

@@ -73,14 +73,19 @@ def _warm_block(scorer: str):
     return score, points, ws
 
 
-@pytest.mark.parametrize("scorer", ["bloch", "triangle"])
+#: The tracemalloc peak of a warm block of each scorer, in bytes a row
+BLOCK_PEAKS = {"bloch": 168, "triangle": 144}
+
+
+@pytest.mark.parametrize("scorer", BLOCK_PEAKS)
 def test_a_warm_block_peaks_near_its_moments(scorer):
     """A table pass drops each moment and term after its last step and runs the families'
-    rows when few values are alive, so a block's peak stays near that of its moments
-    (168 B a row for the qubit scorer, 144 for the triangle's); with every moment and
-    term kept for the whole pass, a qubit block peaks at about 248 B a row."""
+    rows when few values are alive, so a block's peak stays at that of its moments:
+    168 B a row for the qubit scorer and 144 for the triangle's, plus about 1.4 kB
+    a block. With every moment and term kept for the whole pass, a qubit block peaks
+    at about 248 B a row; one more float a row kept alive (8 B) fails the bound."""
     score, points, ws = _warm_block(scorer)
-    assert traced_peak(score, points, ws) <= 224 * kernels.BLOCK_ROWS
+    assert traced_peak(score, points, ws) <= (BLOCK_PEAKS[scorer] + 4) * kernels.BLOCK_ROWS
 
 
 @pytest.mark.skipif(

@@ -421,6 +421,29 @@ def test_probe_config_refuses_bool_counts(field, flag):
         ProbeConfig(**{field: flag})
 
 
+@pytest.mark.parametrize("max_iters", [0, -3, np.int64(0), True, False, 2.0, math.nan, None])
+def test_lockstep_refuses_iteration_counts_probe_config_refuses(max_iters):
+    """A count ProbeConfig refuses raises before any call: at 0 the runs' outputs were never written."""
+    calls = []
+    with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+        lockstep_lbfgs(lambda x: calls.append(x) or x[:, 0], np.ones((3, 2)), max_iters, 1e-10)
+    assert not calls
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+def test_lockstep_refuses_a_tol_probe_config_refuses(tol):
+    """At a NaN tol no iteration lowers a value by more than tol, so every run would stop as converged."""
+    calls = []
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        lockstep_lbfgs(lambda x: calls.append(x) or x[:, 0], np.ones((3, 2)), 100, tol)
+    assert not calls
+
+
+def test_lockstep_takes_a_numpy_iteration_count():
+    runs = lockstep_lbfgs(lambda x: x[:, 0] ** 2, np.ones((3, 2)), np.int32(1), 1e-10)
+    assert runs.nit.tolist() == [1, 1, 1] and np.isfinite(runs.fun).all()
+
+
 @pytest.mark.parametrize("seed", [2.7, -1, 2**64, None])
 def test_probe_config_refuses_seeds_outside_the_stream_range(seed):
     # checked at construction, not first at min_gap's streams

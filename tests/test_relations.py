@@ -83,7 +83,7 @@ EVALUABLE = tuple(relation for relation in RelationId if applicable_to(relation,
 
 
 def _count_moment_calls(monkeypatch) -> collections.Counter:
-    """Counts, from here on, of the scalar moment calls, kernels' pure_moments calls and eighs."""
+    """Counts, from here on, of the scalar moment calls, kernels' pure_moments calls, eighs and eigvalshs."""
     counts = collections.Counter()
 
     def count(module, name):
@@ -101,6 +101,7 @@ def _count_moment_calls(monkeypatch) -> collections.Counter:
                 count(module, name)
     count(kernels, "pure_moments")
     count(np.linalg, "eigh")
+    count(np.linalg, "eigvalsh")
     return counts
 
 
@@ -110,21 +111,22 @@ def test_evaluate_computes_only_the_moments_its_relation_reads(monkeypatch, rela
     if the formula reads any, one more for R8's Var(Si+Sj), none for entropies.
 
     The first evaluate builds the spin's moment builder and the second finds it
-    cached, so rho's is the only eigh: no spin operator is diagonalized again.
+    cached, so rho's is the only eigh: no spin operator is diagonalized again,
+    and the state's check and its moments share that one (QuantumState.spectrum).
     """
     want = evaluate(relation, BALANCED, 1)
     counts = _count_moment_calls(monkeypatch)
-    assert evaluate(relation, BALANCED, 1) == want
+    assert evaluate(relation, QuantumState(BALANCED.rho), 1) == want
     reads = set(relations._SPECS[relation].reads)
     pure_calls = bool(reads & {"d", "v", "e"}) + ("w" in reads)
     assert counts == collections.Counter({"pure_moments": pure_calls, "eigh": 1})
 
 
 def test_evaluate_all_takes_every_moment_from_one_pass(monkeypatch):
-    """One eigh of rho and two pure_moments calls for the whole set: the spin stack and the pair sums."""
+    """One eigh of rho, the state's, and two pure_moments calls for the whole set: the spin stack and the pair sums."""
     want = evaluate_all(EVALUABLE, BALANCED, 1)
     counts = _count_moment_calls(monkeypatch)
-    assert evaluate_all(EVALUABLE, BALANCED, 1) == want
+    assert evaluate_all(EVALUABLE, QuantumState(BALANCED.rho), 1) == want
     assert counts == collections.Counter({"pure_moments": 2, "eigh": 1})
 
 
@@ -133,7 +135,7 @@ def test_verify_all_makes_one_eigh(monkeypatch, capsys):
     assert cli.dispatch(argv) == 0
     counts = _count_moment_calls(monkeypatch)
     assert cli.dispatch(argv) == 0
-    assert counts["eigh"] == 1
+    assert counts["eigh"] == 1 and not counts["eigvalsh"]
 
 
 @pytest.mark.parametrize("twice_s", range(1, 5))
@@ -147,10 +149,10 @@ def test_evaluate_all_equals_evaluate_per_relation(twice_s):
 
 
 def test_evaluate_robertson_computes_its_moments_in_one_pass(monkeypatch):
-    """No scalar moment call, one pure_moments call on the stack (A, B, -i[A, B]) and rho's eigh."""
+    """No scalar moment call, one pure_moments call on the stack (A, B, -i[A, B]) and rho's eigh, the state's."""
     want = evaluate_robertson(BALANCED, SX, SY)
     counts = _count_moment_calls(monkeypatch)
-    assert evaluate_robertson(BALANCED, SX, SY) == want
+    assert evaluate_robertson(QuantumState(BALANCED.rho), SX, SY) == want
     assert counts == collections.Counter({"pure_moments": 1, "eigh": 1})
 
 

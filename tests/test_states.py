@@ -258,6 +258,19 @@ def test_quantum_state_validation():
         QuantumState(np.ones((2, 3)))  # not square
 
 
+@pytest.mark.parametrize("dim, mixed", [(2, False), (3, True), (5, True)])
+def test_quantum_state_keeps_the_eigh_its_check_read(dim, mixed):
+    """spectrum is eigh of the stored rho, read-only; a matrix just below the PSD floor still raises."""
+    state = random_mixed(dim, 4) if mixed else random_pure(dim, 4)
+    lam, vecs = state.spectrum
+    want = np.linalg.eigh(state.rho)
+    assert np.array_equal(lam, want[0]) and np.array_equal(vecs, want[1])
+    assert not (state.rho.flags.writeable or lam.flags.writeable or vecs.flags.writeable)
+    with pytest.raises(InvalidStateError, match="not positive semidefinite"):
+        QuantumState(np.diag([1.0 + 2e-10, -2e-10]))
+    assert QuantumState(np.diag([1.0 + 5e-11, -5e-11])).spectrum[0][0] == -5e-11
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_quantum_state_rejects_non_finite_entries(bad):
     with pytest.raises(InvalidStateError):

@@ -1,15 +1,15 @@
 """Batch gap scorers and the chunk fold of the random-state soak and the triangle scan.
 
-Every batch gap in the package comes from _apply_table: each scorer computes a
-batch's per-axis moments as (3, n) arrays (of Bloch rows, column sets or
-triangle points) and _apply_table runs the table pass that relations.table_plan
-built once for the scorer's relations. The pass computes each shared term
+Each scorer computes a batch's per-axis moments as (3, n) arrays (of Bloch
+rows, column sets or triangle points), and _apply_table walks the table pass
+that relations.table_plan built once for the scorer's relations
+(relations.walk), subtracting each step's sides into a (k, n) gaps array
+whose (n, k) transposed view it returns. The pass computes each shared term
 (relations.TERMS) once and evaluates a family of formulas, such as a whole
-cyclic group, in one call that writes the family's rows of a (k, n) gaps array
-at once; the result is its (n, k) transposed view. Few, large numpy calls keep
-two fold workers scoring at once, since each call is a point where the GIL
-can pass between them. Formulas and constants stay in the relation table.
-States have two moment routes: stack_moments on any operator stack (its
+cyclic group, in one call that writes the family's rows at once. Few, large
+numpy calls keep two fold workers scoring at once, since each call is a
+point where the GIL can pass between them. Formulas and constants stay in
+the relation table. States have two moment routes: stack_moments on any operator stack (its
 cached spin form column_moments serves relations.evaluate and the prober) and
 the Bloch closed form, moments.bloch_moments (the soak's).
 
@@ -31,7 +31,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .moments import bloch_moments, column_sum, entr, pair_sums, pure_moments
-from .relations import QUBIT_SOAK_RELATIONS, TRIANGLE_ANALOG_RELATIONS, table_plan
+from .relations import QUBIT_SOAK_RELATIONS, TRIANGLE_ANALOG_RELATIONS, table_plan, walk
 from .spin_ops import build_spin_operators
 
 #: Array library the kernels run on; recorded with benchmark results.
@@ -149,33 +149,20 @@ def fold_chunks(chunks: int, draw, score, tolerance: float | None = None):
             trim(0)
 
 
-def _batch(points: np.ndarray, what: str) -> np.ndarray:
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"expected (n, 3) {what} array, got {points.shape}")
-    return points
-
-
 def _apply_table(plan, n: int, moments, cols, s=None, ws=None) -> np.ndarray:
     """(n, k) gaps of the plan's k relations (relations.table_plan) on the moments(cols) of n points.
 
-    moments(cols) gives the (d, v, e, h, w) of the points; the pass holds the
+    moments(cols) gives the (d, v, e, h, w) of the points; the walk holds the
     only references to them and to its terms, and drops each after the last
     step that reads it, so a block's peak memory stays that of its moments.
-    Each gap step writes its rows, one relation's or a family's, straight into
-    a (k, n) array, ws's "gaps" buffer or a fresh one; the result is its
+    Each gap step subtracts its rows, one relation's or a family's, straight
+    into a (k, n) array, ws's "gaps" buffer or a fresh one; the result is its
     transposed view.
     """
     out = np.empty((len(plan.relations), n)) if ws is None else ws.take("gaps", (len(plan.relations), n))
     values = {name: moment for name, moment in zip("dvehw", moments(cols)) if name in plan.reads}
     values["s"] = s
-    for target, formula, params, dead in plan.steps:
-        if isinstance(target, str):
-            values[target] = formula(*[values[name] for name in params])
-        else:
-            np.subtract(*formula(*[values[name] for name in params]), out=out[target])
-        for name in dead:
-            del values[name]
+    walk(plan, values, lambda target, lhs, rhs: np.subtract(lhs, rhs, out=out[target]))
     return out.T
 
 
@@ -196,14 +183,6 @@ def bloch_scorer(relations=QUBIT_SOAK_RELATIONS):
         return _apply_table(plan, cols.shape[1], moments, cols, 0.5, ws)
 
     return score
-
-
-def qubit_relation_gaps(bloch: np.ndarray, relations=QUBIT_SOAK_RELATIONS) -> np.ndarray:
-    """Gaps (lhs - rhs) of qubit relations for an (n, 3) Bloch batch, rows in the closed ball.
-
-    Columns follow `relations`: by default the 16 of relations.QUBIT_SOAK_RELATIONS.
-    """
-    return bloch_scorer(relations)(_batch(bloch, "Bloch"))
 
 
 @lru_cache(maxsize=64)
@@ -293,8 +272,3 @@ def triangle_scorer(side: float):
         return _apply_table(plan, cols.shape[1], moments, cols, ws=ws)
 
     return score
-
-
-def triangle_analog_gaps(bary: np.ndarray, side: float) -> np.ndarray:
-    """Gaps of the 8 equilateral-triangle analogs for an (n, 3) barycentric batch (see triangle_scorer)."""
-    return triangle_scorer(side)(_batch(bary, "barycentric"))

@@ -7,7 +7,7 @@ axis), which is statistically identical to four million individual repeats;
 a per-draw mode is kept behind a flag for audits.
 
 Derived quantities follow the sweep-figure conventions and are the sides of
-catalog relations (relations.relation_sides):
+catalog relations, from one walk of their table pass (relations.walk):
     pro0, pro1 = lhs, rhs of R3   pro2 = rhs of NAIVE_PRO2
     sum0, sum1 = lhs, rhs of R5   sum2 = rhs of NAIVE_SUM2
 with <S_i> the estimates and the qubit moments of the Bloch vector 2 <S_i>
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .moments import bloch_moments
-from .relations import RelationId, relation_sides
+from .relations import RelationId, table_plan, walk
 from .rng import check_seed, map_streams
 from .states import BLOCH_NORM_TOL, Family, family_bloch
 
@@ -103,7 +103,7 @@ def _shot_estimate(k, shots: int):
 
 
 class _Tangent(np.lib.mixins.NDArrayOperatorsMixin):
-    """A value and its first-order partials along seed directions (tan's axis 0), through the ufuncs of _PARTIALS.
+    """A value and its first-order partials along seed directions (tan's last axis), through the ufuncs of _PARTIALS.
 
     Kinks take one side: |a|' is copysign(1, a), so +-1 at a = +-0, and a tie of maximum takes its first argument's."""
 
@@ -118,7 +118,10 @@ class _Tangent(np.lib.mixins.NDArrayOperatorsMixin):
         self.val, self.tan = val, tan
 
     def __getitem__(self, index):
-        return _Tangent(self.val[index], self.tan[:, index])
+        return _Tangent(self.val[index], self.tan[index])
+
+    def __setitem__(self, index, value):
+        self.val[index], self.tan[index] = value.val, value.tan
 
     def __array_ufunc__(self, ufunc, method, *args, **kwargs):
         if method != "__call__" or kwargs or ufunc not in self._PARTIALS:
@@ -126,13 +129,18 @@ class _Tangent(np.lib.mixins.NDArrayOperatorsMixin):
         vals = [x.val if isinstance(x, _Tangent) else x for x in args]
         out = ufunc(*vals)
         parts = zip(self._PARTIALS[ufunc](out, *vals), args)
-        return _Tangent(out, sum(p * x.tan for p, x in parts if isinstance(x, _Tangent)))
+        return _Tangent(out, sum(np.expand_dims(p, -1) * x.tan for p, x in parts if isinstance(x, _Tangent)))
+
+
+#: The relations whose sides are the derived quantities, and (side, row) of pro0 ... sum2 among them
+_DERIVED = (RelationId.R3_TRIPLE_PRODUCT, RelationId.NAIVE_PRO2, RelationId.R5_TRIPLE_SUM, RelationId.NAIVE_SUM2)
+_QUANTITIES = ([0, 1, 1, 0, 1, 1], [0, 0, 1, 2, 2, 3])
 
 
 def _derive(params: np.ndarray, e: np.ndarray, sig: np.ndarray) -> Sweep:
     """The sweep of (3, n) estimate and stderr columns, with the six derived quantities.
 
-    One pass of bloch_moments and relation_sides on a _Tangent seeded along e_x, e_y, e_z gives
+    bloch_moments and one walk of _DERIVED's table pass on a _Tangent seeded along e_x, e_y, e_z give
     each quantity and its partials p_i (one-sided at kinks, see _Tangent), and its standard error
     is sqrt(sum_i (p_i sigma_i)^2). Near-singular derivatives are flagged instead of extrapolated:
     when any standard-deviation factor of pro0 is below PRO0_SINGULAR_TOL, or pro1 or pro2 is below
@@ -140,21 +148,23 @@ def _derive(params: np.ndarray, e: np.ndarray, sig: np.ndarray) -> Sweep:
     when all input errors are 0, since then nothing propagates).
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # masked where singular
-        x = _Tangent(e, np.eye(3)[:, :, None])
+        x = _Tangent(e, np.broadcast_to(np.eye(3)[:, None], (*e.shape, 3)))
         d, v, _, _, _ = bloch_moments(2.0 * x, reads=())
-        pro0, pro1 = relation_sides(RelationId.R3_TRIPLE_PRODUCT, d, v, x)
-        pro2 = relation_sides(RelationId.NAIVE_PRO2, d, v, x)[1]
-        sum0, sum1 = relation_sides(RelationId.R5_TRIPLE_SUM, d, v, x)
-        sum2 = relation_sides(RelationId.NAIVE_SUM2, d, v, x)[1]
-        sides = (pro0, pro1, pro2, sum0, sum1, sum2)
-        errs = np.array([np.sqrt(t[0] + t[1] + t[2]) for t in ((side.tan * sig) ** 2 for side in sides)])
+        sides = _Tangent(np.empty((2, 4, e.shape[1])), np.empty((2, 4, e.shape[1], 3)))
 
-    singular = np.array([(d.val < PRO0_SINGULAR_TOL).any(axis=0), pro1.val < PRO12_SINGULAR_TOL,
-                         pro2.val < PRO12_SINGULAR_TOL])
+        def emit(target, lhs, rhs):
+            sides[0, target], sides[1, target] = lhs, rhs
+
+        walk(table_plan(_DERIVED), {"d": d, "v": v, "e": x}, emit)
+        derived = sides[_QUANTITIES]
+        t = (derived.tan * sig.T) ** 2
+        errs = np.sqrt(t[..., 0] + t[..., 1] + t[..., 2])
+
+    singular = np.array([(d.val < PRO0_SINGULAR_TOL).any(axis=0), derived.val[1] < PRO12_SINGULAR_TOL,
+                         derived.val[2] < PRO12_SINGULAR_TOL])
     unknown = np.where((sig == 0.0).all(axis=0), 0.0, np.nan)
     errs[:3] = np.where(singular, unknown, errs[:3])
-    values = np.array([side.val for side in sides])
-    return Sweep(params, e, sig, values, errs, singular)
+    return Sweep(params, e, sig, derived.val, errs, singular)
 
 
 def propagate_derived(params, estimate, stderr) -> Sweep:

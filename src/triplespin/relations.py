@@ -13,11 +13,12 @@ separately as R11_CONJECTURE_TRIPLE_PRODUCT.
 RELATIONS is the one table of relations: alias, axis group, description, spin
 rule and moments-to-sides formula per id, with TERMS, the subexpressions
 several formulas share. The spin rules, the CLI spellings and the kernel
-column orders are derived from it, and every gap in the package comes from
-its formulas: one relation at a time through relation_sides (evaluate_all and
-its one-relation form evaluate, evaluate_robertson, the triangle check and
-the sweep), and a batch of a whole relation set through the table pass that
-table_plan builds (the kernels' scorers). The evaluators take their moments
+column orders are derived from it, and every side and gap in the package
+comes from its formulas through one loop, walk, over the table pass that
+table_plan builds for a relation set: the kernels' scorers subtract the sides
+into their gaps arrays, evaluate_all (and evaluate and evaluate_robertson) and
+the triangle check write them for one point, the sweep for its tangents, and
+relation_sides is the walk of one relation. The evaluators take their moments
 from kernels.stack_moments, as the scorers do, one pass for a whole relation set.
 """
 
@@ -133,11 +134,11 @@ class RelationSpec:
 
     `sides` maps per-axis moments and TERMS to (lhs, rhs). Its parameter
     names (`params`) are among relation_sides' (d, v, e, h, w, s) and the
-    TERMS; `terms` are the terms it needs, and `reads` the moments that it and
-    they read, which callers compute alone. An instance of a formula family
-    keeps the family's factory and its arguments, sides = family(*args): the
-    axes (i, j, k) of a cyclic group or the constant c of a triple bound, so a
-    table pass can evaluate several instances in one call (see table_plan).
+    TERMS; a table pass (table_plan) resolves the terms they need and the
+    moments those read, which callers compute alone. An instance of a
+    formula family keeps the family's factory and its arguments, sides =
+    family(*args): the axes (i, j, k) of a cyclic group or the constant c of a
+    triple bound, so a table pass can evaluate several instances in one call.
     R_ROBERTSON_GENERIC's formula reads the moments of the stack (A, B, -i[A, B])
     of its observable pair.
     """
@@ -151,22 +152,14 @@ class RelationSpec:
     family: Callable | None = None
     args: tuple = ()
     params: tuple[str, ...] = field(init=False)
-    terms: tuple[str, ...] = field(init=False)
-    reads: frozenset = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "params", _params(self.sides))
-        terms, reads = _resolve(self.params)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "reads", reads)
 
 
-def _report(relation, lhs, rhs, tol) -> RelationReport:
+def _check_tol(tol: float, what: str = "tolerance") -> None:
     if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"saturation tolerance must be finite and nonnegative, got {tol}")
-    lhs, rhs = float(lhs), float(rhs)
-    gap = lhs - rhs
-    return RelationReport(relation, lhs, rhs, gap, abs(gap) <= tol, tol)
+        raise ValueError(f"{what} must be finite and nonnegative, got {tol}")
 
 
 def evaluate_robertson(
@@ -179,9 +172,9 @@ def evaluate_robertson(
     from . import kernels  # kernels reads this module's table at import
 
     a, b = _check_pair(state, a), _check_pair(state, b)
-    relation = RelationId.R_ROBERTSON_GENERIC
-    moments = kernels.stack_moments(np.array([a, b, -1j * commutator(a, b)]), reads_of((relation,)))
-    return _evaluate_with((relation,), state, moments, None, saturation_tol)[0]
+    plan = table_plan((RelationId.R_ROBERTSON_GENERIC,))
+    moments = kernels.stack_moments(np.array([a, b, -1j * commutator(a, b)]), plan.reads)
+    return _evaluate_with(plan, state, moments, None, saturation_tol)[0]
 
 
 def _member(family, *args):
@@ -332,37 +325,16 @@ TRIANGLE_ANALOG_RELATIONS = (
 )
 
 
-def reads_of(relations) -> frozenset:
-    """The moments (names among d, v, e, h, w, s) that any of the relations reads."""
-    return frozenset(name for relation in relations for name in _SPECS[relation].reads)
-
-
-def relation_sides(relation: RelationId, d, v, e, h=None, w=None, s=None):
-    """(lhs, rhs) of a catalog relation from per-axis moments.
-
-    d, v, e are the (x, y, z) standard deviations, variances and means; h the
-    (x, y, z) Shannon entropies in nats, read only by the entropic relations;
-    w the pair-sum variances Var(Sx+Sy), Var(Sy+Sz), Var(Sz+Sx), read only by
-    R8; s the spin, read only by R7; R_ROBERTSON_GENERIC's axes are (A, B, -i[A, B]).
-    Each entry may be a float or an array of a batch of states. The gap is lhs - rhs.
-    """
-    spec = _SPECS[relation]
-    values = {"d": d, "v": v, "e": e, "h": h, "w": w, "s": s}
-    for name in spec.terms:
-        values[name] = TERMS[name](*[values[param] for param in _TERM_PARAMS[name]])
-    return spec.sides(*[values[name] for name in spec.params])
-
-
 @dataclass(frozen=True)
 class TablePlan:
     """One pass of the table over a relation set, built by table_plan.
 
     `reads` are the moments it reads, and `steps` its (target, formula,
-    params, dead) in order: each calls formula on the values of params, and
-    a term step (target a TERMS name) keeps the result as that value, while a
-    gap step writes lhs - rhs of its (lhs, rhs) to the rows `target` (one row,
-    or a slice of a family's rows) of a (k, n) output. The values named in
-    dead are read by no later step.
+    params, dead) in order, which walk runs: each calls formula on the values
+    of params, and a term step (target a TERMS name) keeps the result as that
+    value, while a gap step's (lhs, rhs) are the sides of the rows `target`
+    (one row, or a slice of a family's rows) of the plan's k relations. The
+    values named in dead are read by no later step.
     """
 
     relations: tuple[RelationId, ...]
@@ -428,6 +400,55 @@ def _table_plan(relations: tuple) -> TablePlan:
     return TablePlan(relations, frozenset(later - terms), tuple(reversed(planned)))
 
 
+def walk(plan: TablePlan, values: dict, emit) -> None:
+    """Run the plan's steps on values, calling emit(target, lhs, rhs) at each gap step.
+
+    values maps each moment the plan reads (and s, the spin) to an array, a
+    float or a duck array such as a tangent; the walk adds each term to it and
+    deletes each value after its last reader, so a pass whose values hold the
+    only references keeps few arrays alive. emit is called, not yielded to, so
+    that a step's sides are dropped before the next step computes.
+    """
+    for target, formula, params, dead in plan.steps:
+        if isinstance(target, str):
+            values[target] = formula(*[values[name] for name in params])
+        else:
+            emit(target, *formula(*[values[name] for name in params]))
+        for name in dead:
+            del values[name]
+
+
+def relation_sides(relation: RelationId, d, v, e, h=None, w=None, s=None):
+    """(lhs, rhs) of a catalog relation from per-axis moments: the walk of its one-relation plan.
+
+    d, v, e are the (x, y, z) standard deviations, variances and means; h the
+    (x, y, z) Shannon entropies in nats, read only by the entropic relations;
+    w the pair-sum variances Var(Sx+Sy), Var(Sy+Sz), Var(Sz+Sx), read only by
+    R8; s the spin, read only by R7; R_ROBERTSON_GENERIC's axes are (A, B, -i[A, B]).
+    Each entry may be a float or an array of a batch of states. The gap is lhs - rhs.
+    """
+    sides = []
+    walk(table_plan((relation,)), dict(d=d, v=v, e=e, h=h, w=w, s=s), lambda target, *pair: sides.append(pair))
+    return sides[0]
+
+
+def _reports(plan: TablePlan, values: dict, tol: float) -> list[RelationReport]:
+    """Reports of the plan's relations on values, one point's moments as (3, 1) columns: one walk
+    writes every side into (2, k, 1) buffers, so each term the relations share is computed once."""
+    _check_tol(tol, "saturation tolerance")
+    sides = np.empty((2, len(plan.relations), 1))
+    lhs, rhs = sides
+
+    def emit(target, left, right):
+        lhs[target], rhs[target] = left, right
+
+    walk(plan, values, emit)
+    return [
+        RelationReport(relation, left, right, left - right, abs(left - right) <= tol, tol)
+        for relation, left, right in zip(plan.relations, *sides[:, :, 0].tolist())
+    ]
+
+
 def evaluate(
     relation: RelationId,
     state: QuantumState,
@@ -459,17 +480,18 @@ def evaluate_all(
         check_applicable(relation, spin)
     if state.dim != spin.dim:
         raise DimensionMismatchError(f"state dim {state.dim} does not match spin dim {spin.dim}")
-    moments = kernels.column_moments(spin.twice_s, reads_of(relations))
-    return _evaluate_with(relations, state, moments, spin.s, saturation_tol)
+    plan = table_plan(relations)
+    moments = kernels.column_moments(spin.twice_s, plan.reads)
+    return _evaluate_with(plan, state, moments, spin.s, saturation_tol)
 
 
-def _evaluate_with(relations, state, moments, s, saturation_tol) -> list[RelationReport]:
-    """The relations' reports on state from moments(cols), cols its columns sqrt(max(lam_c, 0)) v_c
+def _evaluate_with(plan, state, moments, s, saturation_tol) -> list[RelationReport]:
+    """The plan's reports on state from moments(cols), cols its columns sqrt(max(lam_c, 0)) v_c
     from the state's one eigh (QuantumState.spectrum)."""
     lam, vecs = state.spectrum
-    cols = (vecs * np.sqrt(np.maximum(lam, 0.0))).T[None]
-    taken = [m if m is None else m[:, 0] for m in moments(cols)]
-    return [_report(relation, *relation_sides(relation, *taken, s), saturation_tol) for relation in relations]
+    values = dict(zip("dvehw", moments((vecs * np.sqrt(np.maximum(lam, 0.0))).T[None])))
+    values["s"] = s
+    return _reports(plan, values, saturation_tol)
 
 
 def equality_condition(relation: RelationId, bloch, tol: float = 1e-9) -> bool:
@@ -478,8 +500,10 @@ def equality_condition(relation: RelationId, bloch, tol: float = 1e-9) -> bool:
     Supported: R3 (all |r_i| = 1/sqrt 3, or some |r_i| = 1), R5 (all
     |r_i| = 1/sqrt 3), R6 (|r| = 1), R8 (|r| = 1 and r_x + r_y + r_z = 0).
     A vector that is no state (not 3 finite components in the ball) raises
-    InvalidStateError, as in states.density_from_bloch.
+    InvalidStateError, as in states.density_from_bloch, and a tol that is not
+    finite and nonnegative ValueError, as in evaluate.
     """
+    _check_tol(tol)
     density_from_bloch(bloch)
     r = np.asarray(bloch, dtype=float).ravel()
     a = np.abs(r)
@@ -558,8 +582,7 @@ def soak_qubit(
     """
     from . import kernels  # kernels reads this module's table at import
 
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
+    _check_tol(tolerance)
     if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in (n_pure, n_mixed)):
         raise ValueError(f"state counts must be integers, got {n_pure!r} pure and {n_mixed!r} mixed")
     if n_pure < 0 or n_mixed < 0:

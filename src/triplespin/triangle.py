@@ -16,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .relations import (
-    SATURATION_TOL,
-    TRIANGLE_ANALOG_RELATIONS,
-    RelationId,
-    RelationReport,
-    _report,
-    relation_sides,
-)
+from .relations import SATURATION_TOL, TRIANGLE_ANALOG_RELATIONS, RelationId, RelationReport, _reports, table_plan
 from .rng import stream
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -84,16 +77,12 @@ def check_analogs(p: TrianglePoint, saturation_tol: float = SATURATION_TOL) -> l
 
     Returns one report per instance, tagged with the id of the spin relation
     it mirrors (three pair products, triple product, three pair sums, triple
-    sum).
+    sum), from one walk of their table pass on the point's moments.
     """
-    d = vertex_distances(p)
+    d = np.array(vertex_distances(p))[:, None]
     area_pab, area_pbc, area_pca = subtriangle_areas(p)
-    v = tuple(x * x for x in d)
-    e = (4.0 * area_pbc, 4.0 * area_pca, 4.0 * area_pab)
-    return [
-        _report(rel, *relation_sides(rel, d, v, e), saturation_tol)
-        for rel in TRIANGLE_ANALOG_RELATIONS
-    ]
+    e = np.array([4.0 * area_pbc, 4.0 * area_pca, 4.0 * area_pab])[:, None]
+    return _reports(table_plan(TRIANGLE_ANALOG_RELATIONS), {"d": d, "v": d * d, "e": e}, saturation_tol)
 
 
 def sample_barycentric(n: int, seed: int, *key: int, out=None) -> np.ndarray:

@@ -171,7 +171,7 @@ def test_c08_triangle_analog():
     with criterion(8, "triangle analogs on 1e5 points x 3 sides"):
         for side in (0.5, 1.0, 2.0):
             bary = sample_barycentric(100_000, seed=7)
-            gaps = kernels.triangle_analog_gaps(bary, side)
+            gaps = kernels.triangle_scorer(side)(bary)
             assert gaps.min() >= -1e-12
         reports = {r.relation: r for r in check_analogs(centroid(1.0))}
         assert abs(reports[RelationId.R5_TRIPLE_SUM].gap) <= 1e-12

@@ -3,9 +3,10 @@ every private module-level function is referenced somewhere in the package,
 only rng.py reaches numpy.random, only cli.py reads the process environment,
 only kernels.py starts threads, the prober scores states only through
 kernels (with one chart and one scorer), kernels and the sweep take only
-the relation table from relations (kernels writing no formula constant), the
-sweep builds no state and draws through one stream route, and the runtime
-imports no scipy."""
+the relation table from relations (kernels writing no formula constant),
+relations.walk is the one loop over a table plan's steps, the sweep builds
+no state and draws through one stream route, and the runtime imports no
+scipy."""
 
 import ast
 import math
@@ -222,9 +223,40 @@ def test_checker_lists_relations_names():
 
 
 def test_sweep_takes_only_the_table_from_relations():
-    # the sweep's values and error bars both come from relation_sides: no constant or formula of its own
+    # the sweep's values and error bars both come from one walk of the table: no constant or formula of its own
     source = (PACKAGE / "measure_sim.py").read_text(encoding="utf-8")
-    assert module_names(source, "relations") == ["RelationId", "relation_sides"]
+    assert module_names(source, "relations") == ["RelationId", "table_plan", "walk"]
+
+
+def steps_readers(source: str) -> list[str]:
+    """Functions that read a `.steps` attribute: the innermost def or lambda around each read, by name."""
+    readers = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            owner = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.Attribute) and node.attr == "steps" and isinstance(node.ctx, ast.Load):
+            readers.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(readers)
+
+
+def test_checker_lists_steps_readers():
+    source = (
+        "n = len(plan.steps)\ndef walk(plan):\n    for step in plan.steps:\n        pass\n"
+        "def outer():\n    def inner(p):\n        return p.steps\n    return inner\n"
+        "key = lambda p: p.steps[0]\ndef setter(p):\n    p.steps = ()\n    return steps\n"
+    )
+    assert steps_readers(source) == ["<lambda>", "<module>", "inner", "walk"]
+
+
+def test_walk_is_the_one_loop_over_plan_steps():
+    # every side and gap comes from relations.walk: a second loop over a TablePlan's steps is a second walker
+    readers = [f"{p.name}: {name}" for p in sorted(PACKAGE.glob("*.py")) for name in steps_readers(p.read_text())]
+    assert readers == ["relations.py: walk"]
 
 
 TAU = 2.0 / math.sqrt(3.0)
@@ -264,10 +296,10 @@ def test_checker_flags_formula_constants():
 
 
 def test_kernels_take_only_the_table_api_from_relations():
-    # kernels run the table passes that relations.table_plan builds, so every formula and its constants
+    # kernels walk the table passes that relations.table_plan builds, so every formula and its constants
     # stay in relations.RELATIONS and TERMS: a scorer with its own copy of the formulas cannot ship
     source = (PACKAGE / "kernels.py").read_text(encoding="utf-8")
-    assert module_names(source, "relations") == ["QUBIT_SOAK_RELATIONS", "TRIANGLE_ANALOG_RELATIONS", "table_plan"]
+    assert module_names(source, "relations") == ["QUBIT_SOAK_RELATIONS", "TRIANGLE_ANALOG_RELATIONS", "table_plan", "walk"]
     assert formula_constants(source) == []
 
 

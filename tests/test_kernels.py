@@ -209,8 +209,8 @@ def test_public_scorers_return_fresh_arrays():
     bloch = _bloch_batch(20)
     bary = sample_barycentric(40, seed=3)
     for first, second in (
-        (kernels.qubit_relation_gaps(bloch), kernels.qubit_relation_gaps(bloch)),
-        (kernels.triangle_analog_gaps(bary, 1.0), kernels.triangle_analog_gaps(bary, 2.0)),
+        (kernels.bloch_scorer()(bloch), kernels.bloch_scorer()(bloch)),
+        (kernels.triangle_scorer(1.0)(bary), kernels.triangle_scorer(2.0)(bary)),
     ):
         assert not np.shares_memory(first, second)
 
@@ -261,26 +261,20 @@ def test_a_threaded_fold_trims_the_freed_heap_after_the_join(monkeypatch, has_tr
 
 
 def test_qubit_gaps_shape_and_validation():
-    g = kernels.qubit_relation_gaps(_bloch_batch(50))
+    g = kernels.bloch_scorer()(_bloch_batch(50))
     assert g.shape == (100, 16)
-    with pytest.raises(ValueError):
-        kernels.qubit_relation_gaps(np.zeros((4, 2)))
 
 
 def test_triangle_gaps_validation():
-    with pytest.raises(ValueError):
-        kernels.triangle_analog_gaps(np.zeros((4, 3)), side=0.0)
-    with pytest.raises(ValueError):
-        kernels.triangle_analog_gaps(np.zeros((4, 4)), side=1.0)
-    for side in (np.nan, np.inf):
+    for side in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
-            kernels.triangle_analog_gaps(np.zeros((4, 3)), side=side)
+            kernels.triangle_scorer(side)
 
 
 def test_kernel_matches_matrix_route():
     """Closed-form kernel gaps vs the spectral evaluate() route."""
     bloch = _bloch_batch(60)
-    gaps = kernels.qubit_relation_gaps(bloch)
+    gaps = kernels.bloch_scorer()(bloch)
     for i in range(0, len(bloch), 11):
         st = density_from_bloch(bloch[i])
         for k, rel in enumerate(QUBIT_SOAK_RELATIONS):
@@ -290,9 +284,9 @@ def test_kernel_matches_matrix_route():
 def test_one_relation_reads_only_its_moments():
     """Scored alone, each relation (computing only the moments it reads) gives its table column bit for bit."""
     bloch = _bloch_batch(40)
-    gaps = kernels.qubit_relation_gaps(bloch)
+    gaps = kernels.bloch_scorer()(bloch)
     for k, rel in enumerate(QUBIT_SOAK_RELATIONS):
-        assert np.array_equal(kernels.qubit_relation_gaps(bloch, (rel,))[:, 0], gaps[:, k]), rel
+        assert np.array_equal(kernels.bloch_scorer((rel,))(bloch)[:, 0], gaps[:, k]), rel
     h, w = bloch_moments(np.ascontiguousarray(bloch.T), reads=())[3:]
     assert h is None and w is None
     for twice_s in (1, 2):
@@ -341,7 +335,7 @@ def test_vector_scorer_matches_bloch_route_at_spin_half():
     bloch = np.array([bloch_from_density(from_statevector(psi)) for psi in psis])
     vector = kernels.vector_scorer(QUBIT_SOAK_RELATIONS, 1)(psis)
     assert vector.shape == (500, 16)
-    np.testing.assert_allclose(vector, kernels.qubit_relation_gaps(bloch), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(vector, kernels.bloch_scorer()(bloch), rtol=0, atol=1e-12)
 
 
 def test_triangle_kernel_matches_report_route():
@@ -360,7 +354,7 @@ def test_triangle_kernel_matches_report_route():
     assert contiguous.flags.c_contiguous and sampled.T.flags.c_contiguous
     for side in (0.5, 1.5, 2.0):
         for batch in (contiguous, sampled):
-            gaps = kernels.triangle_analog_gaps(batch, side)
+            gaps = kernels.triangle_scorer(side)(batch)
             for point, row in zip(batch, gaps):
                 reports = check_analogs(TrianglePoint(side, tuple(point)))
                 for gap, rep in zip(row, reports):
@@ -432,11 +426,11 @@ def test_objective_rows_do_not_depend_on_their_batch(monkeypatch, twice_s):
 
 def test_bloch_rows_do_not_depend_on_their_batch():
     bloch = _bloch_batch(12)
-    full = kernels.qubit_relation_gaps(bloch, FORMULAS)
+    full = kernels.bloch_scorer(FORMULAS)(bloch)
     for n in range(1, len(bloch) + 1):
-        assert np.array_equal(kernels.qubit_relation_gaps(bloch[:n], FORMULAS), full[:n])
+        assert np.array_equal(kernels.bloch_scorer(FORMULAS)(bloch[:n]), full[:n])
     for i in range(len(bloch)):
-        assert np.array_equal(kernels.qubit_relation_gaps(bloch[i : i + 1], FORMULAS)[0], full[i])
+        assert np.array_equal(kernels.bloch_scorer(FORMULAS)(bloch[i : i + 1])[0], full[i])
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -513,7 +507,7 @@ def test_triangle_columns_are_the_table_on_its_moments(monkeypatch):
     monkeypatch.setattr(kernels, "_apply_table", spy)
     bary = np.vstack([np.eye(3), [[1 / 3, 1 / 3, 1 / 3], [0.5, 0.5, 0.0]], sample_barycentric(60, seed=5)])
     for side in (0.5, 1.0, 3.0):
-        gaps = kernels.triangle_analog_gaps(bary, side)
+        gaps = kernels.triangle_scorer(side)(bary)
         d, v, e, h, w = seen.pop()
         assert h is None and w is None
         for k, rel in enumerate(TRIANGLE_ANALOG_RELATIONS):

@@ -7,16 +7,19 @@ import pytest
 from triplespin.errors import InvalidStateError
 from triplespin.kernels import CHUNK_ROWS
 from triplespin.measure_sim import (
+    _DERIVED,
     CSV_HEADER,
     ShotConfig,
     Sweep,
     _count_plus,
+    _Tangent,
     propagate_derived,
     rows_to_csv,
     run_sweep,
     sweep_parameters,
 )
-from triplespin.relations import TAU
+from triplespin.moments import bloch_moments
+from triplespin.relations import TAU, relation_sides, table_plan, walk
 from triplespin.rng import stream
 from triplespin.states import Family, bloch_from_density, density_from_bloch, family_point
 
@@ -191,6 +194,30 @@ def test_errors_at_kinks_take_one_sided_derivatives(e):
     assert err_sum0 == pytest.approx(math.sqrt(float(np.sum((2.0 * np.array(e) * sig) ** 2))), rel=1e-12)
 
 
+def test_tangents_keep_each_relations_bits_through_stacked_steps():
+    """One walk of the sweep's four relations, whose triple products and triple sums are one
+    stacked step each, gives the values and partials of each relation walked alone, bit for
+    bit: on seeded estimates and at +-0 components, where |<S_i>| takes one side."""
+    e = np.random.default_rng(5).uniform(-0.5, 0.5, (3, 40))
+    e[:, :6] = [[0.0, -0.0, 0.5, -0.0, 0.3, 0.0], [-0.0, 0.0, 0.0, -0.5, -0.0, 0.2], [0.0, 0.0, -0.0, 0.1, 0.0, -0.0]]
+    plan = table_plan(_DERIVED)
+    assert [target for target, *_ in plan.steps if not isinstance(target, str)] == [slice(0, 2, 1), slice(2, 4, 1)]
+    sides = _Tangent(np.empty((2, 4, 40)), np.empty((2, 4, 40, 3)))
+
+    def emit(target, lhs, rhs):
+        sides[0, target], sides[1, target] = lhs, rhs
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # Delta(S_i)'s partials at |<S_i>| = 1/2
+        x = _Tangent(e, np.broadcast_to(np.eye(3)[:, None], (*e.shape, 3)))
+        d, v, *_ = bloch_moments(2.0 * x, reads=())
+        walk(plan, {"d": d, "v": v, "e": x}, emit)
+        alone = [relation_sides(relation, d, v, x) for relation in _DERIVED]
+    for k, relation in enumerate(_DERIVED):
+        for stacked, side in zip((sides[0, k], sides[1, k]), alone[k]):
+            assert stacked.val.tobytes() == side.val.tobytes(), relation
+            assert stacked.tan.tobytes() == np.ascontiguousarray(side.tan).tobytes(), relation
+
+
 def test_sweep_parameter_grids():
     lat = sweep_parameters(Family.R1_LATITUDE, 8)
     assert len(lat) == 8
@@ -280,7 +307,7 @@ def test_analytic_sweep_states_satisfy_every_relation():
     for family in Family:
         params = sweep_parameters(family, 60)
         blochs = np.array([family_point(family, p) for p in params])
-        gaps = kernels.qubit_relation_gaps(blochs)
+        gaps = kernels.bloch_scorer()(blochs)
         assert gaps.min() >= -1e-12
 
 

@@ -138,7 +138,7 @@ def test_objective_matches_evaluate(twice_s):
         # Bloch rows inside the ball and on its surface, on all 18 relations (not the soak's 16)
         raw = rng.standard_normal((10, 3)) * rng.uniform(0.2, 1.5, (10, 1))
         bloch = raw / np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1.0)
-        routes.append((bloch, kernels.qubit_relation_gaps(bloch, relations), density_from_bloch))
+        routes.append((bloch, kernels.bloch_scorer(relations)(bloch), density_from_bloch))
     for states, gaps, to_state in routes:
         assert gaps.shape == (10, len(relations))
         for row, row_gaps in zip(states, gaps):

@@ -19,8 +19,9 @@ from triplespin.relations import (
     evaluate_robertson,
     relation_sides,
     soak_qubit,
+    table_plan,
 )
-from triplespin.spin_ops import build_spin_operators, commutator
+from triplespin.spin_ops import Spin, build_spin_operators, commutator
 from triplespin.states import (
     QuantumState,
     density_from_bloch,
@@ -117,7 +118,7 @@ def test_evaluate_computes_only_the_moments_its_relation_reads(monkeypatch, rela
     want = evaluate(relation, BALANCED, 1)
     counts = _count_moment_calls(monkeypatch)
     assert evaluate(relation, QuantumState(BALANCED.rho), 1) == want
-    reads = set(relations._SPECS[relation].reads)
+    reads = set(table_plan((relation,)).reads)
     pure_calls = bool(reads & {"d", "v", "e"}) + ("w" in reads)
     assert counts == collections.Counter({"pure_moments": pure_calls, "eigh": 1})
 
@@ -136,6 +137,30 @@ def test_verify_all_makes_one_eigh(monkeypatch, capsys):
     counts = _count_moment_calls(monkeypatch)
     assert cli.dispatch(argv) == 0
     assert counts["eigh"] == 1 and not counts["eigvalsh"]
+
+
+def test_evaluate_all_computes_each_term_once(monkeypatch):
+    """verify --relation all's set at spin 1/2 walks one table pass, so each TERMS entry is
+    computed at most once, however many of its relations read it (abs_e: R2, R4, R5, SUM2)."""
+    rels = cli.parse_relations("all", Spin(1))
+    want = evaluate_all(rels, BALANCED, 1)
+    counts = collections.Counter()
+
+    def counted(name, formula):
+        def term(*args):
+            counts[name] += 1
+            return formula(*args)
+
+        return term
+
+    relations._table_plan.cache_clear()  # plans keep the formulas they were built with
+    monkeypatch.setattr(relations, "TERMS", {name: counted(name, f) for name, f in relations.TERMS.items()})
+    try:
+        assert evaluate_all(rels, BALANCED, 1) == want
+    finally:
+        monkeypatch.undo()
+        relations._table_plan.cache_clear()
+    assert set(counts) == set(relations.TERMS) and max(counts.values()) == 1
 
 
 @pytest.mark.parametrize("twice_s", range(1, 5))
@@ -232,6 +257,22 @@ def test_saturation_tolerance_must_be_finite_and_nonnegative(tol):
         evaluate(RelationId.R5_TRIPLE_SUM, BALANCED, 1, saturation_tol=tol)
     with pytest.raises(ValueError, match="nonnegative"):
         evaluate_robertson(density_from_bloch([0, 0, 1]), SX, SY, saturation_tol=tol)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+def test_every_tolerance_is_finite_and_nonnegative(tol):
+    # unchecked, a NaN tol reads a saturating state as unsaturated in equality_condition
+    # and an infinite one reads [0.1, 0, 0] as saturating R6, as evaluate refuses to
+    from triplespin.triangle import centroid, check_analogs
+
+    with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+        equality_condition(RelationId.R5_TRIPLE_SUM, [1 / SQ3, 1 / SQ3, 1 / SQ3], tol=tol)
+    with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+        equality_condition(RelationId.R6_SUM_HALF, [0.1, 0, 0], tol=tol)
+    with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+        soak_qubit(10, 10, seed=0, tolerance=tol)
+    with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+        check_analogs(centroid(), tol)
 
 
 def test_triple_product_saturated_on_balanced_state():
@@ -407,7 +448,7 @@ def test_catalog_contents():
 def test_table_derived_spin_rules():
     R = RelationId
     entropic = {R.R9_ENTROPIC_PAIR_XY, R.R9_ENTROPIC_PAIR_YZ, R.R9_ENTROPIC_PAIR_ZX, R.R10_ENTROPIC_TRIPLE}
-    assert {spec.relation for spec in RELATIONS if "h" in spec.reads} == entropic
+    assert {spec.relation for spec in RELATIONS if "h" in table_plan((spec.relation,)).reads} == entropic
     # R5 and R6 hold at every spin (see test_casimir_identity_bounds_triple_sum)
     spin_half_only = {spec.relation for spec in RELATIONS if spec.spin_half_only}
     assert spin_half_only == entropic | {R.R3_TRIPLE_PRODUCT, R.R8_VARIANCE_OF_SUMS}
@@ -600,7 +641,7 @@ def test_soak_chunked_reduction_matches_direct(monkeypatch, n_pure, n_mixed):
 def test_soak_argmin_reproduces_min_gap():
     summary = soak_qubit(40_000, 40_000, seed=17)  # two chunks of each kind
     for i, rel in enumerate(QUBIT_SOAK_RELATIONS):
-        gaps = kernels.qubit_relation_gaps(np.array([summary.argmin_bloch[rel]]))
+        gaps = kernels.bloch_scorer()(np.array([summary.argmin_bloch[rel]]))
         assert gaps[0, i] == summary.min_gap[rel]
 
 

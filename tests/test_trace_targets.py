@@ -19,6 +19,8 @@ KNOWN_ABSENT = {
     "triplespin.measure_sim.analytic_row",
     "triplespin.measure_sim.simulate_expectation",
     "triplespin.measure_sim.exact_expectation",
+    "triplespin.kernels.qubit_relation_gaps",
+    "triplespin.kernels.triangle_analog_gaps",
 }
 
 

@@ -120,14 +120,14 @@ def test_pair_product_analog_never_negative():
 def test_all_analogs_hold_on_sample():
     for side in (0.5, 1.0, 2.0):
         bary = sample_barycentric(20_000, seed=17)
-        gaps = kernels.triangle_analog_gaps(bary, side)
+        gaps = kernels.triangle_scorer(side)(bary)
         assert gaps.min() >= -1e-12
 
 
 def test_sum_analog_gaps_scale_with_side_squared():
     bary = sample_barycentric(500, seed=23)
-    g1 = kernels.triangle_analog_gaps(bary, 1.0)
-    g2 = kernels.triangle_analog_gaps(bary, 2.0)
+    g1 = kernels.triangle_scorer(1.0)(bary)
+    g2 = kernels.triangle_scorer(2.0)(bary)
     np.testing.assert_allclose(g2[:, 7], 4.0 * g1[:, 7], rtol=1e-12, atol=1e-14)
 
 
@@ -208,7 +208,7 @@ def test_scan_chunked_reduction_matches_direct(monkeypatch, n):
     result = scan(n, seed=4, side=2.0)
     bary = _keyed_scan_draws(n, 4, 1000)
     assert len(bary) == n
-    _assert_scan_matches_direct(result, bary, kernels.triangle_analog_gaps(bary, 2.0))
+    _assert_scan_matches_direct(result, bary, kernels.triangle_scorer(2.0)(bary))
 
 
 def test_scan_tied_minima_keep_the_first_occurrence(monkeypatch):
